@@ -9,7 +9,6 @@ from .numerics import (
     PointSet,
     PointTableBuilder,
     Scalar,
-    dedup_insert,
     drop_last,
     origin_point,
     split_by_last_coordinate,

@@ -21,6 +21,7 @@ from .subgradient import ConvexSectionInstance, SubgradientConfig, select_subgra
 from .oracle import verify_domination, verify_working_closure
 from .instances import (
     GenRanges,
+    InstanceFileError,
     gen_affine_dominated,
     gen_convex_sections,
     gen_meager_linear,
@@ -51,9 +52,18 @@ def _threads_cap() -> int:
 
 
 def _parse_lambda(text: str) -> int:
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        return int(base) ** int(exp)
+    try:
+        if "^" in text:
+            base, _, exp = text.partition("^")
+            return int(base) ** int(exp)
+        return int(text)
+    except ValueError:
+        raise CLIUsageError(f"--lambda-max must be an integer or 'b^e', got {text!r}") from None
+
+
+def _depth(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -79,7 +89,7 @@ def build_parser() -> _Parser:
     aff.add_argument("file")
     aff.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
     aff.add_argument("--sandwich", choices=["midpoint", "staged"], default="midpoint")
-    aff.add_argument("--depth", type=int, default=24)
+    aff.add_argument("--depth", type=_depth, default=24)
     aff.add_argument("--base", choices=["novikov", "tight"], default="novikov")
     aff.add_argument("--verify", action="store_true")
     aff.add_argument("--trace", action="store_true")
@@ -113,7 +123,7 @@ def build_parser() -> _Parser:
     sw.add_argument("file_u")
     sw.add_argument("file_l")
     sw.add_argument("--mode", choices=["midpoint", "staged"], default="midpoint")
-    sw.add_argument("--depth", type=int, default=24)
+    sw.add_argument("--depth", type=_depth, default=24)
 
     ver = sub.add_parser("verify", help="check a selector against an instance")
     ver.add_argument("file")
@@ -125,37 +135,59 @@ def build_parser() -> _Parser:
 def _load_finite_function(path) -> FiniteFunction:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    xs = tuple(str(x) for x in data["X"])
-    vals = {x: Scalar.parse(str(v)) for x, v in zip(xs, data["values"])}
+    try:
+        xs = tuple(str(x) for x in data["X"])
+        vals = {x: Scalar.parse(str(v)) for x, v in zip(xs, data["values"])}
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InstanceFileError(f"{path}: malformed function file: {exc!r}") from None
     return FiniteFunction(xs, vals)
 
 
 def _load_selector(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "selector" in data and isinstance(data["selector"], dict):
+    if isinstance(data, dict) and isinstance(data.get("selector"), dict):
         data = data["selector"]   # run reports embed the selector
-    if "kind" not in data:
+    if not isinstance(data, dict) or "kind" not in data:
         raise CLIUsageError(f"{path}: not a selector file")
     return data
 
 
 def _selector_from_dict(data: dict):
+    try:
+        return _build_selector(data)
+    except KeyError as exc:
+        raise InstanceFileError(f"selector file: missing field {exc}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InstanceFileError(f"selector file: malformed: {exc!r}") from None
+
+
+def _build_selector(data: dict):
     kind = data["kind"]
-    xs = tuple(data["X"])
+    xs = tuple(str(x) for x in data["X"])
     n = int(data["n"])
+    if len(set(xs)) != len(xs):
+        raise InstanceFileError("selector file: duplicate parameter ids in X")
+
+    def column(name, width=None) -> list:
+        col = data[name]
+        if len(col) != len(xs) or (width is not None and any(len(r) != width for r in col)):
+            raise InstanceFileError(f"selector file: {name} does not align with X and n")
+        return col
+
     if kind == "affine":
         return AffineSelector(
             n=n, xs=xs,
-            b={x: Point(Scalar.parse(c) for c in row) for x, row in zip(xs, data["B"])},
-            c={x: Scalar.parse(v) for x, v in zip(xs, data["C"])},
+            b={x: Point(Scalar.parse(c) for c in row) for x, row in zip(xs, column("B", n))},
+            c={x: Scalar.parse(v) for x, v in zip(xs, column("C"))},
         )
     if kind == "linear":
+        exact = column("exact") if "exact" in data else [True] * len(xs)
         return LinearSelector(
             n=n, xs=xs,
-            a={x: Point(Scalar.parse(c) for c in row) for x, row in zip(xs, data["A"])},
-            epsilon={x: Scalar.parse(v) for x, v in zip(xs, data["epsilon"])},
-            exact={x: bool(v) for x, v in zip(xs, data.get("exact", [True] * len(xs)))},
+            a={x: Point(Scalar.parse(c) for c in row) for x, row in zip(xs, column("A", n))},
+            epsilon={x: Scalar.parse(v) for x, v in zip(xs, column("epsilon"))},
+            exact={x: bool(v) for x, v in zip(xs, exact)},
             lambda_max=int(data.get("lambda_max", 1)),
             cone_c={},
         )
@@ -364,6 +396,9 @@ def _cmd_verify(args, started) -> int:
         raise CLIUsageError(
             f"selector kind {data.get('kind')!r} does not match --kind {args.kind}")
     selector = _selector_from_dict(data)
+    missing = [x for x in inst.xs if x not in selector.xs]
+    if missing:
+        raise InstanceFileError(f"selector file: no selector for parameter {missing[0]!r}")
     rep = verify_domination(inst, selector, kind=args.kind)
     report = {
         "command": "verify",
@@ -393,8 +428,8 @@ def run(argv=None) -> int:
             return _cmd_sandwich(args, started)
         return _cmd_verify(args, started)
     except CLIUsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        parser.print_usage(sys.stderr)
+        usage = " ".join(parser.format_usage().split())
+        sys.stderr.write(f"usage error: {exc}; {usage}\n")
         return 1
     except (AffselError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

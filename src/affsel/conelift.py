@@ -21,7 +21,6 @@ from .numerics import (
     Point,
     PointTableBuilder,
     Scalar,
-    dedup_insert,
 )
 from .hyperplane import Instance, SelectConfig, select_affine
 
@@ -115,7 +114,7 @@ def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
                 direction, scale = key
                 zscale = lam * scale
                 vals = {x: Scalar(mode, zscale * ray_best[direction][x]) for x in inst.xs}
-            dedup_insert(builder, z, vals)
+            builder.insert(z, vals)
     ps, rows = builder.freeze()
     lifted = Instance(n=inst.n, xs=inst.xs, ys=ps, values=rows)
     return ConeInstance(base=inst, lambdas=lambdas, instance=lifted)

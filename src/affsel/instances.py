@@ -58,13 +58,25 @@ class InstanceFile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "InstanceFile":
+        if not isinstance(data, dict):
+            raise InstanceFileError("an instance file must hold a JSON object")
         try:
-            n = int(data["n"])
+            n = _parse_dimension(data["n"])
+            if not isinstance(data["X"], list):
+                raise InstanceFileError("X must be a list of parameter ids")
             xs = [str(x) for x in data["X"]]
-            y_rows = [[_normalize_rational(c) for c in row] for row in data["Y"]]
-            f_rows = [[_normalize_rational(c) for c in row] for row in data["f"]]
+            y_rows = _rational_rows(data, "Y")
+            f_rows = _rational_rows(data, "f")
+            phi = _rational_rows(data, "phi") if data.get("phi") is not None else None
+            y0 = _rational_rows(data, "y0") if data.get("y0") is not None else None
+            schema_version = int(data.get("schema_version", SCHEMA_VERSION))
         except KeyError as exc:
             raise InstanceFileError(f"missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InstanceFileError(f"malformed instance file: {exc}") from exc
+        if len(set(xs)) != len(xs):
+            dup = next(x for x in xs if xs.count(x) > 1)
+            raise InstanceFileError(f"duplicate parameter id {dup!r} in X")
         if len(f_rows) != len(xs):
             raise InstanceFileError("f must have one row per parameter")
         for row in y_rows:
@@ -73,19 +85,13 @@ class InstanceFile:
         for row in f_rows:
             if len(row) != len(y_rows):
                 raise InstanceFileError("f rows must align with Y")
-        phi = data.get("phi")
-        if phi is not None:
-            phi = [[_normalize_rational(c) for c in row] for row in phi]
-            if len(phi) != len(y_rows):
-                raise InstanceFileError("phi must align with Y")
-        y0 = data.get("y0")
-        if y0 is not None:
-            y0 = [[_normalize_rational(c) for c in row] for row in y0]
-            if len(y0) != len(xs):
-                raise InstanceFileError("y0 must align with X")
+        if phi is not None and len(phi) != len(y_rows):
+            raise InstanceFileError("phi must align with Y")
+        if y0 is not None and len(y0) != len(xs):
+            raise InstanceFileError("y0 must align with X")
         return cls(n=n, xs=xs, y_rows=y_rows, f_rows=f_rows, phi_rows=phi,
                    y0_rows=y0, meta=data.get("meta"),
-                   schema_version=int(data.get("schema_version", SCHEMA_VERSION)))
+                   schema_version=schema_version)
 
     @classmethod
     def loads(cls, text: str) -> "InstanceFile":
@@ -132,7 +138,27 @@ class InstanceFile:
 
 
 def _normalize_rational(text) -> str:
-    return str(Fraction(str(text)))
+    try:
+        return str(Fraction(str(text)))
+    except (ValueError, ZeroDivisionError):
+        raise InstanceFileError(f"not a finite rational: {text!r}") from None
+
+
+def _rational_rows(data: dict, field: str) -> List[List[str]]:
+    rows = data[field]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InstanceFileError(f"{field} must be a list of rows")
+    return [[_normalize_rational(c) for c in row] for row in rows]
+
+
+def _parse_dimension(value) -> int:
+    """n as a JSON integer or a string of one; anything else is an error,
+    never a silent truncation."""
+    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise InstanceFileError(f"n must be a non-negative integer, got {value!r}")
+    return value
 
 
 def load_instance_file(path) -> InstanceFile:

@@ -290,7 +290,14 @@ class PointSet:
         self.dim = dim
         self.mode = mode
         self.points = tuple(pts)
-        self._index = {p.raw(): i for i, p in enumerate(self.points)}
+        self._index = None      # raw key -> position, built on first lookup
+
+    @classmethod
+    def presorted(cls, dim: int, points: Iterable[Point], mode: str = EXACT) -> "PointSet":
+        """Wrap points that are already duplicate-free and in canonical order."""
+        ps = cls.__new__(cls)
+        ps.dim, ps.mode, ps.points, ps._index = dim, mode, tuple(points), None
+        return ps
 
     @staticmethod
     def _dedup_sorted(pts: list, mode: str) -> list:
@@ -326,6 +333,8 @@ class PointSet:
         return self.index_of(point) is not None
 
     def index_of(self, point: Point) -> Optional[int]:
+        if self._index is None:
+            self._index = {p.raw(): i for i, p in enumerate(self.points)}
         i = self._index.get(point.raw())
         if i is not None or self.mode == EXACT:
             return i
@@ -445,9 +454,3 @@ class PointTableBuilder:
             for x in vals:
                 seen.setdefault(x, None)
         return tuple(seen)
-
-
-def dedup_insert(table: PointTableBuilder, y: Point, v) -> PointTableBuilder:
-    """Insert y with value(s) v, merging collisions by max.  Returns the table."""
-    table.insert(y, v)
-    return table

@@ -54,28 +54,13 @@ class DominationReport:
         }
 
 
-def _rhs_affine(selector, x: str, point: Point) -> Scalar:
-    return selector.evaluate(x, point)
-
-
-def _rhs_linear(selector, x: str, point: Point) -> Scalar:
-    total = selector.epsilon[x]
-    for coeff, coord in zip(selector.a[x].coords, point.coords):
-        total = total + coeff * coord
-    return total
-
-
 def verify_domination(inst, selector, kind: str = "affine") -> DominationReport:
     """Check f(x, y) <= rhs(x, y) for every sample point; zero tolerance in
     exact mode, relative tolerance in float mode."""
-    if kind == "affine":
-        rhs_fn, dim = _rhs_affine, selector.n
-    elif kind == "linear":
-        rhs_fn, dim = _rhs_linear, selector.n
-    else:
+    if kind not in ("affine", "linear"):
         raise AffselError(f"unknown verification kind {kind!r}")
-    if dim != inst.n:
-        raise AffselError(f"dimension mismatch: selector n={dim}, instance n={inst.n}")
+    if selector.n != inst.n:
+        raise AffselError(f"dimension mismatch: selector n={selector.n}, instance n={inst.n}")
 
     min_slack: Dict[str, Optional[Scalar]] = {}
     failures: List[tuple] = []
@@ -83,7 +68,7 @@ def verify_domination(inst, selector, kind: str = "affine") -> DominationReport:
         worst: Optional[Scalar] = None
         for j, point in enumerate(inst.ys.points):
             fval = inst.values[x][j]
-            rhs = rhs_fn(selector, x, point)
+            rhs = selector.evaluate(x, point)
             slack = rhs - fval
             if worst is None or slack.value < worst.value:
                 worst = slack

@@ -153,12 +153,14 @@ def select_subgradient(csi: ConvexSectionInstance,
     Without shifting, each section must already be normalized: the origin is
     a sample point with value zero.  With shifting, sections are translated
     to their base points first, which normalizes them by construction.
+    ``shift=None`` shifts exactly when the instance carries base points.
     """
     inst = csi.instance
     mode = inst.mode
     if shift is None:
-        origin = origin_point(inst.n, mode)
-        shift = csi.y0 is not None and any(csi.base_point(x) != origin for x in inst.xs)
+        # a y0 table always shifts: base points at the origin give the
+        # unshifted groups on a normalized file and normalize any other
+        shift = csi.y0 is not None
 
     if shift:
         sections = shift_to_origin(csi)

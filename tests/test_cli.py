@@ -217,3 +217,44 @@ def test_verify_kind_mismatch_exit_1(worked_file, tmp_path):
     res = run_cli("verify", str(worked_file), str(sel_path), "--kind", "linear")
     assert res.returncode == 1
     assert "kind" in res.stderr
+
+
+def test_subgradient_auto_shift_with_origin_base(tmp_path):
+    # seed 56 draws the origin as the base point; its offset makes
+    # g(x0, 0) != 0, so only the shift normalizes the section
+    path = tmp_path / "c.json"
+    run_cli("gen", "convex", "--seed", "56", "--n", "1", "--nx", "1", "--ny", "3",
+            "--k", "2", "--shifted", "-o", str(path))
+    assert json.loads(path.read_text())["y0"] == [["0"]]
+    res = run_cli("select", "subgradient", str(path), "--verify")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["verification"]["passed"] is True
+
+
+MALFORMED = {
+    "zero-denominator": dict(WORKED, f=[["1/0", "1"]]),
+    "nan": dict(WORKED, f=[["nan", "1"]]),
+    "fractional-n": dict(WORKED, n="1.5"),
+    "top-level-array": [WORKED],
+    "duplicate-ids": dict(WORKED, X=["a", "a"], f=[["0", "1"], ["2", "3"]]),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED, "selector-without-C", "negative-depth"])
+def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
+    if case in MALFORMED:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(MALFORMED[case]))
+        args = ("select", "affine", str(path))
+    elif case == "selector-without-C":
+        sel_path = tmp_path / "sel.json"
+        sel_path.write_text(json.dumps({"kind": "affine", "n": 1, "X": ["x0"],
+                                        "B": [["1/2"]]}))
+        args = ("verify", str(worked_file), str(sel_path), "--kind", "affine")
+    else:
+        args = ("select", "affine", str(worked_file), "--depth", "-1")
+    res = run_cli(*args)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert "Traceback" not in res.stderr

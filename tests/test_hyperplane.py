@@ -10,15 +10,14 @@ from affsel.hyperplane import (
     Instance,
     SelectConfig,
     SignConditionError,
-    _envelope_dim1_hull,
-    _envelope_pairs,
+    _ExactLevel,
     build_envelope,
     chord_value,
     extend_domain,
     intersection_point,
     select_affine,
 )
-from affsel.numerics import EXACT, FLOAT, Point, Scalar, split_by_last_coordinate
+from affsel.numerics import EXACT, FLOAT, Point, Scalar
 from affsel.oracle import verify_domination, verify_working_closure
 
 
@@ -137,23 +136,12 @@ class TestBuildEnvelope:
             rows["x0"].append(exact(Fraction(rng.randint(-40, 40), rng.randint(1, 4))))
             rows["x1"].append(exact(rng.randint(-5, 5)))
         inst = make_instance(1, pts, rows)
-        table = extend_domain(inst)
-        split = split_by_last_coordinate(table.ys)
-        raw = {x: [s.value for s in table.values[x]] for x in inst.xs}
-
-        results = {}
-        for impl in (_envelope_pairs, _envelope_dim1_hull):
-            acc = {}
-
-            def merge(point, vals, tag, acc=acc):
-                entry = acc.setdefault(point.raw(), {})
-                for x, v in vals.items():
-                    if x not in entry or entry[x] < v:
-                        entry[x] = v
-
-            impl(table, split, raw, merge)
-            results[impl.__name__] = acc
-        assert results["_envelope_pairs"] == results["_envelope_dim1_hull"]
+        level = _ExactLevel(extend_domain(inst))
+        by_pairs = level.envelope(hull=False)
+        by_hull = level.envelope(hull=True)
+        assert by_pairs.ys == by_hull.ys
+        assert by_pairs.values == by_hull.values
+        assert by_pairs.tags == by_hull.tags
 
 
 class TestSelectAffine:

@@ -1,0 +1,153 @@
+"""The exact envelope and bracket against brute-force references.
+
+The references use only the public geometry (``intersection_point``,
+``chord_value``, the -|t|^2 extension behind ``extended_value``) and plain
+Fraction arithmetic, never the integer kernel.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from affsel.hyperplane import (
+    GENERATED,
+    ORIGINAL,
+    Instance,
+    WorkingTable,
+    build_envelope,
+    chord_value,
+    intersection_point,
+    select_affine,
+)
+from affsel.numerics import EXACT, Point, PointSet, Scalar
+
+XS = ("x0", "x1", "x2")
+coord_st = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+value_st = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def working_tables(draw, dims=st.integers(1, 3), side=(0, 5)):
+    """Working tables with zero-side points, colliding crossings (coordinates
+    come from a small grid), and crossings that land on stored points."""
+    dim = draw(dims)
+    head = st.lists(coord_st, min_size=dim - 1, max_size=dim - 1)
+    positive = st.fractions(min_value="1/3", max_value=3 * side[1], max_denominator=3)
+    points = set()
+    for sign in (1, -1):
+        lasts = st.lists(positive, min_size=side[0], max_size=side[1], unique=True)
+        for last in draw(lasts):
+            points.add(tuple(draw(head)) + (sign * last,))
+    for _ in range(draw(st.integers(0, 3))):
+        points.add(tuple(draw(head)) + (Fraction(0),))
+    plus = sorted(p for p in points if p[-1] > 0)
+    minus = sorted(p for p in points if p[-1] < 0)
+    if plus and minus:
+        for _ in range(draw(st.integers(0, 3))):
+            y = Point.of(*draw(st.sampled_from(plus)))
+            yp = Point.of(*draw(st.sampled_from(minus)))
+            points.add(intersection_point(y, yp).raw())
+    ps = PointSet(dim, [Point.of(*p) for p in points])
+    xs = XS[:draw(st.integers(1, 3))]
+    values = {x: tuple(Scalar(EXACT, draw(value_st)) for _ in ps.points) for x in xs}
+    tags = tuple(draw(st.sampled_from((ORIGINAL, GENERATED))) for _ in ps.points)
+    return WorkingTable(dim=dim, ys=ps, values=values, tags=tags, mode=EXACT)
+
+
+def reference_envelope(table):
+    """{dropped point: ({x: value}, tag)} and the number of distinct crossings."""
+    plus = [p for p in table.ys.points if p.coords[-1].sign() > 0]
+    minus = [p for p in table.ys.points if p.coords[-1].sign() < 0]
+    out = {}
+    for j, p in enumerate(table.ys.points):
+        if p.coords[-1].sign() == 0:
+            out[Point(p.coords[:-1])] = ({x: table.values[x][j] for x in table.values},
+                                         table.tags[j])
+    crossings = set()
+    for y in plus:
+        for yp in minus:
+            t = intersection_point(y, yp)
+            child = Point(t.coords[:-1])
+            crossings.add(child)
+            if child not in out:
+                out[child] = ({x: table.extended_value(x, t) for x in table.values},
+                              GENERATED)
+            best = out[child][0]
+            for x in table.values:
+                fx = {y: table.extended_value(x, y), yp: table.extended_value(x, yp)}
+                chord = chord_value(fx, y, yp)
+                if chord.value > best[x].value:
+                    best[x] = chord
+    return out, len(crossings)
+
+
+def assert_envelope_matches(table):
+    child = build_envelope(table)
+    ref, n_crossings = reference_envelope(table)
+    assert list(child.ys.points) == sorted(ref, key=Point.raw)
+    for i, p in enumerate(child.ys.points):
+        vals, tag = ref[p]
+        assert child.tags[i] == tag
+        for x in table.values:
+            assert child.values[x][i].value == vals[x].value
+    assert child.envelope_stats.n_intersections == n_crossings
+
+
+@given(working_tables())
+def test_envelope_matches_reference(table):
+    assert_envelope_matches(table)
+
+
+@given(working_tables(dims=st.just(1), side=(9, 14)))
+def test_envelope_hull_path_matches_reference(table):
+    # at least 9 points on each side: more than 64 crossing pairs at
+    # dimension one, so the value comes from the hull bridge; the
+    # reference still counts the one shared crossing
+    assert len(table.ys) >= 18
+    assert_envelope_matches(table)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.lists(coord_st, min_size=n, max_size=n).map(tuple),
+                        min_size=1, max_size=7 if n == 3 else 10, unique=True))
+    xs = XS[:draw(st.integers(1, 3))]
+    rows = {x: [Scalar(EXACT, draw(value_st)) for _ in pts] for x in xs}
+    return Instance.build(n, xs, [Point.of(*p) for p in pts], rows)
+
+
+@given(instances())
+def test_bracket_matches_fraction_formula(inst):
+    selector, trace = select_affine(inst)
+    for record in trace.levels:
+        k = record.dim
+        if k == 0:
+            continue
+        for x in inst.xs:
+            b = [s.value for s in selector.b[x].coords[:k - 1]]
+            c = selector.c[x].value
+            slopes = {1: [], -1: []}
+            for j, p in enumerate(record.points.points):
+                y = [s.value for s in p.coords]
+                if y[-1] == 0:
+                    continue
+                rest = record.values[x][j].value - c - sum(bi * yi for bi, yi in zip(b, y))
+                slopes[1 if y[-1] > 0 else -1].append(rest / y[-1])
+            assert raw(record.upper[x]) == (max(slopes[1]) if slopes[1] else None)
+            assert raw(record.lower[x]) == (min(slopes[-1]) if slopes[-1] else None)
+
+
+def raw(scalar):
+    return None if scalar is None else scalar.value
+
+
+def test_child_order_is_exact_where_floats_tie():
+    # the first coordinates differ by 2^-80, below float resolution
+    tiny = Fraction(1, 3) + Fraction(1, 2 ** 80)
+    ps = PointSet(3, [Point.of("1/3", 1, 0), Point.of(tiny, 0, 0), Point.of(0, 0, 1)])
+    table = WorkingTable(dim=3, ys=ps, values={"x0": tuple(Scalar(EXACT, Fraction(0))
+                                                           for _ in ps.points)},
+                         tags=(ORIGINAL,) * 3, mode=EXACT)
+    child = build_envelope(table)
+    assert [p.raw()[0] for p in child.ys.points] == [Fraction(1, 3), tiny]

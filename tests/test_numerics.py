@@ -11,7 +11,6 @@ from affsel.numerics import (
     PointSet,
     PointTableBuilder,
     Scalar,
-    dedup_insert,
     drop_last,
     split_by_last_coordinate,
 )
@@ -153,22 +152,22 @@ class TestSplit:
 class TestDedupInsert:
     def test_max_wins(self):
         t = PointTableBuilder(2, ("x",))
-        dedup_insert(t, Point.of(1, 0), exact(3))
-        dedup_insert(t, Point.of(1, 0), exact(5))
+        t.insert(Point.of(1, 0), exact(3))
+        t.insert(Point.of(1, 0), exact(5))
         _, rows = t.freeze()
         assert rows["x"] == (exact(5),)
 
     def test_smaller_ignored(self):
         t = PointTableBuilder(2, ("x",))
-        dedup_insert(t, Point.of(1, 0), exact(3))
-        dedup_insert(t, Point.of(1, 0), exact(2))
+        t.insert(Point.of(1, 0), exact(3))
+        t.insert(Point.of(1, 0), exact(2))
         _, rows = t.freeze()
         assert rows["x"] == (exact(3),)
 
     def test_rational_collision(self):
         t = PointTableBuilder(2, ("x",))
-        dedup_insert(t, Point.of("1/3", 0), exact(1))
-        dedup_insert(t, Point.of("2/6", 0), exact(2))
+        t.insert(Point.of("1/3", 0), exact(1))
+        t.insert(Point.of("2/6", 0), exact(2))
         ps, rows = t.freeze()
         assert len(ps) == 1
         assert rows["x"] == (exact(2),)
@@ -176,7 +175,7 @@ class TestDedupInsert:
     def test_dimension_mismatch(self):
         t = PointTableBuilder(2, ("x",))
         with pytest.raises(NumericsError, match="dimension mismatch"):
-            dedup_insert(t, Point.of(1), exact(0))
+            t.insert(Point.of(1), exact(0))
 
     @given(st.permutations(list(range(6))))
     def test_order_independent(self, perm):
@@ -186,7 +185,7 @@ class TestDedupInsert:
         ]
         t = PointTableBuilder(1, ("x",))
         for i in perm:
-            dedup_insert(t, *inserts[i])
+            t.insert(*inserts[i])
         ps, rows = t.freeze()
         assert [p.raw() for p in ps.points] == [(Fraction(0),), (Fraction(1),), (Fraction(2),)]
         assert rows["x"] == (exact(4), exact(2), exact(0))

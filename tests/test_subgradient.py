@@ -167,3 +167,12 @@ class TestConvexityCheck:
         with pytest.raises(AffselError, match="midpoint convexity"):
             select_subgradient(ConvexSectionInstance(instance=inst),
                                SubgradientConfig(check_convexity=True))
+
+
+def test_auto_shift_when_base_points_are_the_origin():
+    # a shifted file whose base point is the origin: offsets leave g(x, 0)
+    # nonzero, and auto-detection must still shift
+    doc = gen_convex_sections(56, 1, 1, 3, k=2, shifted=True)
+    csi = ConvexSectionInstance(instance=doc.to_instance(), y0=doc.y0_table())
+    assert all(p == Point.of(0) for p in csi.y0.values())
+    assert select_subgradient(csi).serialize() == select_subgradient(csi, shift=True).serialize()
