@@ -3,15 +3,12 @@ with exact-arithmetic verification and an independent feasibility oracle."""
 
 from .numerics import (
     EXACT,
-    FLOAT,
     AffselError,
     Point,
     PointSet,
     PointTableBuilder,
     Scalar,
-    drop_last,
     origin_point,
-    split_by_last_coordinate,
 )
 from .sandwich import (
     FiniteFunction,

@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
-from .numerics import EXACT, FLOAT, AffselError, Point, Scalar
+from .numerics import AffselError, Point, Scalar
 from .sandwich import FiniteFunction, SandwichConfig, sandwich
 from .hyperplane import AffineSelector, Instance, SelectConfig, select_affine
 from .conelift import LinearConfig, LinearSelector, feature_select, select_linear
-from .subgradient import ConvexSectionInstance, SubgradientConfig, select_subgradient
+from .subgradient import (
+    ConvexSectionInstance,
+    SubgradientConfig,
+    select_subgradient,
+    shift_to_origin,
+)
 from .oracle import verify_domination, verify_working_closure
 from .instances import (
     GenRanges,
@@ -39,16 +43,6 @@ class _Parser(argparse.ArgumentParser):
     # verification failures)
     def error(self, message):
         raise CLIUsageError(message)
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("AFFSEL_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _parse_lambda(text: str) -> int:
@@ -87,7 +81,6 @@ def build_parser() -> _Parser:
 
     aff = sel_sub.add_parser("affine")
     aff.add_argument("file")
-    aff.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
     aff.add_argument("--sandwich", choices=["midpoint", "staged"], default="midpoint")
     aff.add_argument("--depth", type=_depth, default=24)
     aff.add_argument("--base", choices=["novikov", "tight"], default="novikov")
@@ -135,12 +128,20 @@ def build_parser() -> _Parser:
 def _load_finite_function(path) -> FiniteFunction:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not (isinstance(data, dict) and isinstance(data.get("X"), list)
+            and isinstance(data.get("values"), list)):
+        raise InstanceFileError(f"{path}: a function file must hold the lists X and values")
+    xs = tuple(str(x) for x in data["X"])
     try:
-        xs = tuple(str(x) for x in data["X"])
-        vals = {x: Scalar.parse(str(v)) for x, v in zip(xs, data["values"])}
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        vals = [Scalar.parse(str(v)) for v in data["values"]]
+    except (ValueError, ZeroDivisionError) as exc:
         raise InstanceFileError(f"{path}: malformed function file: {exc!r}") from None
-    return FiniteFunction(xs, vals)
+    if len(set(xs)) != len(xs):
+        dup = next(x for x in xs if xs.count(x) > 1)
+        raise InstanceFileError(f"{path}: duplicate parameter id {dup!r} in X")
+    if len(vals) != len(xs):
+        raise InstanceFileError(f"{path}: {len(vals)} values for {len(xs)} ids in X")
+    return FiniteFunction(xs, dict(zip(xs, vals)))
 
 
 def _load_selector(path) -> dict:
@@ -213,8 +214,7 @@ def _cmd_gen(args, started) -> int:
         "command": f"gen-{args.family}",
         "config": {"seed": args.seed, "n": args.n, "nx": args.nx, "ny": args.ny,
                    "k": args.k if args.family == "convex" else None,
-                   "zero_slack": args.zero_slack, "shifted": args.shifted,
-                   "threads": _threads_cap()},
+                   "zero_slack": args.zero_slack, "shifted": args.shifted},
         "output": {"path": args.output, "points": len(doc.y_rows),
                    "params": len(doc.xs)},
     }
@@ -230,14 +230,13 @@ def _maybe_save_selector(args, selector) -> None:
 
 def _cmd_select_affine(args, started) -> int:
     doc = load_instance_file(args.file)
-    inst = doc.to_instance(args.mode)
+    inst = doc.to_instance()
     config = SelectConfig(sandwich_mode=args.sandwich, depth=args.depth, base=args.base)
     selector, trace = select_affine(inst, config)
     report = {
         "command": "select-affine",
-        "config": {"mode": args.mode, "sandwich": args.sandwich, "depth": args.depth,
-                   "base": args.base, "verify": args.verify, "trace": args.trace,
-                   "threads": _threads_cap()},
+        "config": {"sandwich": args.sandwich, "depth": args.depth,
+                   "base": args.base, "verify": args.verify, "trace": args.trace},
         "input": {"path": args.file, "n": inst.n, "params": len(inst.xs),
                   "points": len(inst.ys)},
         "selector": selector.serialize(),
@@ -272,14 +271,14 @@ def _linear_report(selector: LinearSelector) -> dict:
 
 def _cmd_select_linear(args, started) -> int:
     doc = load_instance_file(args.file)
-    inst = doc.to_instance(EXACT)
+    inst = doc.to_instance()
     config = LinearConfig(lambda_max=_parse_lambda(args.lambda_max),
                           doublings=args.doublings)
     selector = select_linear(inst, config)
     report = {
         "command": "select-linear",
         "config": {"lambda_max": config.lambda_max, "doublings": config.doublings,
-                   "verify": args.verify, "threads": _threads_cap()},
+                   "verify": args.verify},
         "input": {"path": args.file, "n": inst.n, "params": len(inst.xs),
                   "points": len(inst.ys)},
         "selector": _linear_report(selector),
@@ -303,15 +302,15 @@ def _cmd_select_feature(args, started) -> int:
     doc = load_instance_file(args.file)
     if doc.phi_rows is None:
         raise CLIUsageError("feature selection requires a phi table")
-    inst = doc.to_instance(EXACT)
-    phi = doc.phi_table(EXACT)
+    inst = doc.to_instance()
+    phi = doc.phi_table()
     config = LinearConfig(lambda_max=_parse_lambda(args.lambda_max),
                           doublings=args.doublings)
     selector = feature_select(inst, phi, config)
     report = {
         "command": "select-feature",
         "config": {"lambda_max": config.lambda_max, "doublings": config.doublings,
-                   "verify": args.verify, "threads": _threads_cap()},
+                   "verify": args.verify},
         "input": {"path": args.file, "n": inst.n, "feature_dim": selector.n,
                   "params": len(inst.xs), "points": len(inst.ys)},
         "selector": _linear_report(selector),
@@ -322,7 +321,7 @@ def _cmd_select_feature(args, started) -> int:
         for x in inst.xs:
             for j, p in enumerate(inst.ys.points):
                 rhs = selector.a[x].dot(phi[p]) + selector.epsilon[x]
-                if not inst.values[x][j].le_bound(rhs):
+                if inst.values[x][j] > rhs:
                     failures.append({"x": x, "y": p.serialize(),
                                      "slack": (rhs - inst.values[x][j]).serialize()})
         report["verification"] = {"passed": not failures, "failures": failures}
@@ -335,8 +334,8 @@ def _cmd_select_feature(args, started) -> int:
 
 def _cmd_select_subgradient(args, started) -> int:
     doc = load_instance_file(args.file)
-    inst = doc.to_instance(EXACT)
-    y0 = doc.y0_table(EXACT)
+    inst = doc.to_instance()
+    y0 = doc.y0_table()
     csi = ConvexSectionInstance(instance=inst, y0=y0)
     config = SubgradientConfig(
         backend=args.backend,
@@ -348,23 +347,21 @@ def _cmd_select_subgradient(args, started) -> int:
         "command": "select-subgradient",
         "config": {"backend": args.backend, "shift": bool(args.shift),
                    "check_convexity": args.check_convexity,
-                   "verify": args.verify, "threads": _threads_cap()},
+                   "verify": args.verify},
         "input": {"path": args.file, "n": inst.n, "params": len(inst.xs),
                   "points": len(inst.ys)},
         "selector": selector.serialize(),
     }
     exit_code = 0
     if args.verify:
-        from .subgradient import shift_to_origin
         failures = []
-        sections = shift_to_origin(csi if (args.shift or y0 is not None) else
-                                   ConvexSectionInstance(instance=inst, y0=None))
+        sections = shift_to_origin(csi)
         for group in sections.groups:
             gi = group.instance
             for x in group.xs:
                 for j, p in enumerate(gi.ys.points):
                     lower = selector.p[x].dot(p) - selector.epsilon[x]
-                    if not lower.le_bound(gi.values[x][j]):
+                    if lower > gi.values[x][j]:
                         failures.append({"x": x, "y": p.serialize(),
                                          "slack": (gi.values[x][j] - lower).serialize()})
         report["verification"] = {"passed": not failures, "failures": failures}
@@ -381,7 +378,7 @@ def _cmd_sandwich(args, started) -> int:
     f = sandwich(u, l, SandwichConfig(mode=args.mode, depth=args.depth))
     report = {
         "command": "sandwich",
-        "config": {"mode": args.mode, "depth": args.depth, "threads": _threads_cap()},
+        "config": {"mode": args.mode, "depth": args.depth},
         "result": f.serialize(),
     }
     _emit(report, started)
@@ -390,7 +387,7 @@ def _cmd_sandwich(args, started) -> int:
 
 def _cmd_verify(args, started) -> int:
     doc = load_instance_file(args.file)
-    inst = doc.to_instance(EXACT)
+    inst = doc.to_instance()
     data = _load_selector(args.selector_file)
     if data.get("kind") != args.kind:
         raise CLIUsageError(
@@ -402,7 +399,7 @@ def _cmd_verify(args, started) -> int:
     rep = verify_domination(inst, selector, kind=args.kind)
     report = {
         "command": "verify",
-        "config": {"kind": args.kind, "threads": _threads_cap()},
+        "config": {"kind": args.kind},
         "verification": rep.serialize(),
     }
     _emit(report, started)

@@ -12,7 +12,6 @@ residual was actually needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .numerics import (
@@ -84,7 +83,6 @@ def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
         if lam <= prev:
             raise LadderError("scale ladder must be strictly increasing")
         prev = lam
-    mode = inst.mode
 
     # per-ray best slope: M(x, ray) = max f(x, y) / s(y) over ray members
     ray_best: Dict[tuple, Dict[str, object]] = {}
@@ -101,19 +99,19 @@ def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
             if x not in slot or slot[x] < slope:
                 slot[x] = slope
 
-    builder = PointTableBuilder(inst.n, inst.xs, mode)
-    lam_scalars = [Scalar(mode, Fraction(l) if mode == EXACT else float(l)) for l in lambdas]
+    builder = PointTableBuilder(inst.n, inst.xs)
+    lam_scalars = [Scalar.exact(l) for l in lambdas]
     for j, p in enumerate(inst.ys.points):
         key = _ray_key(p)
         for lam, lam_s in zip(lambdas, lam_scalars):
             z = p.scale(lam_s)
             if key is None:
                 # origin: contributions lambda * f(x, 0) collide at 0; max rule
-                vals = {x: Scalar(mode, lam * origin_rows[x]) for x in inst.xs}
+                vals = {x: Scalar(EXACT, lam * origin_rows[x]) for x in inst.xs}
             else:
                 direction, scale = key
                 zscale = lam * scale
-                vals = {x: Scalar(mode, zscale * ray_best[direction][x]) for x in inst.xs}
+                vals = {x: Scalar(EXACT, zscale * ray_best[direction][x]) for x in inst.xs}
             builder.insert(z, vals)
     ps, rows = builder.freeze()
     lifted = Instance(n=inst.n, xs=inst.xs, ys=ps, values=rows)
@@ -176,9 +174,8 @@ class LinearSelector:
 def _attempt(inst: Instance, lambda_max: int, config: LinearConfig):
     cone = lift_to_cone(inst, power_ladder(lambda_max))
     selector, trace = select_affine(cone.instance, config.select)
-    mode = inst.mode
-    lam = Scalar(mode, Fraction(lambda_max) if mode == EXACT else float(lambda_max))
-    zero = Scalar.zero(mode)
+    lam = Scalar.exact(lambda_max)
+    zero = Scalar.zero()
     a_map, eps_map, exact_map, c_map = {}, {}, {}, {}
     for x in inst.xs:
         c = selector.c[x]
@@ -190,7 +187,7 @@ def _attempt(inst: Instance, lambda_max: int, config: LinearConfig):
         for j, p in enumerate(inst.ys.points):
             lhs = inst.values[x][j]
             rhs = a_map[x].dot(p)
-            if not lhs.le_bound(rhs):
+            if lhs > rhs:
                 ok = False
                 break
         exact_map[x] = ok
@@ -226,7 +223,7 @@ def push_through_features(inst: Instance, phi: Mapping[Point, Point]) -> Instanc
     if len(dims) > 1:
         raise FeatureMapError("feature images have mixed dimensions")
     m = dims.pop() if dims else 0
-    builder = PointTableBuilder(m, inst.xs, inst.mode)
+    builder = PointTableBuilder(m, inst.xs)
     for j, p in enumerate(inst.ys.points):
         builder.insert(phi[p], {x: inst.values[x][j] for x in inst.xs})
     ps, rows = builder.freeze()

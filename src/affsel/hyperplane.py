@@ -7,7 +7,7 @@ and finally inserts the last coefficient inside the bracket [U, L] implied
 by the lower-dimensional solution.  All choices are deterministic functions
 of the value section, so equal sections always produce equal selectors.
 
-Exact mode runs each level on an integer kernel (``_ExactLevel``).  A point
+Each level runs on an integer kernel (``_ExactLevel``).  A point
 y in Q^k is held as its primitive integer vector (a_1, .., a_k, d): d > 0 is
 the least common denominator of the coordinates, y = a / d, and
 gcd(a_1, .., a_k, d) = 1.  That vector is unique for each point, so equal
@@ -15,8 +15,7 @@ integer keys mean equal points and a dict keyed by them indexes points
 exactly.  The sign split, the crossing points and their chord weights
 depend only on the point set; they are computed once per level and shared
 by every section.  Values stay (numerator, denominator) pairs compared by
-cross-multiplication, and a Fraction is built once per result.  Float mode
-keeps generic loops over ``Scalar`` values.
+cross-multiplication, and a Fraction is built once per result.
 """
 
 from __future__ import annotations
@@ -29,14 +28,12 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .numerics import (
     EXACT,
-    FLOAT,
     AffselError,
     Point,
     PointSet,
     PointTableBuilder,
     Scalar,
-    drop_last,
-    split_by_last_coordinate,
+    check_mode,
 )
 from .sandwich import FiniteFunction, SandwichConfig, ceiling_cover, sandwich
 
@@ -71,16 +68,12 @@ class Instance:
     ys: PointSet
     values: Mapping[str, Tuple[Scalar, ...]]
 
-    @property
-    def mode(self) -> str:
-        return self.ys.mode
-
     @classmethod
-    def build(cls, n: int, xs, points, rows: Mapping, mode: str = EXACT) -> "Instance":
+    def build(cls, n: int, xs, points, rows: Mapping) -> "Instance":
         """Canonicalize: dedup/sort points, realign rows, merge duplicates by max."""
         xs = tuple(xs)
         points = list(points)
-        builder = PointTableBuilder(n, xs, mode)
+        builder = PointTableBuilder(n, xs)
         for j, p in enumerate(points):
             builder.insert(p, {x: rows[x][j] for x in xs})
         ps, aligned = builder.freeze()
@@ -91,14 +84,6 @@ class Instance:
 
     def section_fingerprint(self, x: str) -> tuple:
         return tuple(s.value for s in self.values[x])
-
-    def to_mode(self, mode: str) -> "Instance":
-        if mode == self.mode:
-            return self
-        conv = lambda s: Scalar(mode, s.value)
-        points = [Point(conv(c) for c in p.coords) for p in self.ys.points]
-        rows = {x: [conv(s) for s in self.values[x]] for x in self.xs}
-        return Instance.build(self.n, self.xs, points, rows, mode)
 
 
 @dataclass
@@ -120,8 +105,11 @@ class WorkingTable:
     ys: PointSet
     values: Mapping[str, Tuple[Scalar, ...]]
     tags: Tuple[str, ...]
-    mode: str = EXACT
+    mode: str = EXACT                 # the only accepted value
     envelope_stats: Optional[EnvelopeStats] = None
+
+    def __post_init__(self):
+        check_mode(self.mode)
 
     def extended_value(self, x: str, point: Point) -> Scalar:
         idx = self.ys.index_of(point)
@@ -137,7 +125,6 @@ def extend_domain(inst: Instance) -> WorkingTable:
         ys=inst.ys,
         values=inst.values,
         tags=tuple(ORIGINAL for _ in inst.ys.points),
-        mode=inst.mode,
     )
 
 
@@ -153,12 +140,8 @@ def intersection_point(y: Point, yprime: Point) -> Point:
     den = yn - ypn
     coords = []
     for a, b in zip(y.coords, yprime.coords):
-        coords.append(Scalar(a.mode, (yn * b.value - ypn * a.value) / den))
+        coords.append(Scalar(EXACT, (yn * b.value - ypn * a.value) / den))
     return Point(coords)
-
-
-def _chord_raw(yn, ypn, fy, fyp):
-    return (yn * fyp - ypn * fy) / (yn - ypn)
 
 
 def chord_value(fx: Mapping[Point, Scalar], y: Point, yprime: Point) -> Scalar:
@@ -167,10 +150,9 @@ def chord_value(fx: Mapping[Point, Scalar], y: Point, yprime: Point) -> Scalar:
     if y.coords[-1].sign() <= 0 or yprime.coords[-1].sign() >= 0:
         raise SignConditionError(
             "chord requires last coordinates of opposite strict signs")
-    fy, fyp = fx[y], fx[yprime]
-    yn, ypn = y.coords[-1], yprime.coords[-1]
-    mode = FLOAT if FLOAT in (fy.mode, fyp.mode, yn.mode) else EXACT
-    return Scalar(mode, _chord_raw(yn.value, ypn.value, fy.value, fyp.value))
+    fy, fyp = fx[y].value, fx[yprime].value
+    yn, ypn = y.coords[-1].value, yprime.coords[-1].value
+    return Scalar(EXACT, (yn * fyp - ypn * fy) / (yn - ypn))
 
 
 def _cross_nonneg_int(o, a, b) -> bool:
@@ -193,15 +175,11 @@ def build_envelope(table: WorkingTable) -> WorkingTable:
     the extended values, on the dropped-coordinate point set."""
     if table.dim < 1:
         raise AffselError("cannot build an envelope at dimension zero")
-    return _level(table).envelope()
-
-
-def _level(table: WorkingTable):
-    return _ExactLevel(table) if table.mode == EXACT else _FloatLevel(table)
+    return _ExactLevel(table).envelope()
 
 
 # ---------------------------------------------------------------------------
-# exact mode: the integer kernel
+# the integer kernel
 # ---------------------------------------------------------------------------
 
 
@@ -329,10 +307,9 @@ class _ExactLevel:
                      for entry in children)
         return WorkingTable(
             dim=table.dim - 1,
-            ys=PointSet.presorted(table.dim - 1, [entry[1] for entry in children], EXACT),
+            ys=PointSet.presorted(table.dim - 1, [entry[1] for entry in children]),
             values=values,
             tags=tags,
-            mode=EXACT,
             envelope_stats=stats,
         )
 
@@ -387,161 +364,6 @@ class _ExactLevel:
         if bn is None:
             return None
         return Scalar(EXACT, Fraction(bn, bd * e))
-
-
-# ---------------------------------------------------------------------------
-# float mode: generic Scalar loops
-# ---------------------------------------------------------------------------
-
-
-def _upper_hull_value_at_zero(pts_sorted):
-    """Max crossing-chord value at coordinate 0 for 1-d points (coord, value).
-
-    Equals the upper convex hull of the 2-d cloud evaluated at abscissa zero;
-    the hull edge spanning zero joins one point of each sign, so the bridge
-    realizes the pairwise maximum exactly.
-    """
-    hull = []
-    for c, v in pts_sorted:
-        while len(hull) >= 2:
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            if (ax - ox) * (v - oy) - (ay - oy) * (c - ox) >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append((c, v))
-    for (px, pv), (qx, qv) in zip(hull, hull[1:]):
-        if px < 0 and qx > 0:
-            return _chord_raw(qx, px, qv, pv)
-    raise AffselError("hull does not span zero")  # unreachable with both signs present
-
-
-class _FloatLevel:
-    """One float level: today's loops over Scalar values, which are the only
-    path that serves float inputs."""
-
-    def __init__(self, table: WorkingTable):
-        self.table = table
-        self.split = split_by_last_coordinate(table.ys)
-        self.plus = [(p, table.ys.index_of(p)) for p in self.split.plus.points]
-        self.minus = [(p, table.ys.index_of(p)) for p in self.split.minus.points]
-
-    def envelope(self) -> WorkingTable:
-        table, split = self.table, self.split
-        xs = tuple(table.values)
-        raw_rows = {x: [s.value for s in table.values[x]] for x in xs}
-        mode = table.mode
-
-        # child accumulator: raw key -> [point, {x: raw value}, tag]
-        acc: Dict[tuple, list] = {}
-
-        def merge(point: Point, vals: dict, tag: str):
-            key = point.raw()
-            entry = acc.get(key)
-            if entry is None:
-                acc[key] = [point, vals, tag]
-                return
-            stored = entry[1]
-            for x, v in vals.items():
-                if x not in stored or stored[x] < v:
-                    stored[x] = v
-            if tag == ORIGINAL:
-                entry[2] = ORIGINAL
-
-        for dropped in split.zero.points:
-            src = split.zero_to_source[dropped]
-            i = table.ys.index_of(src)
-            merge(dropped, {x: raw_rows[x][i] for x in xs}, table.tags[i])
-
-        n_pairs = len(self.plus) * len(self.minus)
-        stats = EnvelopeStats(n_plus=len(self.plus), n_minus=len(self.minus),
-                              n_zero=len(split.zero))
-        if n_pairs:
-            if table.dim == 1 and n_pairs > _HULL_CUTOFF:
-                stats.n_intersections = 1
-                self._envelope_dim1_hull(raw_rows, merge)
-            else:
-                stats.n_intersections = self._envelope_pairs(raw_rows, merge)
-
-        child_points = [entry[0] for entry in acc.values()]
-        child_ps = PointSet(table.dim - 1, child_points, mode)
-        rows = {x: [] for x in xs}
-        tags = []
-        for p in child_ps.points:
-            entry = acc[p.raw()]
-            tags.append(entry[2])
-            for x in xs:
-                rows[x].append(Scalar(mode, entry[1][x]))
-        return WorkingTable(
-            dim=table.dim - 1,
-            ys=child_ps,
-            values={x: tuple(rows[x]) for x in xs},
-            tags=tuple(tags),
-            mode=mode,
-            envelope_stats=stats,
-        )
-
-    def _envelope_pairs(self, raw_rows, merge) -> int:
-        table = self.table
-        xs = tuple(raw_rows)
-        seen = set()
-        zero = Scalar.zero(table.mode)
-        for y, iy in self.plus:
-            yn = y.coords[-1].value
-            for yp, ip in self.minus:
-                ypn = yp.coords[-1].value
-                den = yn - ypn
-                tpoint = drop_last(intersection_point(y, yp))
-                seen.add(tpoint.raw())
-                full = Point(list(tpoint.coords) + [zero])
-                stored = table.ys.index_of(full)
-                if stored is None:
-                    ext_base = -tpoint.norm_sq().value   # shared across sections
-                chords = {}
-                for x in xs:
-                    row = raw_rows[x]
-                    chord = (yn * row[ip] - ypn * row[iy]) / den
-                    ext = row[stored] if stored is not None else ext_base
-                    chords[x] = ext if ext > chord else chord
-                merge(tpoint, chords, GENERATED)
-        return len(seen)
-
-    def _envelope_dim1_hull(self, raw_rows, merge) -> None:
-        # at dimension one every crossing pair meets the hyperplane at the same
-        # point, so the envelope is a single max taken from the hull bridge
-        table = self.table
-        coords = [(p.coords[0].value, i) for p, i in self.plus + self.minus]
-        coords.sort(key=lambda t: t[0])
-        zero = Point([Scalar.zero(table.mode)])
-        stored = table.ys.index_of(zero)
-        vals = {}
-        for x, row in raw_rows.items():
-            h = _upper_hull_value_at_zero([(c, row[i]) for c, i in coords])
-            ext = row[stored] if stored is not None else -zero.norm_sq().value
-            vals[x] = h if h > ext else ext
-        merge(Point(()), vals, GENERATED)
-
-    def bracket(self, b_rows, c_map):
-        mode = self.table.mode
-        upper: Dict[str, Optional[Scalar]] = {}
-        lower: Dict[str, Optional[Scalar]] = {}
-        for x, values in self.table.values.items():
-            row = [s.value for s in values]
-            bc = [s.value for s in b_rows[x]]
-            cval = c_map[x].value
-
-            def residual_slope(point: Point, idx: int):
-                rest = cval
-                for coeff, coord in zip(bc, point.coords):
-                    rest = rest + coeff * coord.value
-                return (row[idx] - rest) / point.coords[-1].value
-
-            upper[x] = lower[x] = None
-            if self.plus:
-                upper[x] = Scalar(mode, max(residual_slope(p, i) for p, i in self.plus))
-            if self.minus:
-                lower[x] = Scalar(mode, min(residual_slope(p, i) for p, i in self.minus))
-        return upper, lower
 
 
 @dataclass(frozen=True)
@@ -621,7 +443,7 @@ def select_affine(inst: Instance, config: SelectConfig = SelectConfig()):
     """Select a dominating affine functional per parameter.
 
     Returns (selector, trace); domination holds with zero slack on the full
-    working closure in exact mode.
+    working closure.
     """
     working = extend_domain(inst)
     trace = RecursionTrace()
@@ -637,7 +459,6 @@ def select_affine(inst: Instance, config: SelectConfig = SelectConfig()):
 
 def _base_case(working: WorkingTable, config: SelectConfig, levels) -> Dict[str, Scalar]:
     xs = tuple(working.values)
-    mode = working.mode
     record = LevelRecord(dim=0, n_points=len(working.ys), points=working.ys,
                         tags=working.tags, values=working.values,
                         rule="base", base_rule=config.base)
@@ -648,7 +469,7 @@ def _base_case(working: WorkingTable, config: SelectConfig, levels) -> Dict[str,
         else:
             c_map = dict(ceiling_cover(base_vals).values)
     else:
-        fallback = Scalar.one(mode) if config.base != "tight" else Scalar.zero(mode)
+        fallback = Scalar.one() if config.base != "tight" else Scalar.zero()
         c_map = {x: fallback for x in xs}
     record.base_c = c_map
     levels.append(record)
@@ -662,7 +483,7 @@ def _select_level(working: WorkingTable, config: SelectConfig, levels):
         c_map = _base_case(working, config, levels)
         return {x: [] for x in xs}, c_map
 
-    level = _level(working)
+    level = _ExactLevel(working)
     child = level.envelope()
     stats = child.envelope_stats
     record = LevelRecord(
@@ -676,7 +497,7 @@ def _select_level(working: WorkingTable, config: SelectConfig, levels):
     upper, lower = level.bracket(b_rows, c_map)
     for x in xs:
         u_val, l_val = upper[x], lower[x]
-        if u_val is not None and l_val is not None and not u_val.le_bound(l_val):
+        if u_val is not None and l_val is not None and u_val > l_val:
             raise InvariantBreachError(
                 f"invariant breach: bracket violated at x={x} (dim {k})",
                 detail={"x": x, "dim": k, "U": u_val.serialize(), "L": l_val.serialize(),
@@ -700,7 +521,7 @@ def _select_level(working: WorkingTable, config: SelectConfig, levels):
         picks = {x: upper[x] for x in xs}
     else:
         record.rule = "zero"
-        picks = {x: Scalar.zero(working.mode) for x in xs}
+        picks = {x: Scalar.zero() for x in xs}
 
     for x in xs:
         b_rows[x].append(picks[x])

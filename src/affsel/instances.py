@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .numerics import EXACT, AffselError, Point, Scalar
+from .numerics import EXACT, AffselError, Point, Scalar, check_mode, origin_point
 from .hyperplane import Instance
 
 SCHEMA_VERSION = 1
@@ -100,24 +100,27 @@ class InstanceFile:
     # -- conversion ------------------------------------------------------
 
     def to_instance(self, mode: str = EXACT) -> Instance:
-        points = [Point(Scalar.parse(c, mode) for c in row) for row in self.y_rows]
-        rows = {x: [Scalar.parse(c, mode) for c in self.f_rows[i]]
+        check_mode(mode)
+        points = [Point(Scalar.parse(c) for c in row) for row in self.y_rows]
+        rows = {x: [Scalar.parse(c) for c in self.f_rows[i]]
                 for i, x in enumerate(self.xs)}
-        return Instance.build(self.n, self.xs, points, rows, mode)
+        return Instance.build(self.n, self.xs, points, rows)
 
     def phi_table(self, mode: str = EXACT) -> Optional[Dict[Point, Point]]:
+        check_mode(mode)
         if self.phi_rows is None:
             return None
         table = {}
         for yrow, zrow in zip(self.y_rows, self.phi_rows):
-            y = Point(Scalar.parse(c, mode) for c in yrow)
-            table[y] = Point(Scalar.parse(c, mode) for c in zrow)
+            y = Point(Scalar.parse(c) for c in yrow)
+            table[y] = Point(Scalar.parse(c) for c in zrow)
         return table
 
     def y0_table(self, mode: str = EXACT) -> Optional[Dict[str, Point]]:
+        check_mode(mode)
         if self.y0_rows is None:
             return None
-        return {x: Point(Scalar.parse(c, mode) for c in row)
+        return {x: Point(Scalar.parse(c) for c in row)
                 for x, row in zip(self.xs, self.y0_rows)}
 
     @classmethod
@@ -295,8 +298,6 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
         raise InstanceFileError("sizes must be >= 1")
     rng = random.Random(seed)
     xs = [f"x{i}" for i in range(nx)]
-    from .numerics import origin_point
-
     origin = origin_point(n)
     points = _distinct_points(rng, n, ny, ranges, seed_points=(origin,))
     slopes: Dict[str, List[List[Fraction]]] = {}

@@ -18,10 +18,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .numerics import EXACT, AffselError, Point, PointSet, Scalar
 
 
-class OracleModeError(AffselError):
-    pass
-
-
 class InfeasibleSectionsError(AffselError):
     def __init__(self, infeasible: dict):
         self.infeasible = infeasible
@@ -55,8 +51,7 @@ class DominationReport:
 
 
 def verify_domination(inst, selector, kind: str = "affine") -> DominationReport:
-    """Check f(x, y) <= rhs(x, y) for every sample point; zero tolerance in
-    exact mode, relative tolerance in float mode."""
+    """Check f(x, y) <= rhs(x, y) for every sample point, with zero tolerance."""
     if kind not in ("affine", "linear"):
         raise AffselError(f"unknown verification kind {kind!r}")
     if selector.n != inst.n:
@@ -72,7 +67,7 @@ def verify_domination(inst, selector, kind: str = "affine") -> DominationReport:
             slack = rhs - fval
             if worst is None or slack.value < worst.value:
                 worst = slack
-            if not fval.le_bound(rhs):
+            if fval > rhs:
                 failures.append((x, point, slack))
         min_slack[x] = worst
     return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
@@ -97,7 +92,6 @@ def verify_working_closure(trace, selector) -> DominationReport:
             bx = [c.value for c in selector.b[x].coords[:k]]
             cx = selector.c[x].value
             row = record.values[x]
-            mode = selector.c[x].mode
             for j, praw in enumerate(point_raws):
                 rhs = cx
                 for coeff, coord in zip(bx, praw):
@@ -105,9 +99,9 @@ def verify_working_closure(trace, selector) -> DominationReport:
                 slack = rhs - row[j].value
                 current = min_slack[x]
                 if current is None or slack < current.value:
-                    min_slack[x] = Scalar(mode, slack)
-                if not row[j].le_bound(Scalar(mode, rhs)):
-                    failures.append((x, record.points.points[j], Scalar(mode, slack)))
+                    min_slack[x] = Scalar(EXACT, slack)
+                if slack < 0:
+                    failures.append((x, record.points.points[j], Scalar(EXACT, slack)))
     return DominationReport(kind="closure", passed=not failures,
                             min_slack=min_slack, failures=failures)
 
@@ -316,8 +310,6 @@ def fm_feasible(points: PointSet, values: Mapping[str, Sequence[Scalar]],
     Unknown order is (b_1 .. b_n, c); variables are eliminated last-to-first,
     so the constant goes first in the affine case.
     """
-    if points.mode != EXACT:
-        raise OracleModeError("oracle requires exact arithmetic")
     n = points.dim
     width = n if homogeneous else n + 1
     results: Dict[str, FeasibilityResult] = {}
@@ -325,8 +317,6 @@ def fm_feasible(points: PointSet, values: Mapping[str, Sequence[Scalar]],
         constraints = []
         for j, p in enumerate(points.points):
             v = row[j]
-            if v.mode != EXACT:
-                raise OracleModeError("oracle requires exact arithmetic")
             coeffs = [c.value for c in p.coords]
             if not homogeneous:
                 coeffs.append(Fraction(1))

@@ -50,12 +50,6 @@ class FiniteFunction:
     def __call__(self, x: str) -> Scalar:
         return self.values[x]
 
-    @property
-    def mode(self) -> str:
-        for x in self.domain:
-            return self.values[x].mode
-        return EXACT
-
     def map_values(self, fn) -> "FiniteFunction":
         return FiniteFunction(self.domain, {x: fn(self.values[x]) for x in self.domain})
 
@@ -118,7 +112,7 @@ def insert_simple(u: FiniteFunction, l: FiniteFunction,
 
     xs = u.domain
     for x in xs:
-        if not u(x).le_bound(l(x)):
+        if u(x) > l(x):
             raise BracketViolationError(f"bracket violated at x={x}")
     iu = {x: grid_index(u(x), "u", x) for x in xs}
     il = {x: grid_index(l(x), "l", x) for x in xs}
@@ -147,36 +141,31 @@ def insert_simple(u: FiniteFunction, l: FiniteFunction,
 
 
 def _check_unit_interval(u: FiniteFunction) -> None:
-    zero, one = Scalar.zero(u.mode), Scalar.one(u.mode)
     for x in u.domain:
         v = u(x)
-        if not (zero.le_bound(v) and v.le_bound(one)):
+        if not 0 <= v.value <= 1:
             raise GridError(f"value {v.serialize()} at x={x} outside [0, 1]")
 
 
-def _dyadic_floor_raw(value, depth: int):
+def _dyadic_floor_raw(value: Fraction, depth: int) -> Fraction:
     scale = 1 << depth
-    if isinstance(value, Fraction):
-        return Fraction(math.floor(value * scale), scale)
-    return math.floor(value * scale) / scale
+    return Fraction(math.floor(value * scale), scale)
 
 
-def _dyadic_ceil_raw(value, depth: int):
+def _dyadic_ceil_raw(value: Fraction, depth: int) -> Fraction:
     scale = 1 << depth
-    if isinstance(value, Fraction):
-        return Fraction(math.ceil(value * scale), scale)
-    return math.ceil(value * scale) / scale
+    return Fraction(math.ceil(value * scale), scale)
 
 
 def dyadic_lower(u: FiniteFunction, depth: int) -> FiniteFunction:
     """Largest depth-N dyadic function below u; values must lie in [0, 1]."""
     _check_unit_interval(u)
-    return u.map_values(lambda s: Scalar(s.mode, _dyadic_floor_raw(s.value, depth)))
+    return u.map_values(lambda s: Scalar(EXACT, _dyadic_floor_raw(s.value, depth)))
 
 
 def _dyadic_upper(l: FiniteFunction, depth: int) -> FiniteFunction:
     _check_unit_interval(l)
-    return l.map_values(lambda s: Scalar(s.mode, _dyadic_ceil_raw(s.value, depth)))
+    return l.map_values(lambda s: Scalar(EXACT, _dyadic_ceil_raw(s.value, depth)))
 
 
 @dataclass(frozen=True)
@@ -195,11 +184,11 @@ def staged_parameters(u: FiniteFunction, l: FiniteFunction, depth: int):
     """
     m = u.min_value()
     top = l.max_value()
-    origin = Scalar(m.mode, _dyadic_floor_raw(m.value, depth))
+    origin = Scalar(EXACT, _dyadic_floor_raw(m.value, depth))
     e = 0
     while origin.value + (1 << e) < top.value:
         e += 1
-    rng = Scalar(m.mode, Fraction(1 << e) if m.mode == EXACT else float(1 << e))
+    rng = Scalar.exact(1 << e)
     return origin, rng, e
 
 
@@ -208,7 +197,7 @@ def _insert_simple_dyadic(u_d: FiniteFunction, l_d: FiniteFunction, depth: int) 
     # nested suffix unions collapse to u_d under the lower strategy, so the
     # grid (2^d + 1 values) is never materialized
     for x in u_d.domain:
-        if not u_d(x).le_bound(l_d(x)):
+        if u_d(x) > l_d(x):
             raise BracketViolationError(f"bracket violated at x={x}")
     return u_d
 
@@ -230,7 +219,7 @@ def _staged_limsup(u: FiniteFunction, l: FiniteFunction, depth: int) -> FiniteFu
 
 def sandwich(u: FiniteFunction, l: FiniteFunction,
              config: SandwichConfig = SandwichConfig()) -> FiniteFunction:
-    """Produce f with u <= f <= l pointwise (exact in exact mode).
+    """Produce f with u <= f <= l pointwise, exactly.
 
     midpoint: f = (u + l) / 2.
     staged:   run the dyadic stages and limsup, then snap any residual
@@ -240,7 +229,7 @@ def sandwich(u: FiniteFunction, l: FiniteFunction,
     if u.domain != l.domain:
         raise AffselError("domain mismatch")
     for x in u.domain:
-        if not u(x).le_bound(l(x)):
+        if u(x) > l(x):
             raise BracketViolationError(f"bracket violated at x={x}")
     if config.mode == "midpoint":
         return u.combine(l, lambda a, b: (a + b) / 2)
@@ -262,7 +251,4 @@ def sandwich(u: FiniteFunction, l: FiniteFunction,
 
 def ceiling_cover(u: FiniteFunction) -> FiniteFunction:
     """Pointwise-minimal positive-integer function dominating u."""
-    def cover(s: Scalar) -> Scalar:
-        n = max(1, s.ceil_int())
-        return Scalar(s.mode, Fraction(n) if s.mode == EXACT else float(n))
-    return u.map_values(cover)
+    return u.map_values(lambda s: Scalar.exact(max(1, s.ceil_int())))

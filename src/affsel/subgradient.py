@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .numerics import EXACT, AffselError, Point, Scalar, origin_point
+from .numerics import AffselError, Point, Scalar, origin_point
 from .hyperplane import Instance
 from .conelift import LinearConfig, select_linear
 from .oracle import exact_linear_select
@@ -39,7 +39,7 @@ class ConvexSectionInstance:
 
     def base_point(self, x: str) -> Point:
         if self.y0 is None:
-            return origin_point(self.instance.n, self.instance.mode)
+            return origin_point(self.instance.n)
         return self.y0[x]
 
 
@@ -87,7 +87,7 @@ def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
         points = [p for p, _ in shifted]
         rows = {x: [v for _, v in shifted] for x in xs}
         out.append(ShiftGroup(
-            instance=Instance.build(inst.n, xs, points, rows, inst.mode),
+            instance=Instance.build(inst.n, xs, points, rows),
             xs=tuple(xs),
         ))
     return ShiftedSections(groups=tuple(out))
@@ -124,7 +124,7 @@ def check_midpoint_convexity(inst: Instance) -> List[tuple]:
     sample points is itself a sample point, its value may not exceed the
     average.  Returns the violations found."""
     violations = []
-    half = Scalar(inst.mode, 0.5) if inst.mode != EXACT else Scalar.exact(1, 2)
+    half = Scalar.exact(1, 2)
     pts = inst.ys.points
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -134,7 +134,7 @@ def check_midpoint_convexity(inst: Instance) -> List[tuple]:
                 continue
             for x in inst.xs:
                 avg = (inst.values[x][i] + inst.values[x][j]) * half
-                if not inst.values[x][k].le_bound(avg):
+                if inst.values[x][k] > avg:
                     violations.append((x, pts[i], mid, pts[j],
                                        inst.values[x][k], avg))
     return violations
@@ -156,7 +156,6 @@ def select_subgradient(csi: ConvexSectionInstance,
     ``shift=None`` shifts exactly when the instance carries base points.
     """
     inst = csi.instance
-    mode = inst.mode
     if shift is None:
         # a y0 table always shifts: base points at the origin give the
         # unshifted groups on a normalized file and normalize any other
@@ -165,7 +164,7 @@ def select_subgradient(csi: ConvexSectionInstance,
     if shift:
         sections = shift_to_origin(csi)
     else:
-        origin = origin_point(inst.n, mode)
+        origin = origin_point(inst.n)
         j0 = inst.ys.index_of(origin)
         if j0 is None:
             raise NotNormalizedError("not normalized: origin is not a sample point")
@@ -187,7 +186,7 @@ def select_subgradient(csi: ConvexSectionInstance,
     p_map: Dict[str, Point] = {}
     eps_map: Dict[str, Scalar] = {}
     exact_map: Dict[str, bool] = {}
-    zero = Scalar.zero(mode)
+    zero = Scalar.zero()
     for group in sections.groups:
         neg = _negate(group.instance)
         if config.backend == "exact":

@@ -224,12 +224,12 @@ def test_criterion_6_ceiling_cover():
     bad = 0
     for i in range(1000):
         if i % 2:
-            v = Scalar.from_float(rng.uniform(-50, 50))
+            v = exact(Fraction(rng.uniform(-50, 50)))
         else:
             v = exact(Fraction(rng.randint(-5000, 5000), rng.randint(1, 100)))
         f = ceiling_cover(FiniteFunction(("x",), {"x": v}))("x")
         top = max(1, v.ceil_int())
-        if not (float(f.value).is_integer() and f.value >= 1
+        if not (f.value.denominator == 1 and f.value >= 1
                 and f.value >= v.value and f.value <= top):
             bad += 1
     _report(6, "ceiling cover is the minimal positive-integer dominator",

@@ -156,6 +156,15 @@ class TestSandwichCommand:
         res = run_cli("sandwich", str(u), str(l), "--mode", "staged", "--depth", "3")
         assert json.loads(res.stdout)["result"]["values"] == ["3/10"]
 
+    def test_sandwich_bracket_violation_exit_1(self, tmp_path):
+        u = tmp_path / "u.json"
+        l = tmp_path / "l.json"
+        u.write_text(json.dumps({"X": ["a"], "values": ["2"]}))
+        l.write_text(json.dumps({"X": ["a"], "values": ["1"]}))
+        res = run_cli("sandwich", str(u), str(l))
+        assert res.returncode == 1
+        assert "bracket" in res.stderr
+
 
 class TestErrors:
     def test_unknown_flag_exit_1_usage_on_stderr(self, worked_file):
@@ -173,24 +182,6 @@ class TestErrors:
         path.write_text("{not json")
         res = run_cli("select", "affine", str(path))
         assert res.returncode == 1
-
-
-class TestFloatMode:
-    def test_select_affine_float(self, worked_file):
-        res = run_cli("select", "affine", str(worked_file), "--mode", "float", "--verify")
-        assert res.returncode == 0, res.stderr
-        report = json.loads(res.stdout)
-        assert report["verification"]["passed"] is True
-        assert abs(float(report["selector"]["B"][0][0]) - 0.5) < 1e-9
-
-    def test_sandwich_bracket_violation_exit_1(self, tmp_path):
-        u = tmp_path / "u.json"
-        l = tmp_path / "l.json"
-        u.write_text(json.dumps({"X": ["a"], "values": ["2"]}))
-        l.write_text(json.dumps({"X": ["a"], "values": ["1"]}))
-        res = run_cli("sandwich", str(u), str(l))
-        assert res.returncode == 1
-        assert "bracket" in res.stderr
 
 
 class TestConvexityFlag:
@@ -239,13 +230,31 @@ MALFORMED = {
     "duplicate-ids": dict(WORKED, X=["a", "a"], f=[["0", "1"], ["2", "3"]]),
 }
 
+# (u, l) pairs for `affsel sandwich`; zip-based loading used to drop values
+MALFORMED_FUNCTIONS = {
+    "function-duplicate-ids": ({"X": ["a", "a"], "values": ["0", "5"]},
+                               {"X": ["a", "a"], "values": ["7", "9"]}),
+    "function-extra-values": ({"X": ["a"], "values": ["0", "4"]},
+                              {"X": ["a"], "values": ["7"]}),
+    "function-string-fields": ({"X": "ab", "values": "01"},
+                               {"X": ["a", "b"], "values": ["2", "3"]}),
+}
 
-@pytest.mark.parametrize("case", [*MALFORMED, "selector-without-C", "negative-depth"])
+
+@pytest.mark.parametrize("case", [*MALFORMED, *MALFORMED_FUNCTIONS, "selector-without-C",
+                                  "negative-depth", "mode-float"])
 def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
     if case in MALFORMED:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(MALFORMED[case]))
         args = ("select", "affine", str(path))
+    elif case in MALFORMED_FUNCTIONS:
+        u, l = tmp_path / "u.json", tmp_path / "l.json"
+        u.write_text(json.dumps(MALFORMED_FUNCTIONS[case][0]))
+        l.write_text(json.dumps(MALFORMED_FUNCTIONS[case][1]))
+        args = ("sandwich", str(u), str(l))
+    elif case == "mode-float":
+        args = ("select", "affine", str(worked_file), "--mode", "float")
     elif case == "selector-without-C":
         sel_path = tmp_path / "sel.json"
         sel_path.write_text(json.dumps({"kind": "affine", "n": 1, "X": ["x0"],

@@ -17,7 +17,7 @@ from affsel.hyperplane import (
     intersection_point,
     select_affine,
 )
-from affsel.numerics import EXACT, FLOAT, Point, Scalar
+from affsel.numerics import EXACT, Point, Scalar
 from affsel.oracle import verify_domination, verify_working_closure
 
 
@@ -236,12 +236,6 @@ class TestSelectAffine:
         for rec in trace.levels:
             if rec.dim >= 1:
                 assert rec.n_intersections <= rec.n_plus * rec.n_minus
-
-    def test_float_mode(self):
-        inst = WORKED.to_mode(FLOAT)
-        selector, _ = select_affine(inst)
-        assert verify_domination(inst, selector).passed
-        assert abs(float(selector.b["x0"].coords[0].value) - 0.5) < 1e-9
 
 
 class TestDegenerateInstances:

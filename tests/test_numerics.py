@@ -5,14 +5,11 @@ from hypothesis import given, strategies as st
 
 from affsel.numerics import (
     EXACT,
-    FLOAT,
     NumericsError,
     Point,
     PointSet,
     PointTableBuilder,
     Scalar,
-    drop_last,
-    split_by_last_coordinate,
 )
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=64)
@@ -27,11 +24,6 @@ class TestScalar:
     def test_serialize_roundtrip_exact(self, fr):
         s = Scalar(EXACT, fr)
         assert Scalar.parse(s.serialize()) == s
-
-    @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
-    def test_serialize_roundtrip_float(self, v):
-        s = Scalar.from_float(v)
-        assert Scalar(FLOAT, float(s.serialize())) == s
 
     @given(fractions_st, fractions_st, fractions_st)
     def test_exact_arithmetic_laws(self, a, b, c):
@@ -48,20 +40,13 @@ class TestScalar:
     def test_le_bound_exact_is_strict(self):
         assert not (exact(1) + exact("1/10000000000000000")).le_bound(exact(1))
 
-    def test_le_bound_float_tolerance(self):
-        a = Scalar.from_float(1.0 + 5e-10)
-        assert a.le_bound(Scalar.from_float(1.0))
-        assert not Scalar.from_float(1.0 + 1e-8).le_bound(Scalar.from_float(1.0))
-
     def test_ceil(self):
         assert exact("7/3").ceil_int() == 3
         assert exact(-5).ceil_int() == -5
-        assert Scalar.from_float(2.3).ceil_int() == 3
 
-    def test_mode_promotion(self):
-        mixed = exact("1/2") + Scalar.from_float(0.25)
-        assert mixed.mode == FLOAT
-        assert mixed == 0.75
+    def test_float_mode_rejected(self):
+        with pytest.raises(NumericsError, match="unknown scalar mode"):
+            Scalar("float", 1.0)
 
     def test_parse_normalizes(self):
         assert Scalar.parse("2/6").serialize() == "1/3"
@@ -80,19 +65,6 @@ class TestPoint:
         with pytest.raises(NumericsError):
             Point.of(1).dot(Point.of(1, 2))
 
-    def test_drop_last(self):
-        assert drop_last(Point.of(2, 0)) == Point.of(2)
-        assert drop_last(Point.of(0)) == Point.of()
-        assert drop_last(Point.of(1, -3, 0)) == Point.of(1, -3)
-
-    def test_drop_last_nonzero(self):
-        with pytest.raises(NumericsError):
-            drop_last(Point.of(2, 1))
-
-    def test_drop_last_dim_zero(self):
-        with pytest.raises(NumericsError):
-            drop_last(Point.of())
-
 
 class TestPointSet:
     def test_canonical_order(self):
@@ -108,45 +80,9 @@ class TestPointSet:
         ps = PointSet(1, [Point.of("1/3"), Point.of("2/6")])
         assert len(ps) == 1
 
-    def test_float_dedup_tolerance(self):
-        a = Point.of(1.0, mode=FLOAT)
-        b = Point.of(1.0 + 5e-13, mode=FLOAT)
-        ps = PointSet(1, [a, b], mode=FLOAT)
-        assert len(ps) == 1
-        assert ps.index_of(b) == 0
-
     def test_dim_mismatch(self):
         with pytest.raises(NumericsError):
             PointSet(2, [Point.of(1)])
-
-
-class TestSplit:
-    def test_mixed_signs(self):
-        w = PointSet(2, [Point.of(1, 1), Point.of(1, -1), Point.of(2, 0)])
-        res = split_by_last_coordinate(w)
-        assert list(res.plus.points) == [Point.of(1, 1)]
-        assert list(res.minus.points) == [Point.of(1, -1)]
-        assert list(res.zero.points) == [Point.of(2)]
-        assert res.zero_to_source[Point.of(2)] == Point.of(2, 0)
-
-    def test_single_positive(self):
-        res = split_by_last_coordinate(PointSet(1, [Point.of(3)]))
-        assert len(res.plus) == 1 and len(res.minus) == 0 and len(res.zero) == 0
-
-    def test_origin_only(self):
-        res = split_by_last_coordinate(PointSet(2, [Point.of(0, 0)]))
-        assert len(res.plus) == 0 and len(res.minus) == 0
-        assert list(res.zero.points) == [Point.of(0)]
-
-    def test_dim_zero_error(self):
-        with pytest.raises(NumericsError, match="no last coordinate"):
-            split_by_last_coordinate(PointSet(0, [Point.of()]))
-
-    @given(st.lists(st.tuples(fractions_st, fractions_st), max_size=15))
-    def test_partition(self, coords):
-        w = PointSet(2, [Point.of(a, b) for a, b in coords])
-        res = split_by_last_coordinate(w)
-        assert len(res.plus) + len(res.minus) + len(res.zero) == len(w)
 
 
 class TestDedupInsert:

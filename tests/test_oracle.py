@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from affsel.hyperplane import AffineSelector, Instance, select_affine
-from affsel.numerics import EXACT, FLOAT, Point, Scalar
+from affsel.numerics import EXACT, Point, Scalar
 from affsel.oracle import (
     InfeasibleSectionsError,
-    OracleModeError,
     exact_linear_select,
     fm_feasible,
     verify_domination,
@@ -51,13 +50,6 @@ class TestVerifyDomination:
         with pytest.raises(Exception, match="dimension mismatch"):
             verify_domination(WORKED, affine(2, [0, 0], 5))
 
-    def test_float_tolerance(self):
-        inst = WORKED.to_mode(FLOAT)
-        sel = AffineSelector(n=1, xs=("x0",),
-                             b={"x0": Point.of(0.5, mode=FLOAT)},
-                             c={"x0": Scalar.from_float(1.0 - 1e-12)})
-        assert verify_domination(inst, sel).passed
-
 
 class TestFmFeasible:
     def test_affine_always_feasible(self):
@@ -93,11 +85,6 @@ class TestFmFeasible:
         inst = make_instance(1, [Point.of(0)], {"x0": [exact(0)]})
         res = fm_feasible(inst.ys, inst.values, homogeneous=True)
         assert res["x0"].feasible and res["x0"].witness == (exact(0),)
-
-    def test_float_mode_rejected(self):
-        inst = WORKED.to_mode(FLOAT)
-        with pytest.raises(OracleModeError, match="exact arithmetic"):
-            fm_feasible(inst.ys, inst.values, homogeneous=False)
 
     def test_permutation_determinism(self):
         pts = [Point.of(1, 2), Point.of(-1, 0), Point.of(3, -2), Point.of(0, 1)]

@@ -173,12 +173,6 @@ class TestSandwich:
         for x in u.domain:
             assert raw(x) == u(x)
 
-    def test_float_mode(self):
-        u = FiniteFunction(("a",), {"a": Scalar.from_float(0.3)})
-        l = FiniteFunction(("a",), {"a": Scalar.from_float(0.4)})
-        f = sandwich(u, l, SandwichConfig(mode="staged", depth=10))
-        assert 0.3 <= f("a").value <= 0.4
-
 
 class TestCeilingCover:
     def test_fractional(self):
