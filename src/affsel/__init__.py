@@ -14,10 +14,7 @@ from .sandwich import (
     FiniteFunction,
     SandwichConfig,
     ceiling_cover,
-    dyadic_lower,
-    insert_simple,
     sandwich,
-    separate,
     staged_parameters,
 )
 from .hyperplane import (

@@ -14,7 +14,7 @@ import time
 
 from .numerics import AffselError, Point, Scalar
 from .sandwich import FiniteFunction, SandwichConfig, sandwich
-from .hyperplane import AffineSelector, Instance, SelectConfig, select_affine
+from .hyperplane import AffineSelector, SelectConfig, select_affine
 from .conelift import LinearConfig, LinearSelector, feature_select, select_linear
 from .subgradient import (
     ConvexSectionInstance,
@@ -22,7 +22,12 @@ from .subgradient import (
     select_subgradient,
     shift_to_origin,
 )
-from .oracle import verify_domination, verify_working_closure
+from .oracle import (
+    verify_domination,
+    verify_feature_domination,
+    verify_subgradient_domination,
+    verify_working_closure,
+)
 from .instances import (
     GenRanges,
     InstanceFileError,
@@ -30,6 +35,7 @@ from .instances import (
     gen_convex_sections,
     gen_meager_linear,
     load_instance_file,
+    parse_dimension,
     save_instance_file,
 )
 
@@ -166,7 +172,7 @@ def _selector_from_dict(data: dict):
 def _build_selector(data: dict):
     kind = data["kind"]
     xs = tuple(str(x) for x in data["X"])
-    n = int(data["n"])
+    n = parse_dimension(data["n"])
     if len(set(xs)) != len(xs):
         raise InstanceFileError("selector file: duplicate parameter ids in X")
 
@@ -317,15 +323,10 @@ def _cmd_select_feature(args, started) -> int:
     }
     exit_code = 0
     if args.verify:
-        failures = []
-        for x in inst.xs:
-            for j, p in enumerate(inst.ys.points):
-                rhs = selector.a[x].dot(phi[p]) + selector.epsilon[x]
-                if inst.values[x][j] > rhs:
-                    failures.append({"x": x, "y": p.serialize(),
-                                     "slack": (rhs - inst.values[x][j]).serialize()})
-        report["verification"] = {"passed": not failures, "failures": failures}
-        if failures:
+        rep = verify_feature_domination(inst, selector, phi)
+        report["verification"] = {"passed": rep.passed,
+                                  "failures": rep.serialize()["failures"]}
+        if not rep.passed:
             exit_code = 2
     _maybe_save_selector(args, selector)
     _emit(report, started)
@@ -354,18 +355,10 @@ def _cmd_select_subgradient(args, started) -> int:
     }
     exit_code = 0
     if args.verify:
-        failures = []
-        sections = shift_to_origin(csi)
-        for group in sections.groups:
-            gi = group.instance
-            for x in group.xs:
-                for j, p in enumerate(gi.ys.points):
-                    lower = selector.p[x].dot(p) - selector.epsilon[x]
-                    if lower > gi.values[x][j]:
-                        failures.append({"x": x, "y": p.serialize(),
-                                         "slack": (gi.values[x][j] - lower).serialize()})
-        report["verification"] = {"passed": not failures, "failures": failures}
-        if failures:
+        rep = verify_subgradient_domination(shift_to_origin(csi).groups, selector)
+        report["verification"] = {"passed": rep.passed,
+                                  "failures": rep.serialize()["failures"]}
+        if not rep.passed:
             exit_code = 2
     _maybe_save_selector(args, selector)
     _emit(report, started)

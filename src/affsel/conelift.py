@@ -152,12 +152,6 @@ class LinearSelector:
     cone_c: Mapping[str, Scalar]
     attempts: List[AttemptRecord] = field(default_factory=list)
 
-    def evaluate(self, x: str, point: Point) -> Scalar:
-        total = self.epsilon[x]
-        for coeff, coord in zip(self.a[x].coords, point.coords):
-            total = total + coeff * coord
-        return total
-
     def serialize(self) -> dict:
         return {
             "schema_version": 1,

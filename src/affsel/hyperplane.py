@@ -79,9 +79,6 @@ class Instance:
         ps, aligned = builder.freeze()
         return cls(n=n, xs=xs, ys=ps, values=aligned)
 
-    def value(self, x: str, index: int) -> Scalar:
-        return self.values[x][index]
-
     def section_fingerprint(self, x: str) -> tuple:
         return tuple(s.value for s in self.values[x])
 
@@ -381,12 +378,6 @@ class AffineSelector:
     xs: Tuple[str, ...]
     b: Mapping[str, Point]
     c: Mapping[str, Scalar]
-
-    def evaluate(self, x: str, point: Point) -> Scalar:
-        total = self.c[x]
-        for coeff, coord in zip(self.b[x].coords, point.coords):
-            total = total + coeff * coord
-        return total
 
     def serialize(self) -> dict:
         return {

@@ -61,7 +61,7 @@ class InstanceFile:
         if not isinstance(data, dict):
             raise InstanceFileError("an instance file must hold a JSON object")
         try:
-            n = _parse_dimension(data["n"])
+            n = parse_dimension(data["n"])
             if not isinstance(data["X"], list):
                 raise InstanceFileError("X must be a list of parameter ids")
             xs = [str(x) for x in data["X"]]
@@ -113,7 +113,10 @@ class InstanceFile:
         table = {}
         for yrow, zrow in zip(self.y_rows, self.phi_rows):
             y = Point(Scalar.parse(c) for c in yrow)
-            table[y] = Point(Scalar.parse(c) for c in zrow)
+            z = Point(Scalar.parse(c) for c in zrow)
+            if table.setdefault(y, z) != z:
+                raise InstanceFileError(
+                    f"Y repeats the point {y.serialize()} with different phi rows")
         return table
 
     def y0_table(self, mode: str = EXACT) -> Optional[Dict[str, Point]]:
@@ -154,7 +157,7 @@ def _rational_rows(data: dict, field: str) -> List[List[str]]:
     return [[_normalize_rational(c) for c in row] for row in rows]
 
 
-def _parse_dimension(value) -> int:
+def parse_dimension(value) -> int:
     """n as a JSON integer or a string of one; anything else is an error,
     never a silent truncation."""
     if isinstance(value, str) and value.strip().lstrip("+-").isdigit():

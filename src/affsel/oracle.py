@@ -50,28 +50,62 @@ class DominationReport:
         }
 
 
+def check_domination(kind: str, xs: Sequence[str], points: Sequence[Point],
+                     rows: Mapping[str, Sequence[Scalar]], const: Mapping[str, Fraction],
+                     coeffs: Mapping[str, Sequence[Fraction]],
+                     at: Optional[Sequence[Sequence[Fraction]]] = None) -> DominationReport:
+    """Check rows[x][j] <= const[x] + coeffs[x] . at[j] for every section x and
+    sample index j, with zero tolerance, in raw Fractions.
+
+    ``at`` holds the raw coordinates the functional is evaluated at and
+    defaults to those of ``points``; failures name points[j].
+    """
+    if at is None:
+        at = [p.raw() for p in points]
+    min_slack: Dict[str, Optional[Scalar]] = {}
+    failures: List[tuple] = []
+    for x in xs:
+        cx, bx, row = const[x], coeffs[x], rows[x]
+        worst: Optional[Fraction] = None
+        for j, praw in enumerate(at):
+            rhs = cx
+            for coeff, coord in zip(bx, praw):
+                rhs = rhs + coeff * coord
+            slack = rhs - row[j].value
+            if worst is None or slack < worst:
+                worst = slack
+            if slack < 0:
+                failures.append((x, points[j], Scalar(EXACT, slack)))
+        min_slack[x] = None if worst is None else Scalar(EXACT, worst)
+    return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
+                            failures=failures)
+
+
+def _merged(kind: str, xs: Sequence[str], reports) -> DominationReport:
+    """One report for several checks: failures in check order, the least
+    slack per section."""
+    min_slack: Dict[str, Optional[Scalar]] = {x: None for x in xs}
+    failures: List[tuple] = []
+    for rep in reports:
+        failures.extend(rep.failures)
+        for x, s in rep.min_slack.items():
+            if s is not None and (min_slack[x] is None or s.value < min_slack[x].value):
+                min_slack[x] = s
+    return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
+                            failures=failures)
+
+
 def verify_domination(inst, selector, kind: str = "affine") -> DominationReport:
-    """Check f(x, y) <= rhs(x, y) for every sample point, with zero tolerance."""
+    """Check f(x, y) <= B(x).y + C(x) (affine) or f(x, y) <= A(x).y + epsilon(x)
+    (linear) for every sample point, with zero tolerance."""
     if kind not in ("affine", "linear"):
         raise AffselError(f"unknown verification kind {kind!r}")
     if selector.n != inst.n:
         raise AffselError(f"dimension mismatch: selector n={selector.n}, instance n={inst.n}")
-
-    min_slack: Dict[str, Optional[Scalar]] = {}
-    failures: List[tuple] = []
-    for x in inst.xs:
-        worst: Optional[Scalar] = None
-        for j, point in enumerate(inst.ys.points):
-            fval = inst.values[x][j]
-            rhs = selector.evaluate(x, point)
-            slack = rhs - fval
-            if worst is None or slack.value < worst.value:
-                worst = slack
-            if fval > rhs:
-                failures.append((x, point, slack))
-        min_slack[x] = worst
-    return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
-                            failures=failures)
+    const, coeffs = (selector.c, selector.b) if kind == "affine" else (selector.epsilon, selector.a)
+    return check_domination(kind, inst.xs, inst.ys.points, inst.values,
+                            {x: const[x].value for x in inst.xs},
+                            {x: coeffs[x].raw() for x in inst.xs})
 
 
 def verify_working_closure(trace, selector) -> DominationReport:
@@ -81,29 +115,36 @@ def verify_working_closure(trace, selector) -> DominationReport:
     the first k coefficients of the selector plus the constant must dominate
     the level's table.
     """
-    min_slack: Dict[str, Optional[Scalar]] = {x: None for x in selector.xs}
-    failures: List[tuple] = []
-    for record in trace.levels:
-        if record.points is None or record.values is None:
-            continue
-        k = record.dim
-        point_raws = [p.raw() for p in record.points.points]
-        for x in selector.xs:
-            bx = [c.value for c in selector.b[x].coords[:k]]
-            cx = selector.c[x].value
-            row = record.values[x]
-            for j, praw in enumerate(point_raws):
-                rhs = cx
-                for coeff, coord in zip(bx, praw):
-                    rhs = rhs + coeff * coord
-                slack = rhs - row[j].value
-                current = min_slack[x]
-                if current is None or slack < current.value:
-                    min_slack[x] = Scalar(EXACT, slack)
-                if slack < 0:
-                    failures.append((x, record.points.points[j], Scalar(EXACT, slack)))
-    return DominationReport(kind="closure", passed=not failures,
-                            min_slack=min_slack, failures=failures)
+    xs = selector.xs
+    const = {x: selector.c[x].value for x in xs}
+    b = {x: selector.b[x].raw() for x in xs}
+    return _merged("closure", xs, (
+        check_domination("closure", xs, record.points.points, record.values, const,
+                         {x: b[x][:record.dim] for x in xs})
+        for record in trace.levels
+        if record.points is not None and record.values is not None))
+
+
+def verify_feature_domination(inst, selector, phi: Mapping[Point, Point]) -> DominationReport:
+    """Check f(x, y) <= A(x).phi(y) + epsilon(x) for every sample point y;
+    failures name y, not its feature image."""
+    return check_domination("feature", inst.xs, inst.ys.points, inst.values,
+                            {x: selector.epsilon[x].value for x in inst.xs},
+                            {x: selector.a[x].raw() for x in inst.xs},
+                            at=[phi[p].raw() for p in inst.ys.points])
+
+
+def verify_subgradient_domination(groups, selector) -> DominationReport:
+    """Check p(x).y - epsilon(x) <= g(x, y) on every shifted section group
+    (objects with ``instance`` and ``xs``), as -g <= epsilon + (-p).y, whose
+    slack g - p.y + epsilon is the same."""
+    groups = list(groups)
+    return _merged("subgradient", [x for g in groups for x in g.xs], (
+        check_domination("subgradient", g.xs, g.instance.ys.points,
+                         {x: [-v for v in g.instance.values[x]] for x in g.xs},
+                         {x: selector.epsilon[x].value for x in g.xs},
+                         {x: [-c for c in selector.p[x].raw()] for x in g.xs})
+        for g in groups))
 
 
 # ---------------------------------------------------------------------------

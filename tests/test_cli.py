@@ -82,6 +82,12 @@ class TestSelectAffine:
         assert report["verification"]["passed"] is False
         assert any(f["slack"].startswith("-") for f in report["verification"]["failures"])
 
+    def test_staged_depth_zero(self, worked_file):
+        res = run_cli("select", "affine", str(worked_file), "--sandwich", "staged",
+                      "--depth", "0", "--verify")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["verification"]["passed"] is True
+
     def test_report_embeds_selector_for_verify(self, worked_file, tmp_path):
         report_path = tmp_path / "report.json"
         res = run_cli("select", "affine", str(worked_file))
@@ -155,6 +161,15 @@ class TestSandwichCommand:
         l.write_text(json.dumps({"X": ["a"], "values": ["2/5"]}))
         res = run_cli("sandwich", str(u), str(l), "--mode", "staged", "--depth", "3")
         assert json.loads(res.stdout)["result"]["values"] == ["3/10"]
+
+    def test_staged_depth_zero(self, tmp_path):
+        u = tmp_path / "u.json"
+        l = tmp_path / "l.json"
+        u.write_text(json.dumps({"X": ["a", "b"], "values": ["3/10", "-2"]}))
+        l.write_text(json.dumps({"X": ["a", "b"], "values": ["2/5", "7"]}))
+        res = run_cli("sandwich", str(u), str(l), "--mode", "staged", "--depth", "0")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["result"]["values"] == ["3/10", "-2"]
 
     def test_sandwich_bracket_violation_exit_1(self, tmp_path):
         u = tmp_path / "u.json"
@@ -241,8 +256,18 @@ MALFORMED_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("case", [*MALFORMED, *MALFORMED_FUNCTIONS, "selector-without-C",
-                                  "negative-depth", "mode-float"])
+# selector files for `affsel verify` against the worked instance
+MALFORMED_SELECTORS = {
+    "selector-without-C": {"kind": "affine", "n": 1, "X": ["x0"], "B": [["1/2"]]},
+    "selector-fractional-n": {"kind": "affine", "n": 1.9, "X": ["x0"], "B": [["1/2"]],
+                              "C": ["1"]},
+    "selector-boolean-n": {"kind": "affine", "n": True, "X": ["x0"], "B": [["1/2"]],
+                           "C": ["1"]},
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED, *MALFORMED_FUNCTIONS, *MALFORMED_SELECTORS,
+                                  "negative-depth", "mode-float", "feature-repeated-y"])
 def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
     if case in MALFORMED:
         path = tmp_path / "bad.json"
@@ -255,11 +280,16 @@ def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
         args = ("sandwich", str(u), str(l))
     elif case == "mode-float":
         args = ("select", "affine", str(worked_file), "--mode", "float")
-    elif case == "selector-without-C":
+    elif case in MALFORMED_SELECTORS:
         sel_path = tmp_path / "sel.json"
-        sel_path.write_text(json.dumps({"kind": "affine", "n": 1, "X": ["x0"],
-                                        "B": [["1/2"]]}))
+        sel_path.write_text(json.dumps(MALFORMED_SELECTORS[case]))
         args = ("verify", str(worked_file), str(sel_path), "--kind", "affine")
+    elif case == "feature-repeated-y":
+        # the point 1 maps to two feature images; keeping either drops data
+        path = tmp_path / "feat.json"
+        path.write_text(json.dumps(dict(WORKED, Y=[["1"], ["1"], ["-1"]], f=[["0", "1", "0"]],
+                                        phi=[["1"], ["100"], ["-1"]])))
+        args = ("select", "feature", str(path), "--verify")
     else:
         args = ("select", "affine", str(worked_file), "--depth", "-1")
     res = run_cli(*args)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from affsel.conelift import LinearSelector
 from affsel.hyperplane import AffineSelector, Instance, select_affine
 from affsel.numerics import EXACT, Point, Scalar
 from affsel.oracle import (
@@ -11,7 +12,11 @@ from affsel.oracle import (
     exact_linear_select,
     fm_feasible,
     verify_domination,
+    verify_feature_domination,
+    verify_subgradient_domination,
+    verify_working_closure,
 )
+from affsel.subgradient import ShiftGroup, SubgradientSelector
 
 
 def exact(v):
@@ -49,6 +54,44 @@ class TestVerifyDomination:
     def test_dimension_mismatch(self):
         with pytest.raises(Exception, match="dimension mismatch"):
             verify_domination(WORKED, affine(2, [0, 0], 5))
+
+
+class TestOtherDominationChecks:
+    def test_closure_names_failing_level_point(self):
+        selector, trace = select_affine(WORKED)
+        low = AffineSelector(n=1, xs=("x0",), b=selector.b, c={"x0": selector.c["x0"] - 1})
+        rep = verify_working_closure(trace, low)
+        assert not rep.passed
+        assert rep.min_slack["x0"] == verify_working_closure(trace, selector).min_slack["x0"] - 1
+        level_points = {p for record in trace.levels for p in record.points.points}
+        assert rep.failures and all(p in level_points and s.value < 0
+                                    for _, p, s in rep.failures)
+
+    def test_feature_failure_names_sample_point(self):
+        # phi(y) = (2y, 1); A = (1/2, -1) gives A.phi(y) = y - 1
+        phi = {Point.of(-1): Point.of(-2, 1), Point.of(2): Point.of(4, 1)}
+        sel = LinearSelector(n=2, xs=("x0",), a={"x0": Point.of("1/2", -1)},
+                             epsilon={"x0": exact(0)}, exact={"x0": False},
+                             lambda_max=1, cone_c={})
+        rep = verify_feature_domination(WORKED, sel, phi)
+        assert not rep.passed
+        assert rep.failures == [("x0", Point.of(-1), exact(-2))]
+        assert rep.min_slack == {"x0": exact(-2)}
+        assert rep.serialize()["failures"] == [{"x": "x0", "y": ["-1"], "slack": "-2"}]
+
+    def test_subgradient_failure_slack_includes_epsilon(self):
+        # g = [1, 0, 2] at y = -1, 0, 2; p = 2, epsilon = 1: g - p.y + epsilon
+        bad = ShiftGroup(instance=make_instance(1, [Point.of(-1), Point.of(0), Point.of(2)],
+                                                {"x0": [exact(1), exact(0), exact(2)]}),
+                         xs=("x0",))
+        good = ShiftGroup(instance=make_instance(1, [Point.of(0)], {"x1": [exact(0)]}),
+                          xs=("x1",))
+        sel = SubgradientSelector(xs=("x0", "x1"), p={"x0": Point.of(2), "x1": Point.of(5)},
+                                  epsilon={"x0": exact(1), "x1": exact(0)}, backend="exact")
+        rep = verify_subgradient_domination([bad, good], sel)
+        assert not rep.passed
+        assert rep.failures == [("x0", Point.of(2), exact(-1))]
+        assert rep.min_slack == {"x0": exact(-1), "x1": exact(0)}
 
 
 class TestFmFeasible:
