@@ -61,7 +61,7 @@ def _parse_lambda(text: str) -> int:
         raise CLIUsageError(f"--lambda-max must be an integer or 'b^e', got {text!r}") from None
 
 
-def _depth(text: str) -> int:
+def _non_negative(text: str) -> int:
     if not text.isdigit():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
@@ -88,7 +88,7 @@ def build_parser() -> _Parser:
     aff = sel_sub.add_parser("affine")
     aff.add_argument("file")
     aff.add_argument("--sandwich", choices=["midpoint", "staged"], default="midpoint")
-    aff.add_argument("--depth", type=_depth, default=24)
+    aff.add_argument("--depth", type=_non_negative, default=24)
     aff.add_argument("--base", choices=["novikov", "tight"], default="novikov")
     aff.add_argument("--verify", action="store_true")
     aff.add_argument("--trace", action="store_true")
@@ -97,14 +97,14 @@ def build_parser() -> _Parser:
     lin = sel_sub.add_parser("linear")
     lin.add_argument("file")
     lin.add_argument("--lambda-max", default="2^20")
-    lin.add_argument("--doublings", type=int, default=3)
+    lin.add_argument("--doublings", type=_non_negative, default=3)
     lin.add_argument("--verify", action="store_true")
     lin.add_argument("-o", "--output")
 
     feat = sel_sub.add_parser("feature")
     feat.add_argument("file")
     feat.add_argument("--lambda-max", default="2^20")
-    feat.add_argument("--doublings", type=int, default=3)
+    feat.add_argument("--doublings", type=_non_negative, default=3)
     feat.add_argument("--verify", action="store_true")
     feat.add_argument("-o", "--output")
 
@@ -114,7 +114,7 @@ def build_parser() -> _Parser:
     sg.add_argument("--shift", action="store_true")
     sg.add_argument("--check-convexity", action="store_true")
     sg.add_argument("--lambda-max", default="2^20")
-    sg.add_argument("--doublings", type=int, default=3)
+    sg.add_argument("--doublings", type=_non_negative, default=3)
     sg.add_argument("--verify", action="store_true")
     sg.add_argument("-o", "--output")
 
@@ -122,7 +122,7 @@ def build_parser() -> _Parser:
     sw.add_argument("file_u")
     sw.add_argument("file_l")
     sw.add_argument("--mode", choices=["midpoint", "staged"], default="midpoint")
-    sw.add_argument("--depth", type=_depth, default=24)
+    sw.add_argument("--depth", type=_non_negative, default=24)
 
     ver = sub.add_parser("verify", help="check a selector against an instance")
     ver.add_argument("file")

@@ -224,6 +224,8 @@ def gen_affine_dominated(seed: int, n: int, nx: int, ny: int,
     """Instances with a planted affine dominator: f(x, y) = b.y + c - slack."""
     if nx < 1 or ny < 1:
         raise InstanceFileError("sizes must be >= 1")
+    if n < 0:
+        raise InstanceFileError("n must be >= 0")
     rng = random.Random(seed)
     if n == 0:
         ny = 1
@@ -261,6 +263,8 @@ def gen_meager_linear(seed: int, n: int, nx: int, ny: int,
     """Exactly linear sections f(x, y) = alpha(x).y; alpha recorded as witness."""
     if nx < 1 or ny < 1:
         raise InstanceFileError("sizes must be >= 1")
+    if n < 0:
+        raise InstanceFileError("n must be >= 0")
     rng = random.Random(seed)
     if n == 0:
         ny = 1
@@ -299,6 +303,8 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
     """
     if nx < 1 or ny < 1 or k < 1:
         raise InstanceFileError("sizes must be >= 1")
+    if n < 0:
+        raise InstanceFileError("n must be >= 0")
     rng = random.Random(seed)
     xs = [f"x{i}" for i in range(nx)]
     origin = origin_point(n)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .numerics import EXACT, AffselError, Point, PointSet, Scalar
@@ -55,30 +56,44 @@ def check_domination(kind: str, xs: Sequence[str], points: Sequence[Point],
                      coeffs: Mapping[str, Sequence[Fraction]],
                      at: Optional[Sequence[Sequence[Fraction]]] = None) -> DominationReport:
     """Check rows[x][j] <= const[x] + coeffs[x] . at[j] for every section x and
-    sample index j, with zero tolerance, in raw Fractions.
+    sample index j, with zero tolerance.
 
     ``at`` holds the raw coordinates the functional is evaluated at and
     defaults to those of ``points``; failures name points[j].
+
+    The loop runs in integers: with at[j] = a_j / d_j, the section's
+    (const, coeffs) = (c0, b) / d_x and rows[x][j] = p / q, the slack is
+    ((c0 d_j + b . a_j) q - p d_x d_j) / (d_x d_j q) over a positive
+    denominator.  A Fraction is built only for the least slack and for
+    failures; being reduced, it equals the plain Fraction difference.
     """
     if at is None:
         at = [p.raw() for p in points]
+    scaled = [_over_common_denominator(coords) for coords in at]
     min_slack: Dict[str, Optional[Scalar]] = {}
     failures: List[tuple] = []
     for x in xs:
-        cx, bx, row = const[x], coeffs[x], rows[x]
-        worst: Optional[Fraction] = None
-        for j, praw in enumerate(at):
-            rhs = cx
-            for coeff, coord in zip(bx, praw):
-                rhs = rhs + coeff * coord
-            slack = rhs - row[j].value
-            if worst is None or slack < worst:
-                worst = slack
-            if slack < 0:
-                failures.append((x, points[j], Scalar(EXACT, slack)))
-        min_slack[x] = None if worst is None else Scalar(EXACT, worst)
+        (c0, *b), d_x = _over_common_denominator((const[x], *coeffs[x]))
+        row = rows[x]
+        worst_num, worst_den = 0, 0          # worst_den == 0: no slack seen yet
+        for j, (a, d) in enumerate(scaled):
+            value = row[j].value
+            q, den = value.denominator, d_x * d
+            num = (c0 * d + sum(map(mul, b, a))) * q - value.numerator * den
+            den *= q
+            if not worst_den or num * worst_den < worst_num * den:
+                worst_num, worst_den = num, den
+            if num < 0:
+                failures.append((x, points[j], Scalar(EXACT, Fraction(num, den))))
+        min_slack[x] = Scalar(EXACT, Fraction(worst_num, worst_den)) if worst_den else None
     return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
                             failures=failures)
+
+
+def _over_common_denominator(values) -> Tuple[List[int], int]:
+    """Integers a_i and the least positive d with values[i] == a_i / d."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _merged(kind: str, xs: Sequence[str], reports) -> DominationReport:
@@ -163,20 +178,18 @@ class _Ineq:
     def normalized(self) -> "_Ineq":
         """Scale to a primitive integer row; the multiplier is positive, so
         the inequality direction and the combination tracking survive."""
-        lcm = 1
-        for d in [c.denominator for c in self.coeffs] + [self.rhs.denominator]:
-            lcm = lcm * d // gcd(lcm, d)
-        scaled = [c * lcm for c in self.coeffs]
-        rhs = self.rhs * lcm
+        denom = lcm(*(c.denominator for c in self.coeffs), self.rhs.denominator)
+        scaled = [c * denom for c in self.coeffs]
+        rhs = self.rhs * denom
         g = 0
         for c in scaled:
             g = gcd(g, abs(c.numerator))
         g = gcd(g, abs(rhs.numerator))
-        factor = Fraction(lcm)
+        factor = Fraction(denom)
         if g > 1:
             scaled = [c / g for c in scaled]
             rhs = rhs / g
-            factor = Fraction(lcm, g)
+            factor = Fraction(denom, g)
         combo = tuple((i, m * factor) for i, m in self.combo)
         return _Ineq(tuple(scaled), rhs, combo)
 

@@ -266,8 +266,14 @@ MALFORMED_SELECTORS = {
 }
 
 
+# pipelines whose --doublings must be a non-negative integer
+DOUBLINGS_PIPELINES = ("linear", "feature", "subgradient")
+
+
 @pytest.mark.parametrize("case", [*MALFORMED, *MALFORMED_FUNCTIONS, *MALFORMED_SELECTORS,
-                                  "negative-depth", "mode-float", "feature-repeated-y"])
+                                  "negative-depth", "mode-float", "feature-repeated-y",
+                                  *(f"doublings-negative-{p}" for p in DOUBLINGS_PIPELINES),
+                                  *(f"gen-negative-n-{f}" for f in ("affine", "meager", "convex"))])
 def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
     if case in MALFORMED:
         path = tmp_path / "bad.json"
@@ -290,6 +296,11 @@ def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
         path.write_text(json.dumps(dict(WORKED, Y=[["1"], ["1"], ["-1"]], f=[["0", "1", "0"]],
                                         phi=[["1"], ["100"], ["-1"]])))
         args = ("select", "feature", str(path), "--verify")
+    elif case.startswith("doublings-negative-"):
+        args = ("select", case.rsplit("-", 1)[1], str(worked_file), "--doublings", "-1")
+    elif case.startswith("gen-negative-n-"):
+        args = ("gen", case.rsplit("-", 1)[1], "--seed", "1", "--n", "-1", "--nx", "1",
+                "--ny", "2", "-o", str(tmp_path / "gen.json"))
     else:
         args = ("select", "affine", str(worked_file), "--depth", "-1")
     res = run_cli(*args)
@@ -297,3 +308,6 @@ def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
     assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1, res.stderr
     assert "Traceback" not in res.stderr
+    if case.startswith(("doublings-negative-", "gen-negative-n-")):
+        # the message names the flag
+        assert ("--doublings" if case.startswith("doublings") else "n must be >= 0") in res.stderr

@@ -35,3 +35,34 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     assert unused_imports("import math\nfrom typing import Dict, List\nx: List = []\n") == [
         (1, "math"), (2, "Dict")]
+
+
+def package_imports(source: str) -> set:
+    """Modules of the package that ``source`` imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module.split(".")[0] if node.module else None
+                found.update([base] if base else (alias.name for alias in node.names))
+            elif node.module and node.module.split(".")[0] == "affsel":
+                parts = node.module.split(".")
+                found.update(parts[1:2] or (alias.name for alias in node.names))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "affsel":
+                    found.add(rest.split(".")[0] or "affsel")   # the whole package
+    return found
+
+
+def test_oracle_shares_no_code_with_the_selector():
+    # the independent check may lean on the number types, nothing else
+    assert package_imports((SRC / "oracle.py").read_text(encoding="utf-8")) <= {"numerics"}
+
+
+def test_detects_package_imports():
+    assert package_imports("from . import hyperplane\nfrom .numerics import Scalar\n"
+                           "import affsel.conelift\nfrom affsel import sandwich\n"
+                           "from affsel.subgradient import x\nimport json, affsel\n") == {
+        "hyperplane", "numerics", "conelift", "sandwich", "subgradient", "affsel"}

@@ -6,9 +6,12 @@ from hypothesis import given, strategies as st
 
 from affsel.conelift import LinearSelector
 from affsel.hyperplane import AffineSelector, Instance, select_affine
+from affsel.instances import gen_affine_dominated
 from affsel.numerics import EXACT, Point, Scalar
 from affsel.oracle import (
+    DominationReport,
     InfeasibleSectionsError,
+    check_domination,
     exact_linear_select,
     fm_feasible,
     verify_domination,
@@ -92,6 +95,123 @@ class TestOtherDominationChecks:
         assert not rep.passed
         assert rep.failures == [("x0", Point.of(2), exact(-1))]
         assert rep.min_slack == {"x0": exact(-1), "x1": exact(0)}
+
+
+def reference_check_domination(kind, xs, points, rows, const, coeffs, at=None):
+    """The plain-Fraction loop that check_domination replaced, kept as its
+    reference."""
+    if at is None:
+        at = [p.raw() for p in points]
+    min_slack = {}
+    failures = []
+    for x in xs:
+        cx, bx, row = const[x], coeffs[x], rows[x]
+        worst = None
+        for j, praw in enumerate(at):
+            rhs = cx
+            for coeff, coord in zip(bx, praw):
+                rhs = rhs + coeff * coord
+            slack = rhs - row[j].value
+            if worst is None or slack < worst:
+                worst = slack
+            if slack < 0:
+                failures.append((x, points[j], Scalar(EXACT, slack)))
+        min_slack[x] = None if worst is None else Scalar(EXACT, worst)
+    return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
+                            failures=failures)
+
+
+def assert_same_report(got, want):
+    assert got.serialize() == want.serialize()
+    assert got.failures == want.failures
+    assert got.min_slack == want.min_slack
+
+
+# small pool so that ties and zero slacks are common; large denominators too
+RATIONALS = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.fractions(max_denominator=10 ** 12),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)),
+)
+
+
+@st.composite
+def domination_problems(draw):
+    dim = draw(st.integers(0, 3))
+    at_dim = draw(st.sampled_from([dim, dim + 1, max(dim - 1, 0)]))
+    count = draw(st.integers(0, 6))
+    points = [Point.of(*draw(st.lists(RATIONALS, min_size=dim, max_size=dim)))
+              for _ in range(count)]
+    at = None
+    if at_dim != dim or draw(st.booleans()):
+        at = [tuple(draw(st.lists(RATIONALS, min_size=at_dim, max_size=at_dim)))
+              for _ in range(count)]
+    width = dim if at is None else at_dim
+    xs = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    const = {x: draw(RATIONALS) for x in xs}
+    coeffs = {x: tuple(draw(st.lists(RATIONALS, min_size=width, max_size=width))) for x in xs}
+    rows = {}
+    for x in xs:
+        evaluate = at if at is not None else [p.raw() for p in points]
+        row = []
+        for coords in evaluate:
+            exact_rhs = const[x] + sum((c * v for c, v in zip(coeffs[x], coords)), Fraction(0))
+            # on the functional (zero slack), or off it by a drawn amount
+            row.append(exact(exact_rhs - draw(st.one_of(st.just(Fraction(0)), RATIONALS))))
+        rows[x] = row
+    return xs, points, rows, const, coeffs, at
+
+
+class TestIntegerKernel:
+    @given(domination_problems())
+    def test_matches_fraction_loop(self, problem):
+        xs, points, rows, const, coeffs, at = problem
+        assert_same_report(check_domination("closure", xs, points, rows, const, coeffs, at),
+                           reference_check_domination("closure", xs, points, rows, const,
+                                                      coeffs, at))
+
+    def test_empty_points_and_dim0(self):
+        rep = check_domination("sample", ["x0"], [], {"x0": []}, {"x0": Fraction(1)},
+                               {"x0": ()})
+        assert rep.passed and rep.min_slack == {"x0": None}
+        rows = {"x0": [exact("5/2")]}
+        rep = check_domination("closure", ["x0"], [Point.of()], rows, {"x0": Fraction(2)},
+                               {"x0": ()})
+        assert rep.failures == [("x0", Point.of(), exact("-1/2"))]
+        assert rep.min_slack == {"x0": exact("-1/2")}
+
+    def test_least_slack_tie_keeps_reduced_value(self):
+        # the first two slacks tie at 1/2, computed as 9/18 and 25/50; the third is 1
+        pts = [Point.of("1/3"), Point.of("1/5"), Point.of(0)]
+        rows = {"x0": [exact("1/3"), exact("1/5"), exact("-1/2")]}
+        rep = check_domination("sample", ["x0"], pts, rows, {"x0": Fraction(1, 2)},
+                               {"x0": (Fraction(1),)})
+        assert rep.min_slack["x0"].serialize() == "1/2"
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closure_on_selector_traces_with_lowered_c(self, n):
+        for seed in range(3):
+            inst = gen_affine_dominated(seed, n, 3, 6 + 2 * n).to_instance()
+            selector, trace = select_affine(inst)
+            good = verify_working_closure(trace, selector)
+            assert good.passed
+            for drop in (Fraction(1, 7), Fraction(3)):
+                # below the least closure slack by ``drop``, so every section fails
+                low = AffineSelector(n=n, xs=selector.xs, b=selector.b, c={
+                    x: exact(selector.c[x].value - good.min_slack[x].value - drop)
+                    for x in selector.xs})
+                rep = verify_working_closure(trace, low)
+                assert not rep.passed
+                reference = [reference_check_domination(
+                    "closure", low.xs, record.points.points, record.values,
+                    {x: low.c[x].value for x in low.xs},
+                    {x: low.b[x].raw()[:record.dim] for x in low.xs})
+                    for record in trace.levels if record.points is not None]
+                assert rep.failures == [f for r in reference for f in r.failures]
+                for x in low.xs:
+                    assert rep.min_slack[x].value == min(
+                        r.min_slack[x].value for r in reference if r.min_slack[x] is not None)
+                    assert rep.min_slack[x].value == -drop
 
 
 class TestFmFeasible:
