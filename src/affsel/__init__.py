@@ -12,7 +12,6 @@ from .numerics import (
 )
 from .sandwich import (
     FiniteFunction,
-    SandwichConfig,
     ceiling_cover,
     sandwich,
     staged_parameters,

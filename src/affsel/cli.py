@@ -13,7 +13,7 @@ import sys
 import time
 
 from .numerics import AffselError, Point, Scalar
-from .sandwich import FiniteFunction, SandwichConfig, sandwich
+from .sandwich import FiniteFunction, sandwich
 from .hyperplane import AffineSelector, SelectConfig, select_affine
 from .conelift import LinearConfig, LinearSelector, feature_select, select_linear
 from .subgradient import (
@@ -52,13 +52,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_lambda(text: str) -> int:
-    try:
-        if "^" in text:
-            base, _, exp = text.partition("^")
-            return int(base) ** int(exp)
-        return int(text)
-    except ValueError:
-        raise CLIUsageError(f"--lambda-max must be an integer or 'b^e', got {text!r}") from None
+    """A positive integer, or b^e with non-negative integers b and e."""
+    parts = text.split("^", 1)
+    if all(part.isascii() and part.isdigit() for part in parts):
+        value = int(parts[0]) ** int(parts[1]) if len(parts) == 2 else int(parts[0])
+        if value >= 1:
+            return value
+    raise CLIUsageError(f"--lambda-max must be an integer >= 1 or 'b^e' with "
+                        f"non-negative integers b and e, got {text!r}")
 
 
 def _non_negative(text: str) -> int:
@@ -88,7 +89,6 @@ def build_parser() -> _Parser:
     aff = sel_sub.add_parser("affine")
     aff.add_argument("file")
     aff.add_argument("--sandwich", choices=["midpoint", "staged"], default="midpoint")
-    aff.add_argument("--depth", type=_non_negative, default=24)
     aff.add_argument("--base", choices=["novikov", "tight"], default="novikov")
     aff.add_argument("--verify", action="store_true")
     aff.add_argument("--trace", action="store_true")
@@ -122,7 +122,6 @@ def build_parser() -> _Parser:
     sw.add_argument("file_u")
     sw.add_argument("file_l")
     sw.add_argument("--mode", choices=["midpoint", "staged"], default="midpoint")
-    sw.add_argument("--depth", type=_non_negative, default=24)
 
     ver = sub.add_parser("verify", help="check a selector against an instance")
     ver.add_argument("file")
@@ -237,12 +236,12 @@ def _maybe_save_selector(args, selector) -> None:
 def _cmd_select_affine(args, started) -> int:
     doc = load_instance_file(args.file)
     inst = doc.to_instance()
-    config = SelectConfig(sandwich_mode=args.sandwich, depth=args.depth, base=args.base)
+    config = SelectConfig(sandwich_mode=args.sandwich, base=args.base)
     selector, trace = select_affine(inst, config)
     report = {
         "command": "select-affine",
-        "config": {"sandwich": args.sandwich, "depth": args.depth,
-                   "base": args.base, "verify": args.verify, "trace": args.trace},
+        "config": {"sandwich": args.sandwich, "base": args.base,
+                   "verify": args.verify, "trace": args.trace},
         "input": {"path": args.file, "n": inst.n, "params": len(inst.xs),
                   "points": len(inst.ys)},
         "selector": selector.serialize(),
@@ -368,10 +367,10 @@ def _cmd_select_subgradient(args, started) -> int:
 def _cmd_sandwich(args, started) -> int:
     u = _load_finite_function(args.file_u)
     l = _load_finite_function(args.file_l)
-    f = sandwich(u, l, SandwichConfig(mode=args.mode, depth=args.depth))
+    f = sandwich(u, l, args.mode)
     report = {
         "command": "sandwich",
-        "config": {"mode": args.mode, "depth": args.depth},
+        "config": {"mode": args.mode},
         "result": f.serialize(),
     }
     _emit(report, started)

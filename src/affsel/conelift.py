@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .numerics import (
-    EXACT,
-    AffselError,
-    Point,
-    PointTableBuilder,
-    Scalar,
-)
+from .numerics import AffselError, Point, PointTableBuilder, Scalar
 from .hyperplane import Instance, SelectConfig, select_affine
 
 
@@ -67,8 +61,6 @@ class ConeInstance:
     homogeneous across collinear sample points.
     """
 
-    base: Instance
-    lambdas: Tuple[int, ...]
     instance: Instance
 
 
@@ -107,15 +99,15 @@ def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
             z = p.scale(lam_s)
             if key is None:
                 # origin: contributions lambda * f(x, 0) collide at 0; max rule
-                vals = {x: Scalar(EXACT, lam * origin_rows[x]) for x in inst.xs}
+                vals = {x: Scalar(lam * origin_rows[x]) for x in inst.xs}
             else:
                 direction, scale = key
                 zscale = lam * scale
-                vals = {x: Scalar(EXACT, zscale * ray_best[direction][x]) for x in inst.xs}
+                vals = {x: Scalar(zscale * ray_best[direction][x]) for x in inst.xs}
             builder.insert(z, vals)
     ps, rows = builder.freeze()
     lifted = Instance(n=inst.n, xs=inst.xs, ys=ps, values=rows)
-    return ConeInstance(base=inst, lambdas=lambdas, instance=lifted)
+    return ConeInstance(instance=lifted)
 
 
 @dataclass(frozen=True)
@@ -129,10 +121,6 @@ class LinearConfig:
 class AttemptRecord:
     lambda_max: int
     exact: Dict[str, bool]
-
-    @property
-    def all_exact(self) -> bool:
-        return all(self.exact.values())
 
 
 @dataclass

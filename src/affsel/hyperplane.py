@@ -26,23 +26,11 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .numerics import (
-    EXACT,
-    AffselError,
-    Point,
-    PointSet,
-    PointTableBuilder,
-    Scalar,
-    check_mode,
-)
-from .sandwich import FiniteFunction, SandwichConfig, ceiling_cover, sandwich
+from .numerics import AffselError, Point, PointSet, PointTableBuilder, Scalar
+from .sandwich import FiniteFunction, ceiling_cover, sandwich
 
 ORIGINAL = "original"
 GENERATED = "generated"
-
-# above this many crossing pairs at dimension one, the single envelope value
-# is taken from the upper hull bridge instead of the full pair enumeration
-_HULL_CUTOFF = 64
 
 
 class SignConditionError(AffselError):
@@ -102,11 +90,7 @@ class WorkingTable:
     ys: PointSet
     values: Mapping[str, Tuple[Scalar, ...]]
     tags: Tuple[str, ...]
-    mode: str = EXACT                 # the only accepted value
     envelope_stats: Optional[EnvelopeStats] = None
-
-    def __post_init__(self):
-        check_mode(self.mode)
 
     def extended_value(self, x: str, point: Point) -> Scalar:
         idx = self.ys.index_of(point)
@@ -137,7 +121,7 @@ def intersection_point(y: Point, yprime: Point) -> Point:
     den = yn - ypn
     coords = []
     for a, b in zip(y.coords, yprime.coords):
-        coords.append(Scalar(EXACT, (yn * b.value - ypn * a.value) / den))
+        coords.append(Scalar((yn * b.value - ypn * a.value) / den))
     return Point(coords)
 
 
@@ -149,7 +133,7 @@ def chord_value(fx: Mapping[Point, Scalar], y: Point, yprime: Point) -> Scalar:
             "chord requires last coordinates of opposite strict signs")
     fy, fyp = fx[y].value, fx[yprime].value
     yn, ypn = y.coords[-1].value, yprime.coords[-1].value
-    return Scalar(EXACT, (yn * fyp - ypn * fy) / (yn - ypn))
+    return Scalar((yn * fyp - ypn * fy) / (yn - ypn))
 
 
 def _cross_nonneg_int(o, a, b) -> bool:
@@ -232,11 +216,9 @@ class _ExactLevel:
             last = v[-2]
             (self.plus if last > 0 else self.minus if last < 0 else self.zero).append(j)
 
-    def envelope(self, hull: Optional[bool] = None) -> WorkingTable:
+    def envelope(self) -> WorkingTable:
         table, vecs = self.table, self.vecs
         n_pairs = len(self.plus) * len(self.minus)
-        if hull is None:
-            hull = table.dim == 1 and n_pairs > _HULL_CUTOFF
         stats = EnvelopeStats(n_plus=len(self.plus), n_minus=len(self.minus),
                               n_zero=len(self.zero))
 
@@ -246,8 +228,13 @@ class _ExactLevel:
             v = vecs[j]
             stored[v[:-2] + v[-1:]] = j
         crossings: Dict[tuple, list] = {}
-        if hull and n_pairs:
-            crossings[(1,)] = []      # every pair meets at the origin of the line
+        # dimension one: every pair crosses at the origin of the line, and the
+        # upper hull bridge over the off-zero points (already sorted by
+        # coordinate) gives each section's largest chord there
+        coords = None
+        if n_pairs and table.dim == 1:
+            crossings[(1,)] = []
+            coords = [(v[0], v[1], j) for j, v in enumerate(vecs) if v[0]]
         elif n_pairs:
             for ip in self.plus:
                 a = vecs[ip]
@@ -274,15 +261,11 @@ class _ExactLevel:
             children.append((_order_key(key, point), point, j, crossings.pop(key, ()), None))
         for key, pairs in crossings.items():
             den = key[-1]
-            ext = Scalar(EXACT, Fraction(-sum([c * c for c in key[:-1]]), den * den))
-            point = Point([Scalar(EXACT, Fraction(c, den)) for c in key[:-1]])
+            ext = Scalar(Fraction(-sum([c * c for c in key[:-1]]), den * den))
+            point = Point([Scalar(Fraction(c, den)) for c in key[:-1]])
             children.append((_order_key(key, point), point, None, pairs, ext))
         del stored, crossings     # the key maps end here; only the plan is kept
         children.sort(key=itemgetter(0))
-        # dimension one: the off-zero points, already sorted by coordinate
-        coords = None
-        if hull and n_pairs:
-            coords = [(v[0], v[1], j) for j, v in enumerate(vecs) if v[0]]
 
         values = {}
         for x, row in table.values.items():
@@ -295,10 +278,10 @@ class _ExactLevel:
                 if j is None:
                     base = ext.value
                     best = _max_chord(pairs, num, den, base.numerator, base.denominator)
-                    out.append(ext if best is None else Scalar(EXACT, Fraction(*best)))
+                    out.append(ext if best is None else Scalar(Fraction(*best)))
                 else:
                     best = _max_chord(pairs, num, den, num[j], den[j])
-                    out.append(row[j] if best is None else Scalar(EXACT, Fraction(*best)))
+                    out.append(row[j] if best is None else Scalar(Fraction(*best)))
             values[x] = tuple(out)
         tags = tuple(GENERATED if entry[2] is None else table.tags[entry[2]]
                      for entry in children)
@@ -360,13 +343,12 @@ class _ExactLevel:
                 bn, bd = rn, rd
         if bn is None:
             return None
-        return Scalar(EXACT, Fraction(bn, bd * e))
+        return Scalar(Fraction(bn, bd * e))
 
 
 @dataclass(frozen=True)
 class SelectConfig:
     sandwich_mode: str = "midpoint"   # "midpoint" | "staged"
-    depth: int = 24
     base: str = "novikov"             # "novikov" | "tight"
 
 
@@ -406,7 +388,6 @@ class LevelRecord:
     upper: Optional[Dict[str, Optional[Scalar]]] = None   # U per x (None: no positive side)
     lower: Optional[Dict[str, Optional[Scalar]]] = None   # L per x (None: no negative side)
     rule: str = ""                                        # sandwich | lower-only | upper-only | zero | base
-    sandwich_mode: Optional[str] = None
     base_rule: Optional[str] = None
     base_c: Optional[Dict[str, Scalar]] = None
 
@@ -499,10 +480,9 @@ def _select_level(working: WorkingTable, config: SelectConfig, levels):
 
     if level.plus and level.minus:
         record.rule = "sandwich"
-        record.sandwich_mode = config.sandwich_mode
         u_fn = FiniteFunction(xs, {x: upper[x] for x in xs})
         l_fn = FiniteFunction(xs, {x: lower[x] for x in xs})
-        last = sandwich(u_fn, l_fn, SandwichConfig(config.sandwich_mode, config.depth))
+        last = sandwich(u_fn, l_fn, config.sandwich_mode)
         picks = {x: last(x) for x in xs}
     elif level.minus:
         record.rule = "lower-only"

@@ -82,6 +82,9 @@ class InstanceFile:
         for row in y_rows:
             if len(row) != n:
                 raise InstanceFileError(f"point of dimension {len(row)}, expected {n}")
+        for row in y0 or ():
+            if len(row) != n:
+                raise InstanceFileError(f"y0 point of dimension {len(row)}, expected {n}")
         for row in f_rows:
             if len(row) != len(y_rows):
                 raise InstanceFileError("f rows must align with Y")
@@ -128,19 +131,15 @@ class InstanceFile:
 
     @classmethod
     def from_instance(cls, inst: Instance, meta: Optional[dict] = None,
-                      phi: Optional[Mapping[Point, Point]] = None,
                       y0: Optional[Mapping[str, Point]] = None) -> "InstanceFile":
         y_rows = [p.serialize() for p in inst.ys.points]
         f_rows = [[inst.values[x][j].serialize() for j in range(len(inst.ys))]
                   for x in inst.xs]
-        phi_rows = None
-        if phi is not None:
-            phi_rows = [phi[p].serialize() for p in inst.ys.points]
         y0_rows = None
         if y0 is not None:
             y0_rows = [y0[x].serialize() for x in inst.xs]
         return cls(n=inst.n, xs=list(inst.xs), y_rows=y_rows, f_rows=f_rows,
-                   phi_rows=phi_rows, y0_rows=y0_rows, meta=meta)
+                   y0_rows=y0_rows, meta=meta)
 
 
 def _normalize_rational(text) -> str:
@@ -201,7 +200,7 @@ def _rand_fraction(rng: random.Random, ranges: GenRanges,
 
 
 def _rand_point(rng: random.Random, n: int, ranges: GenRanges) -> Point:
-    return Point(Scalar(EXACT, _rand_fraction(rng, ranges)) for _ in range(n))
+    return Point(Scalar(_rand_fraction(rng, ranges)) for _ in range(n))
 
 
 def _distinct_points(rng: random.Random, n: int, count: int,
@@ -246,7 +245,7 @@ def gen_affine_dominated(seed: int, n: int, nx: int, ny: int,
             val = c - slack
             for coeff, coord in zip(b, p.coords):
                 val += coeff * coord.value
-            row.append(Scalar(EXACT, val))
+            row.append(Scalar(val))
         rows[x] = row
     inst = Instance.build(n, xs, points, rows)
     meta = {
@@ -280,7 +279,7 @@ def gen_meager_linear(seed: int, n: int, nx: int, ny: int,
             val = Fraction(0)
             for coeff, coord in zip(alpha, p.coords):
                 val += coeff * coord.value
-            row.append(Scalar(EXACT, val))
+            row.append(Scalar(val))
         rows[x] = row
     inst = Instance.build(n, xs, points, rows)
     meta = {
@@ -323,7 +322,7 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
                     val += coeff * coord.value
                 if best is None or val > best:
                     best = val
-            row.append(Scalar(EXACT, best))
+            row.append(Scalar(best))
         rows[x] = row
     meta = {
         "generator": "convex_sections",
@@ -337,7 +336,7 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
         base = _rand_point(rng, n, ranges)
         offsets = {x: _rand_fraction(rng, ranges) for x in xs}
         points = [p.add(base) for p in points]
-        rows = {x: [v + Scalar(EXACT, offsets[x]) for v in rows[x]] for x in xs}
+        rows = {x: [v + Scalar(offsets[x]) for v in rows[x]] for x in xs}
         y0 = {x: base for x in xs}
         meta["offsets"] = {x: str(offsets[x]) for x in xs}
     inst = Instance.build(n, xs, points, rows)

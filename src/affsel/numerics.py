@@ -35,31 +35,29 @@ def _as_fraction(value) -> Fraction:
 
 
 class Scalar:
-    """An exact rational number; ``mode`` must be ``EXACT``."""
+    """An exact rational number."""
 
     __slots__ = ("value",)
 
-    def __init__(self, mode: str, value: Fraction):
-        if mode != EXACT:
-            raise NumericsError(f"unknown scalar mode {mode!r}")
+    def __init__(self, value: Fraction):
         self.value = value
 
     @classmethod
     def exact(cls, numerator, denominator: int = 1) -> "Scalar":
-        return cls(EXACT, Fraction(numerator, denominator))
+        return cls(Fraction(numerator, denominator))
 
     @classmethod
     def zero(cls) -> "Scalar":
-        return cls(EXACT, Fraction(0))
+        return cls(Fraction(0))
 
     @classmethod
     def one(cls) -> "Scalar":
-        return cls(EXACT, Fraction(1))
+        return cls(Fraction(1))
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
         """Parse 'p/q' or 'p'."""
-        return cls(EXACT, Fraction(text))
+        return cls(Fraction(text))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -72,32 +70,32 @@ class Scalar:
         raise NumericsError(f"cannot mix Scalar with {type(other).__name__}")
 
     def __add__(self, other):
-        return Scalar(EXACT, self.value + self._raw(other))
+        return Scalar(self.value + self._raw(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Scalar(EXACT, self.value - self._raw(other))
+        return Scalar(self.value - self._raw(other))
 
     def __rsub__(self, other):
-        return Scalar(EXACT, self._raw(other) - self.value)
+        return Scalar(self._raw(other) - self.value)
 
     def __mul__(self, other):
-        return Scalar(EXACT, self.value * self._raw(other))
+        return Scalar(self.value * self._raw(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return Scalar(EXACT, self.value / self._raw(other))
+        return Scalar(self.value / self._raw(other))
 
     def __rtruediv__(self, other):
-        return Scalar(EXACT, self._raw(other) / self.value)
+        return Scalar(self._raw(other) / self.value)
 
     def __neg__(self):
-        return Scalar(EXACT, -self.value)
+        return Scalar(-self.value)
 
     def __abs__(self):
-        return Scalar(EXACT, abs(self.value))
+        return Scalar(abs(self.value))
 
     # -- comparison ------------------------------------------------------
 
@@ -141,7 +139,7 @@ class Scalar:
         return str(self.value)
 
     def __repr__(self):
-        return f"Scalar({EXACT}, {self.value})"
+        return f"Scalar({self.value})"
 
 
 class Point:
@@ -154,7 +152,7 @@ class Point:
 
     @classmethod
     def of(cls, *values) -> "Point":
-        return cls(Scalar(EXACT, _as_fraction(v)) for v in values)
+        return cls(Scalar(_as_fraction(v)) for v in values)
 
     @property
     def dim(self) -> int:
@@ -164,13 +162,13 @@ class Point:
         return tuple(s.value for s in self.coords)
 
     def norm_sq(self) -> Scalar:
-        return Scalar(EXACT, sum((s.value * s.value for s in self.coords), Fraction(0)))
+        return Scalar(sum((s.value * s.value for s in self.coords), Fraction(0)))
 
     def dot(self, other: "Point") -> Scalar:
         if other.dim != self.dim:
             raise NumericsError(f"dot of dim {self.dim} with dim {other.dim}")
-        return Scalar(EXACT, sum((a.value * b.value for a, b in zip(self.coords, other.coords)),
-                                 Fraction(0)))
+        return Scalar(sum((a.value * b.value for a, b in zip(self.coords, other.coords)),
+                          Fraction(0)))
 
     def add(self, other: "Point") -> "Point":
         return Point(a + b for a, b in zip(self.coords, other.coords))
@@ -265,18 +263,14 @@ class PointTableBuilder:
     collide, and makes insertion order irrelevant.
     """
 
-    def __init__(self, dim: int, xs: Optional[tuple] = None):
+    def __init__(self, dim: int, xs: tuple):
         self.dim = dim
-        self.xs = tuple(xs) if xs is not None else None
+        self.xs = tuple(xs)
         self._entries: dict = {}   # raw key -> (Point, {x: Scalar})
 
-    def insert(self, point: Point, values) -> None:
+    def insert(self, point: Point, values: dict) -> None:
         if point.dim != self.dim:
             raise NumericsError(f"dimension mismatch: point dim {point.dim}, table dim {self.dim}")
-        if isinstance(values, Scalar):
-            if self.xs is not None and len(self.xs) != 1:
-                raise NumericsError("scalar insert requires a single-section table")
-            values = {(self.xs[0] if self.xs else None): values}
         key = point.raw()
         entry = self._entries.get(key)
         if entry is None:
@@ -290,19 +284,11 @@ class PointTableBuilder:
     def freeze(self):
         """Canonicalize into a PointSet plus rows aligned with its order."""
         ps = PointSet(self.dim, [p for p, _ in self._entries.values()])
-        xs = self.xs if self.xs is not None else self._collect_xs()
-        rows = {x: [] for x in xs}
+        rows = {x: [] for x in self.xs}
         for p in ps.points:
             vals = self._entries[p.raw()][1]
-            for x in xs:
+            for x in self.xs:
                 if x not in vals:
                     raise NumericsError(f"missing value for section {x!r} at {p!r}")
                 rows[x].append(vals[x])
         return ps, {x: tuple(row) for x, row in rows.items()}
-
-    def _collect_xs(self):
-        seen: dict = {}
-        for _, vals in self._entries.values():
-            for x in vals:
-                seen.setdefault(x, None)
-        return tuple(seen)

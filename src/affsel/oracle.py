@@ -16,7 +16,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .numerics import EXACT, AffselError, Point, PointSet, Scalar
+from .numerics import AffselError, Point, PointSet, Scalar
 
 
 class InfeasibleSectionsError(AffselError):
@@ -84,8 +84,8 @@ def check_domination(kind: str, xs: Sequence[str], points: Sequence[Point],
             if not worst_den or num * worst_den < worst_num * den:
                 worst_num, worst_den = num, den
             if num < 0:
-                failures.append((x, points[j], Scalar(EXACT, Fraction(num, den))))
-        min_slack[x] = Scalar(EXACT, Fraction(worst_num, worst_den)) if worst_den else None
+                failures.append((x, points[j], Scalar(Fraction(num, den))))
+        min_slack[x] = Scalar(Fraction(worst_num, worst_den)) if worst_den else None
     return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
                             failures=failures)
 
@@ -220,27 +220,12 @@ class InfeasibilityCertificate:
         combined, rhs = self.replay()
         return all(c == 0 for c in combined) and rhs > 0
 
-    def serialize(self) -> dict:
-        combined, rhs = self.replay()
-        return {
-            "multipliers": {str(i): str(m) for i, m in sorted(self.multipliers.items())},
-            "contradiction": f"0 >= {rhs}",
-        }
-
 
 @dataclass
 class FeasibilityResult:
     feasible: bool
     witness: Optional[Tuple[Scalar, ...]] = None
     certificate: Optional[InfeasibilityCertificate] = None
-
-    def serialize(self) -> dict:
-        out = {"feasible": self.feasible}
-        if self.witness is not None:
-            out["witness"] = [s.serialize() for s in self.witness]
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.serialize()
-        return out
 
 
 def _dedup_keep_first(ineqs: List[_Ineq]) -> List[_Ineq]:
@@ -300,7 +285,7 @@ def _solve_system(constraints: List[Tuple[Tuple[Fraction, ...], Fraction]],
     """Decide {v : coeffs_i . v >= rhs_i} nonempty; deterministic witness."""
     if not constraints:
         return FeasibilityResult(
-            feasible=True, witness=tuple(Scalar(EXACT, Fraction(0)) for _ in range(width)))
+            feasible=True, witness=tuple(Scalar(Fraction(0)) for _ in range(width)))
     # canonical order makes the witness independent of input permutation
     order = sorted(range(len(constraints)), key=lambda i: (constraints[i][0], constraints[i][1]))
     canon = [constraints[i] for i in order]
@@ -352,7 +337,7 @@ def _solve_system(constraints: List[Tuple[Tuple[Fraction, ...], Fraction]],
             values[var] = hi
         else:
             values[var] = Fraction(0)
-    witness = tuple(Scalar(EXACT, v) for v in values)
+    witness = tuple(Scalar(v) for v in values)
     return FeasibilityResult(feasible=True, witness=witness)
 
 

@@ -6,9 +6,9 @@ the paper's Borel insertion: on a finite parameter set, Lusin separation
 with the lower strategy picks B = A at every level, the simple-function
 insertion then reproduces the dyadic floor of u, the limsup over stages is
 the finest floor, and the repair onto the bracket snaps it back to u.  So
-the staged rule is the lower end u itself, at every depth.  The ceiling
-cover supplies the minimal positive-integer dominator used by the base case
-of the main recursion.
+the staged rule is the lower end u itself, for any number of stages.  The
+ceiling cover supplies the minimal positive-integer dominator used by the
+base case of the main recursion.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Tuple
 
-from .numerics import EXACT, AffselError, Scalar
+from .numerics import AffselError, Scalar
 
 
 class BracketViolationError(AffselError):
@@ -58,12 +58,6 @@ class FiniteFunction:
         return {"X": list(self.domain), "values": [self.values[x].serialize() for x in self.domain]}
 
 
-@dataclass(frozen=True)
-class SandwichConfig:
-    mode: str = "midpoint"   # "midpoint" | "staged"
-    depth: int = 24          # accepted for the staged rule; no result depends on it
-
-
 def staged_parameters(u: FiniteFunction, l: FiniteFunction, depth: int):
     """Rescale origin and power-of-two range of the staged construction.
 
@@ -73,7 +67,7 @@ def staged_parameters(u: FiniteFunction, l: FiniteFunction, depth: int):
     before the repair.
     """
     scale = 1 << depth
-    origin = Scalar(EXACT, Fraction(math.floor(u.min_value().value * scale), scale))
+    origin = Scalar(Fraction(math.floor(u.min_value().value * scale), scale))
     top = l.max_value()
     e = 0
     while origin.value + (1 << e) < top.value:
@@ -81,8 +75,7 @@ def staged_parameters(u: FiniteFunction, l: FiniteFunction, depth: int):
     return origin, Scalar.exact(1 << e), e
 
 
-def sandwich(u: FiniteFunction, l: FiniteFunction,
-             config: SandwichConfig = SandwichConfig()) -> FiniteFunction:
+def sandwich(u: FiniteFunction, l: FiniteFunction, mode: str = "midpoint") -> FiniteFunction:
     """Produce f with u <= f <= l pointwise, exactly.
 
     midpoint: f = (u + l) / 2.
@@ -93,10 +86,10 @@ def sandwich(u: FiniteFunction, l: FiniteFunction,
     for x in u.domain:
         if u(x) > l(x):
             raise BracketViolationError(f"bracket violated at x={x}")
-    if config.mode == "midpoint":
+    if mode == "midpoint":
         return u.combine(l, lambda a, b: (a + b) / 2)
-    if config.mode != "staged":
-        raise AffselError(f"unknown sandwich mode {config.mode!r}")
+    if mode != "staged":
+        raise AffselError(f"unknown sandwich mode {mode!r}")
     return u
 
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .numerics import AffselError, Point, Scalar, origin_point
 from .hyperplane import Instance
 from .conelift import LinearConfig, select_linear
-from .oracle import exact_linear_select
+from .oracle import InfeasibleSectionsError, exact_linear_select
 
 
 class NotNormalizedError(AffselError):
@@ -140,11 +140,6 @@ def check_midpoint_convexity(inst: Instance) -> List[tuple]:
     return violations
 
 
-def _negate(inst: Instance) -> Instance:
-    rows = {x: [-v for v in inst.values[x]] for x in inst.xs}
-    return Instance(n=inst.n, xs=inst.xs, ys=inst.ys, values=rows)
-
-
 def select_subgradient(csi: ConvexSectionInstance,
                        config: SubgradientConfig = SubgradientConfig(),
                        shift: Optional[bool] = None) -> SubgradientSelector:
@@ -186,28 +181,25 @@ def select_subgradient(csi: ConvexSectionInstance,
     p_map: Dict[str, Point] = {}
     eps_map: Dict[str, Scalar] = {}
     exact_map: Dict[str, bool] = {}
-    zero = Scalar.zero()
     for group in sections.groups:
-        neg = _negate(group.instance)
+        # every section of a group has the same data: solve the first, negated
+        rep, gi = group.xs[0], group.instance
+        single = Instance(n=gi.n, xs=(rep,), ys=gi.ys,
+                          values={rep: tuple(-v for v in gi.values[rep])})
         if config.backend == "exact":
-            witnesses = exact_linear_select(neg)
-            rep = group.xs[0]
-            p_rep = Point(-c for c in witnesses[rep].coords)
-            for x in group.xs:
-                p_map[x] = p_rep
-                eps_map[x] = zero
-                exact_map[x] = True
+            try:
+                witness = exact_linear_select(single)[rep]
+            except InfeasibleSectionsError as exc:
+                raise InfeasibleSectionsError(
+                    dict.fromkeys(group.xs, exc.infeasible[rep])) from None
+            eps, exact = Scalar.zero(), True
         elif config.backend == "cone":
-            single = Instance(n=neg.n, xs=(group.xs[0],), ys=neg.ys,
-                              values={group.xs[0]: neg.values[group.xs[0]]})
             sel = select_linear(single, config.linear)
-            rep = group.xs[0]
-            p_rep = Point(-c for c in sel.a[rep].coords)
-            for x in group.xs:
-                p_map[x] = p_rep
-                eps_map[x] = sel.epsilon[rep]
-                exact_map[x] = sel.exact[rep]
+            witness, eps, exact = sel.a[rep], sel.epsilon[rep], sel.exact[rep]
         else:
             raise AffselError(f"unknown backend {config.backend!r}")
+        p_rep = Point(-c for c in witness.coords)
+        for x in group.xs:
+            p_map[x], eps_map[x], exact_map[x] = p_rep, eps, exact
     return SubgradientSelector(xs=inst.xs, p=p_map, epsilon=eps_map,
                                backend=config.backend, exact=exact_map)

@@ -29,7 +29,6 @@ from affsel.numerics import EXACT, Point, Scalar, origin_point
 from affsel.oracle import fm_feasible, verify_domination, verify_working_closure
 from affsel.sandwich import (
     FiniteFunction,
-    SandwichConfig,
     ceiling_cover,
     sandwich,
     staged_parameters,
@@ -47,7 +46,7 @@ def _report(num, desc, ok, detail=""):
 
 
 def exact(v):
-    return Scalar(EXACT, Fraction(v))
+    return Scalar(Fraction(v))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +198,8 @@ def test_criterion_5_sandwich_guarantees():
     for i in range(200):
         dyadic10 = i % 2 == 1
         u, l = _random_bracket(rng, dyadic10)
-        mid = sandwich(u, l, SandwichConfig(mode="midpoint"))
-        staged = sandwich(u, l, SandwichConfig(mode="staged", depth=10))
+        mid = sandwich(u, l, "midpoint")
+        staged = sandwich(u, l, "staged")
         _, rng_scale, _ = staged_parameters(u, l, 10)
         slack = rng_scale.value / 2 ** 10
         for x in u.domain:

@@ -82,12 +82,6 @@ class TestSelectAffine:
         assert report["verification"]["passed"] is False
         assert any(f["slack"].startswith("-") for f in report["verification"]["failures"])
 
-    def test_staged_depth_zero(self, worked_file):
-        res = run_cli("select", "affine", str(worked_file), "--sandwich", "staged",
-                      "--depth", "0", "--verify")
-        assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout)["verification"]["passed"] is True
-
     def test_report_embeds_selector_for_verify(self, worked_file, tmp_path):
         report_path = tmp_path / "report.json"
         res = run_cli("select", "affine", str(worked_file))
@@ -159,17 +153,8 @@ class TestSandwichCommand:
         l = tmp_path / "l.json"
         u.write_text(json.dumps({"X": ["a"], "values": ["3/10"]}))
         l.write_text(json.dumps({"X": ["a"], "values": ["2/5"]}))
-        res = run_cli("sandwich", str(u), str(l), "--mode", "staged", "--depth", "3")
+        res = run_cli("sandwich", str(u), str(l), "--mode", "staged")
         assert json.loads(res.stdout)["result"]["values"] == ["3/10"]
-
-    def test_staged_depth_zero(self, tmp_path):
-        u = tmp_path / "u.json"
-        l = tmp_path / "l.json"
-        u.write_text(json.dumps({"X": ["a", "b"], "values": ["3/10", "-2"]}))
-        l.write_text(json.dumps({"X": ["a", "b"], "values": ["2/5", "7"]}))
-        res = run_cli("sandwich", str(u), str(l), "--mode", "staged", "--depth", "0")
-        assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout)["result"]["values"] == ["3/10", "-2"]
 
     def test_sandwich_bracket_violation_exit_1(self, tmp_path):
         u = tmp_path / "u.json"
@@ -243,6 +228,7 @@ MALFORMED = {
     "fractional-n": dict(WORKED, n="1.5"),
     "top-level-array": [WORKED],
     "duplicate-ids": dict(WORKED, X=["a", "a"], f=[["0", "1"], ["2", "3"]]),
+    "y0-dimension": dict(WORKED, y0=[["0", "0"]]),
 }
 
 # (u, l) pairs for `affsel sandwich`; zip-based loading used to drop values
@@ -269,16 +255,35 @@ MALFORMED_SELECTORS = {
 # pipelines whose --doublings must be a non-negative integer
 DOUBLINGS_PIPELINES = ("linear", "feature", "subgradient")
 
+# --lambda-max values that are not an integer >= 1 or b^e of non-negative
+# integers; -2^2 must not be read as (-2)^2 = 4
+BAD_LAMBDAS = {"lambda-negative-base": "-2^2", "lambda-negative-exponent": "2^-2",
+               "lambda-zero": "0"}
+
+# the removed --depth flag
+DEPTH_COMMANDS = {"depth-select-affine": ("select", "affine"), "depth-sandwich": ("sandwich",)}
+
+# what the one stderr line must name
+EXPECTED_MESSAGE = {
+    **{f"doublings-negative-{p}": "--doublings" for p in DOUBLINGS_PIPELINES},
+    **{f"gen-negative-n-{f}": "n must be >= 0" for f in ("affine", "meager", "convex")},
+    **dict.fromkeys(BAD_LAMBDAS, "--lambda-max"),
+    **dict.fromkeys(DEPTH_COMMANDS, "unrecognized arguments: --depth 3"),
+    "y0-dimension": "y0 point of dimension 2, expected 1",
+}
+
 
 @pytest.mark.parametrize("case", [*MALFORMED, *MALFORMED_FUNCTIONS, *MALFORMED_SELECTORS,
-                                  "negative-depth", "mode-float", "feature-repeated-y",
+                                  "mode-float", "feature-repeated-y",
                                   *(f"doublings-negative-{p}" for p in DOUBLINGS_PIPELINES),
-                                  *(f"gen-negative-n-{f}" for f in ("affine", "meager", "convex"))])
+                                  *(f"gen-negative-n-{f}" for f in ("affine", "meager", "convex")),
+                                  *BAD_LAMBDAS, *DEPTH_COMMANDS])
 def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
     if case in MALFORMED:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(MALFORMED[case]))
-        args = ("select", "affine", str(path))
+        pipeline = "subgradient" if case == "y0-dimension" else "affine"
+        args = ("select", pipeline, str(path))
     elif case in MALFORMED_FUNCTIONS:
         u, l = tmp_path / "u.json", tmp_path / "l.json"
         u.write_text(json.dumps(MALFORMED_FUNCTIONS[case][0]))
@@ -301,13 +306,16 @@ def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
     elif case.startswith("gen-negative-n-"):
         args = ("gen", case.rsplit("-", 1)[1], "--seed", "1", "--n", "-1", "--nx", "1",
                 "--ny", "2", "-o", str(tmp_path / "gen.json"))
+    elif case in BAD_LAMBDAS:
+        args = ("select", "linear", str(worked_file), f"--lambda-max={BAD_LAMBDAS[case]}")
     else:
-        args = ("select", "affine", str(worked_file), "--depth", "-1")
+        u = tmp_path / "u.json"
+        u.write_text(json.dumps({"X": ["a"], "values": ["0"]}))
+        files = (str(worked_file),) if case == "depth-select-affine" else (str(u), str(u))
+        args = (*DEPTH_COMMANDS[case], *files, "--depth", "3")
     res = run_cli(*args)
     assert res.returncode == 1
     assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1, res.stderr
     assert "Traceback" not in res.stderr
-    if case.startswith(("doublings-negative-", "gen-negative-n-")):
-        # the message names the flag
-        assert ("--doublings" if case.startswith("doublings") else "n must be >= 0") in res.stderr
+    assert EXPECTED_MESSAGE.get(case, "") in res.stderr

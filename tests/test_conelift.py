@@ -13,12 +13,12 @@ from affsel.conelift import (
     select_linear,
 )
 from affsel.hyperplane import Instance, SelectConfig
-from affsel.numerics import EXACT, Point, Scalar
+from affsel.numerics import Point, Scalar
 from affsel.oracle import fm_feasible, verify_domination
 
 
 def exact(v):
-    return Scalar(EXACT, Fraction(v))
+    return Scalar(Fraction(v))
 
 
 def make_instance(n, points, rows):

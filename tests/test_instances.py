@@ -12,13 +12,13 @@ from affsel.instances import (
     gen_convex_sections,
     gen_meager_linear,
 )
-from affsel.numerics import EXACT, Point, Scalar
+from affsel.numerics import Point, Scalar
 from affsel.oracle import fm_feasible, verify_domination
 from affsel.hyperplane import AffineSelector
 
 
 def exact(v):
-    return Scalar(EXACT, Fraction(v))
+    return Scalar(Fraction(v))
 
 
 class TestInstanceFile:

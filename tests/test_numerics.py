@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from affsel.numerics import (
-    EXACT,
     NumericsError,
     Point,
     PointSet,
@@ -16,13 +15,13 @@ fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
 
 def exact(v):
-    return Scalar(EXACT, Fraction(v))
+    return Scalar(Fraction(v))
 
 
 class TestScalar:
     @given(fractions_st)
     def test_serialize_roundtrip_exact(self, fr):
-        s = Scalar(EXACT, fr)
+        s = Scalar(fr)
         assert Scalar.parse(s.serialize()) == s
 
     @given(fractions_st, fractions_st, fractions_st)
@@ -43,10 +42,6 @@ class TestScalar:
     def test_ceil(self):
         assert exact("7/3").ceil_int() == 3
         assert exact(-5).ceil_int() == -5
-
-    def test_float_mode_rejected(self):
-        with pytest.raises(NumericsError, match="unknown scalar mode"):
-            Scalar("float", 1.0)
 
     def test_parse_normalizes(self):
         assert Scalar.parse("2/6").serialize() == "1/3"
@@ -88,22 +83,22 @@ class TestPointSet:
 class TestDedupInsert:
     def test_max_wins(self):
         t = PointTableBuilder(2, ("x",))
-        t.insert(Point.of(1, 0), exact(3))
-        t.insert(Point.of(1, 0), exact(5))
+        t.insert(Point.of(1, 0), {"x": exact(3)})
+        t.insert(Point.of(1, 0), {"x": exact(5)})
         _, rows = t.freeze()
         assert rows["x"] == (exact(5),)
 
     def test_smaller_ignored(self):
         t = PointTableBuilder(2, ("x",))
-        t.insert(Point.of(1, 0), exact(3))
-        t.insert(Point.of(1, 0), exact(2))
+        t.insert(Point.of(1, 0), {"x": exact(3)})
+        t.insert(Point.of(1, 0), {"x": exact(2)})
         _, rows = t.freeze()
         assert rows["x"] == (exact(3),)
 
     def test_rational_collision(self):
         t = PointTableBuilder(2, ("x",))
-        t.insert(Point.of("1/3", 0), exact(1))
-        t.insert(Point.of("2/6", 0), exact(2))
+        t.insert(Point.of("1/3", 0), {"x": exact(1)})
+        t.insert(Point.of("2/6", 0), {"x": exact(2)})
         ps, rows = t.freeze()
         assert len(ps) == 1
         assert rows["x"] == (exact(2),)
@@ -111,13 +106,14 @@ class TestDedupInsert:
     def test_dimension_mismatch(self):
         t = PointTableBuilder(2, ("x",))
         with pytest.raises(NumericsError, match="dimension mismatch"):
-            t.insert(Point.of(1), exact(0))
+            t.insert(Point.of(1), {"x": exact(0)})
 
     @given(st.permutations(list(range(6))))
     def test_order_independent(self, perm):
         inserts = [
-            (Point.of(0), exact(1)), (Point.of(0), exact(4)), (Point.of(1), exact(2)),
-            (Point.of(2), exact(0)), (Point.of(1), exact(-1)), (Point.of(0), exact(4)),
+            (Point.of(0), {"x": exact(1)}), (Point.of(0), {"x": exact(4)}),
+            (Point.of(1), {"x": exact(2)}), (Point.of(2), {"x": exact(0)}),
+            (Point.of(1), {"x": exact(-1)}), (Point.of(0), {"x": exact(4)}),
         ]
         t = PointTableBuilder(1, ("x",))
         for i in perm:

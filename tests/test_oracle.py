@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from affsel.conelift import LinearSelector
 from affsel.hyperplane import AffineSelector, Instance, select_affine
 from affsel.instances import gen_affine_dominated
-from affsel.numerics import EXACT, Point, Scalar
+from affsel.numerics import Point, Scalar
 from affsel.oracle import (
     DominationReport,
     InfeasibleSectionsError,
@@ -23,7 +23,7 @@ from affsel.subgradient import ShiftGroup, SubgradientSelector
 
 
 def exact(v):
-    return Scalar(EXACT, Fraction(v))
+    return Scalar(Fraction(v))
 
 
 def make_instance(n, points, rows):
@@ -115,8 +115,8 @@ def reference_check_domination(kind, xs, points, rows, const, coeffs, at=None):
             if worst is None or slack < worst:
                 worst = slack
             if slack < 0:
-                failures.append((x, points[j], Scalar(EXACT, slack)))
-        min_slack[x] = None if worst is None else Scalar(EXACT, worst)
+                failures.append((x, points[j], Scalar(slack)))
+        min_slack[x] = None if worst is None else Scalar(worst)
     return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
                             failures=failures)
 

@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from affsel.numerics import EXACT, AffselError, Scalar
+from affsel.numerics import AffselError, Scalar
 from affsel.sandwich import (
     BracketViolationError,
     FiniteFunction,
-    SandwichConfig,
     ceiling_cover,
     sandwich,
     staged_parameters,
@@ -17,7 +16,7 @@ fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=32)
 
 
 def exact(v):
-    return Scalar(EXACT, Fraction(v))
+    return Scalar(Fraction(v))
 
 
 def fn(mapping):
@@ -28,13 +27,13 @@ class TestSandwich:
     def test_forced_constant_both_modes(self):
         g = fn({"a": "3/10", "b": "3/10"})
         for mode in ("midpoint", "staged"):
-            f = sandwich(g, g, SandwichConfig(mode=mode, depth=6))
+            f = sandwich(g, g, mode)
             assert f.values == g.values
 
     def test_forced_varying_both_modes(self):
         g = fn({"a": "3/10", "b": "5/7"})
         for mode in ("midpoint", "staged"):
-            f = sandwich(g, g, SandwichConfig(mode=mode, depth=6))
+            f = sandwich(g, g, mode)
             assert f.values == g.values
 
     def test_midpoint(self):
@@ -45,7 +44,7 @@ class TestSandwich:
         u, l = fn({"a": "3/10"}), fn({"a": "2/5"})
         origin, rng, e = staged_parameters(u, l, 3)
         assert (origin, rng, e) == (exact("1/4"), exact(1), 0)
-        f = sandwich(u, l, SandwichConfig(mode="staged", depth=3))("a")
+        f = sandwich(u, l, "staged")("a")
         assert f == exact("3/10")
 
     def test_bracket_violated_names_x(self):
@@ -58,7 +57,7 @@ class TestSandwich:
     def test_bracket_guarantee(self, table, mode):
         u = fn({x: min(a, b) for x, (a, b) in table.items()})
         l = fn({x: max(a, b) for x, (a, b) in table.items()})
-        f = sandwich(u, l, SandwichConfig(mode=mode, depth=8))
+        f = sandwich(u, l, mode)
         for x in u.domain:
             assert u(x).value <= f(x).value <= l(x).value
 
@@ -66,23 +65,22 @@ class TestSandwich:
     def test_section_functoriality(self, mode):
         u = fn({"a": "1/3", "b": "1/3", "c": 0})
         l = fn({"a": "7/2", "b": "7/2", "c": 1})
-        f = sandwich(u, l, SandwichConfig(mode=mode, depth=6))
+        f = sandwich(u, l, mode)
         assert f("a") == f("b")
 
     @given(st.dictionaries(st.sampled_from("abcdef"),
                            st.tuples(fractions_st, fractions_st, st.booleans()),
-                           min_size=1),
-           st.integers(0, 64))
-    def test_staged_is_lower_end(self, table, depth):
+                           min_size=1))
+    def test_staged_is_lower_end(self, table):
         # degenerate brackets (u(x) = l(x)) drawn on purpose, not only by chance
         u = fn({x: min(a, b) for x, (a, b, _) in table.items()})
         l = fn({x: min(a, b) if tight else max(a, b) for x, (a, b, tight) in table.items()})
-        f = sandwich(u, l, SandwichConfig(mode="staged", depth=depth))
+        f = sandwich(u, l, "staged")
         assert f.domain == u.domain and f.values == u.values
 
     def test_unknown_mode(self):
         with pytest.raises(AffselError, match="unknown sandwich mode"):
-            sandwich(fn({"a": 0}), fn({"a": 1}), SandwichConfig(mode="upper"))
+            sandwich(fn({"a": 0}), fn({"a": 1}), "upper")
 
 
 class TestCeilingCover:

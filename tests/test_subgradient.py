@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from affsel import oracle
 from affsel.conelift import LinearConfig
 from affsel.hyperplane import Instance
 from affsel.instances import gen_convex_sections
-from affsel.numerics import EXACT, AffselError, Point, Scalar
+from affsel.numerics import AffselError, Point, Scalar
+from affsel.oracle import InfeasibleSectionsError
 from affsel.subgradient import (
     ConvexSectionInstance,
     NotNormalizedError,
@@ -18,7 +20,7 @@ from affsel.subgradient import (
 
 
 def exact(v):
-    return Scalar(EXACT, Fraction(v))
+    return Scalar(Fraction(v))
 
 
 def make_instance(n, points, rows):
@@ -144,6 +146,32 @@ class TestSelectSubgradient:
         sel = select_subgradient(ConvexSectionInstance(instance=inst))
         assert sel.p["x0"] == sel.p["x2"]
         assert sel.epsilon["x0"] == sel.epsilon["x2"]
+
+    def test_one_system_per_group(self, monkeypatch):
+        calls = []
+        real = oracle.fm_feasible
+
+        def counting(points, values, homogeneous):
+            calls.append(tuple(values))
+            return real(points, values, homogeneous)
+
+        monkeypatch.setattr(oracle, "fm_feasible", counting)
+        row = [exact(1), exact(0), exact(1)]
+        inst = make_instance(1, [Point.of(-1), Point.of(0), Point.of(1)],
+                             {"x0": row, "x1": [exact(2), exact(0), exact(2)], "x2": row})
+        select_subgradient(ConvexSectionInstance(instance=inst))
+        # x0 and x2 form one group: one call, for one section, per group
+        assert calls == [("x0",), ("x1",)]
+
+    def test_infeasible_group_names_every_section(self):
+        # concave at the origin: no p has p.y <= g(y) on both sides
+        row = [exact(-1), exact(0), exact(-1)]
+        inst = make_instance(1, [Point.of(-1), Point.of(0), Point.of(1)],
+                             {"x0": row, "x1": [exact(1), exact(0), exact(1)], "x2": row})
+        with pytest.raises(InfeasibleSectionsError, match="sections: x0, x2$") as err:
+            select_subgradient(ConvexSectionInstance(instance=inst))
+        assert sorted(err.value.infeasible) == ["x0", "x2"]
+        assert all(c.replays_to_contradiction() for c in err.value.infeasible.values())
 
 
 class TestConvexityCheck:
