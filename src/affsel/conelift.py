@@ -7,6 +7,11 @@ ray, and the affine constant C picked up by the recursive selector turns
 into a certified residual epsilon = max(0, C) / lambda_max.  Driving
 lambda_max up shrinks the residual; an exactness flag records whether the
 residual was actually needed.
+
+The lift samples the cone at the two rungs lambda in {1, lambda_max}: at a
+lifted point lambda * y with value lambda * v, domination reads
+lambda * (b.y - v) + C >= 0, linear in lambda, so holding at both ends it
+holds at every scale between; further rungs would add points, no constraints.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .numerics import AffselError, Point, PointTableBuilder, Scalar
 from .hyperplane import Instance, SelectConfig, select_affine
+from .oracle import check_domination
 
 
 class LadderError(AffselError):
@@ -38,7 +44,8 @@ def _ray_key(point: Point) -> Optional[Tuple[tuple, object]]:
 
 
 def power_ladder(lambda_max: int) -> Tuple[int, ...]:
-    """Powers of two up to lambda_max (lambda_max appended if not one itself)."""
+    """Powers of two up to lambda_max (lambda_max appended if not one itself);
+    selection lifts onto {1, lambda_max}, so only the benchmark replays this."""
     if lambda_max < 1:
         raise LadderError("lambda_max must be >= 1")
     rungs = []
@@ -154,26 +161,17 @@ class LinearSelector:
 
 
 def _attempt(inst: Instance, lambda_max: int, config: LinearConfig):
-    cone = lift_to_cone(inst, power_ladder(lambda_max))
+    cone = lift_to_cone(inst, (1,) if lambda_max == 1 else (1, lambda_max))
     selector, trace = select_affine(cone.instance, config.select)
     lam = Scalar.exact(lambda_max)
     zero = Scalar.zero()
-    a_map, eps_map, exact_map, c_map = {}, {}, {}, {}
-    for x in inst.xs:
-        c = selector.c[x]
-        eps = (c if c.value > 0 else zero) / lam
-        a_map[x] = selector.b[x]
-        eps_map[x] = eps
-        c_map[x] = c
-        ok = True
-        for j, p in enumerate(inst.ys.points):
-            lhs = inst.values[x][j]
-            rhs = a_map[x].dot(p)
-            if lhs > rhs:
-                ok = False
-                break
-        exact_map[x] = ok
-    return a_map, eps_map, exact_map, c_map, trace
+    eps_map = {x: (c if c.value > 0 else zero) / lam for x, c in selector.c.items()}
+    report = check_domination("linear", inst.xs, inst.ys.points, inst.values,
+                              {x: 0 for x in inst.xs},
+                              {x: selector.b[x].raw() for x in inst.xs})
+    failed = {x for x, _, _ in report.failures}
+    exact_map = {x: x not in failed for x in inst.xs}
+    return selector.b, eps_map, exact_map, selector.c, trace
 
 
 def select_linear(inst: Instance, config: LinearConfig = LinearConfig()) -> LinearSelector:

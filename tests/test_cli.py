@@ -104,6 +104,18 @@ class TestSelectLinear:
         assert report["verification"]["passed"] is True
         assert all(att["exact"] == [False] for att in report["selector"]["attempts"])
 
+    @pytest.mark.parametrize("pipeline, extra", [("linear", ("--doublings", "2")),
+                                                 ("feature", ())])
+    def test_lambda_max_one(self, tmp_path, pipeline, extra):
+        # the first attempt lifts onto the single rung 1
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(dict(WORKED, phi=[["-1", "1"], ["2", "1"]])))
+        res = run_cli("select", pipeline, str(path), "--lambda-max", "1", *extra, "--verify")
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["verification"]["passed"] is True
+        assert report["selector"]["attempts"][0]["lambda_max"] == 1
+
     def test_lambda_caret_syntax(self, worked_file):
         res = run_cli("select", "linear", str(worked_file), "--lambda-max", "2^6",
                       "--doublings", "0")

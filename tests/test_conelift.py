@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from affsel.conelift import (
     FeatureMapError,
     LadderError,
     LinearConfig,
+    _attempt,
     feature_select,
     lift_to_cone,
     power_ladder,
@@ -14,7 +16,7 @@ from affsel.conelift import (
 )
 from affsel.hyperplane import Instance, SelectConfig
 from affsel.numerics import Point, Scalar
-from affsel.oracle import fm_feasible, verify_domination
+from affsel.oracle import check_domination, fm_feasible, verify_domination
 
 
 def exact(v):
@@ -127,6 +129,48 @@ class TestSelectLinear:
         assert sel.a["x0"] == sel.a["x2"]
         assert sel.epsilon["x0"] == sel.epsilon["x2"]
         assert sel.exact["x0"] == sel.exact["x2"]
+
+
+@st.composite
+def cone_instances(draw):
+    """n = 1..3 instances with the origin, several points on one ray, a few
+    other points, and values of either sign."""
+    n = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    ray = draw(coords.filter(any))
+    points = {(0,) * n}
+    for k in draw(st.lists(st.integers(1, 4), min_size=2, max_size=3, unique=True)):
+        points.add(tuple(k * c for c in ray))
+    points.update(tuple(p) for p in draw(st.lists(coords, max_size=3)))
+    points = [Point.of(*p) for p in sorted(points)]
+    values = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    rows = {x: [Scalar(draw(values)) for _ in points]
+            for x in ("x0", "x1")[:draw(st.integers(1, 2))]}
+    return make_instance(n, points, rows)
+
+
+class TestTwoRungLift:
+    @given(cone_instances(),
+           st.one_of(st.sampled_from((1, 2, 3, 10)), st.integers(0, 20).map(lambda k: 2 ** k)))
+    def test_dominates_every_rung_of_the_power_ladder(self, inst, lambda_max):
+        # domination at lambda * y is linear in lambda, so the ends {1, lambda_max}
+        # carry every constraint of the rungs between them
+        a, _, exact_map, c, _ = _attempt(inst, lambda_max, LinearConfig())
+        full = lift_to_cone(inst, power_ladder(lambda_max)).instance
+        report = check_domination("affine", full.xs, full.ys.points, full.values,
+                                  {x: c[x].value for x in full.xs},
+                                  {x: a[x].raw() for x in full.xs})
+        assert report.passed, report.failures[:1]
+        for x in inst.xs:
+            assert exact_map[x] == all(v.value <= a[x].dot(p).value
+                                       for v, p in zip(inst.values[x], inst.ys.points))
+
+    def test_top_level_holds_at_most_two_copies_of_the_sample(self):
+        inst = make_instance(2, [Point.of(1, 0), Point.of(-1, 2), Point.of(0, -3)],
+                             {"x0": [exact(1), exact(-2), exact(3)]})
+        *_, trace = _attempt(inst, 2 ** 6, LinearConfig())
+        assert trace.levels[0].dim == 2
+        assert trace.levels[0].n_points <= 2 * len(inst.ys)
 
 
 class TestFeatureSelect:
