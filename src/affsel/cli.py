@@ -31,6 +31,7 @@ from .oracle import (
 from .instances import (
     GenRanges,
     InstanceFileError,
+    _normalize_rational,
     gen_affine_dominated,
     gen_convex_sections,
     gen_meager_linear,
@@ -169,31 +170,43 @@ def _selector_from_dict(data: dict):
 
 
 def _build_selector(data: dict):
+    """Read a selector the way instance files are read: every field that
+    holds several values is a JSON list, numbers go through
+    ``_normalize_rational`` (0.1 is 1/10; booleans are not numbers) and
+    ``exact`` holds JSON booleans."""
     kind = data["kind"]
-    xs = tuple(str(x) for x in data["X"])
     n = parse_dimension(data["n"])
+    if not isinstance(data["X"], list):
+        raise InstanceFileError("selector file: X must be a list of parameter ids")
+    xs = tuple(str(x) for x in data["X"])
     if len(set(xs)) != len(xs):
         raise InstanceFileError("selector file: duplicate parameter ids in X")
 
     def column(name, width=None) -> list:
         col = data[name]
-        if len(col) != len(xs) or (width is not None and any(len(r) != width for r in col)):
-            raise InstanceFileError(f"selector file: {name} does not align with X and n")
+        if not (isinstance(col, list) and len(col) == len(xs) and (width is None or all(
+                isinstance(row, list) and len(row) == width for row in col))):
+            rows = "" if width is None else " of rows of length n"
+            raise InstanceFileError(f"selector file: {name} must be a list aligned with X{rows}")
         return col
 
+    def scalar(v) -> Scalar:
+        return Scalar.parse(_normalize_rational(v))
+
+    def points(name) -> dict:
+        return {x: Point(scalar(c) for c in row) for x, row in zip(xs, column(name, n))}
+
     if kind == "affine":
-        return AffineSelector(
-            n=n, xs=xs,
-            b={x: Point(Scalar.parse(c) for c in row) for x, row in zip(xs, column("B", n))},
-            c={x: Scalar.parse(v) for x, v in zip(xs, column("C"))},
-        )
+        return AffineSelector(n=n, xs=xs, b=points("B"),
+                              c={x: scalar(v) for x, v in zip(xs, column("C"))})
     if kind == "linear":
         exact = column("exact") if "exact" in data else [True] * len(xs)
+        if not all(isinstance(v, bool) for v in exact):
+            raise InstanceFileError("selector file: exact must hold true or false per id in X")
         return LinearSelector(
-            n=n, xs=xs,
-            a={x: Point(Scalar.parse(c) for c in row) for x, row in zip(xs, column("A", n))},
-            epsilon={x: Scalar.parse(v) for x, v in zip(xs, column("epsilon"))},
-            exact={x: bool(v) for x, v in zip(xs, exact)},
+            n=n, xs=xs, a=points("A"),
+            epsilon={x: scalar(v) for x, v in zip(xs, column("epsilon"))},
+            exact=dict(zip(xs, exact)),
             lambda_max=int(data.get("lambda_max", 1)),
             cone_c={},
         )

@@ -29,18 +29,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .numerics import AffselError, Point, PointSet, PointTableBuilder, Scalar
 from .sandwich import FiniteFunction, ceiling_cover, sandwich
 
-ORIGINAL = "original"
-GENERATED = "generated"
-
-
 class SignConditionError(AffselError):
     pass
-
-
-class InvariantBreachError(AffselError):
-    def __init__(self, message: str, detail: Optional[dict] = None):
-        super().__init__(message)
-        self.detail = detail or {}
 
 
 @dataclass(frozen=True)
@@ -72,41 +62,49 @@ class Instance:
 
 
 @dataclass
-class EnvelopeStats:
-    n_plus: int = 0
-    n_minus: int = 0
-    n_zero: int = 0
-    n_intersections: int = 0
-
-
-@dataclass
 class WorkingTable:
-    """One recursion level: a working set with per-parameter values and origin tags.
+    """One recursion level: a working set with per-parameter values, and the
+    diagnostics ``_select_level`` records there (the sign-split counts, the
+    bracket [U, L] and the rule that picked the last coefficient, or the
+    base rule and constants at dimension zero).
 
     Off-set queries fall back to -|w|^2 in the current level's coordinates.
     """
 
     dim: int
-    ys: PointSet
+    points: PointSet
     values: Mapping[str, Tuple[Scalar, ...]]
-    tags: Tuple[str, ...]
-    envelope_stats: Optional[EnvelopeStats] = None
+    n_plus: int = 0
+    n_minus: int = 0
+    n_zero: int = 0
+    n_intersections: int = 0
+    upper: Optional[Dict[str, Optional[Scalar]]] = None   # U per x (None: no positive side)
+    lower: Optional[Dict[str, Optional[Scalar]]] = None   # L per x (None: no negative side)
+    rule: str = ""                                        # sandwich | lower-only | upper-only | zero | base
+    base_rule: Optional[str] = None
+    base_c: Optional[Dict[str, Scalar]] = None
 
     def extended_value(self, x: str, point: Point) -> Scalar:
-        idx = self.ys.index_of(point)
+        idx = self.points.index_of(point)
         if idx is not None:
             return self.values[x][idx]
         return -point.norm_sq()
 
+    def summary(self) -> dict:
+        out = {"dim": self.dim, "points": len(self.points)}
+        if self.dim >= 1:
+            out.update({
+                "plus": self.n_plus, "minus": self.n_minus, "zero": self.n_zero,
+                "intersections": self.n_intersections, "rule": self.rule,
+            })
+        else:
+            out["base_rule"] = self.base_rule
+        return out
+
 
 def extend_domain(inst: Instance) -> WorkingTable:
-    """Wrap an instance as the top working table; every point is original."""
-    return WorkingTable(
-        dim=inst.n,
-        ys=inst.ys,
-        values=inst.values,
-        tags=tuple(ORIGINAL for _ in inst.ys.points),
-    )
+    """Wrap an instance as the top working table."""
+    return WorkingTable(dim=inst.n, points=inst.ys, values=inst.values)
 
 
 def intersection_point(y: Point, yprime: Point) -> Point:
@@ -153,7 +151,8 @@ def _cross_nonneg_int(o, a, b) -> bool:
 
 def build_envelope(table: WorkingTable) -> WorkingTable:
     """Collapse one dimension: chord envelope at crossing points, merged with
-    the extended values, on the dropped-coordinate point set."""
+    the extended values, on the dropped-coordinate point set.  ``table`` is
+    left unchanged."""
     if table.dim < 1:
         raise AffselError("cannot build an envelope at dimension zero")
     return _ExactLevel(table).envelope()
@@ -198,7 +197,8 @@ def _max_chord(pairs, num, den, bn, bd):
 
 class _ExactLevel:
     """One exact level: the section-independent geometry, computed once and
-    shared by the envelope and the bracket of every section.
+    shared by the envelope and the bracket of every section.  ``envelope``
+    also counts the distinct crossing points (``n_intersections``).
 
     A point is held as its primitive integer vector (see ``_primitive``); a
     plus point (a, d_a) and a minus point (b, d_b) cross the hyperplane at
@@ -210,7 +210,7 @@ class _ExactLevel:
 
     def __init__(self, table: WorkingTable):
         self.table = table
-        self.vecs = [_primitive(p) for p in table.ys.points]
+        self.vecs = [_primitive(p) for p in table.points.points]
         self.plus, self.minus, self.zero = [], [], []
         for j, v in enumerate(self.vecs):
             last = v[-2]
@@ -219,8 +219,6 @@ class _ExactLevel:
     def envelope(self) -> WorkingTable:
         table, vecs = self.table, self.vecs
         n_pairs = len(self.plus) * len(self.minus)
-        stats = EnvelopeStats(n_plus=len(self.plus), n_minus=len(self.minus),
-                              n_zero=len(self.zero))
 
         # child key -> stored zero-side index; child key -> crossing pairs
         stored: Dict[tuple, int] = {}
@@ -251,13 +249,13 @@ class _ExactLevel:
                     if pairs is None:
                         crossings[key] = pairs = []
                     pairs.append((ip, im, wp, wm, w))
-        stats.n_intersections = len(crossings)
+        self.n_intersections = len(crossings)
 
         # child points, (sort key, point, stored index or None, pairs, ext),
         # sorted into canonical order
         children = []
         for key, j in stored.items():
-            point = Point(table.ys.points[j].coords[:-1])
+            point = Point(table.points.points[j].coords[:-1])
             children.append((_order_key(key, point), point, j, crossings.pop(key, ()), None))
         for key, pairs in crossings.items():
             den = key[-1]
@@ -283,14 +281,10 @@ class _ExactLevel:
                     best = _max_chord(pairs, num, den, num[j], den[j])
                     out.append(row[j] if best is None else Scalar(Fraction(*best)))
             values[x] = tuple(out)
-        tags = tuple(GENERATED if entry[2] is None else table.tags[entry[2]]
-                     for entry in children)
         return WorkingTable(
             dim=table.dim - 1,
-            ys=PointSet.presorted(table.dim - 1, [entry[1] for entry in children]),
+            points=PointSet.presorted(table.dim - 1, [entry[1] for entry in children]),
             values=values,
-            tags=tags,
-            envelope_stats=stats,
         )
 
     def _bridge(self, coords, num, den) -> tuple:
@@ -373,42 +367,11 @@ class AffineSelector:
 
 
 @dataclass
-class LevelRecord:
-    """Diagnostics for one recursion node."""
-
-    dim: int
-    n_points: int
-    n_plus: int = 0
-    n_minus: int = 0
-    n_zero: int = 0
-    n_intersections: int = 0
-    points: Optional[PointSet] = None
-    tags: Tuple[str, ...] = ()
-    values: Optional[Mapping[str, Tuple[Scalar, ...]]] = None
-    upper: Optional[Dict[str, Optional[Scalar]]] = None   # U per x (None: no positive side)
-    lower: Optional[Dict[str, Optional[Scalar]]] = None   # L per x (None: no negative side)
-    rule: str = ""                                        # sandwich | lower-only | upper-only | zero | base
-    base_rule: Optional[str] = None
-    base_c: Optional[Dict[str, Scalar]] = None
-
-    def summary(self) -> dict:
-        out = {"dim": self.dim, "points": self.n_points}
-        if self.dim >= 1:
-            out.update({
-                "plus": self.n_plus, "minus": self.n_minus, "zero": self.n_zero,
-                "intersections": self.n_intersections, "rule": self.rule,
-            })
-        else:
-            out["base_rule"] = self.base_rule
-        return out
-
-
-@dataclass
 class RecursionTrace:
-    levels: List[LevelRecord] = field(default_factory=list)
+    levels: List[WorkingTable] = field(default_factory=list)
 
     def summary(self) -> dict:
-        return {"levels": [rec.summary() for rec in self.levels]}
+        return {"levels": [level.summary() for level in self.levels]}
 
 
 def select_affine(inst: Instance, config: SelectConfig = SelectConfig()):
@@ -429,12 +392,9 @@ def select_affine(inst: Instance, config: SelectConfig = SelectConfig()):
     return selector, trace
 
 
-def _base_case(working: WorkingTable, config: SelectConfig, levels) -> Dict[str, Scalar]:
+def _base_case(working: WorkingTable, config: SelectConfig) -> Dict[str, Scalar]:
     xs = tuple(working.values)
-    record = LevelRecord(dim=0, n_points=len(working.ys), points=working.ys,
-                        tags=working.tags, values=working.values,
-                        rule="base", base_rule=config.base)
-    if len(working.ys):
+    if len(working.points):
         base_vals = FiniteFunction(xs, {x: working.values[x][0] for x in xs})
         if config.base == "tight":
             c_map = dict(base_vals.values)
@@ -443,55 +403,40 @@ def _base_case(working: WorkingTable, config: SelectConfig, levels) -> Dict[str,
     else:
         fallback = Scalar.one() if config.base != "tight" else Scalar.zero()
         c_map = {x: fallback for x in xs}
-    record.base_c = c_map
-    levels.append(record)
+    working.rule, working.base_rule, working.base_c = "base", config.base, c_map
     return c_map
 
 
 def _select_level(working: WorkingTable, config: SelectConfig, levels):
-    k = working.dim
     xs = tuple(working.values)
-    if k == 0:
-        c_map = _base_case(working, config, levels)
-        return {x: [] for x in xs}, c_map
+    levels.append(working)
+    if working.dim == 0:
+        return {x: [] for x in xs}, _base_case(working, config)
 
     level = _ExactLevel(working)
     child = level.envelope()
-    stats = child.envelope_stats
-    record = LevelRecord(
-        dim=k, n_points=len(working.ys), points=working.ys, tags=working.tags,
-        values=working.values, n_plus=stats.n_plus, n_minus=stats.n_minus,
-        n_zero=stats.n_zero, n_intersections=stats.n_intersections,
-    )
-    levels.append(record)
+    working.n_plus, working.n_minus, working.n_zero = (
+        len(level.plus), len(level.minus), len(level.zero))
+    working.n_intersections = level.n_intersections
     b_rows, c_map = _select_level(child, config, levels)
 
+    # sandwich() raises BracketViolationError where U > L
     upper, lower = level.bracket(b_rows, c_map)
-    for x in xs:
-        u_val, l_val = upper[x], lower[x]
-        if u_val is not None and l_val is not None and u_val > l_val:
-            raise InvariantBreachError(
-                f"invariant breach: bracket violated at x={x} (dim {k})",
-                detail={"x": x, "dim": k, "U": u_val.serialize(), "L": l_val.serialize(),
-                        "levels": [rec.summary() for rec in levels]},
-            )
-    record.upper = upper
-    record.lower = lower
-
+    working.upper, working.lower = upper, lower
     if level.plus and level.minus:
-        record.rule = "sandwich"
+        working.rule = "sandwich"
         u_fn = FiniteFunction(xs, {x: upper[x] for x in xs})
         l_fn = FiniteFunction(xs, {x: lower[x] for x in xs})
         last = sandwich(u_fn, l_fn, config.sandwich_mode)
         picks = {x: last(x) for x in xs}
     elif level.minus:
-        record.rule = "lower-only"
+        working.rule = "lower-only"
         picks = {x: lower[x] for x in xs}
     elif level.plus:
-        record.rule = "upper-only"
+        working.rule = "upper-only"
         picks = {x: upper[x] for x in xs}
     else:
-        record.rule = "zero"
+        working.rule = "zero"
         picks = {x: Scalar.zero() for x in xs}
 
     for x in xs:

@@ -109,8 +109,7 @@ class InstanceFile:
                 for i, x in enumerate(self.xs)}
         return Instance.build(self.n, self.xs, points, rows)
 
-    def phi_table(self, mode: str = EXACT) -> Optional[Dict[Point, Point]]:
-        check_mode(mode)
+    def phi_table(self) -> Optional[Dict[Point, Point]]:
         if self.phi_rows is None:
             return None
         table = {}

@@ -72,24 +72,14 @@ class Scalar:
     def __add__(self, other):
         return Scalar(self.value + self._raw(other))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return Scalar(self.value - self._raw(other))
-
-    def __rsub__(self, other):
-        return Scalar(self._raw(other) - self.value)
 
     def __mul__(self, other):
         return Scalar(self.value * self._raw(other))
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         return Scalar(self.value / self._raw(other))
-
-    def __rtruediv__(self, other):
-        return Scalar(self._raw(other) / self.value)
 
     def __neg__(self):
         return Scalar(-self.value)
@@ -190,9 +180,6 @@ class Point:
     def __hash__(self):
         return hash(self.raw())
 
-    def __lt__(self, other):
-        return self.raw() < other.raw()
-
     def __repr__(self):
         return "Point(" + ", ".join(s.serialize() for s in self.coords) + ")"
 
@@ -238,9 +225,6 @@ class PointSet:
 
     def __iter__(self):
         return iter(self.points)
-
-    def __contains__(self, point: Point):
-        return self.index_of(point) is not None
 
     def index_of(self, point: Point) -> Optional[int]:
         if self._index is None:

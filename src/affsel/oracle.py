@@ -134,10 +134,9 @@ def verify_working_closure(trace, selector) -> DominationReport:
     const = {x: selector.c[x].value for x in xs}
     b = {x: selector.b[x].raw() for x in xs}
     return _merged("closure", xs, (
-        check_domination("closure", xs, record.points.points, record.values, const,
-                         {x: b[x][:record.dim] for x in xs})
-        for record in trace.levels
-        if record.points is not None and record.values is not None))
+        check_domination("closure", xs, level.points.points, level.values, const,
+                         {x: b[x][:level.dim] for x in xs})
+        for level in trace.levels))
 
 
 def verify_feature_domination(inst, selector, phi: Mapping[Point, Point]) -> DominationReport:

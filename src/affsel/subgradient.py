@@ -53,11 +53,6 @@ class ShiftGroup:
 class ShiftedSections:
     groups: Tuple[ShiftGroup, ...]
 
-    def single(self) -> Instance:
-        if len(self.groups) != 1:
-            raise AffselError("shifted sections with non-uniform base points")
-        return self.groups[0].instance
-
 
 def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
     """Translate each section so its base point is the origin and its value

@@ -1,10 +1,17 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from affsel.cli import build_parser
 from conftest import subprocess_env
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 WORKED = {
     "schema_version": 1,
@@ -81,6 +88,21 @@ class TestSelectAffine:
         report = json.loads(res.stdout)
         assert report["verification"]["passed"] is False
         assert any(f["slack"].startswith("-") for f in report["verification"]["failures"])
+
+    def test_json_numbers_read_as_decimals(self, worked_file, tmp_path):
+        # 0.1 is 1/10, as in instance files, not the nearest binary double
+        reports = []
+        for b in (0.1, "1/10"):
+            sel_path = tmp_path / "sel.json"
+            sel_path.write_text(json.dumps({"kind": "affine", "n": 1, "X": ["x0"],
+                                            "B": [[b]], "C": [1]}))
+            res = run_cli("verify", str(worked_file), str(sel_path), "--kind", "affine")
+            assert res.returncode == 0, res.stderr
+            report = json.loads(res.stdout)
+            del report["wall_time_s"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["verification"]["min_slack"]["x0"] == "1/5"
 
     def test_report_embeds_selector_for_verify(self, worked_file, tmp_path):
         report_path = tmp_path / "report.json"
@@ -261,6 +283,15 @@ MALFORMED_SELECTORS = {
                               "C": ["1"]},
     "selector-boolean-n": {"kind": "affine", "n": True, "X": ["x0"], "B": [["1/2"]],
                            "C": ["1"]},
+    # a string where a list belongs, a JSON boolean where a number belongs
+    "selector-string-row": {"kind": "affine", "n": 1, "X": ["x0"], "B": ["9"], "C": ["1"]},
+    "selector-string-column": {"kind": "affine", "n": 1, "X": ["x0"], "B": [["1/2"]],
+                               "C": "9"},
+    "selector-string-X": {"kind": "affine", "n": 1, "X": "x0", "B": [["1/2"]], "C": ["1"]},
+    "selector-boolean-value": {"kind": "affine", "n": 1, "X": ["x0"], "B": [["1/2"]],
+                               "C": [True]},
+    "selector-string-exact": {"kind": "linear", "n": 1, "X": ["x0"], "A": [["1/2"]],
+                              "epsilon": ["1"], "exact": "n"},
 }
 
 
@@ -282,6 +313,11 @@ EXPECTED_MESSAGE = {
     **dict.fromkeys(BAD_LAMBDAS, "--lambda-max"),
     **dict.fromkeys(DEPTH_COMMANDS, "unrecognized arguments: --depth 3"),
     "y0-dimension": "y0 point of dimension 2, expected 1",
+    "selector-string-row": "B must be a list aligned with X of rows of length n",
+    "selector-string-column": "C must be a list aligned with X",
+    "selector-string-X": "X must be a list of parameter ids",
+    "selector-boolean-value": "not a finite rational: True",
+    "selector-string-exact": "exact must be a list aligned with X",
 }
 
 
@@ -306,7 +342,8 @@ def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
     elif case in MALFORMED_SELECTORS:
         sel_path = tmp_path / "sel.json"
         sel_path.write_text(json.dumps(MALFORMED_SELECTORS[case]))
-        args = ("verify", str(worked_file), str(sel_path), "--kind", "affine")
+        args = ("verify", str(worked_file), str(sel_path),
+                "--kind", MALFORMED_SELECTORS[case]["kind"])
     elif case == "feature-repeated-y":
         # the point 1 maps to two feature images; keeping either drops data
         path = tmp_path / "feat.json"
@@ -331,3 +368,65 @@ def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
     assert len(res.stderr.splitlines()) == 1, res.stderr
     assert "Traceback" not in res.stderr
     assert EXPECTED_MESSAGE.get(case, "") in res.stderr
+
+
+# `affsel select affine FILE --trace --verify [flags]`, run from tests/golden;
+# each .expected file is a recorded stdout with wall_time_s set to 0
+GOLDEN_RUNS = {
+    "affine_n2": ("affine_n2.json",),
+    "affine_n3_staged_tight": ("affine_n3.json", "--sandwich", "staged", "--base", "tight"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_select_affine_trace_stdout_matches_recording(name):
+    res = run_cli("select", "affine", *GOLDEN_RUNS[name], "--trace", "--verify", cwd=GOLDEN)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    stdout = re.sub(r'"wall_time_s": [0-9.e+-]+', '"wall_time_s": 0', res.stdout)
+    assert stdout == (GOLDEN / f"{name}.expected").read_text(encoding="utf-8")
+
+
+def _subcommands(parser) -> dict:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def parser_flags() -> dict:
+    """{'gen': [...], 'select affine': [...], ...}: the option strings of each
+    optional argument, one list of aliases per argument."""
+    commands = {}
+    for name, sub in _subcommands(build_parser()).items():
+        if name == "select":
+            commands.update({f"select {p}": q for p, q in _subcommands(sub).items()})
+        else:
+            commands[name] = sub
+    return {name: [a.option_strings for a in p._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+            for name, p in commands.items()}
+
+
+def readme_usage() -> dict:
+    """The README's CLI usage block as {command: every usage line for it,
+    continuation lines included}."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    usage, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("affsel "):
+            words = line.split()
+            command = " ".join(words[1:3]) if words[1] == "select" else words[1]
+            usage[command] = usage.get(command, "") + line
+        elif line.startswith(" ") and command:
+            usage[command] += line
+        else:
+            command = None
+    return usage
+
+
+def test_readme_usage_names_every_flag():
+    usage, flags = readme_usage(), parser_flags()
+    assert set(usage) == set(flags)
+    for command, options in flags.items():
+        for aliases in options:
+            assert any(re.search(rf"(?<![\w-]){re.escape(f)}(?![\w-])", usage[command])
+                       for f in aliases), f"README usage of {command!r} lacks {aliases[-1]}"

@@ -170,7 +170,7 @@ class TestTwoRungLift:
                              {"x0": [exact(1), exact(-2), exact(3)]})
         *_, trace = _attempt(inst, 2 ** 6, LinearConfig())
         assert trace.levels[0].dim == 2
-        assert trace.levels[0].n_points <= 2 * len(inst.ys)
+        assert len(trace.levels[0].points) <= 2 * len(inst.ys)
 
 
 class TestFeatureSelect:

@@ -4,20 +4,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from affsel import cli
 from affsel.hyperplane import (
-    GENERATED,
-    ORIGINAL,
     Instance,
     SelectConfig,
     SignConditionError,
+    _ExactLevel,
     build_envelope,
     chord_value,
     extend_domain,
     intersection_point,
     select_affine,
 )
+from affsel.instances import InstanceFile
 from affsel.numerics import Point, Scalar
 from affsel.oracle import verify_domination, verify_working_closure
+from affsel.sandwich import BracketViolationError
 
 
 def exact(v):
@@ -45,7 +47,6 @@ class TestExtendDomain:
     def test_original_points_win(self):
         t = extend_domain(make_instance(1, [Point.of(2)], {"x0": [exact(9)]}))
         assert t.extended_value("x0", Point.of(2)) == exact(9)
-        assert all(tag == ORIGINAL for tag in t.tags)
 
 
 class TestIntersectionPoint:
@@ -99,16 +100,14 @@ class TestBuildEnvelope:
     def test_worked_dim1(self):
         child = build_envelope(extend_domain(WORKED))
         assert child.dim == 0
-        assert list(child.ys.points) == [Point.of()]
+        assert list(child.points.points) == [Point.of()]
         assert child.values["x0"] == (exact("1/3"),)
-        assert child.tags == (GENERATED,)
 
     def test_empty_positive_side(self):
         inst = make_instance(1, [Point.of(-1), Point.of(0)], {"x0": [exact(2), exact(5)]})
         child = build_envelope(extend_domain(inst))
-        assert list(child.ys.points) == [Point.of()]
+        assert list(child.points.points) == [Point.of()]
         assert child.values["x0"] == (exact(5),)   # only the zero point descends
-        assert child.tags == (ORIGINAL,)
 
     def test_colliding_pairs_take_max(self):
         # two symmetric pairs both cross at the origin of the hyperplane
@@ -118,7 +117,7 @@ class TestBuildEnvelope:
             {"x0": [exact(1), exact(0), exact(-2), exact(3)]},
         )
         child = build_envelope(extend_domain(inst))
-        idx = child.ys.index_of(Point.of(0))
+        idx = child.points.index_of(Point.of(0))
         # chords at the shared crossing: 1/2, 5/3, -2/3, 1/2; extension value 0
         assert child.values["x0"][idx] == exact("5/3")
 
@@ -217,6 +216,30 @@ class TestSelectAffine:
                 assert rec.n_intersections <= rec.n_plus * rec.n_minus
 
 
+class TestBracketCheck:
+    """sandwich() holds the one U <= L check of the recursion; a bracket
+    forced to U > L on the two-sided top level of WORKED reaches it."""
+
+    @pytest.fixture
+    def inverted_bracket(self, monkeypatch):
+        def bracket(level, b_rows, c_map):
+            xs = level.table.values
+            return {x: exact(1) for x in xs}, {x: exact(0) for x in xs}
+        monkeypatch.setattr(_ExactLevel, "bracket", bracket)
+
+    def test_select_affine_raises(self, inverted_bracket):
+        with pytest.raises(BracketViolationError, match="x=x0"):
+            select_affine(WORKED)
+
+    def test_cli_exits_1_with_one_line(self, inverted_bracket, tmp_path, capsys):
+        path = tmp_path / "worked.json"
+        path.write_text(InstanceFile.from_instance(WORKED).dumps())
+        assert cli.run(["select", "affine", str(path), "--verify"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: bracket violated at x=x0\n"
+
+
 class TestDegenerateInstances:
     def test_empty_sample_dim2(self):
         inst = Instance.build(2, ("x0",), [], {"x0": []})
@@ -233,7 +256,7 @@ class TestDegenerateInstances:
     def test_positive_side_only_feeds_empty_base(self):
         inst = make_instance(1, [Point.of(2), Point.of(5)], {"x0": [exact(1), exact(3)]})
         selector, trace = select_affine(inst)
-        assert trace.levels[-1].n_points == 0
+        assert len(trace.levels[-1].points) == 0
         assert verify_domination(inst, selector).passed
 
 

@@ -5,15 +5,15 @@ The references use only the public geometry (``intersection_point``,
 Fraction arithmetic, never the integer kernel.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
 from affsel.hyperplane import (
-    GENERATED,
-    ORIGINAL,
     Instance,
     WorkingTable,
+    _ExactLevel,
     build_envelope,
     chord_value,
     intersection_point,
@@ -50,19 +50,17 @@ def working_tables(draw, dims=st.integers(1, 3), side=(0, 5)):
     ps = PointSet(dim, [Point.of(*p) for p in points])
     xs = XS[:draw(st.integers(1, 3))]
     values = {x: tuple(Scalar(draw(value_st)) for _ in ps.points) for x in xs}
-    tags = tuple(draw(st.sampled_from((ORIGINAL, GENERATED))) for _ in ps.points)
-    return WorkingTable(dim=dim, ys=ps, values=values, tags=tags)
+    return WorkingTable(dim=dim, points=ps, values=values)
 
 
 def reference_envelope(table):
-    """{dropped point: ({x: value}, tag)} and the number of distinct crossings."""
-    plus = [p for p in table.ys.points if p.coords[-1].sign() > 0]
-    minus = [p for p in table.ys.points if p.coords[-1].sign() < 0]
+    """{dropped point: {x: value}} and the number of distinct crossings."""
+    plus = [p for p in table.points.points if p.coords[-1].sign() > 0]
+    minus = [p for p in table.points.points if p.coords[-1].sign() < 0]
     out = {}
-    for j, p in enumerate(table.ys.points):
+    for j, p in enumerate(table.points.points):
         if p.coords[-1].sign() == 0:
-            out[Point(p.coords[:-1])] = ({x: table.values[x][j] for x in table.values},
-                                         table.tags[j])
+            out[Point(p.coords[:-1])] = {x: table.values[x][j] for x in table.values}
     crossings = set()
     for y in plus:
         for yp in minus:
@@ -70,9 +68,8 @@ def reference_envelope(table):
             child = Point(t.coords[:-1])
             crossings.add(child)
             if child not in out:
-                out[child] = ({x: table.extended_value(x, t) for x in table.values},
-                              GENERATED)
-            best = out[child][0]
+                out[child] = {x: table.extended_value(x, t) for x in table.values}
+            best = out[child]
             for x in table.values:
                 fx = {y: table.extended_value(x, y), yp: table.extended_value(x, yp)}
                 chord = chord_value(fx, y, yp)
@@ -82,15 +79,17 @@ def reference_envelope(table):
 
 
 def assert_envelope_matches(table):
-    child = build_envelope(table)
+    before = replace(table)
+    level = _ExactLevel(table)
+    child = level.envelope()
     ref, n_crossings = reference_envelope(table)
-    assert list(child.ys.points) == sorted(ref, key=Point.raw)
-    for i, p in enumerate(child.ys.points):
-        vals, tag = ref[p]
-        assert child.tags[i] == tag
+    assert list(child.points.points) == sorted(ref, key=Point.raw)
+    for i, p in enumerate(child.points.points):
         for x in table.values:
-            assert child.values[x][i].value == vals[x].value
-    assert child.envelope_stats.n_intersections == n_crossings
+            assert child.values[x][i].value == ref[p][x].value
+    assert level.n_intersections == n_crossings
+    assert child == build_envelope(table)
+    assert table == before      # the counts are filled in by _select_level, not here
 
 
 @given(working_tables())
@@ -147,8 +146,7 @@ def test_child_order_is_exact_where_floats_tie():
     # the first coordinates differ by 2^-80, below float resolution
     tiny = Fraction(1, 3) + Fraction(1, 2 ** 80)
     ps = PointSet(3, [Point.of("1/3", 1, 0), Point.of(tiny, 0, 0), Point.of(0, 0, 1)])
-    table = WorkingTable(dim=3, ys=ps, values={"x0": tuple(Scalar(Fraction(0))
-                                                           for _ in ps.points)},
-                         tags=(ORIGINAL,) * 3)
+    table = WorkingTable(dim=3, points=ps, values={"x0": tuple(Scalar(Fraction(0))
+                                                               for _ in ps.points)})
     child = build_envelope(table)
-    assert [p.raw()[0] for p in child.ys.points] == [Fraction(1, 3), tiny]
+    assert [p.raw()[0] for p in child.points.points] == [Fraction(1, 3), tiny]

@@ -206,7 +206,7 @@ class TestIntegerKernel:
                     "closure", low.xs, record.points.points, record.values,
                     {x: low.c[x].value for x in low.xs},
                     {x: low.b[x].raw()[:record.dim] for x in low.xs})
-                    for record in trace.levels if record.points is not None]
+                    for record in trace.levels]
                 assert rep.failures == [f for r in reference for f in r.failures]
                 for x in low.xs:
                     assert rep.min_slack[x].value == min(

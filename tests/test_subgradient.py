@@ -38,21 +38,21 @@ class TestShiftToOrigin:
     def test_identity(self):
         csi = ConvexSectionInstance(instance=ABS)
         sh = shift_to_origin(csi)
-        inst = sh.single()
+        inst = sh.groups[0].instance
         assert inst.ys == ABS.ys
         assert inst.values["x0"] == ABS.values["x0"]
 
     def test_arithmetic_shift(self):
         inst = make_instance(1, [Point.of(0), Point.of(1)], {"x0": [exact(0), exact(2)]})
         sh = shift_to_origin(ConvexSectionInstance(instance=inst, y0={"x0": Point.of(1)}))
-        g = sh.single()
+        g = sh.groups[0].instance
         assert [p.serialize() for p in g.ys.points] == [["-1"], ["0"]]
         assert g.values["x0"] == (exact(-2), exact(0))
 
     def test_origin_value_always_zero(self):
         inst = make_instance(1, [Point.of(2), Point.of(5)], {"x0": [exact(7), exact(11)]})
         sh = shift_to_origin(ConvexSectionInstance(instance=inst, y0={"x0": Point.of(5)}))
-        g = sh.single()
+        g = sh.groups[0].instance
         assert g.values["x0"][g.ys.index_of(Point.of(0))] == exact(0)
 
     def test_base_point_missing(self):
