@@ -1,11 +1,17 @@
 """Independent verification: zero-slack domination checks and an exact
 feasibility decision procedure.
 
-The feasibility oracle decides, by Fourier-Motzkin elimination over exact
-rationals, whether a finite value table admits an affine (or linear)
-dominator, and back-substitutes a deterministic witness or replays an
-infeasibility certificate.  It shares no code path with the recursive
-selector, so agreement between the two is meaningful evidence.
+The feasibility oracle decides, by Fourier-Motzkin elimination, whether a
+finite value table admits an affine (or linear) dominator, and
+back-substitutes a deterministic witness or replays an infeasibility
+certificate.  The elimination runs in integers: each row is a primitive
+integer inequality, and its combination of the input constraints is held as
+integer multipliers over one integer scale; Fractions are built only for the
+witness and the certificate.  Chernikov's rule (after t eliminations, a row
+that combines more than t + 1 input constraints is implied by the others)
+keeps the rows from multiplying.  The oracle imports only ``numerics`` and
+shares no code path with the recursive selector, so agreement between the
+two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -166,33 +172,6 @@ def verify_subgradient_domination(groups, selector) -> DominationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Ineq:
-    """coeffs . v >= rhs, tracked as a nonnegative combination of originals."""
-
-    coeffs: Tuple[Fraction, ...]
-    rhs: Fraction
-    combo: Tuple[Tuple[int, Fraction], ...]
-
-    def normalized(self) -> "_Ineq":
-        """Scale to a primitive integer row; the multiplier is positive, so
-        the inequality direction and the combination tracking survive."""
-        denom = lcm(*(c.denominator for c in self.coeffs), self.rhs.denominator)
-        scaled = [c * denom for c in self.coeffs]
-        rhs = self.rhs * denom
-        g = 0
-        for c in scaled:
-            g = gcd(g, abs(c.numerator))
-        g = gcd(g, abs(rhs.numerator))
-        factor = Fraction(denom)
-        if g > 1:
-            scaled = [c / g for c in scaled]
-            rhs = rhs / g
-            factor = Fraction(denom, g)
-        combo = tuple((i, m * factor) for i, m in self.combo)
-        return _Ineq(tuple(scaled), rhs, combo)
-
-
 @dataclass
 class InfeasibilityCertificate:
     """Nonnegative multipliers on the original constraints whose combination
@@ -227,117 +206,132 @@ class FeasibilityResult:
     certificate: Optional[InfeasibilityCertificate] = None
 
 
-def _dedup_keep_first(ineqs: List[_Ineq]) -> List[_Ineq]:
-    seen = set()
-    out = []
-    for q in ineqs:
-        key = (q.coeffs, q.rhs)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(q)
-    return out
+# A row of the elimination is a tuple (coeffs, rhs, support, combo, scale):
+# the primitive integer inequality coeffs . v >= rhs, the bit set of the
+# original constraints it combines, and its combination, int multipliers over
+# one positive int scale: the row equals the sum over (i, m) in combo of
+# m / scale times constraint i.  Combination and scale share no common factor.
 
 
-def _eliminate(ineqs: List[_Ineq], var: int) -> List[_Ineq]:
-    lower, upper, free = [], [], []
-    for q in ineqs:
-        s = q.coeffs[var]
-        if s > 0:
-            lower.append(q)
-        elif s < 0:
-            upper.append(q)
-        else:
-            free.append(q)
-    out = list(free)
-    for p in lower:
-        ap = p.coeffs[var]
-        for q in upper:
-            aq = q.coeffs[var]
-            mp, mq = -aq, ap      # both positive
-            coeffs = tuple(mp * a + mq * b for a, b in zip(p.coeffs, q.coeffs))
-            rhs = mp * p.rhs + mq * q.rhs
-            combo: Dict[int, Fraction] = {}
-            for i, m in p.combo:
-                combo[i] = combo.get(i, Fraction(0)) + mp * m
-            for i, m in q.combo:
-                combo[i] = combo.get(i, Fraction(0)) + mq * m
-            out.append(_Ineq(coeffs, rhs, tuple(sorted(combo.items()))).normalized())
-    # drop trivially satisfied rows, keep contradictions
-    pruned = []
-    for q in out:
-        if all(c == 0 for c in q.coeffs) and q.rhs <= 0:
-            continue
-        pruned.append(q)
-    return _dedup_keep_first(pruned)
+def _eliminate(rows: list, var: int, t: int) -> Tuple[list, Optional[tuple]]:
+    """The rows without ``var``, or a contradiction 0 >= 1 as soon as one is
+    built.  This is elimination number t.
+
+    Chernikov's rule: after t eliminations a row that combines more than t + 1
+    original constraints is implied by the others, so it is never built.  A
+    row equal to a kept one built from a subset of its originals is dropped;
+    keeping the first of two equal rows whatever their supports could later
+    prune a combination that only the dropped one would have kept.
+    """
+    lower, upper, out = [], [], []
+    for row in rows:
+        s = row[0][var]
+        (lower if s > 0 else upper if s < 0 else out).append(row)
+    seen: Dict[tuple, List[int]] = {}
+    for k, row in enumerate(out):
+        seen.setdefault(row[:2], []).append(k)
+    limit = t + 1
+    for p_coeffs, p_rhs, p_support, p_combo, p_scale in lower:
+        ap = p_coeffs[var]
+        for q_coeffs, q_rhs, q_support, q_combo, q_scale in upper:
+            support = p_support | q_support
+            if support.bit_count() > limit:
+                continue
+            aq = -q_coeffs[var]
+            h = gcd(ap, aq)
+            mp, mq = aq // h, ap // h      # both positive
+            coeffs = tuple(mp * a + mq * b for a, b in zip(p_coeffs, q_coeffs))
+            rhs = mp * p_rhs + mq * q_rhs
+            g = gcd(*coeffs, rhs)
+            if g > 1:
+                coeffs = tuple(c // g for c in coeffs)
+                rhs //= g
+            constant = not any(coeffs)
+            if constant and rhs <= 0:
+                continue                   # 0 >= 0 or 0 >= negative
+            wp, wq = mp * q_scale, mq * p_scale
+            combo = {i: wp * m for i, m in p_combo}
+            for i, m in q_combo:
+                combo[i] = combo.get(i, 0) + wq * m
+            scale = p_scale * q_scale * g
+            r = gcd(scale, *combo.values())
+            row = (coeffs, rhs, support,
+                   tuple((i, m // r) for i, m in sorted(combo.items())), scale // r)
+            if constant:
+                return out, row
+            places = seen.setdefault((coeffs, rhs), [])
+            if any(out[k][2] & support == out[k][2] for k in places):
+                continue
+            places.append(len(out))
+            out.append(row)
+    return out, None
 
 
-def _find_contradiction(ineqs: List[_Ineq]) -> Optional[_Ineq]:
-    for q in ineqs:
-        if all(c == 0 for c in q.coeffs) and q.rhs > 0:
-            return q
-    return None
+def _certificate(row: tuple, canon) -> FeasibilityResult:
+    _, _, _, combo, scale = row
+    multipliers = {i: Fraction(m, scale) for i, m in combo}
+    return FeasibilityResult(feasible=False,
+                             certificate=InfeasibilityCertificate(multipliers, canon))
 
 
 def _solve_system(constraints: List[Tuple[Tuple[Fraction, ...], Fraction]],
                   width: int) -> FeasibilityResult:
     """Decide {v : coeffs_i . v >= rhs_i} nonempty; deterministic witness."""
-    if not constraints:
-        return FeasibilityResult(
-            feasible=True, witness=tuple(Scalar(Fraction(0)) for _ in range(width)))
-    # canonical order makes the witness independent of input permutation
-    order = sorted(range(len(constraints)), key=lambda i: (constraints[i][0], constraints[i][1]))
-    canon = [constraints[i] for i in order]
-    system = [
-        _Ineq(c, r, ((i, Fraction(1)),)).normalized()
-        for i, (c, r) in enumerate(canon)
-    ]
-    system = _dedup_keep_first(
-        [q for q in system if not (all(c == 0 for c in q.coeffs) and q.rhs <= 0)])
+    # the witness depends on the constraint set only; canonical order makes
+    # the certificate independent of input order too
+    canon = sorted(constraints)
+    rows, seen = [], set()
+    for i, (coords, value) in enumerate(canon):
+        d = lcm(*(v.denominator for v in coords), value.denominator)
+        coeffs = tuple(v.numerator * (d // v.denominator) for v in coords)
+        rhs = value.numerator * (d // value.denominator)
+        if rhs <= 0 and not any(coeffs):
+            continue                     # 0 >= 0 or 0 >= negative
+        g = gcd(*coeffs, rhs)
+        coeffs, rhs = tuple(c // g for c in coeffs), rhs // g
+        h = gcd(d, g)
+        row = (coeffs, rhs, 1 << i, ((i, d // h),), g // h)
+        if not any(coeffs):
+            return _certificate(row, canon)
+        if (coeffs, rhs) not in seen:
+            seen.add((coeffs, rhs))
+            rows.append(row)
 
-    stages: List[List[_Ineq]] = [list(system)]   # stages[j] has vars 0..width-1-j live
-    for var in range(width - 1, -1, -1):
-        bad = _find_contradiction(stages[-1])
+    stages = [rows]                      # stages[j] has vars 0..width-1-j live
+    for t, var in enumerate(range(width - 1, -1, -1), start=1):
+        rows, bad = _eliminate(rows, var, t)
         if bad is not None:
-            cert = InfeasibilityCertificate(dict(bad.combo), canon)
-            return FeasibilityResult(feasible=False, certificate=cert)
-        stages.append(_eliminate(stages[-1], var))
-    bad = _find_contradiction(stages[-1])
-    if bad is not None:
-        cert = InfeasibilityCertificate(dict(bad.combo), canon)
-        return FeasibilityResult(feasible=False, certificate=cert)
+            return _certificate(bad, canon)
+        stages.append(rows)
 
     # back-substitution: variable j is chosen from the stage where it is the
-    # last live variable, with all earlier variables already fixed
-    values: List[Fraction] = [Fraction(0)] * width
+    # last live variable, with all earlier variables already fixed.  The fixed
+    # values are nums[i] / den, so each bound is an integer over s * den.
+    nums, den = [], 1
     for var in range(width):
-        stage = stages[width - 1 - var]   # vars 0..var live
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for q in stage:
-            s = q.coeffs[var]
-            if s == 0:
+        lo = hi = None                   # (num, d): the bound num / (d * den), d > 0
+        for coeffs, rhs, *_ in stages[width - 1 - var]:
+            s = coeffs[var]
+            if not s:
                 continue
-            rest = q.rhs
-            for i in range(var):
-                rest -= q.coeffs[i] * values[i]
-            bound = rest / s
+            rest = rhs * den - sum(map(mul, coeffs, nums))
             if s > 0:
-                if lo is None or bound > lo:
-                    lo = bound
-            else:
-                if hi is None or bound < hi:
-                    hi = bound
+                if lo is None or rest * lo[1] > lo[0] * s:
+                    lo = (rest, s)
+            elif hi is None or rest * hi[1] > hi[0] * s:
+                hi = (-rest, -s)
         if lo is not None and hi is not None:
-            values[var] = (lo + hi) / 2
-        elif lo is not None:
-            values[var] = lo
-        elif hi is not None:
-            values[var] = hi
+            v = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1] * den)
+        elif lo is not None or hi is not None:
+            num, d = lo or hi
+            v = Fraction(num, d * den)
         else:
-            values[var] = Fraction(0)
-    witness = tuple(Scalar(v) for v in values)
-    return FeasibilityResult(feasible=True, witness=witness)
+            v = Fraction(0)
+        grown = lcm(den, v.denominator)
+        nums = [m * (grown // den) for m in nums] + [v.numerator * (grown // v.denominator)]
+        den = grown
+    return FeasibilityResult(feasible=True,
+                             witness=tuple(Scalar(Fraction(m, den)) for m in nums))
 
 
 def fm_feasible(points: PointSet, values: Mapping[str, Sequence[Scalar]],
@@ -348,19 +342,10 @@ def fm_feasible(points: PointSet, values: Mapping[str, Sequence[Scalar]],
     Unknown order is (b_1 .. b_n, c); variables are eliminated last-to-first,
     so the constant goes first in the affine case.
     """
-    n = points.dim
-    width = n if homogeneous else n + 1
-    results: Dict[str, FeasibilityResult] = {}
-    for x, row in values.items():
-        constraints = []
-        for j, p in enumerate(points.points):
-            v = row[j]
-            coeffs = [c.value for c in p.coords]
-            if not homogeneous:
-                coeffs.append(Fraction(1))
-            constraints.append((tuple(coeffs), v.value))
-        results[x] = _solve_system(constraints, width)
-    return results
+    width = points.dim if homogeneous else points.dim + 1
+    coeffs = [p.raw() if homogeneous else p.raw() + (Fraction(1),) for p in points.points]
+    return {x: _solve_system([(c, v.value) for c, v in zip(coeffs, row, strict=True)], width)
+            for x, row in values.items()}
 
 
 def exact_linear_select(inst) -> Dict[str, Point]:

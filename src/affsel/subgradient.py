@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .numerics import AffselError, Point, Scalar, origin_point
+from .numerics import AffselError, Point, PointSet, Scalar, origin_point
 from .hyperplane import Instance
 from .conelift import LinearConfig, select_linear
 from .oracle import InfeasibleSectionsError, exact_linear_select
@@ -56,36 +56,40 @@ class ShiftedSections:
 
 def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
     """Translate each section so its base point is the origin and its value
-    there is zero.  Sections with identical shifted data share one group."""
+    there is zero.  Sections with identical shifted data share one group.
+
+    The sample is shifted once per distinct base point.  Translation keeps the
+    lexicographic order and merges no points, so the shifted sample is a
+    canonical point set as it stands; and translates of one finite set are
+    equal only under equal bases, so sections are grouped by (base, shifted
+    values).
+    """
     inst = csi.instance
+    shifted: Dict[tuple, Tuple[int, PointSet]] = {}     # base -> (index, sample)
     groups: Dict[tuple, list] = {}
-    order: List[tuple] = []
     for x in inst.xs:
         base = csi.base_point(x)
-        j0 = inst.ys.index_of(base)
-        if j0 is None:
-            raise ShiftDomainError(f"base point of x={x} is not a sample point")
-        g0 = inst.values[x][j0]
-        shifted = []
-        for j, p in enumerate(inst.ys.points):
-            shifted.append((p.sub(base), inst.values[x][j] - g0))
-        shifted.sort(key=lambda t: t[0].raw())
-        key = tuple((p.raw(), v.value) for p, v in shifted)
-        if key not in groups:
-            groups[key] = [shifted, []]
-            order.append(key)
-        groups[key][1].append(x)
-
-    out = []
-    for key in order:
-        shifted, xs = groups[key]
-        points = [p for p, _ in shifted]
-        rows = {x: [v for _, v in shifted] for x in xs}
-        out.append(ShiftGroup(
-            instance=Instance.build(inst.n, xs, points, rows),
-            xs=tuple(xs),
-        ))
-    return ShiftedSections(groups=tuple(out))
+        entry = shifted.get(base.raw())
+        if entry is None:
+            j0 = inst.ys.index_of(base)
+            if j0 is None:
+                raise ShiftDomainError(f"base point of x={x} is not a sample point")
+            ys = inst.ys
+            if any(base.raw()):
+                ys = PointSet.presorted(inst.n, [p.sub(base) for p in ys.points])
+            entry = shifted[base.raw()] = (j0, ys)
+        j0, ys = entry
+        row = inst.values[x]
+        g0 = row[j0]
+        values = tuple(v - g0 for v in row) if g0.value else tuple(row)
+        # numerator/denominator pairs hash much faster than Fractions
+        key = (j0, tuple((v.value.numerator, v.value.denominator) for v in values))
+        groups.setdefault(key, (ys, values, []))[2].append(x)
+    return ShiftedSections(groups=tuple(
+        ShiftGroup(instance=Instance(n=inst.n, xs=tuple(xs), ys=ys,
+                                     values=dict.fromkeys(xs, values)),
+                   xs=tuple(xs))
+        for ys, values, xs in groups.values()))
 
 
 @dataclass(frozen=True)

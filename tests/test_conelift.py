@@ -15,6 +15,7 @@ from affsel.conelift import (
     select_linear,
 )
 from affsel.hyperplane import Instance, SelectConfig
+from affsel.instances import gen_meager_linear
 from affsel.numerics import Point, Scalar
 from affsel.oracle import check_domination, fm_feasible, verify_domination
 
@@ -218,3 +219,27 @@ class TestExactFlagSoundness:
                 assert fm_feasible(inst.ys, inst.values, homogeneous=True)[x].feasible
                 for j, p in enumerate(inst.ys.points):
                     assert inst.values[x][j].value <= sel.a[x].dot(p).value
+
+    def test_exact_flags_agree_with_the_oracle_on_generated_files(self):
+        # exact[x] implies a feasible homogeneous system, and an infeasible one
+        # allows no exact attempt.  Odd sections are raised by 1 at one point,
+        # which makes about half of them infeasible.
+        exact_seen = infeasible_seen = 0
+        for n, ny in [(1, 2), (1, 6), (2, 2), (2, 4), (2, 8), (3, 4), (3, 8)]:
+            for seed in range(6):
+                inst = gen_meager_linear(seed, n, 4, ny).to_instance()
+                inst = Instance(n=n, xs=inst.xs, ys=inst.ys, values={
+                    x: tuple(v + 1 if i % 2 and j == i % len(inst.ys) else v
+                             for j, v in enumerate(inst.values[x]))
+                    for i, x in enumerate(inst.xs)})
+                sel = select_linear(inst, SMALL)
+                fm = fm_feasible(inst.ys, inst.values, homogeneous=True)
+                for x in inst.xs:
+                    if sel.exact[x]:
+                        assert fm[x].feasible, (n, ny, seed, x)
+                    if not fm[x].feasible:
+                        assert not any(a.exact[x] for a in sel.attempts), (n, ny, seed, x)
+                    exact_seen += sel.exact[x]
+                    infeasible_seen += not fm[x].feasible
+        # both implications were put to the test
+        assert exact_seen and infeasible_seen

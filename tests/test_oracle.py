@@ -1,13 +1,16 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
+from affsel import oracle
 from affsel.conelift import LinearSelector
 from affsel.hyperplane import AffineSelector, Instance, select_affine
 from affsel.instances import gen_affine_dominated
-from affsel.numerics import Point, Scalar
+from affsel.numerics import Point, PointSet, Scalar
 from affsel.oracle import (
     DominationReport,
     InfeasibleSectionsError,
@@ -316,3 +319,193 @@ class TestEmptySamples:
     def test_exact_linear_select_empty(self):
         inst = Instance.build(3, ("x0",), [], {"x0": []})
         assert exact_linear_select(inst) == {"x0": Point.of(0, 0, 0)}
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin against the plain-Fraction elimination it replaced
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Ineq:
+    """coeffs . v >= rhs, tracked as a nonnegative combination of originals."""
+
+    coeffs: tuple
+    rhs: Fraction
+    combo: tuple
+
+    def normalized(self):
+        denom = lcm(*(c.denominator for c in self.coeffs), self.rhs.denominator)
+        scaled = [c * denom for c in self.coeffs]
+        rhs = self.rhs * denom
+        g = 0
+        for c in scaled:
+            g = gcd(g, abs(c.numerator))
+        g = gcd(g, abs(rhs.numerator))
+        factor = Fraction(denom)
+        if g > 1:
+            scaled = [c / g for c in scaled]
+            rhs = rhs / g
+            factor = Fraction(denom, g)
+        return _Ineq(tuple(scaled), rhs, tuple((i, m * factor) for i, m in self.combo))
+
+    def trivial(self):
+        return all(c == 0 for c in self.coeffs) and self.rhs <= 0
+
+    def contradiction(self):
+        return all(c == 0 for c in self.coeffs) and self.rhs > 0
+
+
+def _dedup_keep_first(ineqs):
+    seen, out = set(), []
+    for q in ineqs:
+        if (q.coeffs, q.rhs) not in seen:
+            seen.add((q.coeffs, q.rhs))
+            out.append(q)
+    return out
+
+
+def _reference_eliminate(ineqs, var):
+    lower = [q for q in ineqs if q.coeffs[var] > 0]
+    upper = [q for q in ineqs if q.coeffs[var] < 0]
+    out = [q for q in ineqs if q.coeffs[var] == 0]
+    for p in lower:
+        for q in upper:
+            mp, mq = -q.coeffs[var], p.coeffs[var]
+            combo = {}
+            for i, m in p.combo:
+                combo[i] = combo.get(i, Fraction(0)) + mp * m
+            for i, m in q.combo:
+                combo[i] = combo.get(i, Fraction(0)) + mq * m
+            out.append(_Ineq(tuple(mp * a + mq * b for a, b in zip(p.coeffs, q.coeffs)),
+                             mp * p.rhs + mq * q.rhs, tuple(sorted(combo.items())))
+                       .normalized())
+    return _dedup_keep_first([q for q in out if not q.trivial()])
+
+
+def reference_solve_system(constraints, width):
+    """The elimination fm_feasible ran before it moved to integers and
+    Chernikov's rule: (feasible, witness Fractions or None, certificate
+    multipliers or None)."""
+    canon = sorted(constraints)
+    system = _dedup_keep_first([q for q in (
+        _Ineq(c, r, ((i, Fraction(1)),)).normalized() for i, (c, r) in enumerate(canon))
+        if not q.trivial()])
+    stages = [system]
+    for var in range(width - 1, -1, -1):
+        stages.append(_reference_eliminate(stages[-1], var))
+    for stage in stages:
+        bad = next((q for q in stage if q.contradiction()), None)
+        if bad is not None:
+            return False, None, dict(bad.combo)
+    values = []
+    for var in range(width):
+        lo = hi = None
+        for q in stages[width - 1 - var]:
+            s = q.coeffs[var]
+            if s == 0:
+                continue
+            bound = (q.rhs - sum((c * v for c, v in zip(q.coeffs, values)), Fraction(0))) / s
+            if s > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is not None and hi is not None:
+            values.append((lo + hi) / 2)
+        else:
+            values.append(lo if lo is not None else hi if hi is not None else Fraction(0))
+    return True, tuple(values), None
+
+
+def fm_constraints(points, row, homogeneous):
+    """The system fm_feasible builds for one section: a . y (+ c) >= f(y)."""
+    return [(p.raw() + (() if homogeneous else (Fraction(1),)), v.value)
+            for p, v in zip(points.points, row)]
+
+
+def assert_matches_reference(points, row, homogeneous):
+    got = fm_feasible(points, {"x0": row}, homogeneous)["x0"]
+    width = points.dim + (0 if homogeneous else 1)
+    feasible, witness, _ = reference_solve_system(
+        fm_constraints(points, row, homogeneous), width)
+    assert got.feasible == feasible
+    if feasible:
+        assert tuple(s.value for s in got.witness) == witness
+    else:
+        cert = got.certificate
+        assert all(m >= 0 for m in cert.multipliers.values())
+        assert cert.replays_to_contradiction()
+    return got
+
+
+# a small pool, so that eliminations build many equal rows
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def fm_problems(draw):
+    n = draw(st.integers(0, 3))
+    homogeneous = draw(st.booleans())
+    coords = draw(st.lists(st.tuples(*[SMALL] * n), max_size=8, unique=True))
+    points = PointSet(n, [Point.of(*c) for c in coords])
+    if draw(st.booleans()):
+        # planted below a linear functional: feasible
+        a = draw(st.tuples(*[SMALL] * n))
+        row = [exact(sum((x * y for x, y in zip(a, p.raw())), Fraction(0))
+                     - draw(st.sampled_from([0, Fraction(1, 2), 2]))) for p in points.points]
+    else:
+        # free values: homogeneous systems are often infeasible
+        row = [exact(draw(SMALL)) for _ in points.points]
+    return points, row, homogeneous
+
+
+class TestFmAgainstReference:
+    @given(fm_problems())
+    def test_matches_fraction_elimination(self, problem):
+        assert_matches_reference(*problem)
+
+    def test_equal_rows_keep_the_smaller_support(self):
+        # infeasible; keeping the first of two equal derived rows, whatever
+        # their supports, prunes a later combination and labels it feasible
+        # with a witness that breaks the first row
+        inst = make_instance(3, [Point.of(0, 0, 2), Point.of(1, 1, 0), Point.of(-1, 0, -2),
+                                 Point.of(-1, 1, 2), Point.of(1, -1, -1)],
+                             {"x0": [exact(v) for v in (0, 2, 2, -2, 2)]})
+        got = assert_matches_reference(inst.ys, inst.values["x0"], homogeneous=True)
+        assert not got.feasible
+
+    def test_pruning_runs_before_dedup(self):
+        # a subgradient-fm system (seed 1, job 844); pruning a stage after
+        # dropping equal rows can drop the only copy of a needed row, and
+        # then gives a witness that breaks the system
+        coords = [("-34/7", -3, "-4/3"), ("-5/2", "-6/7", 5), ("-13/6", "-4/5", "-1/2"),
+                  (0, 0, 0), (1, "7/2", 2), ("7/2", "4/5", "20/7")]
+        rhs = ["499/35", "-767/70", "383/75", 0, "-133/10", "-4729/350"]
+        inst = make_instance(3, [Point.of(*c) for c in coords], {"x0": [exact(v) for v in rhs]})
+        got = assert_matches_reference(inst.ys, inst.values["x0"], homogeneous=True)
+        assert got.witness == (exact(-1), exact("-9/5"), exact(-3))
+
+    def test_certificate_multipliers_are_exact(self):
+        # the combination is exactly 0 >= 1, as in the reference
+        inst = make_instance(1, [Point.of(-1), Point.of(1)], {"x0": [exact(1), exact(2)]})
+        cert = fm_feasible(inst.ys, inst.values, homogeneous=True)["x0"].certificate
+        assert cert.replay() == ((Fraction(0),), Fraction(1))
+        assert cert.multipliers == {0: Fraction(1, 3), 1: Fraction(1, 3)}
+
+    def test_rows_obey_chernikovs_bound(self, monkeypatch):
+        # after t eliminations no row combines more than t + 1 originals
+        real, seen = oracle._eliminate, []
+
+        def checked(rows, var, t):
+            out, bad = real(rows, var, t)
+            seen.extend(row[2].bit_count() - (t + 1) for row in out)
+            return out, bad
+
+        monkeypatch.setattr(oracle, "_eliminate", checked)
+        points = PointSet(3, [Point.of(a, b, c) for a in (-1, 1, 2) for b in (-1, 1, 3)
+                              for c in (-2, 1)])
+        row = [exact(-a.value - 2 * b.value + c.value - 1) for a, b, c in
+               (p.coords for p in points.points)]
+        assert fm_feasible(points, {"x0": row}, homogeneous=True)["x0"].feasible
+        # some rows sit on the bound
+        assert max(seen) == 0

@@ -10,6 +10,7 @@ from affsel.numerics import AffselError, Point, Scalar
 from affsel.oracle import InfeasibleSectionsError
 from affsel.subgradient import (
     ConvexSectionInstance,
+    ShiftGroup,
     NotNormalizedError,
     ShiftDomainError,
     SubgradientConfig,
@@ -73,6 +74,75 @@ class TestShiftToOrigin:
         g01 = by_xs[("x0", "x2")].instance
         assert [p.serialize() for p in g01.ys.points] == [["0"], ["1"], ["2"]]
         assert g01.values["x0"] == g01.values["x2"]
+
+
+def reference_shift_to_origin(csi):
+    """The shift shift_to_origin made before it shifted once per base point:
+    every section shifted and sorted on its own, grouped by shifted points and
+    values, each group canonicalized by Instance.build."""
+    inst = csi.instance
+    groups, order = {}, []
+    for x in inst.xs:
+        base = csi.base_point(x)
+        j0 = inst.ys.index_of(base)
+        if j0 is None:
+            raise ShiftDomainError(f"base point of x={x} is not a sample point")
+        g0 = inst.values[x][j0]
+        shifted = sorted(((p.sub(base), inst.values[x][j] - g0)
+                          for j, p in enumerate(inst.ys.points)), key=lambda t: t[0].raw())
+        key = tuple((p.raw(), v.value) for p, v in shifted)
+        if key not in groups:
+            groups[key] = [shifted, []]
+            order.append(key)
+        groups[key][1].append(x)
+    out = []
+    for key in order:
+        shifted, xs = groups[key]
+        rows = {x: [v for _, v in shifted] for x in xs}
+        out.append(ShiftGroup(instance=Instance.build(inst.n, xs, [p for p, _ in shifted], rows),
+                              xs=tuple(xs)))
+    return out
+
+
+def assert_same_groups(csi):
+    got, want = shift_to_origin(csi).groups, reference_shift_to_origin(csi)
+    assert [g.xs for g in got] == [g.xs for g in want]
+    for g, w in zip(got, want):
+        assert g.instance.n == w.instance.n and g.instance.xs == w.instance.xs
+        assert g.instance.ys == w.instance.ys
+        assert {x: tuple(v) for x, v in g.instance.values.items()} == dict(w.instance.values)
+
+
+class TestShiftAgainstReference:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_shifted_generated_files(self, n):
+        for seed in range(4):
+            for shifted in (False, True):
+                doc = gen_convex_sections(seed, n, 5, 7, k=2, shifted=shifted)
+                assert_same_groups(ConvexSectionInstance(instance=doc.to_instance(),
+                                                         y0=doc.y0_table()))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_base_points(self, seed):
+        doc = gen_convex_sections(seed, 2, 6, 8, k=3, shifted=True)
+        inst = doc.to_instance()
+        points = inst.ys.points
+        # two sections per base point, three base points
+        y0 = {x: points[2 * (i % 3)] for i, x in enumerate(inst.xs)}
+        assert_same_groups(ConvexSectionInstance(instance=inst, y0=y0))
+
+    def test_equal_shifted_values_under_different_bases(self):
+        # both shift to the values (0, 0, 5), but on the samples {0, 1, 2}
+        # and {-1, 0, 1}: two groups
+        inst = make_instance(1, [Point.of(0), Point.of(1), Point.of(2)],
+                             {"x0": [exact(0), exact(0), exact(5)],
+                              "x1": [exact(3), exact(3), exact(8)]})
+        csi = ConvexSectionInstance(instance=inst, y0={"x0": Point.of(0), "x1": Point.of(1)})
+        assert_same_groups(csi)
+        groups = shift_to_origin(csi).groups
+        assert [g.xs for g in groups] == [("x0",), ("x1",)]
+        assert groups[0].instance.values["x0"] == groups[1].instance.values["x1"]
+        assert groups[0].instance.ys != groups[1].instance.ys
 
 
 class TestSelectSubgradient:
