@@ -10,12 +10,7 @@ from .numerics import (
     Scalar,
     origin_point,
 )
-from .sandwich import (
-    FiniteFunction,
-    ceiling_cover,
-    sandwich,
-    staged_parameters,
-)
+from .sandwich import ceiling_cover, sandwich
 from .hyperplane import (
     AffineSelector,
     Instance,

@@ -11,9 +11,10 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 from .numerics import AffselError, Point, Scalar
-from .sandwich import FiniteFunction, sandwich
+from .sandwich import sandwich
 from .hyperplane import AffineSelector, SelectConfig, select_affine
 from .conelift import LinearConfig, LinearSelector, feature_select, select_linear
 from .subgradient import (
@@ -32,6 +33,7 @@ from .instances import (
     GenRanges,
     InstanceFileError,
     _normalize_rational,
+    check_schema_version,
     gen_affine_dominated,
     gen_convex_sections,
     gen_meager_linear,
@@ -131,7 +133,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_finite_function(path) -> FiniteFunction:
+def _load_finite_function(path) -> dict:
+    """A function file {"X": [...], "values": [...]} as {id: Fraction}, in X order."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not (isinstance(data, dict) and isinstance(data.get("X"), list)
@@ -139,7 +142,7 @@ def _load_finite_function(path) -> FiniteFunction:
         raise InstanceFileError(f"{path}: a function file must hold the lists X and values")
     xs = tuple(str(x) for x in data["X"])
     try:
-        vals = [Scalar.parse(str(v)) for v in data["values"]]
+        vals = [Fraction(str(v)) for v in data["values"]]
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceFileError(f"{path}: malformed function file: {exc!r}") from None
     if len(set(xs)) != len(xs):
@@ -147,7 +150,7 @@ def _load_finite_function(path) -> FiniteFunction:
         raise InstanceFileError(f"{path}: duplicate parameter id {dup!r} in X")
     if len(vals) != len(xs):
         raise InstanceFileError(f"{path}: {len(vals)} values for {len(xs)} ids in X")
-    return FiniteFunction(xs, dict(zip(xs, vals)))
+    return dict(zip(xs, vals))
 
 
 def _load_selector(path) -> dict:
@@ -174,6 +177,7 @@ def _build_selector(data: dict):
     holds several values is a JSON list, numbers go through
     ``_normalize_rational`` (0.1 is 1/10; booleans are not numbers) and
     ``exact`` holds JSON booleans."""
+    check_schema_version(data, "selector file")
     kind = data["kind"]
     n = parse_dimension(data["n"])
     if not isinstance(data["X"], list):
@@ -203,11 +207,15 @@ def _build_selector(data: dict):
         exact = column("exact") if "exact" in data else [True] * len(xs)
         if not all(isinstance(v, bool) for v in exact):
             raise InstanceFileError("selector file: exact must hold true or false per id in X")
+        lambda_max = data.get("lambda_max", 1)
+        if type(lambda_max) is not int or lambda_max < 1:
+            raise InstanceFileError(
+                f"selector file: lambda_max must be an integer >= 1, got {lambda_max!r}")
         return LinearSelector(
             n=n, xs=xs, a=points("A"),
             epsilon={x: scalar(v) for x, v in zip(xs, column("epsilon"))},
             exact=dict(zip(xs, exact)),
-            lambda_max=int(data.get("lambda_max", 1)),
+            lambda_max=lambda_max,
             cone_c={},
         )
     raise CLIUsageError(f"unsupported selector kind {kind!r}")
@@ -384,7 +392,7 @@ def _cmd_sandwich(args, started) -> int:
     report = {
         "command": "sandwich",
         "config": {"mode": args.mode},
-        "result": f.serialize(),
+        "result": {"X": list(f), "values": [str(v) for v in f.values()]},
     }
     _emit(report, started)
     return 0

@@ -166,7 +166,8 @@ def _attempt(inst: Instance, lambda_max: int, config: LinearConfig):
     lam = Scalar.exact(lambda_max)
     zero = Scalar.zero()
     eps_map = {x: (c if c.value > 0 else zero) / lam for x, c in selector.c.items()}
-    report = check_domination("linear", inst.xs, inst.ys.points, inst.values,
+    report = check_domination("linear", inst.xs, inst.ys.points,
+                              {x: [v.value for v in inst.values[x]] for x in inst.xs},
                               {x: 0 for x in inst.xs},
                               {x: selector.b[x].raw() for x in inst.xs})
     failed = {x for x, _, _ in report.failures}

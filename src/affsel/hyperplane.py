@@ -7,27 +7,30 @@ and finally inserts the last coefficient inside the bracket [U, L] implied
 by the lower-dimensional solution.  All choices are deterministic functions
 of the value section, so equal sections always produce equal selectors.
 
-Each level runs on an integer kernel (``_ExactLevel``).  A point
+The recursion runs on integers and Fractions (``WorkingTable``).  A point
 y in Q^k is held as its primitive integer vector (a_1, .., a_k, d): d > 0 is
 the least common denominator of the coordinates, y = a / d, and
-gcd(a_1, .., a_k, d) = 1.  That vector is unique for each point, so equal
-integer keys mean equal points and a dict keyed by them indexes points
-exactly.  The sign split, the crossing points and their chord weights
-depend only on the point set; they are computed once per level and shared
-by every section.  Values stay (numerator, denominator) pairs compared by
-cross-multiplication, and a Fraction is built once per result.
+gcd(a_1, .., a_k, d) = 1 (``numerics.primitive``).  That vector is unique
+for each point, so equal vectors mean equal points and a dict keyed by them
+indexes points exactly.  The sign split, the crossing points and their chord
+weights depend only on the point set; they are computed once per level and
+shared by every section.  Values are Fractions whose numerators and
+denominators are compared by cross-multiplication, and a Fraction is built
+once per result.  ``Scalar`` and ``Point`` appear only on the instance that
+goes in and the selector that comes out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .numerics import AffselError, Point, PointSet, PointTableBuilder, Scalar
-from .sandwich import FiniteFunction, ceiling_cover, sandwich
+from .numerics import AffselError, Point, PointSet, PointTableBuilder, Scalar, primitive
+from .sandwich import ceiling_cover, sandwich
+
 
 class SignConditionError(AffselError):
     pass
@@ -61,50 +64,14 @@ class Instance:
         return tuple(s.value for s in self.values[x])
 
 
-@dataclass
-class WorkingTable:
-    """One recursion level: a working set with per-parameter values, and the
-    diagnostics ``_select_level`` records there (the sign-split counts, the
-    bracket [U, L] and the rule that picked the last coefficient, or the
-    base rule and constants at dimension zero).
-
-    Off-set queries fall back to -|w|^2 in the current level's coordinates.
-    """
-
-    dim: int
-    points: PointSet
-    values: Mapping[str, Tuple[Scalar, ...]]
-    n_plus: int = 0
-    n_minus: int = 0
-    n_zero: int = 0
-    n_intersections: int = 0
-    upper: Optional[Dict[str, Optional[Scalar]]] = None   # U per x (None: no positive side)
-    lower: Optional[Dict[str, Optional[Scalar]]] = None   # L per x (None: no negative side)
-    rule: str = ""                                        # sandwich | lower-only | upper-only | zero | base
-    base_rule: Optional[str] = None
-    base_c: Optional[Dict[str, Scalar]] = None
-
-    def extended_value(self, x: str, point: Point) -> Scalar:
-        idx = self.points.index_of(point)
-        if idx is not None:
-            return self.values[x][idx]
-        return -point.norm_sq()
-
-    def summary(self) -> dict:
-        out = {"dim": self.dim, "points": len(self.points)}
-        if self.dim >= 1:
-            out.update({
-                "plus": self.n_plus, "minus": self.n_minus, "zero": self.n_zero,
-                "intersections": self.n_intersections, "rule": self.rule,
-            })
-        else:
-            out["base_rule"] = self.base_rule
-        return out
-
-
 def extend_domain(inst: Instance) -> WorkingTable:
-    """Wrap an instance as the top working table."""
-    return WorkingTable(dim=inst.n, points=inst.ys, values=inst.values)
+    """The top working table: the instance's points as primitive integer
+    vectors and its values as Fractions."""
+    return WorkingTable(
+        dim=inst.n,
+        points=[primitive(p.raw()) for p in inst.ys.points],
+        values={x: tuple([s.value for s in row]) for x, row in inst.values.items()},
+    )
 
 
 def intersection_point(y: Point, yprime: Point) -> Point:
@@ -155,7 +122,7 @@ def build_envelope(table: WorkingTable) -> WorkingTable:
     left unchanged."""
     if table.dim < 1:
         raise AffselError("cannot build an envelope at dimension zero")
-    return _ExactLevel(table).envelope()
+    return table.envelope()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +130,15 @@ def build_envelope(table: WorkingTable) -> WorkingTable:
 # ---------------------------------------------------------------------------
 
 
-def _primitive(point: Point) -> tuple:
-    """The point as (a_1, .., a_k, d): integers with d > 0, gcd 1, point = a/d."""
-    raw = point.raw()
-    d = lcm(*[c.denominator for c in raw])
-    return tuple([c.numerator * (d // c.denominator) for c in raw]) + (d,)
-
-
-def _order_key(key: tuple, point: Point) -> tuple:
-    """Sort key for the lexicographic order of a point's coordinates: each
-    coordinate as a correctly rounded float (monotone, cheap to compare),
-    followed by the exact value, which decides only where the floats tie."""
+def _order_key(key: tuple) -> tuple:
+    """Sort key for the lexicographic order of a point given as its integer
+    vector: each coordinate as a correctly rounded float (monotone, cheap to
+    compare), followed by the exact value, which decides only where the
+    floats tie."""
     den = key[-1]
     out = []
-    for c, s in zip(key, point.coords):
-        out += (c / den, s.value)
+    for c in key[:-1]:
+        out += (c / den, Fraction(c, den))
     return tuple(out)
 
 
@@ -195,29 +156,65 @@ def _max_chord(pairs, num, den, bn, bd):
     return (bn, bd) if won else None
 
 
-class _ExactLevel:
-    """One exact level: the section-independent geometry, computed once and
-    shared by the envelope and the bracket of every section.  ``envelope``
-    also counts the distinct crossing points (``n_intersections``).
+@dataclass
+class WorkingTable:
+    """One recursion level: a working set with per-parameter values, its sign
+    split, and the diagnostics ``_select_level`` records there (the number of
+    distinct crossing points, the bracket [U, L] and the rule that picked the
+    last coefficient, or the base rule and constants at dimension zero).
 
-    A point is held as its primitive integer vector (see ``_primitive``); a
-    plus point (a, d_a) and a minus point (b, d_b) cross the hyperplane at
+    ``points`` holds primitive integer vectors in canonical (lexicographic)
+    order and ``values[x][j]`` the Fraction at points[j].  ``plus``,
+    ``minus`` and ``zero`` index the points by the sign of the last
+    coordinate; all three are empty at dimension zero.
+
+    A plus point (a, d_a) and a minus point (b, d_b) cross the hyperplane at
     (a_k b_i - b_k a_i) / (a_k d_b - b_k d_a), and the chord there is
     (w+ f(minus) + w- f(plus)) / (w+ + w-) with w+ = a_k d_b, w- = -b_k d_a.
-    Values stay integer pairs (num, den) until each section's result is
-    built as one Fraction.
     """
 
-    def __init__(self, table: WorkingTable):
-        self.table = table
-        self.vecs = [_primitive(p) for p in table.points.points]
-        self.plus, self.minus, self.zero = [], [], []
-        for j, v in enumerate(self.vecs):
-            last = v[-2]
-            (self.plus if last > 0 else self.minus if last < 0 else self.zero).append(j)
+    dim: int
+    points: List[tuple]
+    values: Mapping[str, Tuple[Fraction, ...]]
+    plus: List[int] = field(init=False)
+    minus: List[int] = field(init=False)
+    zero: List[int] = field(init=False)
+    n_intersections: int = 0
+    upper: Optional[Dict[str, Optional[Fraction]]] = None  # U per x (None: no positive side)
+    lower: Optional[Dict[str, Optional[Fraction]]] = None  # L per x (None: no negative side)
+    rule: str = ""                                         # sandwich | lower-only | upper-only | zero | base
+    base_rule: Optional[str] = None
+    base_c: Optional[Dict[str, Fraction]] = None
 
-    def envelope(self) -> WorkingTable:
-        table, vecs = self.table, self.vecs
+    def __post_init__(self):
+        self.plus, self.minus, self.zero = [], [], []
+        if self.dim:
+            for j, v in enumerate(self.points):
+                last = v[-2]
+                (self.plus if last > 0 else self.minus if last < 0 else self.zero).append(j)
+
+    def extended_value(self, x: str, point: Point) -> Scalar:
+        """The value at ``point``; off the set, -|point|^2."""
+        key = primitive(point.raw())
+        if key in self.points:
+            return Scalar(self.values[x][self.points.index(key)])
+        return -point.norm_sq()
+
+    def summary(self) -> dict:
+        out = {"dim": self.dim, "points": len(self.points)}
+        if self.dim >= 1:
+            out.update({
+                "plus": len(self.plus), "minus": len(self.minus), "zero": len(self.zero),
+                "intersections": self.n_intersections, "rule": self.rule,
+            })
+        else:
+            out["base_rule"] = self.base_rule
+        return out
+
+    def envelope(self) -> Tuple[WorkingTable, int]:
+        """The child level one dimension down, and the number of distinct
+        crossing points; this table is left unchanged."""
+        vecs = self.points
         n_pairs = len(self.plus) * len(self.minus)
 
         # child key -> stored zero-side index; child key -> crossing pairs
@@ -230,7 +227,7 @@ class _ExactLevel:
         # upper hull bridge over the off-zero points (already sorted by
         # coordinate) gives each section's largest chord there
         coords = None
-        if n_pairs and table.dim == 1:
+        if n_pairs and self.dim == 1:
             crossings[(1,)] = []
             coords = [(v[0], v[1], j) for j, v in enumerate(vecs) if v[0]]
         elif n_pairs:
@@ -249,43 +246,38 @@ class _ExactLevel:
                     if pairs is None:
                         crossings[key] = pairs = []
                     pairs.append((ip, im, wp, wm, w))
-        self.n_intersections = len(crossings)
+        n_crossings = len(crossings)
 
-        # child points, (sort key, point, stored index or None, pairs, ext),
-        # sorted into canonical order
+        # child points, (sort key, integer vector, stored index or None, pairs,
+        # ext), sorted into canonical order
         children = []
         for key, j in stored.items():
-            point = Point(table.points.points[j].coords[:-1])
-            children.append((_order_key(key, point), point, j, crossings.pop(key, ()), None))
+            children.append((_order_key(key), key, j, crossings.pop(key, ()), None))
         for key, pairs in crossings.items():
             den = key[-1]
-            ext = Scalar(Fraction(-sum([c * c for c in key[:-1]]), den * den))
-            point = Point([Scalar(Fraction(c, den)) for c in key[:-1]])
-            children.append((_order_key(key, point), point, None, pairs, ext))
+            ext = Fraction(-sum([c * c for c in key[:-1]]), den * den)
+            children.append((_order_key(key), key, None, pairs, ext))
         del stored, crossings     # the key maps end here; only the plan is kept
         children.sort(key=itemgetter(0))
 
         values = {}
-        for x, row in table.values.items():
-            num = [s.value.numerator for s in row]
-            den = [s.value.denominator for s in row]
+        for x, row in self.values.items():
+            num = [f.numerator for f in row]
+            den = [f.denominator for f in row]
             out = []
             for _, _, j, pairs, ext in children:
                 if coords:
                     pairs = (self._bridge(coords, num, den),)
                 if j is None:
-                    base = ext.value
-                    best = _max_chord(pairs, num, den, base.numerator, base.denominator)
-                    out.append(ext if best is None else Scalar(Fraction(*best)))
+                    best = _max_chord(pairs, num, den, ext.numerator, ext.denominator)
+                    out.append(ext if best is None else Fraction(*best))
                 else:
                     best = _max_chord(pairs, num, den, num[j], den[j])
-                    out.append(row[j] if best is None else Scalar(Fraction(*best)))
+                    out.append(row[j] if best is None else Fraction(*best))
             values[x] = tuple(out)
-        return WorkingTable(
-            dim=table.dim - 1,
-            points=PointSet.presorted(table.dim - 1, [entry[1] for entry in children]),
-            values=values,
-        )
+        child = WorkingTable(dim=self.dim - 1, points=[entry[1] for entry in children],
+                             values=values)
+        return child, n_crossings
 
     def _bridge(self, coords, num, den) -> tuple:
         """The crossing pair on the upper hull edge over zero: its chord is
@@ -306,30 +298,26 @@ class _ExactLevel:
     def bracket(self, b_rows, c_map):
         """U = max over plus points and L = min over minus points of
         (f - c - b.y) / y_k, with c and b over one common denominator e."""
-        upper: Dict[str, Optional[Scalar]] = {}
-        lower: Dict[str, Optional[Scalar]] = {}
-        for x, row in self.table.values.items():
-            c = c_map[x].value
-            bs = [s.value for s in b_rows[x]]
-            e = lcm(c.denominator, *[b.denominator for b in bs])
-            cq = c.numerator * (e // c.denominator)
-            bq = [b.numerator * (e // b.denominator) for b in bs]
+        upper: Dict[str, Optional[Fraction]] = {}
+        lower: Dict[str, Optional[Fraction]] = {}
+        for x, row in self.values.items():
+            cq, *bq, e = primitive((c_map[x], *b_rows[x]))
             upper[x] = self._extreme(self.plus, row, cq, bq, e, 1)
             lower[x] = self._extreme(self.minus, row, cq, bq, e, -1)
         return upper, lower
 
-    def _extreme(self, indices, row, cq, bq, e, sign) -> Optional[Scalar]:
+    def _extreme(self, indices, row, cq, bq, e, sign) -> Optional[Fraction]:
         # residual * e = (f.num e d - f.den (cq d + bq.a)) / (f.den a_k); sign
         # is +1 on the plus side (max) and -1 on the minus side (min), and
         # multiplying through by it keeps the denominator positive
         bn = bd = None
         for j in indices:
-            v = self.vecs[j]
+            v = self.points[j]
             d = v[-1]
             s = cq * d
             for b, a in zip(bq, v):
                 s += b * a
-            f = row[j].value
+            f = row[j]
             fd = f.denominator
             rn = (f.numerator * e * d - fd * s) * sign
             rd = fd * v[-2] * sign
@@ -337,7 +325,7 @@ class _ExactLevel:
                 bn, bd = rn, rd
         if bn is None:
             return None
-        return Scalar(Fraction(bn, bd * e))
+        return Fraction(bn, bd * e)
 
 
 @dataclass(frozen=True)
@@ -380,29 +368,25 @@ def select_affine(inst: Instance, config: SelectConfig = SelectConfig()):
     Returns (selector, trace); domination holds with zero slack on the full
     working closure.
     """
-    working = extend_domain(inst)
     trace = RecursionTrace()
-    b_rows, c_map = _select_level(working, config, trace.levels)
+    b_rows, c_map = _select_level(extend_domain(inst), config, trace.levels)
     selector = AffineSelector(
         n=inst.n,
         xs=inst.xs,
-        b={x: Point(b_rows[x]) for x in inst.xs},
-        c=c_map,
+        b={x: Point(map(Scalar, b_rows[x])) for x in inst.xs},
+        c={x: Scalar(c_map[x]) for x in inst.xs},
     )
     return selector, trace
 
 
-def _base_case(working: WorkingTable, config: SelectConfig) -> Dict[str, Scalar]:
+def _base_case(working: WorkingTable, config: SelectConfig) -> Dict[str, Fraction]:
     xs = tuple(working.values)
-    if len(working.points):
-        base_vals = FiniteFunction(xs, {x: working.values[x][0] for x in xs})
-        if config.base == "tight":
-            c_map = dict(base_vals.values)
-        else:
-            c_map = dict(ceiling_cover(base_vals).values)
+    if working.points:
+        c_map = {x: working.values[x][0] for x in xs}
+        if config.base != "tight":
+            c_map = {x: ceiling_cover(v) for x, v in c_map.items()}
     else:
-        fallback = Scalar.one() if config.base != "tight" else Scalar.zero()
-        c_map = {x: fallback for x in xs}
+        c_map = dict.fromkeys(xs, Fraction(0 if config.base == "tight" else 1))
     working.rule, working.base_rule, working.base_c = "base", config.base, c_map
     return c_map
 
@@ -413,31 +397,24 @@ def _select_level(working: WorkingTable, config: SelectConfig, levels):
     if working.dim == 0:
         return {x: [] for x in xs}, _base_case(working, config)
 
-    level = _ExactLevel(working)
-    child = level.envelope()
-    working.n_plus, working.n_minus, working.n_zero = (
-        len(level.plus), len(level.minus), len(level.zero))
-    working.n_intersections = level.n_intersections
+    child, working.n_intersections = working.envelope()
     b_rows, c_map = _select_level(child, config, levels)
 
     # sandwich() raises BracketViolationError where U > L
-    upper, lower = level.bracket(b_rows, c_map)
+    upper, lower = working.bracket(b_rows, c_map)
     working.upper, working.lower = upper, lower
-    if level.plus and level.minus:
+    if working.plus and working.minus:
         working.rule = "sandwich"
-        u_fn = FiniteFunction(xs, {x: upper[x] for x in xs})
-        l_fn = FiniteFunction(xs, {x: lower[x] for x in xs})
-        last = sandwich(u_fn, l_fn, config.sandwich_mode)
-        picks = {x: last(x) for x in xs}
-    elif level.minus:
+        picks = sandwich(upper, lower, config.sandwich_mode)
+    elif working.minus:
         working.rule = "lower-only"
-        picks = {x: lower[x] for x in xs}
-    elif level.plus:
+        picks = lower
+    elif working.plus:
         working.rule = "upper-only"
-        picks = {x: upper[x] for x in xs}
+        picks = upper
     else:
         working.rule = "zero"
-        picks = {x: Scalar.zero() for x in xs}
+        picks = dict.fromkeys(xs, Fraction(0))
 
     for x in xs:
         b_rows[x].append(picks[x])

@@ -35,11 +35,10 @@ class InstanceFile:
     phi_rows: Optional[List[List[str]]] = None
     y0_rows: Optional[List[List[str]]] = None
     meta: Optional[dict] = None
-    schema_version: int = SCHEMA_VERSION
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "n": self.n,
             "X": list(self.xs),
             "Y": [list(r) for r in self.y_rows],
@@ -60,6 +59,7 @@ class InstanceFile:
     def from_json_dict(cls, data: dict) -> "InstanceFile":
         if not isinstance(data, dict):
             raise InstanceFileError("an instance file must hold a JSON object")
+        check_schema_version(data, "instance file")
         try:
             n = parse_dimension(data["n"])
             if not isinstance(data["X"], list):
@@ -69,7 +69,6 @@ class InstanceFile:
             f_rows = _rational_rows(data, "f")
             phi = _rational_rows(data, "phi") if data.get("phi") is not None else None
             y0 = _rational_rows(data, "y0") if data.get("y0") is not None else None
-            schema_version = int(data.get("schema_version", SCHEMA_VERSION))
         except KeyError as exc:
             raise InstanceFileError(f"missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -93,8 +92,7 @@ class InstanceFile:
         if y0 is not None and len(y0) != len(xs):
             raise InstanceFileError("y0 must align with X")
         return cls(n=n, xs=xs, y_rows=y_rows, f_rows=f_rows, phi_rows=phi,
-                   y0_rows=y0, meta=data.get("meta"),
-                   schema_version=schema_version)
+                   y0_rows=y0, meta=data.get("meta"))
 
     @classmethod
     def loads(cls, text: str) -> "InstanceFile":
@@ -153,6 +151,15 @@ def _rational_rows(data: dict, field: str) -> List[List[str]]:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InstanceFileError(f"{field} must be a list of rows")
     return [[_normalize_rational(c) for c in row] for row in rows]
+
+
+def check_schema_version(data: dict, source: str) -> None:
+    """A file without ``schema_version`` reads as version 1; any value but
+    the JSON integer 1 is an error."""
+    version = data.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise InstanceFileError(
+            f"{source}: schema_version must be the integer {SCHEMA_VERSION}, got {version!r}")
 
 
 def parse_dimension(value) -> int:

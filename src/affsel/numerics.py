@@ -1,8 +1,10 @@
-"""Exact rational scalars, points, and point-set hygiene.
+"""Exact rational scalars, points, point-set hygiene, and the integer-vector
+form of a rational point.
 
-Everything downstream (envelopes, brackets, oracles) runs on these types.
-Values are arbitrary-precision rationals, so every comparison is
-error-free and domination checks hold with zero slack.
+Instances, selectors and reports hold these types; the recursion and the
+domination check run on ``primitive`` vectors and plain Fractions.  Values
+are arbitrary-precision rationals, so every comparison is error-free and
+domination checks hold with zero slack.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ class Scalar:
     @classmethod
     def zero(cls) -> "Scalar":
         return cls(Fraction(0))
-
-    @classmethod
-    def one(cls) -> "Scalar":
-        return cls(Fraction(1))
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
@@ -122,9 +120,6 @@ class Scalar:
 
     # -- misc ------------------------------------------------------------
 
-    def ceil_int(self) -> int:
-        return math.ceil(self.value)
-
     def serialize(self) -> str:
         return str(self.value)
 
@@ -182,6 +177,14 @@ class Point:
 
     def __repr__(self):
         return "Point(" + ", ".join(s.serialize() for s in self.coords) + ")"
+
+
+def primitive(coords) -> tuple:
+    """Rationals as one integer vector (a_1, .., a_k, d): d > 0 is their least
+    common denominator and coords[i] == a_i / d, so gcd(a_1, .., a_k, d) == 1
+    and equal coordinates always give equal vectors."""
+    d = math.lcm(*[c.denominator for c in coords])
+    return (*[c.numerator * (d // c.denominator) for c in coords], d)
 
 
 def origin_point(dim: int) -> Point:

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .numerics import AffselError, Point, PointSet, Scalar
+from .numerics import AffselError, Point, PointSet, Scalar, primitive
 
 
 class InfeasibleSectionsError(AffselError):
@@ -57,33 +57,34 @@ class DominationReport:
         }
 
 
-def check_domination(kind: str, xs: Sequence[str], points: Sequence[Point],
-                     rows: Mapping[str, Sequence[Scalar]], const: Mapping[str, Fraction],
+def check_domination(kind: str, xs: Sequence[str], points: Sequence,
+                     rows: Mapping[str, Sequence[Fraction]], const: Mapping[str, Fraction],
                      coeffs: Mapping[str, Sequence[Fraction]],
-                     at: Optional[Sequence[Sequence[Fraction]]] = None) -> DominationReport:
-    """Check rows[x][j] <= const[x] + coeffs[x] . at[j] for every section x and
+                     at: Optional[Sequence[tuple]] = None) -> DominationReport:
+    """Check rows[x][j] <= const[x] + coeffs[x] . y_j for every section x and
     sample index j, with zero tolerance.
 
-    ``at`` holds the raw coordinates the functional is evaluated at and
-    defaults to those of ``points``; failures name points[j].
+    ``at`` holds each y_j as its integer vector (a_1, .., a_k, d) with
+    y_j = a / d (``numerics.primitive``) and defaults to the vectors of
+    ``points``; coeffs[x] has k entries.  Failures name points[j].
 
-    The loop runs in integers: with at[j] = a_j / d_j, the section's
-    (const, coeffs) = (c0, b) / d_x and rows[x][j] = p / q, the slack is
-    ((c0 d_j + b . a_j) q - p d_x d_j) / (d_x d_j q) over a positive
-    denominator.  A Fraction is built only for the least slack and for
-    failures; being reduced, it equals the plain Fraction difference.
+    The loop runs in integers: with the section's (const, coeffs) =
+    (c0, b) / d_x and rows[x][j] = p / q, the slack is
+    ((c0 d + b . a) q - p d_x d) / (d_x d q) over a positive denominator.
+    A Fraction is built only for the least slack and for failures; being
+    reduced, it equals the plain Fraction difference.
     """
     if at is None:
-        at = [p.raw() for p in points]
-    scaled = [_over_common_denominator(coords) for coords in at]
+        at = [primitive(p.raw()) for p in points]
     min_slack: Dict[str, Optional[Scalar]] = {}
     failures: List[tuple] = []
     for x in xs:
-        (c0, *b), d_x = _over_common_denominator((const[x], *coeffs[x]))
+        c0, *b, d_x = primitive((const[x], *coeffs[x]))
         row = rows[x]
         worst_num, worst_den = 0, 0          # worst_den == 0: no slack seen yet
-        for j, (a, d) in enumerate(scaled):
-            value = row[j].value
+        for j, a in enumerate(at):
+            value = row[j]
+            d = a[-1]
             q, den = value.denominator, d_x * d
             num = (c0 * d + sum(map(mul, b, a))) * q - value.numerator * den
             den *= q
@@ -94,12 +95,6 @@ def check_domination(kind: str, xs: Sequence[str], points: Sequence[Point],
         min_slack[x] = Scalar(Fraction(worst_num, worst_den)) if worst_den else None
     return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
                             failures=failures)
-
-
-def _over_common_denominator(values) -> Tuple[List[int], int]:
-    """Integers a_i and the least positive d with values[i] == a_i / d."""
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _merged(kind: str, xs: Sequence[str], reports) -> DominationReport:
@@ -116,6 +111,10 @@ def _merged(kind: str, xs: Sequence[str], reports) -> DominationReport:
                             failures=failures)
 
 
+def _fraction_rows(inst) -> Dict[str, List[Fraction]]:
+    return {x: [s.value for s in inst.values[x]] for x in inst.xs}
+
+
 def verify_domination(inst, selector, kind: str = "affine") -> DominationReport:
     """Check f(x, y) <= B(x).y + C(x) (affine) or f(x, y) <= A(x).y + epsilon(x)
     (linear) for every sample point, with zero tolerance."""
@@ -124,7 +123,7 @@ def verify_domination(inst, selector, kind: str = "affine") -> DominationReport:
     if selector.n != inst.n:
         raise AffselError(f"dimension mismatch: selector n={selector.n}, instance n={inst.n}")
     const, coeffs = (selector.c, selector.b) if kind == "affine" else (selector.epsilon, selector.a)
-    return check_domination(kind, inst.xs, inst.ys.points, inst.values,
+    return check_domination(kind, inst.xs, inst.ys.points, _fraction_rows(inst),
                             {x: const[x].value for x in inst.xs},
                             {x: coeffs[x].raw() for x in inst.xs})
 
@@ -139,19 +138,23 @@ def verify_working_closure(trace, selector) -> DominationReport:
     xs = selector.xs
     const = {x: selector.c[x].value for x in xs}
     b = {x: selector.b[x].raw() for x in xs}
-    return _merged("closure", xs, (
-        check_domination("closure", xs, level.points.points, level.values, const,
-                         {x: b[x][:level.dim] for x in xs})
+    report = _merged("closure", xs, (
+        check_domination("closure", xs, level.points, level.values, const,
+                         {x: b[x][:level.dim] for x in xs}, at=level.points)
         for level in trace.levels))
+    # a level holds integer vectors (a, d); a failure names the point a / d
+    report.failures = [(x, Point(Scalar(Fraction(c, v[-1])) for c in v[:-1]), s)
+                       for x, v, s in report.failures]
+    return report
 
 
 def verify_feature_domination(inst, selector, phi: Mapping[Point, Point]) -> DominationReport:
     """Check f(x, y) <= A(x).phi(y) + epsilon(x) for every sample point y;
     failures name y, not its feature image."""
-    return check_domination("feature", inst.xs, inst.ys.points, inst.values,
+    return check_domination("feature", inst.xs, inst.ys.points, _fraction_rows(inst),
                             {x: selector.epsilon[x].value for x in inst.xs},
                             {x: selector.a[x].raw() for x in inst.xs},
-                            at=[phi[p].raw() for p in inst.ys.points])
+                            at=[primitive(phi[p].raw()) for p in inst.ys.points])
 
 
 def verify_subgradient_domination(groups, selector) -> DominationReport:
@@ -161,7 +164,7 @@ def verify_subgradient_domination(groups, selector) -> DominationReport:
     groups = list(groups)
     return _merged("subgradient", [x for g in groups for x in g.xs], (
         check_domination("subgradient", g.xs, g.instance.ys.points,
-                         {x: [-v for v in g.instance.values[x]] for x in g.xs},
+                         {x: [-v.value for v in g.instance.values[x]] for x in g.xs},
                          {x: selector.epsilon[x].value for x in g.xs},
                          {x: [-c for c in selector.p[x].raw()] for x in g.xs})
         for g in groups))

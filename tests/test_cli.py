@@ -263,6 +263,9 @@ MALFORMED = {
     "top-level-array": [WORKED],
     "duplicate-ids": dict(WORKED, X=["a", "a"], f=[["0", "1"], ["2", "3"]]),
     "y0-dimension": dict(WORKED, y0=[["0", "0"]]),
+    # only the JSON integer 1 is a schema version; int() read 1.9 as 1
+    "schema-version-7": dict(WORKED, schema_version=7),
+    "schema-version-fractional": dict(WORKED, schema_version=1.9),
 }
 
 # (u, l) pairs for `affsel sandwich`; zip-based loading used to drop values
@@ -273,6 +276,11 @@ MALFORMED_FUNCTIONS = {
                               {"X": ["a"], "values": ["7"]}),
     "function-string-fields": ({"X": "ab", "values": "01"},
                                {"X": ["a", "b"], "values": ["2", "3"]}),
+    # the two files must list the same ids in the same order
+    "function-different-ids": ({"X": ["a", "b"], "values": ["0", "1"]},
+                               {"X": ["a", "c"], "values": ["2", "3"]}),
+    "function-reordered-ids": ({"X": ["a", "b"], "values": ["0", "1"]},
+                               {"X": ["b", "a"], "values": ["2", "3"]}),
 }
 
 
@@ -292,6 +300,12 @@ MALFORMED_SELECTORS = {
                                "C": [True]},
     "selector-string-exact": {"kind": "linear", "n": 1, "X": ["x0"], "A": [["1/2"]],
                               "epsilon": ["1"], "exact": "n"},
+    "selector-schema-version": {"schema_version": 7, "kind": "affine", "n": 1, "X": ["x0"],
+                                "B": [["1/2"]], "C": ["1"]},
+    # int() read 2.7 as 2 and true as 1, and took -5
+    **{f"selector-lambda-{name}": {"kind": "linear", "n": 1, "X": ["x0"], "A": [["1/2"]],
+                                   "epsilon": ["1"], "lambda_max": value}
+       for name, value in (("fractional", 2.7), ("boolean", True), ("negative", -5))},
 }
 
 
@@ -318,6 +332,12 @@ EXPECTED_MESSAGE = {
     "selector-string-X": "X must be a list of parameter ids",
     "selector-boolean-value": "not a finite rational: True",
     "selector-string-exact": "exact must be a list aligned with X",
+    **dict.fromkeys(("schema-version-7", "schema-version-fractional", "selector-schema-version"),
+                    "schema_version must be the integer 1"),
+    **{f"selector-lambda-{name}": "lambda_max must be an integer >= 1"
+       for name in ("fractional", "boolean", "negative")},
+    **dict.fromkeys(("function-different-ids", "function-reordered-ids"),
+                    "error: domain mismatch"),
 }
 
 

@@ -9,7 +9,7 @@ from affsel.hyperplane import (
     Instance,
     SelectConfig,
     SignConditionError,
-    _ExactLevel,
+    WorkingTable,
     build_envelope,
     chord_value,
     extend_domain,
@@ -98,16 +98,20 @@ class TestChordValue:
 
 class TestBuildEnvelope:
     def test_worked_dim1(self):
-        child = build_envelope(extend_domain(WORKED))
+        table = extend_domain(WORKED)
+        assert table.points == [(-1, 1), (2, 1)]
+        assert table.values["x0"] == (0, 1)
+        assert (table.plus, table.minus, table.zero) == ([1], [0], [])
+        child = build_envelope(table)
         assert child.dim == 0
-        assert list(child.points.points) == [Point.of()]
-        assert child.values["x0"] == (exact("1/3"),)
+        assert child.points == [(1,)]
+        assert child.values["x0"] == (Fraction(1, 3),)
 
     def test_empty_positive_side(self):
         inst = make_instance(1, [Point.of(-1), Point.of(0)], {"x0": [exact(2), exact(5)]})
         child = build_envelope(extend_domain(inst))
-        assert list(child.points.points) == [Point.of()]
-        assert child.values["x0"] == (exact(5),)   # only the zero point descends
+        assert child.points == [(1,)]
+        assert child.values["x0"] == (5,)   # only the zero point descends
 
     def test_colliding_pairs_take_max(self):
         # two symmetric pairs both cross at the origin of the hyperplane
@@ -117,9 +121,9 @@ class TestBuildEnvelope:
             {"x0": [exact(1), exact(0), exact(-2), exact(3)]},
         )
         child = build_envelope(extend_domain(inst))
-        idx = child.points.index_of(Point.of(0))
+        idx = child.points.index((0, 1))
         # chords at the shared crossing: 1/2, 5/3, -2/3, 1/2; extension value 0
-        assert child.values["x0"][idx] == exact("5/3")
+        assert child.values["x0"][idx] == Fraction(5, 3)
 
 
 class TestSelectAffine:
@@ -128,12 +132,13 @@ class TestSelectAffine:
         assert selector.b["x0"] == Point.of("1/2")
         assert selector.c["x0"] == exact(1)
         top = trace.levels[0]
-        assert (top.n_plus, top.n_minus, top.n_zero, top.n_intersections) == (1, 1, 0, 1)
-        assert top.upper["x0"] == exact(0)
-        assert top.lower["x0"] == exact(1)
+        assert top.summary() == {"dim": 1, "points": 2, "plus": 1, "minus": 1, "zero": 0,
+                                 "intersections": 1, "rule": "sandwich"}
+        assert top.upper == {"x0": 0} and top.lower == {"x0": 1}
+        assert all(type(v) is Fraction for v in (top.upper["x0"], top.lower["x0"]))
         base = trace.levels[-1]
-        assert base.base_c["x0"] == exact(1)
-        assert base.values["x0"] == (exact("1/3"),)
+        assert base.base_c == {"x0": 1} and type(base.base_c["x0"]) is Fraction
+        assert base.values["x0"] == (Fraction(1, 3),)
 
     def test_base_case_ceiling(self):
         inst = make_instance(0, [Point.of()], {"x0": [exact("23/10")]})
@@ -213,7 +218,7 @@ class TestSelectAffine:
         assert dims == [3, 2, 1, 0]
         for rec in trace.levels:
             if rec.dim >= 1:
-                assert rec.n_intersections <= rec.n_plus * rec.n_minus
+                assert rec.n_intersections <= len(rec.plus) * len(rec.minus)
 
 
 class TestBracketCheck:
@@ -223,9 +228,9 @@ class TestBracketCheck:
     @pytest.fixture
     def inverted_bracket(self, monkeypatch):
         def bracket(level, b_rows, c_map):
-            xs = level.table.values
-            return {x: exact(1) for x in xs}, {x: exact(0) for x in xs}
-        monkeypatch.setattr(_ExactLevel, "bracket", bracket)
+            xs = level.values
+            return {x: Fraction(1) for x in xs}, {x: Fraction(0) for x in xs}
+        monkeypatch.setattr(WorkingTable, "bracket", bracket)
 
     def test_select_affine_raises(self, inverted_bracket):
         with pytest.raises(BracketViolationError, match="x=x0"):

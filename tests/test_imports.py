@@ -1,14 +1,20 @@
-"""Every name a module under src/affsel imports is used in that module.
+"""Every name a module under src/affsel imports is used in that module, and
+every name the benchmark imports from the package still exists.
 
 ``__init__.py`` is skipped: its imports are the package's re-exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+from affsel.hyperplane import build_envelope, extend_domain, select_affine
+from affsel.instances import gen_affine_dominated
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "affsel"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -66,3 +72,40 @@ def test_detects_package_imports():
                            "import affsel.conelift\nfrom affsel import sandwich\n"
                            "from affsel.subgradient import x\nimport json, affsel\n") == {
         "hyperplane", "numerics", "conelift", "sandwich", "subgradient", "affsel"}
+
+
+def affsel_names(source: str) -> list:
+    """(module, name) for every ``from affsel[.module] import name`` in source."""
+    return [(node.module, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and not node.level
+            and node.module and node.module.split(".")[0] == "affsel"
+            for alias in node.names]
+
+
+def test_names_the_benchmark_imports_exist():
+    # the benchmark runs from its own checkout and may not change with the library
+    names = [pair for path in sorted(PERFBENCH.glob("*.py"))
+             for pair in affsel_names(path.read_text(encoding="utf-8"))]
+    assert ("affsel.hyperplane", "build_envelope") in names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_benchmark_replay_chain_matches_the_trace(n):
+    # perfbench replays extend_domain -> build_envelope down to dimension
+    # zero, reads .dim on each table, and counts len(trace.levels[i].points)
+    inst = gen_affine_dominated(1, n, 2, 4 + 2 * n).to_instance()
+    _, trace = select_affine(inst)
+    table = extend_domain(inst)
+    replayed = [table]
+    while table.dim >= 1:
+        table = build_envelope(table)
+        replayed.append(table)
+    assert [t.dim for t in replayed] == [level.dim for level in trace.levels] == list(
+        range(n, -1, -1))
+    assert [len(t.points) for t in replayed] == [len(level.points) for level in trace.levels]
+    for level in trace.summary()["levels"]:
+        keys = {"dim", "points", "plus", "minus", "zero", "intersections"}
+        assert keys <= set(level) if level["dim"] else "base_rule" in level

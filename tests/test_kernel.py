@@ -5,21 +5,21 @@ The references use only the public geometry (``intersection_point``,
 Fraction arithmetic, never the integer kernel.
 """
 
-from dataclasses import replace
+from copy import deepcopy
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, strategies as st
 
 from affsel.hyperplane import (
     Instance,
-    WorkingTable,
-    _ExactLevel,
     build_envelope,
     chord_value,
+    extend_domain,
     intersection_point,
     select_affine,
 )
-from affsel.numerics import Point, PointSet, Scalar
+from affsel.numerics import Point, Scalar
 
 XS = ("x0", "x1", "x2")
 coord_st = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -47,20 +47,25 @@ def working_tables(draw, dims=st.integers(1, 3), side=(0, 5)):
             y = Point.of(*draw(st.sampled_from(plus)))
             yp = Point.of(*draw(st.sampled_from(minus)))
             points.add(intersection_point(y, yp).raw())
-    ps = PointSet(dim, [Point.of(*p) for p in points])
     xs = XS[:draw(st.integers(1, 3))]
-    values = {x: tuple(Scalar(draw(value_st)) for _ in ps.points) for x in xs}
-    return WorkingTable(dim=dim, points=ps, values=values)
+    rows = {x: [Scalar(draw(value_st)) for _ in points] for x in xs}
+    return extend_domain(Instance.build(dim, xs, [Point.of(*p) for p in points], rows))
+
+
+def as_point(vector):
+    """The point a / d of an integer vector (a_1, .., a_k, d)."""
+    return Point.of(*[Fraction(a, vector[-1]) for a in vector[:-1]])
 
 
 def reference_envelope(table):
     """{dropped point: {x: value}} and the number of distinct crossings."""
-    plus = [p for p in table.points.points if p.coords[-1].sign() > 0]
-    minus = [p for p in table.points.points if p.coords[-1].sign() < 0]
+    points = [as_point(v) for v in table.points]
+    plus = [p for p in points if p.coords[-1].sign() > 0]
+    minus = [p for p in points if p.coords[-1].sign() < 0]
     out = {}
-    for j, p in enumerate(table.points.points):
+    for j, p in enumerate(points):
         if p.coords[-1].sign() == 0:
-            out[Point(p.coords[:-1])] = {x: table.values[x][j] for x in table.values}
+            out[Point(p.coords[:-1])] = {x: Scalar(table.values[x][j]) for x in table.values}
     crossings = set()
     for y in plus:
         for yp in minus:
@@ -79,17 +84,19 @@ def reference_envelope(table):
 
 
 def assert_envelope_matches(table):
-    before = replace(table)
-    level = _ExactLevel(table)
-    child = level.envelope()
+    before = deepcopy(table)
+    child, n_intersections = table.envelope()
     ref, n_crossings = reference_envelope(table)
-    assert list(child.points.points) == sorted(ref, key=Point.raw)
-    for i, p in enumerate(child.points.points):
+    points = [as_point(v) for v in child.points]
+    assert points == sorted(ref, key=Point.raw)
+    # primitive vectors: equal points must give equal dict keys one level down
+    assert all(v[-1] > 0 and gcd(*v) == 1 for v in child.points)
+    for i, p in enumerate(points):
         for x in table.values:
-            assert child.values[x][i].value == ref[p][x].value
-    assert level.n_intersections == n_crossings
+            assert child.values[x][i] == ref[p][x].value
+    assert n_intersections == n_crossings
     assert child == build_envelope(table)
-    assert table == before      # the counts are filled in by _select_level, not here
+    assert table == before      # the count is filled in by _select_level, not here
 
 
 @given(working_tables())
@@ -128,25 +135,20 @@ def test_bracket_matches_fraction_formula(inst):
             b = [s.value for s in selector.b[x].coords[:k - 1]]
             c = selector.c[x].value
             slopes = {1: [], -1: []}
-            for j, p in enumerate(record.points.points):
-                y = [s.value for s in p.coords]
+            for j, v in enumerate(record.points):
+                y = as_point(v).raw()
                 if y[-1] == 0:
                     continue
-                rest = record.values[x][j].value - c - sum(bi * yi for bi, yi in zip(b, y))
+                rest = record.values[x][j] - c - sum(bi * yi for bi, yi in zip(b, y))
                 slopes[1 if y[-1] > 0 else -1].append(rest / y[-1])
-            assert raw(record.upper[x]) == (max(slopes[1]) if slopes[1] else None)
-            assert raw(record.lower[x]) == (min(slopes[-1]) if slopes[-1] else None)
-
-
-def raw(scalar):
-    return None if scalar is None else scalar.value
+            assert record.upper[x] == (max(slopes[1]) if slopes[1] else None)
+            assert record.lower[x] == (min(slopes[-1]) if slopes[-1] else None)
 
 
 def test_child_order_is_exact_where_floats_tie():
     # the first coordinates differ by 2^-80, below float resolution
     tiny = Fraction(1, 3) + Fraction(1, 2 ** 80)
-    ps = PointSet(3, [Point.of("1/3", 1, 0), Point.of(tiny, 0, 0), Point.of(0, 0, 1)])
-    table = WorkingTable(dim=3, points=ps, values={"x0": tuple(Scalar(Fraction(0))
-                                                               for _ in ps.points)})
+    pts = [Point.of("1/3", 1, 0), Point.of(tiny, 0, 0), Point.of(0, 0, 1)]
+    table = extend_domain(Instance.build(3, ("x0",), pts, {"x0": [Scalar(Fraction(0))] * 3}))
     child = build_envelope(table)
-    assert [p.raw()[0] for p in child.points.points] == [Fraction(1, 3), tiny]
+    assert [as_point(v).raw()[0] for v in child.points] == [Fraction(1, 3), tiny]

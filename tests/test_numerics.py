@@ -39,10 +39,6 @@ class TestScalar:
     def test_le_bound_exact_is_strict(self):
         assert not (exact(1) + exact("1/10000000000000000")).le_bound(exact(1))
 
-    def test_ceil(self):
-        assert exact("7/3").ceil_int() == 3
-        assert exact(-5).ceil_int() == -5
-
     def test_parse_normalizes(self):
         assert Scalar.parse("2/6").serialize() == "1/3"
         assert Scalar.parse("-4/2").serialize() == "-2"

@@ -69,8 +69,8 @@ class TestOtherDominationChecks:
         rep = verify_working_closure(trace, low)
         assert not rep.passed
         assert rep.min_slack["x0"] == verify_working_closure(trace, selector).min_slack["x0"] - 1
-        level_points = {p for record in trace.levels for p in record.points.points}
-        assert rep.failures and all(p in level_points and s.value < 0
+        level_points = {as_point(v) for record in trace.levels for v in record.points}
+        assert rep.failures and all(isinstance(p, Point) and p in level_points and s.value < 0
                                     for _, p, s in rep.failures)
 
     def test_feature_failure_names_sample_point(self):
@@ -100,9 +100,19 @@ class TestOtherDominationChecks:
         assert rep.min_slack == {"x0": exact(-1), "x1": exact(0)}
 
 
+def as_vector(coords):
+    """(a_1, .., a_k, d) with coords = a / d over the least common denominator."""
+    d = lcm(*(c.denominator for c in coords))
+    return (*(c.numerator * (d // c.denominator) for c in coords), d)
+
+
+def as_point(vector):
+    return Point.of(*[Fraction(a, vector[-1]) for a in vector[:-1]])
+
+
 def reference_check_domination(kind, xs, points, rows, const, coeffs, at=None):
     """The plain-Fraction loop that check_domination replaced, kept as its
-    reference."""
+    reference; ``at`` holds raw coordinates, not integer vectors."""
     if at is None:
         at = [p.raw() for p in points]
     min_slack = {}
@@ -114,7 +124,7 @@ def reference_check_domination(kind, xs, points, rows, const, coeffs, at=None):
             rhs = cx
             for coeff, coord in zip(bx, praw):
                 rhs = rhs + coeff * coord
-            slack = rhs - row[j].value
+            slack = rhs - row[j]
             if worst is None or slack < worst:
                 worst = slack
             if slack < 0:
@@ -160,7 +170,7 @@ def domination_problems(draw):
         for coords in evaluate:
             exact_rhs = const[x] + sum((c * v for c, v in zip(coeffs[x], coords)), Fraction(0))
             # on the functional (zero slack), or off it by a drawn amount
-            row.append(exact(exact_rhs - draw(st.one_of(st.just(Fraction(0)), RATIONALS))))
+            row.append(exact_rhs - draw(st.one_of(st.just(Fraction(0)), RATIONALS)))
         rows[x] = row
     return xs, points, rows, const, coeffs, at
 
@@ -169,7 +179,8 @@ class TestIntegerKernel:
     @given(domination_problems())
     def test_matches_fraction_loop(self, problem):
         xs, points, rows, const, coeffs, at = problem
-        assert_same_report(check_domination("closure", xs, points, rows, const, coeffs, at),
+        vectors = None if at is None else [as_vector(coords) for coords in at]
+        assert_same_report(check_domination("closure", xs, points, rows, const, coeffs, vectors),
                            reference_check_domination("closure", xs, points, rows, const,
                                                       coeffs, at))
 
@@ -177,7 +188,7 @@ class TestIntegerKernel:
         rep = check_domination("sample", ["x0"], [], {"x0": []}, {"x0": Fraction(1)},
                                {"x0": ()})
         assert rep.passed and rep.min_slack == {"x0": None}
-        rows = {"x0": [exact("5/2")]}
+        rows = {"x0": [Fraction(5, 2)]}
         rep = check_domination("closure", ["x0"], [Point.of()], rows, {"x0": Fraction(2)},
                                {"x0": ()})
         assert rep.failures == [("x0", Point.of(), exact("-1/2"))]
@@ -186,7 +197,7 @@ class TestIntegerKernel:
     def test_least_slack_tie_keeps_reduced_value(self):
         # the first two slacks tie at 1/2, computed as 9/18 and 25/50; the third is 1
         pts = [Point.of("1/3"), Point.of("1/5"), Point.of(0)]
-        rows = {"x0": [exact("1/3"), exact("1/5"), exact("-1/2")]}
+        rows = {"x0": [Fraction(1, 3), Fraction(1, 5), Fraction(-1, 2)]}
         rep = check_domination("sample", ["x0"], pts, rows, {"x0": Fraction(1, 2)},
                                {"x0": (Fraction(1),)})
         assert rep.min_slack["x0"].serialize() == "1/2"
@@ -206,7 +217,7 @@ class TestIntegerKernel:
                 rep = verify_working_closure(trace, low)
                 assert not rep.passed
                 reference = [reference_check_domination(
-                    "closure", low.xs, record.points.points, record.values,
+                    "closure", low.xs, [as_point(v) for v in record.points], record.values,
                     {x: low.c[x].value for x in low.xs},
                     {x: low.b[x].raw()[:record.dim] for x in low.xs})
                     for record in trace.levels]
