@@ -6,7 +6,6 @@ from .numerics import (
     AffselError,
     Point,
     PointSet,
-    PointTableBuilder,
     Scalar,
     origin_point,
 )
@@ -49,7 +48,6 @@ from .oracle import (
     verify_working_closure,
 )
 from .instances import (
-    GenRanges,
     InstanceFile,
     gen_affine_dominated,
     gen_convex_sections,

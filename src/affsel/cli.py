@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .numerics import AffselError, Point, Scalar
 from .sandwich import sandwich
@@ -30,15 +29,16 @@ from .oracle import (
     verify_working_closure,
 )
 from .instances import (
-    GenRanges,
     InstanceFileError,
-    _normalize_rational,
     check_schema_version,
     gen_affine_dominated,
     gen_convex_sections,
     gen_meager_linear,
     load_instance_file,
     parse_dimension,
+    parse_ids,
+    parse_rational,
+    read_json,
     save_instance_file,
 )
 
@@ -135,27 +135,19 @@ def build_parser() -> _Parser:
 
 def _load_finite_function(path) -> dict:
     """A function file {"X": [...], "values": [...]} as {id: Fraction}, in X order."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not (isinstance(data, dict) and isinstance(data.get("X"), list)
             and isinstance(data.get("values"), list)):
         raise InstanceFileError(f"{path}: a function file must hold the lists X and values")
-    xs = tuple(str(x) for x in data["X"])
-    try:
-        vals = [Fraction(str(v)) for v in data["values"]]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceFileError(f"{path}: malformed function file: {exc!r}") from None
-    if len(set(xs)) != len(xs):
-        dup = next(x for x in xs if xs.count(x) > 1)
-        raise InstanceFileError(f"{path}: duplicate parameter id {dup!r} in X")
+    xs = parse_ids(data["X"], path)
+    vals = [parse_rational(v) for v in data["values"]]
     if len(vals) != len(xs):
         raise InstanceFileError(f"{path}: {len(vals)} values for {len(xs)} ids in X")
     return dict(zip(xs, vals))
 
 
 def _load_selector(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if isinstance(data, dict) and isinstance(data.get("selector"), dict):
         data = data["selector"]   # run reports embed the selector
     if not isinstance(data, dict) or "kind" not in data:
@@ -168,23 +160,19 @@ def _selector_from_dict(data: dict):
         return _build_selector(data)
     except KeyError as exc:
         raise InstanceFileError(f"selector file: missing field {exc}") from None
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InstanceFileError(f"selector file: malformed: {exc!r}") from None
 
 
 def _build_selector(data: dict):
     """Read a selector the way instance files are read: every field that
     holds several values is a JSON list, numbers go through
-    ``_normalize_rational`` (0.1 is 1/10; booleans are not numbers) and
+    ``parse_rational`` (0.1 is 1/10; booleans are not numbers) and
     ``exact`` holds JSON booleans."""
     check_schema_version(data, "selector file")
     kind = data["kind"]
     n = parse_dimension(data["n"])
-    if not isinstance(data["X"], list):
-        raise InstanceFileError("selector file: X must be a list of parameter ids")
-    xs = tuple(str(x) for x in data["X"])
-    if len(set(xs)) != len(xs):
-        raise InstanceFileError("selector file: duplicate parameter ids in X")
+    xs = tuple(parse_ids(data["X"], "selector file"))
 
     def column(name, width=None) -> list:
         col = data[name]
@@ -195,7 +183,7 @@ def _build_selector(data: dict):
         return col
 
     def scalar(v) -> Scalar:
-        return Scalar.parse(_normalize_rational(v))
+        return Scalar(parse_rational(v))
 
     def points(name) -> dict:
         return {x: Point(scalar(c) for c in row) for x, row in zip(xs, column(name, n))}
@@ -227,14 +215,14 @@ def _emit(report: dict, started: float) -> None:
 
 
 def _cmd_gen(args, started) -> int:
-    ranges = GenRanges(zero_slack=args.zero_slack)
     if args.family == "affine":
-        doc = gen_affine_dominated(args.seed, args.n, args.nx, args.ny, ranges)
+        doc = gen_affine_dominated(args.seed, args.n, args.nx, args.ny,
+                                   zero_slack=args.zero_slack)
     elif args.family == "meager":
-        doc = gen_meager_linear(args.seed, args.n, args.nx, args.ny, ranges)
+        doc = gen_meager_linear(args.seed, args.n, args.nx, args.ny)
     else:
         doc = gen_convex_sections(args.seed, args.n, args.nx, args.ny, args.k,
-                                  shifted=args.shifted, ranges=ranges)
+                                  shifted=args.shifted)
     save_instance_file(doc, args.output)
     report = {
         "command": f"gen-{args.family}",
@@ -363,7 +351,7 @@ def _cmd_select_subgradient(args, started) -> int:
         linear=LinearConfig(lambda_max=_parse_lambda(args.lambda_max),
                             doublings=args.doublings),
         check_convexity=args.check_convexity)
-    selector = select_subgradient(csi, config, shift=args.shift or None)
+    selector = select_subgradient(csi, config, shift=args.shift)
     report = {
         "command": "select-subgradient",
         "config": {"backend": args.backend, "shift": bool(args.shift),
@@ -441,7 +429,7 @@ def run(argv=None) -> int:
         usage = " ".join(parser.format_usage().split())
         sys.stderr.write(f"usage error: {exc}; {usage}\n")
         return 1
-    except (AffselError, OSError, json.JSONDecodeError) as exc:
+    except (AffselError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .numerics import AffselError, Point, PointTableBuilder, Scalar
+from .numerics import AffselError, Point, Scalar
 from .hyperplane import Instance, SelectConfig, select_affine
 from .oracle import check_domination
 
@@ -98,23 +98,23 @@ def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
             if x not in slot or slot[x] < slope:
                 slot[x] = slope
 
-    builder = PointTableBuilder(inst.n, inst.xs)
+    points = []
+    rows = {x: [] for x in inst.xs}
     lam_scalars = [Scalar.exact(l) for l in lambdas]
-    for j, p in enumerate(inst.ys.points):
+    for p in inst.ys.points:
         key = _ray_key(p)
         for lam, lam_s in zip(lambdas, lam_scalars):
-            z = p.scale(lam_s)
+            points.append(p.scale(lam_s))
             if key is None:
                 # origin: contributions lambda * f(x, 0) collide at 0; max rule
-                vals = {x: Scalar(lam * origin_rows[x]) for x in inst.xs}
+                for x in inst.xs:
+                    rows[x].append(Scalar(lam * origin_rows[x]))
             else:
                 direction, scale = key
                 zscale = lam * scale
-                vals = {x: Scalar(zscale * ray_best[direction][x]) for x in inst.xs}
-            builder.insert(z, vals)
-    ps, rows = builder.freeze()
-    lifted = Instance(n=inst.n, xs=inst.xs, ys=ps, values=rows)
-    return ConeInstance(instance=lifted)
+                for x in inst.xs:
+                    rows[x].append(Scalar(zscale * ray_best[direction][x]))
+    return ConeInstance(instance=Instance.build(inst.n, inst.xs, points, rows))
 
 
 @dataclass(frozen=True)
@@ -200,15 +200,9 @@ def push_through_features(inst: Instance, phi: Mapping[Point, Point]) -> Instanc
     missing = [p for p in inst.ys.points if p not in phi]
     if missing:
         raise FeatureMapError(f"feature map not total: missing {missing[0]!r}")
-    dims = {phi[p].dim for p in inst.ys.points}
-    if len(dims) > 1:
-        raise FeatureMapError("feature images have mixed dimensions")
-    m = dims.pop() if dims else 0
-    builder = PointTableBuilder(m, inst.xs)
-    for j, p in enumerate(inst.ys.points):
-        builder.insert(phi[p], {x: inst.values[x][j] for x in inst.xs})
-    ps, rows = builder.freeze()
-    return Instance(n=m, xs=inst.xs, ys=ps, values=rows)
+    images = [phi[p] for p in inst.ys.points]
+    m = images[0].dim if images else 0
+    return Instance.build(m, inst.xs, images, inst.values)
 
 
 def feature_select(inst: Instance, phi: Mapping[Point, Point],

@@ -28,7 +28,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .numerics import AffselError, Point, PointSet, PointTableBuilder, Scalar, primitive
+from .numerics import AffselError, NumericsError, Point, PointSet, Scalar, primitive
 from .sandwich import ceiling_cover, sandwich
 
 
@@ -40,8 +40,7 @@ class SignConditionError(AffselError):
 class Instance:
     """Finite selection instance: parameter ids, a point cloud, and a value table.
 
-    Rows are aligned with the canonical order of ``ys``; duplicate points
-    supplied at build time are merged by pointwise max.
+    Rows are aligned with the canonical order of ``ys``.
     """
 
     n: int
@@ -51,14 +50,27 @@ class Instance:
 
     @classmethod
     def build(cls, n: int, xs, points, rows: Mapping) -> "Instance":
-        """Canonicalize: dedup/sort points, realign rows, merge duplicates by max."""
+        """The one canonicalizer of a point table: ``rows[x][j]`` is the value
+        at ``points[j]``.  Checks that every point has dimension n, merges
+        equal points by the pointwise max of their values (the supremum, so
+        the order of the points does not matter), sorts the points
+        lexicographically and aligns each row with that order."""
         xs = tuple(xs)
         points = list(points)
-        builder = PointTableBuilder(n, xs)
+        cols = [rows[x] for x in xs]
+        if any(len(col) != len(points) for col in cols):
+            raise NumericsError(f"every row must hold one value for each of {len(points)} points")
+        merged: Dict[tuple, tuple] = {}     # coordinates -> (point, values)
         for j, p in enumerate(points):
-            builder.insert(p, {x: rows[x][j] for x in xs})
-        ps, aligned = builder.freeze()
-        return cls(n=n, xs=xs, ys=ps, values=aligned)
+            if p.dim != n:
+                raise NumericsError(f"dimension mismatch: point dim {p.dim}, table dim {n}")
+            vals = [col[j] for col in cols]
+            kept = merged.setdefault(p.raw(), (p, vals))[1]
+            if kept is not vals:
+                kept[:] = map(max, kept, vals)
+        entries = [merged[k] for k in sorted(merged)]
+        return cls(n=n, xs=xs, ys=PointSet(n, [p for p, _ in entries]),
+                   values={x: tuple([vals[i] for _, vals in entries]) for i, x in enumerate(xs)})
 
     def section_fingerprint(self, x: str) -> tuple:
         return tuple(s.value for s in self.values[x])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -18,22 +19,101 @@ from .hyperplane import Instance
 
 SCHEMA_VERSION = 1
 
+# the most digits a run of digits in a file, a numerator or a denominator
+# may have: Python's default int-to-str limit, so every value read can be written
+MAX_DIGITS = 4300
+_LIMIT = 10 ** MAX_DIGITS
+
+# "p/q", or a decimal with an optional exponent, in ASCII digits: the
+# grammar of Fraction() differs between Python versions
+_RATIONAL = re.compile(r"""
+    (?P<sign>[-+]?)
+    (?: (?P<num>\d+) / (?P<den>\d+)
+      | (?=\.?\d) (?P<int>\d*) (?: \.(?P<frac>\d*) )? (?: [eE](?P<exp>[-+]?\d+) )? )
+    """, re.ASCII | re.VERBOSE)
+
 
 class InstanceFileError(AffselError):
     pass
 
 
+def parse_rational(value) -> Fraction:
+    """The one reader of rationals in files: a JSON number, or a string
+    holding "p/q" or a decimal such as "-1.5e3".  Each run of digits, and
+    the numerator and the denominator in lowest terms, may have at most
+    MAX_DIGITS digits; sizes are checked before any large integer is built."""
+    if type(value) is int:      # read_json bounds the size of JSON integers
+        return Fraction(value)
+    text = (value if isinstance(value, str) else str(value) if type(value) is float else "").strip()
+    m = _RATIONAL.fullmatch(text)
+    if m is None or m["den"] and not m["den"].strip("0"):
+        raise InstanceFileError(f"not a finite rational: {value!r}")
+    sign, num, den, whole, frac, exp = m.groups("")
+    if max(map(len, (num, den, whole, frac, exp))) <= MAX_DIGITS:
+        if den:
+            num, den, shift = int(num), int(den), 0
+        else:                   # whole.frac * 10^exp; zero at any exponent
+            num, den = int(whole or "0") * 10 ** len(frac) + int(frac or "0"), 1
+            shift = int(exp or "0") - len(frac) if num else 0
+        # past 3 * MAX_DIGITS no reduction brings the value back under the limit
+        if abs(shift) <= 3 * MAX_DIGITS:
+            out = Fraction(num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0))
+            if abs(out.numerator) < _LIMIT and out.denominator < _LIMIT:
+                return -out if sign == "-" else out
+    shown = text if len(text) <= 40 else text[:20] + "..."
+    raise InstanceFileError(f"{shown!r} exceeds the limit of {MAX_DIGITS} digits")
+
+
+def _json_int(text: str) -> int:
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise InstanceFileError(f"a JSON integer exceeds the limit of {MAX_DIGITS} digits")
+    return int(text)
+
+
+def parse_ids(xs, source: str) -> List[str]:
+    """X as distinct parameter ids: each a JSON string or number, read as its text."""
+    if not isinstance(xs, list):
+        raise InstanceFileError(f"{source}: X must be a list of parameter ids")
+    for x in xs:
+        if type(x) not in (str, int, float):
+            raise InstanceFileError(
+                f"{source}: a parameter id must be a JSON string or number, got {x!r}")
+    ids = [str(x) for x in xs]
+    if len(set(ids)) != len(ids):
+        dup = next(x for x in ids if ids.count(x) > 1)
+        raise InstanceFileError(f"{source}: duplicate parameter id {dup!r} in X")
+    return ids
+
+
+def read_json(path):
+    """The JSON document in a UTF-8 file; text that is not JSON, nests too
+    deeply or holds an integer of more than MAX_DIGITS digits is an
+    InstanceFileError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_int=_json_int)
+    except RecursionError:
+        raise InstanceFileError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:
+        raise InstanceFileError(f"{path}: not readable JSON: {exc}") from None
+
+
+def _text_rows(rows) -> List[List[str]]:
+    return [[str(v) for v in row] for row in rows]
+
+
 @dataclass
 class InstanceFile:
-    """On-disk instance: rationals as 'p/q' strings (bare 'p' for integers),
-    one value row per parameter, aligned with the point order."""
+    """On-disk instance: values as Fractions, one value row per parameter,
+    aligned with the point order; written as "p/q" strings (bare "p" for
+    integers)."""
 
     n: int
     xs: List[str]
-    y_rows: List[List[str]]
-    f_rows: List[List[str]]
-    phi_rows: Optional[List[List[str]]] = None
-    y0_rows: Optional[List[List[str]]] = None
+    y_rows: List[List[Fraction]]
+    f_rows: List[List[Fraction]]
+    phi_rows: Optional[List[List[Fraction]]] = None
+    y0_rows: Optional[List[List[Fraction]]] = None
     meta: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
@@ -41,13 +121,13 @@ class InstanceFile:
             "schema_version": SCHEMA_VERSION,
             "n": self.n,
             "X": list(self.xs),
-            "Y": [list(r) for r in self.y_rows],
-            "f": [list(r) for r in self.f_rows],
+            "Y": _text_rows(self.y_rows),
+            "f": _text_rows(self.f_rows),
         }
         if self.phi_rows is not None:
-            out["phi"] = [list(r) for r in self.phi_rows]
+            out["phi"] = _text_rows(self.phi_rows)
         if self.y0_rows is not None:
-            out["y0"] = [list(r) for r in self.y0_rows]
+            out["y0"] = _text_rows(self.y0_rows)
         if self.meta is not None:
             out["meta"] = self.meta
         return out
@@ -62,9 +142,7 @@ class InstanceFile:
         check_schema_version(data, "instance file")
         try:
             n = parse_dimension(data["n"])
-            if not isinstance(data["X"], list):
-                raise InstanceFileError("X must be a list of parameter ids")
-            xs = [str(x) for x in data["X"]]
+            xs = parse_ids(data["X"], "instance file")
             y_rows = _rational_rows(data, "Y")
             f_rows = _rational_rows(data, "f")
             phi = _rational_rows(data, "phi") if data.get("phi") is not None else None
@@ -73,9 +151,6 @@ class InstanceFile:
             raise InstanceFileError(f"missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise InstanceFileError(f"malformed instance file: {exc}") from exc
-        if len(set(xs)) != len(xs):
-            dup = next(x for x in xs if xs.count(x) > 1)
-            raise InstanceFileError(f"duplicate parameter id {dup!r} in X")
         if len(f_rows) != len(xs):
             raise InstanceFileError("f must have one row per parameter")
         for row in y_rows:
@@ -94,17 +169,12 @@ class InstanceFile:
         return cls(n=n, xs=xs, y_rows=y_rows, f_rows=f_rows, phi_rows=phi,
                    y0_rows=y0, meta=data.get("meta"))
 
-    @classmethod
-    def loads(cls, text: str) -> "InstanceFile":
-        return cls.from_json_dict(json.loads(text))
-
     # -- conversion ------------------------------------------------------
 
     def to_instance(self, mode: str = EXACT) -> Instance:
         check_mode(mode)
-        points = [Point(Scalar.parse(c) for c in row) for row in self.y_rows]
-        rows = {x: [Scalar.parse(c) for c in self.f_rows[i]]
-                for i, x in enumerate(self.xs)}
+        points = [Point(map(Scalar, row)) for row in self.y_rows]
+        rows = {x: list(map(Scalar, row)) for x, row in zip(self.xs, self.f_rows)}
         return Instance.build(self.n, self.xs, points, rows)
 
     def phi_table(self) -> Optional[Dict[Point, Point]]:
@@ -112,8 +182,8 @@ class InstanceFile:
             return None
         table = {}
         for yrow, zrow in zip(self.y_rows, self.phi_rows):
-            y = Point(Scalar.parse(c) for c in yrow)
-            z = Point(Scalar.parse(c) for c in zrow)
+            y = Point(map(Scalar, yrow))
+            z = Point(map(Scalar, zrow))
             if table.setdefault(y, z) != z:
                 raise InstanceFileError(
                     f"Y repeats the point {y.serialize()} with different phi rows")
@@ -123,34 +193,25 @@ class InstanceFile:
         check_mode(mode)
         if self.y0_rows is None:
             return None
-        return {x: Point(Scalar.parse(c) for c in row)
-                for x, row in zip(self.xs, self.y0_rows)}
+        return {x: Point(map(Scalar, row)) for x, row in zip(self.xs, self.y0_rows)}
 
     @classmethod
     def from_instance(cls, inst: Instance, meta: Optional[dict] = None,
                       y0: Optional[Mapping[str, Point]] = None) -> "InstanceFile":
-        y_rows = [p.serialize() for p in inst.ys.points]
-        f_rows = [[inst.values[x][j].serialize() for j in range(len(inst.ys))]
-                  for x in inst.xs]
+        y_rows = [list(p.raw()) for p in inst.ys.points]
+        f_rows = [[s.value for s in inst.values[x]] for x in inst.xs]
         y0_rows = None
         if y0 is not None:
-            y0_rows = [y0[x].serialize() for x in inst.xs]
+            y0_rows = [list(y0[x].raw()) for x in inst.xs]
         return cls(n=inst.n, xs=list(inst.xs), y_rows=y_rows, f_rows=f_rows,
                    y0_rows=y0_rows, meta=meta)
 
 
-def _normalize_rational(text) -> str:
-    try:
-        return str(Fraction(str(text)))
-    except (ValueError, ZeroDivisionError):
-        raise InstanceFileError(f"not a finite rational: {text!r}") from None
-
-
-def _rational_rows(data: dict, field: str) -> List[List[str]]:
+def _rational_rows(data: dict, field: str) -> List[List[Fraction]]:
     rows = data[field]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InstanceFileError(f"{field} must be a list of rows")
-    return [[_normalize_rational(c) for c in row] for row in rows]
+    return [[parse_rational(c) for c in row] for row in rows]
 
 
 def check_schema_version(data: dict, source: str) -> None:
@@ -173,8 +234,7 @@ def parse_dimension(value) -> int:
 
 
 def load_instance_file(path) -> InstanceFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return InstanceFile.loads(fh.read())
+    return InstanceFile.from_json_dict(read_json(path))
 
 
 def save_instance_file(doc: InstanceFile, path) -> None:
@@ -187,35 +247,29 @@ def save_instance_file(doc: InstanceFile, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenRanges:
-    coeff_low: int = -5
-    coeff_high: int = 5
-    max_denominator: int = 8
-    slack_high: int = 5
-    zero_slack: bool = False
+# coefficients and slacks are drawn as p/q with 1 <= q <= MAX_DENOMINATOR
+COEFF_LOW, COEFF_HIGH = -5, 5
+SLACK_HIGH = 5
+MAX_DENOMINATOR = 8
 
 
-def _rand_fraction(rng: random.Random, ranges: GenRanges,
-                   low: Optional[int] = None, high: Optional[int] = None) -> Fraction:
-    low = ranges.coeff_low if low is None else low
-    high = ranges.coeff_high if high is None else high
-    q = rng.randint(1, ranges.max_denominator)
+def _rand_fraction(rng: random.Random, low: int = COEFF_LOW, high: int = COEFF_HIGH) -> Fraction:
+    q = rng.randint(1, MAX_DENOMINATOR)
     p = rng.randint(low * q, high * q)
     return Fraction(p, q)
 
 
-def _rand_point(rng: random.Random, n: int, ranges: GenRanges) -> Point:
-    return Point(Scalar(_rand_fraction(rng, ranges)) for _ in range(n))
+def _rand_point(rng: random.Random, n: int) -> Point:
+    return Point(Scalar(_rand_fraction(rng)) for _ in range(n))
 
 
 def _distinct_points(rng: random.Random, n: int, count: int,
-                     ranges: GenRanges, seed_points: Tuple[Point, ...] = ()) -> List[Point]:
+                     seed_points: Tuple[Point, ...] = ()) -> List[Point]:
     points = list(seed_points)
     seen = {p.raw() for p in points}
     attempts = 0
     while len(points) < count and attempts < count * 200:
-        p = _rand_point(rng, n, ranges)
+        p = _rand_point(rng, n)
         attempts += 1
         if p.raw() in seen:
             continue
@@ -224,8 +278,8 @@ def _distinct_points(rng: random.Random, n: int, count: int,
     return points
 
 
-def gen_affine_dominated(seed: int, n: int, nx: int, ny: int,
-                         ranges: GenRanges = GenRanges()) -> InstanceFile:
+def gen_affine_dominated(seed: int, n: int, nx: int, ny: int, *,
+                         zero_slack: bool = False) -> InstanceFile:
     """Instances with a planted affine dominator: f(x, y) = b.y + c - slack."""
     if nx < 1 or ny < 1:
         raise InstanceFileError("sizes must be >= 1")
@@ -235,19 +289,18 @@ def gen_affine_dominated(seed: int, n: int, nx: int, ny: int,
     if n == 0:
         ny = 1
     xs = [f"x{i}" for i in range(nx)]
-    points = _distinct_points(rng, n, ny, ranges)
+    points = _distinct_points(rng, n, ny)
     witness_b: Dict[str, List[str]] = {}
     witness_c: Dict[str, str] = {}
     rows: Dict[str, List[Scalar]] = {}
     for x in xs:
-        b = [_rand_fraction(rng, ranges) for _ in range(n)]
-        c = _rand_fraction(rng, ranges)
+        b = [_rand_fraction(rng) for _ in range(n)]
+        c = _rand_fraction(rng)
         witness_b[x] = [str(v) for v in b]
         witness_c[x] = str(c)
         row = []
         for p in points:
-            slack = Fraction(0) if ranges.zero_slack else \
-                _rand_fraction(rng, ranges, low=0, high=ranges.slack_high)
+            slack = Fraction(0) if zero_slack else _rand_fraction(rng, 0, SLACK_HIGH)
             val = c - slack
             for coeff, coord in zip(b, p.coords):
                 val += coeff * coord.value
@@ -258,13 +311,12 @@ def gen_affine_dominated(seed: int, n: int, nx: int, ny: int,
         "generator": "affine_dominated",
         "seed": seed,
         "witness": {"b": witness_b, "c": witness_c},
-        "zero_slack": ranges.zero_slack,
+        "zero_slack": zero_slack,
     }
     return InstanceFile.from_instance(inst, meta=meta)
 
 
-def gen_meager_linear(seed: int, n: int, nx: int, ny: int,
-                      ranges: GenRanges = GenRanges()) -> InstanceFile:
+def gen_meager_linear(seed: int, n: int, nx: int, ny: int) -> InstanceFile:
     """Exactly linear sections f(x, y) = alpha(x).y; alpha recorded as witness."""
     if nx < 1 or ny < 1:
         raise InstanceFileError("sizes must be >= 1")
@@ -274,11 +326,11 @@ def gen_meager_linear(seed: int, n: int, nx: int, ny: int,
     if n == 0:
         ny = 1
     xs = [f"x{i}" for i in range(nx)]
-    points = _distinct_points(rng, n, ny, ranges)
+    points = _distinct_points(rng, n, ny)
     alphas: Dict[str, List[Fraction]] = {}
     rows: Dict[str, List[Scalar]] = {}
     for x in xs:
-        alpha = [_rand_fraction(rng, ranges) for _ in range(n)]
+        alpha = [_rand_fraction(rng) for _ in range(n)]
         alphas[x] = alpha
         row = []
         for p in points:
@@ -297,8 +349,7 @@ def gen_meager_linear(seed: int, n: int, nx: int, ny: int,
 
 
 def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
-                        shifted: bool = False,
-                        ranges: GenRanges = GenRanges()) -> InstanceFile:
+                        shifted: bool = False) -> InstanceFile:
     """Max-of-affine convex sections vanishing at the origin.
 
     g(x, y) = max_j p_j(x).y, so every planted slope is a valid subgradient
@@ -313,11 +364,11 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
     rng = random.Random(seed)
     xs = [f"x{i}" for i in range(nx)]
     origin = origin_point(n)
-    points = _distinct_points(rng, n, ny, ranges, seed_points=(origin,))
+    points = _distinct_points(rng, n, ny, seed_points=(origin,))
     slopes: Dict[str, List[List[Fraction]]] = {}
     rows: Dict[str, List[Scalar]] = {}
     for x in xs:
-        px = [[_rand_fraction(rng, ranges) for _ in range(n)] for _ in range(k)]
+        px = [[_rand_fraction(rng) for _ in range(n)] for _ in range(k)]
         slopes[x] = px
         row = []
         for p in points:
@@ -339,8 +390,8 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
     }
     y0 = None
     if shifted:
-        base = _rand_point(rng, n, ranges)
-        offsets = {x: _rand_fraction(rng, ranges) for x in xs}
+        base = _rand_point(rng, n)
+        offsets = {x: _rand_fraction(rng) for x in xs}
         points = [p.add(base) for p in points]
         rows = {x: [v + Scalar(offsets[x]) for v in rows[x]] for x in xs}
         y0 = {x: base for x in xs}

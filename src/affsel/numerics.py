@@ -1,5 +1,5 @@
-"""Exact rational scalars, points, point-set hygiene, and the integer-vector
-form of a rational point.
+"""Exact rational scalars, points, point sets, and the integer-vector form
+of a rational point.
 
 Instances, selectors and reports hold these types; the recursion and the
 domination check run on ``primitive`` vectors and plain Fractions.  Values
@@ -51,11 +51,6 @@ class Scalar:
     @classmethod
     def zero(cls) -> "Scalar":
         return cls(Fraction(0))
-
-    @classmethod
-    def parse(cls, text: str) -> "Scalar":
-        """Parse 'p/q' or 'p'."""
-        return cls(Fraction(text))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -192,36 +187,16 @@ def origin_point(dim: int) -> Point:
 
 
 class PointSet:
-    """Ordered, duplicate-free point collection with canonical (lexicographic)
-    order; duplicates are points with equal coordinates."""
+    """Duplicate-free points of one dimension in canonical (lexicographic)
+    order.  The constructor wraps points that are already so;
+    ``Instance.build`` is what puts a table of points in that form."""
 
     __slots__ = ("dim", "points", "_index")
 
     def __init__(self, dim: int, points: Iterable[Point]):
-        pts = list(points)
-        for p in pts:
-            if p.dim != dim:
-                raise NumericsError(f"point of dim {p.dim} in set of dim {dim}")
         self.dim = dim
-        self.points = tuple(self._dedup_sorted(pts))
+        self.points = tuple(points)
         self._index = None      # raw key -> position, built on first lookup
-
-    @classmethod
-    def presorted(cls, dim: int, points: Iterable[Point]) -> "PointSet":
-        """Wrap points that are already duplicate-free and in canonical order."""
-        ps = cls.__new__(cls)
-        ps.dim, ps.points, ps._index = dim, tuple(points), None
-        return ps
-
-    @staticmethod
-    def _dedup_sorted(pts: list) -> list:
-        out, seen = [], set()
-        for p in sorted(pts, key=Point.raw):
-            k = p.raw()
-            if k not in seen:
-                seen.add(k)
-                out.append(p)
-        return out
 
     def __len__(self):
         return len(self.points)
@@ -241,41 +216,3 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet(dim={self.dim}, points={list(self.points)!r})"
-
-
-class PointTableBuilder:
-    """Accumulates (point, values) rows; colliding points keep the larger value.
-
-    The max rule realizes the pointwise supremum when generated points
-    collide, and makes insertion order irrelevant.
-    """
-
-    def __init__(self, dim: int, xs: tuple):
-        self.dim = dim
-        self.xs = tuple(xs)
-        self._entries: dict = {}   # raw key -> (Point, {x: Scalar})
-
-    def insert(self, point: Point, values: dict) -> None:
-        if point.dim != self.dim:
-            raise NumericsError(f"dimension mismatch: point dim {point.dim}, table dim {self.dim}")
-        key = point.raw()
-        entry = self._entries.get(key)
-        if entry is None:
-            self._entries[key] = (point, dict(values))
-            return
-        _, stored = entry
-        for x, v in values.items():
-            old = stored.get(x)
-            stored[x] = v if old is None or old < v else old
-
-    def freeze(self):
-        """Canonicalize into a PointSet plus rows aligned with its order."""
-        ps = PointSet(self.dim, [p for p, _ in self._entries.values()])
-        rows = {x: [] for x in self.xs}
-        for p in ps.points:
-            vals = self._entries[p.raw()][1]
-            for x in self.xs:
-                if x not in vals:
-                    raise NumericsError(f"missing value for section {x!r} at {p!r}")
-                rows[x].append(vals[x])
-        return ps, {x: tuple(row) for x, row in rows.items()}

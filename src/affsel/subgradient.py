@@ -76,7 +76,7 @@ def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
                 raise ShiftDomainError(f"base point of x={x} is not a sample point")
             ys = inst.ys
             if any(base.raw()):
-                ys = PointSet.presorted(inst.n, [p.sub(base) for p in ys.points])
+                ys = PointSet(inst.n, [p.sub(base) for p in ys.points])
             entry = shifted[base.raw()] = (j0, ys)
         j0, ys = entry
         row = inst.values[x]
@@ -141,32 +141,24 @@ def check_midpoint_convexity(inst: Instance) -> List[tuple]:
 
 def select_subgradient(csi: ConvexSectionInstance,
                        config: SubgradientConfig = SubgradientConfig(),
-                       shift: Optional[bool] = None) -> SubgradientSelector:
+                       shift: bool = False) -> SubgradientSelector:
     """Select p(x) with g(x, y) >= p(x).y - epsilon(x) at the (shifted) origin.
 
-    Without shifting, each section must already be normalized: the origin is
-    a sample point with value zero.  With shifting, sections are translated
-    to their base points first, which normalizes them by construction.
-    ``shift=None`` shifts exactly when the instance carries base points.
+    With ``shift``, or whenever the instance carries base points, sections
+    are translated to their base points first, which normalizes them by
+    construction (base points at the origin give the unshifted groups on a
+    normalized file and normalize any other).  Otherwise each section must
+    already be normalized: the origin is a sample point with value zero.
     """
     inst = csi.instance
-    if shift is None:
-        # a y0 table always shifts: base points at the origin give the
-        # unshifted groups on a normalized file and normalize any other
-        shift = csi.y0 is not None
-
-    if shift:
-        sections = shift_to_origin(csi)
-    else:
-        origin = origin_point(inst.n)
-        j0 = inst.ys.index_of(origin)
+    if not (shift or csi.y0 is not None):
+        j0 = inst.ys.index_of(origin_point(inst.n))
         if j0 is None:
             raise NotNormalizedError("not normalized: origin is not a sample point")
         for x in inst.xs:
             if inst.values[x][j0].value != 0:
                 raise NotNormalizedError(f"not normalized: g({x}, 0) != 0")
-        sections = shift_to_origin(
-            ConvexSectionInstance(instance=inst, y0=None))
+    sections = shift_to_origin(csi)
 
     if config.check_convexity:
         for group in sections.groups:

@@ -22,10 +22,10 @@ WORKED = {
 }
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "affsel", *args],
-        capture_output=True, text=True, env=subprocess_env(), cwd=cwd,
+        capture_output=True, text=True, env=subprocess_env(), cwd=cwd, timeout=timeout,
     )
 
 
@@ -256,7 +256,17 @@ def test_subgradient_auto_shift_with_origin_base(tmp_path):
     assert json.loads(res.stdout)["verification"]["passed"] is True
 
 
+# values Fraction() reads differently on different Python versions (1_000 on
+# 3.11+, "3 / 4" on 3.12+, non-ASCII digits everywhere), and values too large
+# to read: 1e999999999 used to hang, 1e5000 to fail with a misleading message
+BAD_VALUES = {"underscore": "1_000", "spaced-fraction": "3 / 4", "arabic-digits": "\u0661\u0662",
+              "huge-exponent": "1e5000", "giant-exponent": "1e999999999"}
+# ids that used to be read as the text of the JSON value: "['a']", "True", "None"
+BAD_IDS = {"list": ["a"], "boolean": True, "null": None}
+
 MALFORMED = {
+    **{f"value-{name}": dict(WORKED, f=[[v, "1"]]) for name, v in BAD_VALUES.items()},
+    **{f"id-{name}": dict(WORKED, X=[x]) for name, x in BAD_IDS.items()},
     "zero-denominator": dict(WORKED, f=[["1/0", "1"]]),
     "nan": dict(WORKED, f=[["nan", "1"]]),
     "fractional-n": dict(WORKED, n="1.5"),
@@ -270,6 +280,10 @@ MALFORMED = {
 
 # (u, l) pairs for `affsel sandwich`; zip-based loading used to drop values
 MALFORMED_FUNCTIONS = {
+    **{f"function-value-{name}": ({"X": ["a"], "values": [v]}, {"X": ["a"], "values": ["1"]})
+       for name, v in BAD_VALUES.items()},
+    **{f"function-id-{name}": ({"X": [x], "values": ["0"]}, {"X": [x], "values": ["1"]})
+       for name, x in BAD_IDS.items()},
     "function-duplicate-ids": ({"X": ["a", "a"], "values": ["0", "5"]},
                                {"X": ["a", "a"], "values": ["7", "9"]}),
     "function-extra-values": ({"X": ["a"], "values": ["0", "4"]},
@@ -286,6 +300,10 @@ MALFORMED_FUNCTIONS = {
 
 # selector files for `affsel verify` against the worked instance
 MALFORMED_SELECTORS = {
+    **{f"selector-value-{name}": {"kind": "affine", "n": 1, "X": ["x0"], "B": [["1/2"]],
+                                  "C": [v]} for name, v in BAD_VALUES.items()},
+    **{f"selector-id-{name}": {"kind": "affine", "n": 1, "X": [x], "B": [["1/2"]], "C": ["1"]}
+       for name, x in BAD_IDS.items()},
     "selector-without-C": {"kind": "affine", "n": 1, "X": ["x0"], "B": [["1/2"]]},
     "selector-fractional-n": {"kind": "affine", "n": 1.9, "X": ["x0"], "B": [["1/2"]],
                               "C": ["1"]},
@@ -309,6 +327,18 @@ MALFORMED_SELECTORS = {
 }
 
 
+# files that are not JSON Python can read: the decoder recursed past the
+# stack limit, or refused an integer past the int-to-str digit limit
+LONG_INTEGER = "9" * 5000
+MALFORMED_TEXT = {
+    **{f"{kind}-deep-nesting": (kind, "[" * 200_000) for kind in ("instance", "function", "selector")},
+    "instance-long-integer": ("instance", f'{{"n": 1, "X": ["x0"], "Y": [[-1], [2]], '
+                                          f'"f": [[0, {LONG_INTEGER}]]}}'),
+    "function-long-integer": ("function", f'{{"X": ["a"], "values": [{LONG_INTEGER}]}}'),
+    "selector-long-integer": ("selector", f'{{"kind": "affine", "n": 1, "X": ["x0"], '
+                                          f'"B": [[0]], "C": [{LONG_INTEGER}]}}'),
+}
+
 # pipelines whose --doublings must be a non-negative integer
 DOUBLINGS_PIPELINES = ("linear", "feature", "subgradient")
 
@@ -327,6 +357,16 @@ EXPECTED_MESSAGE = {
     **dict.fromkeys(BAD_LAMBDAS, "--lambda-max"),
     **dict.fromkeys(DEPTH_COMMANDS, "unrecognized arguments: --depth 3"),
     "y0-dimension": "y0 point of dimension 2, expected 1",
+    **{f"{kind}value-{name}": "not a finite rational" for kind in ("", "function-", "selector-")
+       for name in ("underscore", "spaced-fraction", "arabic-digits")},
+    **{f"{kind}value-{name}": "exceeds the limit of 4300 digits"
+       for kind in ("", "function-", "selector-") for name in ("huge-exponent", "giant-exponent")},
+    **{f"{kind}id-{name}": "parameter id must be a JSON string or number"
+       for kind in ("", "function-", "selector-") for name in BAD_IDS},
+    **{f"{kind}-deep-nesting": "JSON nested too deeply"
+       for kind in ("instance", "function", "selector")},
+    **{f"{kind}-long-integer": "a JSON integer exceeds the limit of 4300 digits"
+       for kind in ("instance", "function", "selector")},
     "selector-string-row": "B must be a list aligned with X of rows of length n",
     "selector-string-column": "C must be a list aligned with X",
     "selector-string-X": "X must be a list of parameter ids",
@@ -342,7 +382,7 @@ EXPECTED_MESSAGE = {
 
 
 @pytest.mark.parametrize("case", [*MALFORMED, *MALFORMED_FUNCTIONS, *MALFORMED_SELECTORS,
-                                  "mode-float", "feature-repeated-y",
+                                  *MALFORMED_TEXT, "mode-float", "feature-repeated-y",
                                   *(f"doublings-negative-{p}" for p in DOUBLINGS_PIPELINES),
                                   *(f"gen-negative-n-{f}" for f in ("affine", "meager", "convex")),
                                   *BAD_LAMBDAS, *DEPTH_COMMANDS])
@@ -352,6 +392,13 @@ def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
         path.write_text(json.dumps(MALFORMED[case]))
         pipeline = "subgradient" if case == "y0-dimension" else "affine"
         args = ("select", pipeline, str(path))
+    elif case in MALFORMED_TEXT:
+        kind, text = MALFORMED_TEXT[case]
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        args = {"instance": ("select", "affine", str(path)),
+                "function": ("sandwich", str(path), str(path)),
+                "selector": ("verify", str(worked_file), str(path), "--kind", "affine")}[kind]
     elif case in MALFORMED_FUNCTIONS:
         u, l = tmp_path / "u.json", tmp_path / "l.json"
         u.write_text(json.dumps(MALFORMED_FUNCTIONS[case][0]))
@@ -382,7 +429,7 @@ def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
         u.write_text(json.dumps({"X": ["a"], "values": ["0"]}))
         files = (str(worked_file),) if case == "depth-select-affine" else (str(u), str(u))
         args = (*DEPTH_COMMANDS[case], *files, "--depth", "3")
-    res = run_cli(*args)
+    res = run_cli(*args, timeout=10)
     assert res.returncode == 1
     assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1, res.stderr

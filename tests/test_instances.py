@@ -1,16 +1,21 @@
 import json
 from fractions import Fraction
 
+import time
+
 import pytest
+from hypothesis import given, strategies as st
 
 from affsel.hyperplane import select_affine
 from affsel.instances import (
-    GenRanges,
+    MAX_DIGITS,
     InstanceFile,
     InstanceFileError,
     gen_affine_dominated,
     gen_convex_sections,
     gen_meager_linear,
+    parse_rational,
+    read_json,
 )
 from affsel.numerics import Point, Scalar
 from affsel.oracle import fm_feasible, verify_domination
@@ -19,6 +24,75 @@ from affsel.hyperplane import AffineSelector
 
 def exact(v):
     return Scalar(Fraction(v))
+
+
+# numerators and denominators of MAX_DIGITS digits, and one more
+LARGEST = {
+    "exponent": f"1e{MAX_DIGITS - 1}", "negative-exponent": f"-1e-{MAX_DIGITS - 1}",
+    "digits": "9" * MAX_DIGITS, "denominator": "1/" + "9" * MAX_DIGITS,
+    # 1/(2 * 10^4299): over the limit as written, under it in lowest terms
+    "reduced": f"0.5e-{MAX_DIGITS - 1}",
+    # each run of digits under the limit, 8,600 digits together
+    "long-decimal": "1" + "0" * (MAX_DIGITS - 1) + "." + "0" * MAX_DIGITS,
+}
+TOO_LARGE = {
+    "exponent": f"1e{MAX_DIGITS}", "negative-exponent": f"1e-{MAX_DIGITS}",
+    "digits": "9" * (MAX_DIGITS + 1), "denominator": "1/" + "9" * (MAX_DIGITS + 1),
+    "leading-zeros": "0" * (MAX_DIGITS + 1) + "1", "fraction-digits": "0." + "1" * (MAX_DIGITS + 1),
+    "giant-exponent": "1e999999999", "giant-negative-exponent": "1e-999999999",
+    "long-exponent": "1e" + "9" * (MAX_DIGITS + 1),
+}
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("value, expected", [
+        ("3/4", "3/4"), ("-6/8", "-3/4"), ("+3/4", "3/4"), (" 7\n", "7"), ("\u20027", "7"),
+        ("007", "7"),
+        ("0.5", "1/2"), (".5", "1/2"), ("1.", "1"), ("-1.5e+2", "-150"), ("1E-3", "1/1000"),
+        ("-0", "0"), (12, "12"), (0.1, "1/10"), (1e16, "10000000000000000"), (-2.5e-3, "-1/400"),
+        # zero at any exponent, read without building 10^999999999
+        ("0e999999999", "0"), ("0.000e-999999999", "0"),
+    ])
+    def test_grammar(self, value, expected):
+        assert parse_rational(value) == Fraction(expected)
+
+    @pytest.mark.parametrize("value", [
+        "", ".", "e5", "1e", "1/2e3", "1/-2", "1/0", "0/0", "1_000", "3 / 4", "\u0661\u0662",
+        "\u22121", "1 2", "0x10", "inf", "nan", "Infinity", float("inf"), float("nan"),
+        True, None, [1], {"1": 1},
+    ])
+    def test_not_a_rational(self, value):
+        with pytest.raises(InstanceFileError, match="not a finite rational"):
+            parse_rational(value)
+
+    @given(st.fractions())
+    def test_reads_its_own_output(self, value):
+        assert parse_rational(str(value)) == value
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_json_numbers_read_as_their_decimal_text(self, value):
+        assert parse_rational(value) == Fraction(str(value))
+
+    @pytest.mark.parametrize("name", LARGEST)
+    def test_largest_values_read(self, name):
+        out = parse_rational(LARGEST[name])
+        assert max(abs(out.numerator), out.denominator) < 10 ** MAX_DIGITS
+
+    @pytest.mark.parametrize("name", TOO_LARGE)
+    def test_size_limit_named_before_building(self, name):
+        started = time.perf_counter()
+        with pytest.raises(InstanceFileError, match=f"limit of {MAX_DIGITS} digits"):
+            parse_rational(TOO_LARGE[name])
+        assert time.perf_counter() - started < 1
+
+
+def test_read_json_bounds_integers(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(f"[{'9' * MAX_DIGITS}, -{'9' * MAX_DIGITS}]")
+    assert read_json(path) == [10 ** MAX_DIGITS - 1, 1 - 10 ** MAX_DIGITS]
+    path.write_text(f"[1{'0' * MAX_DIGITS}]")
+    with pytest.raises(InstanceFileError, match=f"integer exceeds the limit of {MAX_DIGITS} digits"):
+        read_json(path)
 
 
 class TestInstanceFile:
@@ -33,15 +107,15 @@ class TestInstanceFile:
     def test_parse_serialize_parse_identity(self):
         doc = gen_affine_dominated(5, 2, 3, 6)
         text = doc.dumps()
-        again = InstanceFile.loads(text)
+        again = InstanceFile.from_json_dict(json.loads(text))
         assert again.dumps() == text
 
     def test_rationals_normalized(self):
         raw = {"schema_version": 1, "n": 1, "X": ["x0"],
                "Y": [["2/6"]], "f": [["-4/2"]]}
-        doc = InstanceFile.from_json_dict(raw)
-        assert doc.y_rows == [["1/3"]]
-        assert doc.f_rows == [["-2"]]
+        data = json.loads(InstanceFile.from_json_dict(raw).dumps())
+        assert data["Y"] == [["1/3"]]
+        assert data["f"] == [["-2"]]
 
     def test_alignment_errors(self):
         with pytest.raises(InstanceFileError):
@@ -64,11 +138,11 @@ class TestGenAffineDominated:
         assert gen_affine_dominated(7, 2, 3, 5).dumps() == gen_affine_dominated(7, 2, 3, 5).dumps()
 
     def test_zero_slack_exactly_affine(self):
-        doc = gen_affine_dominated(3, 1, 2, 4, GenRanges(zero_slack=True))
+        doc = gen_affine_dominated(3, 1, 2, 4, zero_slack=True)
         inst = doc.to_instance()
         for i, x in enumerate(doc.xs):
-            b = Point(Scalar.parse(v) for v in doc.meta["witness"]["b"][x])
-            c = Scalar.parse(doc.meta["witness"]["c"][x])
+            b = Point(exact(v) for v in doc.meta["witness"]["b"][x])
+            c = exact(doc.meta["witness"]["c"][x])
             for j, p in enumerate(inst.ys.points):
                 assert inst.values[x][j] == b.dot(p) + c
 
@@ -78,8 +152,8 @@ class TestGenAffineDominated:
         res = fm_feasible(inst.ys, inst.values, homogeneous=False)
         assert all(r.feasible for r in res.values())
         for x in inst.xs:
-            b = Point(Scalar.parse(v) for v in doc.meta["witness"]["b"][x])
-            c = Scalar.parse(doc.meta["witness"]["c"][x])
+            b = Point(exact(v) for v in doc.meta["witness"]["b"][x])
+            c = exact(doc.meta["witness"]["c"][x])
             sel = AffineSelector(n=inst.n, xs=(x,), b={x: b}, c={x: c})
             sub = inst.__class__.build(inst.n, (x,), list(inst.ys.points),
                                        {x: list(inst.values[x])})
@@ -104,7 +178,7 @@ class TestGenMeagerLinear:
         doc = gen_meager_linear(23, 2, 3, 5)
         inst = doc.to_instance()
         for x in inst.xs:
-            alpha = Point(Scalar.parse(v) for v in doc.meta["witness"]["alpha"][x])
+            alpha = Point(exact(v) for v in doc.meta["witness"]["alpha"][x])
             for j, p in enumerate(inst.ys.points):
                 assert inst.values[x][j] == alpha.dot(p)
 
@@ -132,7 +206,7 @@ class TestGenConvexSections:
         doc = gen_convex_sections(41, 1, 2, 5, k=4)
         inst = doc.to_instance()
         for x in inst.xs:
-            slopes = [Point(Scalar.parse(v) for v in s)
+            slopes = [Point(exact(v) for v in s)
                       for s in doc.meta["witness"]["slopes"][x]]
             for j, p in enumerate(inst.ys.points):
                 best = max(s.dot(p).value for s in slopes)
@@ -141,7 +215,7 @@ class TestGenConvexSections:
     def test_k_one_linear(self):
         doc = gen_convex_sections(43, 1, 1, 4, k=1)
         inst = doc.to_instance()
-        slope = Point(Scalar.parse(v) for v in doc.meta["witness"]["slopes"]["x0"][0])
+        slope = Point(exact(v) for v in doc.meta["witness"]["slopes"]["x0"][0])
         for j, p in enumerate(inst.ys.points):
             assert inst.values["x0"][j] == slope.dot(p)
 

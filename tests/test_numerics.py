@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from affsel.hyperplane import Instance
+from affsel.instances import parse_rational
 from affsel.numerics import (
     NumericsError,
     Point,
-    PointSet,
-    PointTableBuilder,
     Scalar,
 )
 
@@ -22,7 +22,7 @@ class TestScalar:
     @given(fractions_st)
     def test_serialize_roundtrip_exact(self, fr):
         s = Scalar(fr)
-        assert Scalar.parse(s.serialize()) == s
+        assert Scalar(parse_rational(s.serialize())) == s
 
     @given(fractions_st, fractions_st, fractions_st)
     def test_exact_arithmetic_laws(self, a, b, c):
@@ -40,8 +40,8 @@ class TestScalar:
         assert not (exact(1) + exact("1/10000000000000000")).le_bound(exact(1))
 
     def test_parse_normalizes(self):
-        assert Scalar.parse("2/6").serialize() == "1/3"
-        assert Scalar.parse("-4/2").serialize() == "-2"
+        assert Scalar(parse_rational("2/6")).serialize() == "1/3"
+        assert Scalar(parse_rational("-4/2")).serialize() == "-2"
 
 
 class TestPoint:
@@ -57,63 +57,58 @@ class TestPoint:
             Point.of(1).dot(Point.of(1, 2))
 
 
+def build(n, entries):
+    """Instance.build on (point, value) entries of the one parameter x."""
+    return Instance.build(n, ("x",), [p for p, _ in entries], {"x": [exact(v) for _, v in entries]})
+
+
+# point tables are canonicalized by Instance.build alone
 class TestPointSet:
     def test_canonical_order(self):
-        ps = PointSet(2, [Point.of(1, 1), Point.of(0, 5), Point.of(1, 0)])
-        assert [p.raw() for p in ps.points] == sorted(p.raw() for p in ps.points)
+        inst = build(2, [(Point.of(1, 1), 0), (Point.of(0, 5), 1), (Point.of(1, 0), 2)])
+        assert [p.raw() for p in inst.ys.points] == sorted(p.raw() for p in inst.ys.points)
+        assert inst.values["x"] == (exact(1), exact(2), exact(0))
 
-    @given(st.lists(st.tuples(fractions_st, fractions_st), max_size=12))
-    def test_order_independent(self, coords):
-        pts = [Point.of(a, b) for a, b in coords]
-        assert PointSet(2, pts) == PointSet(2, list(reversed(pts)))
+    @given(st.lists(st.tuples(fractions_st, fractions_st, fractions_st), max_size=12))
+    def test_order_independent(self, entries):
+        entries = [(Point.of(a, b), v) for a, b, v in entries]
+        assert build(2, entries) == build(2, list(reversed(entries)))
 
     def test_exact_dedup(self):
-        ps = PointSet(1, [Point.of("1/3"), Point.of("2/6")])
-        assert len(ps) == 1
+        inst = build(1, [(Point.of("1/3"), 0), (Point.of("2/6"), 0)])
+        assert len(inst.ys) == 1
 
     def test_dim_mismatch(self):
-        with pytest.raises(NumericsError):
-            PointSet(2, [Point.of(1)])
+        with pytest.raises(NumericsError, match="dimension mismatch"):
+            build(2, [(Point.of(1), 0)])
 
 
 class TestDedupInsert:
     def test_max_wins(self):
-        t = PointTableBuilder(2, ("x",))
-        t.insert(Point.of(1, 0), {"x": exact(3)})
-        t.insert(Point.of(1, 0), {"x": exact(5)})
-        _, rows = t.freeze()
-        assert rows["x"] == (exact(5),)
+        inst = build(2, [(Point.of(1, 0), 3), (Point.of(1, 0), 5)])
+        assert inst.values["x"] == (exact(5),)
 
     def test_smaller_ignored(self):
-        t = PointTableBuilder(2, ("x",))
-        t.insert(Point.of(1, 0), {"x": exact(3)})
-        t.insert(Point.of(1, 0), {"x": exact(2)})
-        _, rows = t.freeze()
-        assert rows["x"] == (exact(3),)
+        inst = build(2, [(Point.of(1, 0), 3), (Point.of(1, 0), 2)])
+        assert inst.values["x"] == (exact(3),)
 
     def test_rational_collision(self):
-        t = PointTableBuilder(2, ("x",))
-        t.insert(Point.of("1/3", 0), {"x": exact(1)})
-        t.insert(Point.of("2/6", 0), {"x": exact(2)})
-        ps, rows = t.freeze()
-        assert len(ps) == 1
-        assert rows["x"] == (exact(2),)
+        inst = build(2, [(Point.of("1/3", 0), 1), (Point.of("2/6", 0), 2)])
+        assert len(inst.ys) == 1
+        assert inst.values["x"] == (exact(2),)
 
     def test_dimension_mismatch(self):
-        t = PointTableBuilder(2, ("x",))
         with pytest.raises(NumericsError, match="dimension mismatch"):
-            t.insert(Point.of(1), {"x": exact(0)})
+            build(2, [(Point.of(1, 0), 0), (Point.of(1), 0)])
 
     @given(st.permutations(list(range(6))))
     def test_order_independent(self, perm):
-        inserts = [
-            (Point.of(0), {"x": exact(1)}), (Point.of(0), {"x": exact(4)}),
-            (Point.of(1), {"x": exact(2)}), (Point.of(2), {"x": exact(0)}),
-            (Point.of(1), {"x": exact(-1)}), (Point.of(0), {"x": exact(4)}),
-        ]
-        t = PointTableBuilder(1, ("x",))
-        for i in perm:
-            t.insert(*inserts[i])
-        ps, rows = t.freeze()
-        assert [p.raw() for p in ps.points] == [(Fraction(0),), (Fraction(1),), (Fraction(2),)]
-        assert rows["x"] == (exact(4), exact(2), exact(0))
+        entries = [(Point.of(0), 1), (Point.of(0), 4), (Point.of(1), 2),
+                   (Point.of(2), 0), (Point.of(1), -1), (Point.of(0), 4)]
+        inst = build(1, [entries[i] for i in perm])
+        assert [p.raw() for p in inst.ys.points] == [(Fraction(0),), (Fraction(1),), (Fraction(2),)]
+        assert inst.values["x"] == (exact(4), exact(2), exact(0))
+
+    def test_rows_align_with_points(self):
+        with pytest.raises(NumericsError, match="one value for each of 2 points"):
+            Instance.build(1, ("x",), [Point.of(0), Point.of(1)], {"x": [exact(0)]})

@@ -458,7 +458,7 @@ def fm_problems(draw):
     n = draw(st.integers(0, 3))
     homogeneous = draw(st.booleans())
     coords = draw(st.lists(st.tuples(*[SMALL] * n), max_size=8, unique=True))
-    points = PointSet(n, [Point.of(*c) for c in coords])
+    points = PointSet(n, [Point.of(*c) for c in sorted(coords)])
     if draw(st.booleans()):
         # planted below a linear functional: feasible
         a = draw(st.tuples(*[SMALL] * n))
