@@ -17,9 +17,7 @@ from .hyperplane import (
     SelectConfig,
     WorkingTable,
     build_envelope,
-    chord_value,
     extend_domain,
-    intersection_point,
     select_affine,
 )
 from .conelift import (

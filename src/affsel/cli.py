@@ -66,7 +66,7 @@ def _parse_lambda(text: str) -> int:
 
 
 def _non_negative(text: str) -> int:
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 
@@ -431,6 +431,14 @@ def run(argv=None) -> int:
         return 1
     except (AffselError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    # the last line of defence: an input too large for this process
+    except RecursionError:
+        sys.stderr.write("error: input too large: recursion deeper than Python's limit "
+                         "(RecursionError)\n")
+        return 1
+    except MemoryError:
+        sys.stderr.write("error: input too large: out of memory (MemoryError)\n")
         return 1
 
 

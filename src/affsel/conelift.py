@@ -17,7 +17,8 @@ holds at every scale between; further rungs would add points, no constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from fractions import Fraction
+from typing import ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from .numerics import AffselError, Point, Scalar
 from .hyperplane import Instance, SelectConfig, select_affine
@@ -32,14 +33,13 @@ class FeatureMapError(AffselError):
     pass
 
 
-def _ray_key(point: Point) -> Optional[Tuple[tuple, object]]:
-    """Canonical (direction, scale) for the open ray through a point; the
-    origin has no ray and returns None."""
-    for c in point.coords:
-        if c.sign() != 0:
+def _ray_key(coords: tuple) -> Optional[Tuple[tuple, Fraction]]:
+    """Canonical (direction, scale) for the open ray through a point given
+    by its coordinates; the origin has no ray and returns None."""
+    for c in coords:
+        if c:
             scale = abs(c)
-            direction = tuple((coord / scale).value for coord in point.coords)
-            return direction, scale.value
+            return tuple([coord / scale for coord in coords]), scale
     return None
 
 
@@ -84,10 +84,11 @@ def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
         prev = lam
 
     # per-ray best slope: M(x, ray) = max f(x, y) / s(y) over ray members
-    ray_best: Dict[tuple, Dict[str, object]] = {}
-    origin_rows: Optional[Dict[str, object]] = None
-    for j, p in enumerate(inst.ys.points):
-        key = _ray_key(p)
+    coords = [p.raw() for p in inst.ys.points]
+    keys = [_ray_key(c) for c in coords]
+    ray_best: Dict[tuple, Dict[str, Fraction]] = {}
+    origin_rows: Optional[Dict[str, Fraction]] = None
+    for j, key in enumerate(keys):
         if key is None:
             origin_rows = {x: inst.values[x][j].value for x in inst.xs}
             continue
@@ -100,20 +101,18 @@ def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
 
     points = []
     rows = {x: [] for x in inst.xs}
-    lam_scalars = [Scalar.exact(l) for l in lambdas]
-    for p in inst.ys.points:
-        key = _ray_key(p)
-        for lam, lam_s in zip(lambdas, lam_scalars):
-            points.append(p.scale(lam_s))
+    for p, key in zip(coords, keys):
+        for lam in lambdas:
+            points.append(tuple([lam * c for c in p]))
             if key is None:
                 # origin: contributions lambda * f(x, 0) collide at 0; max rule
                 for x in inst.xs:
-                    rows[x].append(Scalar(lam * origin_rows[x]))
+                    rows[x].append(lam * origin_rows[x])
             else:
                 direction, scale = key
                 zscale = lam * scale
                 for x in inst.xs:
-                    rows[x].append(Scalar(zscale * ray_best[direction][x]))
+                    rows[x].append(zscale * ray_best[direction][x])
     return ConeInstance(instance=Instance.build(inst.n, inst.xs, points, rows))
 
 
@@ -121,7 +120,8 @@ def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
 class LinearConfig:
     lambda_max: int = 2 ** 20
     doublings: int = 3
-    select: SelectConfig = SelectConfig()
+    # the affine settings of the lifted selection; a constant, not an option
+    select: ClassVar[SelectConfig] = SelectConfig()
 
 
 @dataclass
@@ -163,9 +163,7 @@ class LinearSelector:
 def _attempt(inst: Instance, lambda_max: int, config: LinearConfig):
     cone = lift_to_cone(inst, (1,) if lambda_max == 1 else (1, lambda_max))
     selector, trace = select_affine(cone.instance, config.select)
-    lam = Scalar.exact(lambda_max)
-    zero = Scalar.zero()
-    eps_map = {x: (c if c.value > 0 else zero) / lam for x, c in selector.c.items()}
+    eps_map = {x: Scalar(Fraction(max(c.value, 0), lambda_max)) for x, c in selector.c.items()}
     report = check_domination("linear", inst.xs, inst.ys.points,
                               {x: [v.value for v in inst.values[x]] for x in inst.xs},
                               {x: 0 for x in inst.xs},
@@ -200,9 +198,10 @@ def push_through_features(inst: Instance, phi: Mapping[Point, Point]) -> Instanc
     missing = [p for p in inst.ys.points if p not in phi]
     if missing:
         raise FeatureMapError(f"feature map not total: missing {missing[0]!r}")
-    images = [phi[p] for p in inst.ys.points]
-    m = images[0].dim if images else 0
-    return Instance.build(m, inst.xs, images, inst.values)
+    images = [phi[p].raw() for p in inst.ys.points]
+    m = len(images[0]) if images else 0
+    return Instance.build(m, inst.xs, images,
+                          {x: [s.value for s in row] for x, row in inst.values.items()})
 
 
 def feature_select(inst: Instance, phi: Mapping[Point, Point],

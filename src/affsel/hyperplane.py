@@ -32,10 +32,6 @@ from .numerics import AffselError, NumericsError, Point, PointSet, Scalar, primi
 from .sandwich import ceiling_cover, sandwich
 
 
-class SignConditionError(AffselError):
-    pass
-
-
 @dataclass(frozen=True)
 class Instance:
     """Finite selection instance: parameter ids, a point cloud, and a value table.
@@ -50,27 +46,30 @@ class Instance:
 
     @classmethod
     def build(cls, n: int, xs, points, rows: Mapping) -> "Instance":
-        """The one canonicalizer of a point table: ``rows[x][j]`` is the value
-        at ``points[j]``.  Checks that every point has dimension n, merges
-        equal points by the pointwise max of their values (the supremum, so
-        the order of the points does not matter), sorts the points
-        lexicographically and aligns each row with that order."""
+        """The one place an instance's points and values are made, and the
+        one canonicalizer of a point table: ``points`` are tuples of
+        Fractions and ``rows[x][j]`` is the Fraction at ``points[j]``.
+        Checks that every point has dimension n, merges equal points by the
+        pointwise max of their values (the supremum, so the order of the
+        points does not matter), sorts the points lexicographically and
+        aligns each row with that order."""
         xs = tuple(xs)
         points = list(points)
         cols = [rows[x] for x in xs]
         if any(len(col) != len(points) for col in cols):
             raise NumericsError(f"every row must hold one value for each of {len(points)} points")
-        merged: Dict[tuple, tuple] = {}     # coordinates -> (point, values)
+        merged: Dict[tuple, list] = {}      # coordinates -> values, one per x
         for j, p in enumerate(points):
-            if p.dim != n:
-                raise NumericsError(f"dimension mismatch: point dim {p.dim}, table dim {n}")
+            if len(p) != n:
+                raise NumericsError(f"dimension mismatch: point dim {len(p)}, table dim {n}")
             vals = [col[j] for col in cols]
-            kept = merged.setdefault(p.raw(), (p, vals))[1]
+            kept = merged.setdefault(p, vals)
             if kept is not vals:
                 kept[:] = map(max, kept, vals)
-        entries = [merged[k] for k in sorted(merged)]
-        return cls(n=n, xs=xs, ys=PointSet(n, [p for p, _ in entries]),
-                   values={x: tuple([vals[i] for _, vals in entries]) for i, x in enumerate(xs)})
+        entries = sorted(merged.items(), key=itemgetter(0))
+        return cls(n=n, xs=xs, ys=PointSet(n, [Point(map(Scalar, p)) for p, _ in entries]),
+                   values={x: tuple([Scalar(vals[i]) for _, vals in entries])
+                           for i, x in enumerate(xs)})
 
     def section_fingerprint(self, x: str) -> tuple:
         return tuple(s.value for s in self.values[x])
@@ -84,33 +83,6 @@ def extend_domain(inst: Instance) -> WorkingTable:
         points=[primitive(p.raw()) for p in inst.ys.points],
         values={x: tuple([s.value for s in row]) for x, row in inst.values.items()},
     )
-
-
-def intersection_point(y: Point, yprime: Point) -> Point:
-    """Where the segment from yprime (last coord < 0) to y (last coord > 0)
-    crosses the hyperplane {last coordinate = 0}; the last coordinate of the
-    result cancels exactly."""
-    if y.coords[-1].sign() <= 0 or yprime.coords[-1].sign() >= 0:
-        raise SignConditionError(
-            "intersection requires last coordinates of opposite strict signs")
-    yn = y.coords[-1].value
-    ypn = yprime.coords[-1].value
-    den = yn - ypn
-    coords = []
-    for a, b in zip(y.coords, yprime.coords):
-        coords.append(Scalar((yn * b.value - ypn * a.value) / den))
-    return Point(coords)
-
-
-def chord_value(fx: Mapping[Point, Scalar], y: Point, yprime: Point) -> Scalar:
-    """Value at the crossing point of the affine chord through (y, fx[y]) and
-    (yprime, fx[yprime])."""
-    if y.coords[-1].sign() <= 0 or yprime.coords[-1].sign() >= 0:
-        raise SignConditionError(
-            "chord requires last coordinates of opposite strict signs")
-    fy, fyp = fx[y].value, fx[yprime].value
-    yn, ypn = y.coords[-1].value, yprime.coords[-1].value
-    return Scalar((yn * fyp - ypn * fy) / (yn - ypn))
 
 
 def _cross_nonneg_int(o, a, b) -> bool:
@@ -204,13 +176,6 @@ class WorkingTable:
             for j, v in enumerate(self.points):
                 last = v[-2]
                 (self.plus if last > 0 else self.minus if last < 0 else self.zero).append(j)
-
-    def extended_value(self, x: str, point: Point) -> Scalar:
-        """The value at ``point``; off the set, -|point|^2."""
-        key = primitive(point.raw())
-        if key in self.points:
-            return Scalar(self.values[x][self.points.index(key)])
-        return -point.norm_sq()
 
     def summary(self) -> dict:
         out = {"dim": self.dim, "points": len(self.points)}

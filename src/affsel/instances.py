@@ -12,9 +12,10 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .numerics import EXACT, AffselError, Point, Scalar, check_mode, origin_point
+from .numerics import EXACT, AffselError, Point, Scalar, check_mode
 from .hyperplane import Instance
 
 SCHEMA_VERSION = 1
@@ -173,9 +174,8 @@ class InstanceFile:
 
     def to_instance(self, mode: str = EXACT) -> Instance:
         check_mode(mode)
-        points = [Point(map(Scalar, row)) for row in self.y_rows]
-        rows = {x: list(map(Scalar, row)) for x, row in zip(self.xs, self.f_rows)}
-        return Instance.build(self.n, self.xs, points, rows)
+        return Instance.build(self.n, self.xs, map(tuple, self.y_rows),
+                              dict(zip(self.xs, self.f_rows)))
 
     def phi_table(self) -> Optional[Dict[Point, Point]]:
         if self.phi_rows is None:
@@ -197,12 +197,14 @@ class InstanceFile:
 
     @classmethod
     def from_instance(cls, inst: Instance, meta: Optional[dict] = None,
-                      y0: Optional[Mapping[str, Point]] = None) -> "InstanceFile":
+                      y0: Optional[Mapping[str, tuple]] = None) -> "InstanceFile":
+        """The file of an instance; ``y0`` maps each x to its base point's
+        coordinates."""
         y_rows = [list(p.raw()) for p in inst.ys.points]
         f_rows = [[s.value for s in inst.values[x]] for x in inst.xs]
         y0_rows = None
         if y0 is not None:
-            y0_rows = [list(y0[x].raw()) for x in inst.xs]
+            y0_rows = [list(y0[x]) for x in inst.xs]
         return cls(n=inst.n, xs=list(inst.xs), y_rows=y_rows, f_rows=f_rows,
                    y0_rows=y0_rows, meta=meta)
 
@@ -225,8 +227,9 @@ def check_schema_version(data: dict, source: str) -> None:
 
 def parse_dimension(value) -> int:
     """n as a JSON integer or a string of one; anything else is an error,
-    never a silent truncation."""
-    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+    never a silent truncation; a string holds one optional sign and ASCII
+    digits."""
+    if isinstance(value, str) and re.fullmatch(r"\s*[-+]?[0-9]+\s*", value):
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise InstanceFileError(f"n must be a non-negative integer, got {value!r}")
@@ -259,21 +262,21 @@ def _rand_fraction(rng: random.Random, low: int = COEFF_LOW, high: int = COEFF_H
     return Fraction(p, q)
 
 
-def _rand_point(rng: random.Random, n: int) -> Point:
-    return Point(Scalar(_rand_fraction(rng)) for _ in range(n))
+def _rand_point(rng: random.Random, n: int) -> tuple:
+    return tuple(_rand_fraction(rng) for _ in range(n))
 
 
 def _distinct_points(rng: random.Random, n: int, count: int,
-                     seed_points: Tuple[Point, ...] = ()) -> List[Point]:
+                     seed_points: Tuple[tuple, ...] = ()) -> List[tuple]:
     points = list(seed_points)
-    seen = {p.raw() for p in points}
+    seen = set(points)
     attempts = 0
     while len(points) < count and attempts < count * 200:
         p = _rand_point(rng, n)
         attempts += 1
-        if p.raw() in seen:
+        if p in seen:
             continue
-        seen.add(p.raw())
+        seen.add(p)
         points.append(p)
     return points
 
@@ -292,7 +295,7 @@ def gen_affine_dominated(seed: int, n: int, nx: int, ny: int, *,
     points = _distinct_points(rng, n, ny)
     witness_b: Dict[str, List[str]] = {}
     witness_c: Dict[str, str] = {}
-    rows: Dict[str, List[Scalar]] = {}
+    rows: Dict[str, List[Fraction]] = {}
     for x in xs:
         b = [_rand_fraction(rng) for _ in range(n)]
         c = _rand_fraction(rng)
@@ -302,9 +305,9 @@ def gen_affine_dominated(seed: int, n: int, nx: int, ny: int, *,
         for p in points:
             slack = Fraction(0) if zero_slack else _rand_fraction(rng, 0, SLACK_HIGH)
             val = c - slack
-            for coeff, coord in zip(b, p.coords):
-                val += coeff * coord.value
-            row.append(Scalar(val))
+            for coeff, coord in zip(b, p):
+                val += coeff * coord
+            row.append(val)
         rows[x] = row
     inst = Instance.build(n, xs, points, rows)
     meta = {
@@ -328,16 +331,16 @@ def gen_meager_linear(seed: int, n: int, nx: int, ny: int) -> InstanceFile:
     xs = [f"x{i}" for i in range(nx)]
     points = _distinct_points(rng, n, ny)
     alphas: Dict[str, List[Fraction]] = {}
-    rows: Dict[str, List[Scalar]] = {}
+    rows: Dict[str, List[Fraction]] = {}
     for x in xs:
         alpha = [_rand_fraction(rng) for _ in range(n)]
         alphas[x] = alpha
         row = []
         for p in points:
             val = Fraction(0)
-            for coeff, coord in zip(alpha, p.coords):
-                val += coeff * coord.value
-            row.append(Scalar(val))
+            for coeff, coord in zip(alpha, p):
+                val += coeff * coord
+            row.append(val)
         rows[x] = row
     inst = Instance.build(n, xs, points, rows)
     meta = {
@@ -363,10 +366,9 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
         raise InstanceFileError("n must be >= 0")
     rng = random.Random(seed)
     xs = [f"x{i}" for i in range(nx)]
-    origin = origin_point(n)
-    points = _distinct_points(rng, n, ny, seed_points=(origin,))
+    points = _distinct_points(rng, n, ny, seed_points=((Fraction(0),) * n,))
     slopes: Dict[str, List[List[Fraction]]] = {}
-    rows: Dict[str, List[Scalar]] = {}
+    rows: Dict[str, List[Fraction]] = {}
     for x in xs:
         px = [[_rand_fraction(rng) for _ in range(n)] for _ in range(k)]
         slopes[x] = px
@@ -375,11 +377,11 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
             best = None
             for slope in px:
                 val = Fraction(0)
-                for coeff, coord in zip(slope, p.coords):
-                    val += coeff * coord.value
+                for coeff, coord in zip(slope, p):
+                    val += coeff * coord
                 if best is None or val > best:
                     best = val
-            row.append(Scalar(best))
+            row.append(best)
         rows[x] = row
     meta = {
         "generator": "convex_sections",
@@ -392,8 +394,8 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
     if shifted:
         base = _rand_point(rng, n)
         offsets = {x: _rand_fraction(rng) for x in xs}
-        points = [p.add(base) for p in points]
-        rows = {x: [v + Scalar(offsets[x]) for v in rows[x]] for x in xs}
+        points = [tuple(map(add, p, base)) for p in points]
+        rows = {x: [v + offsets[x] for v in rows[x]] for x in xs}
         y0 = {x: base for x in xs}
         meta["offsets"] = {x: str(offsets[x]) for x in xs}
     inst = Instance.build(n, xs, points, rows)

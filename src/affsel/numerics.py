@@ -1,8 +1,9 @@
 """Exact rational scalars, points, point sets, and the integer-vector form
 of a rational point.
 
-Instances, selectors and reports hold these types; the recursion and the
-domination check run on ``primitive`` vectors and plain Fractions.  Values
+Instances, selectors and reports hold these types (``Instance.build``
+makes an instance's); the library computes on their Fractions, and the
+recursion and the domination check on ``primitive`` vectors.  Values
 are arbitrary-precision rationals, so every comparison is error-free and
 domination checks hold with zero slack.
 """
@@ -37,22 +38,14 @@ def _as_fraction(value) -> Fraction:
 
 
 class Scalar:
-    """An exact rational number."""
+    """An exact rational number, as instances, selectors and reports hold it.
+    The library computes on ``value``; the operators left are the ones the
+    benchmark reads."""
 
     __slots__ = ("value",)
 
     def __init__(self, value: Fraction):
         self.value = value
-
-    @classmethod
-    def exact(cls, numerator, denominator: int = 1) -> "Scalar":
-        return cls(Fraction(numerator, denominator))
-
-    @classmethod
-    def zero(cls) -> "Scalar":
-        return cls(Fraction(0))
-
-    # -- arithmetic ------------------------------------------------------
 
     @staticmethod
     def _raw(other) -> Fraction:
@@ -62,25 +55,11 @@ class Scalar:
             return Fraction(other)
         raise NumericsError(f"cannot mix Scalar with {type(other).__name__}")
 
-    def __add__(self, other):
-        return Scalar(self.value + self._raw(other))
-
     def __sub__(self, other):
         return Scalar(self.value - self._raw(other))
 
-    def __mul__(self, other):
-        return Scalar(self.value * self._raw(other))
-
-    def __truediv__(self, other):
-        return Scalar(self.value / self._raw(other))
-
     def __neg__(self):
         return Scalar(-self.value)
-
-    def __abs__(self):
-        return Scalar(abs(self.value))
-
-    # -- comparison ------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
@@ -92,28 +71,8 @@ class Scalar:
     def __hash__(self):
         return hash(self.value)
 
-    def __lt__(self, other):
-        return self.value < self._raw(other)
-
-    def __le__(self, other):
+    def le_bound(self, other) -> bool:
         return self.value <= self._raw(other)
-
-    def __gt__(self, other):
-        return self.value > self._raw(other)
-
-    def __ge__(self, other):
-        return self.value >= self._raw(other)
-
-    le_bound = __le__   # the bound check under its library name
-
-    def sign(self) -> int:
-        if self.value > 0:
-            return 1
-        if self.value < 0:
-            return -1
-        return 0
-
-    # -- misc ------------------------------------------------------------
 
     def serialize(self) -> str:
         return str(self.value)
@@ -141,23 +100,11 @@ class Point:
     def raw(self) -> tuple:
         return tuple(s.value for s in self.coords)
 
-    def norm_sq(self) -> Scalar:
-        return Scalar(sum((s.value * s.value for s in self.coords), Fraction(0)))
-
     def dot(self, other: "Point") -> Scalar:
         if other.dim != self.dim:
             raise NumericsError(f"dot of dim {self.dim} with dim {other.dim}")
         return Scalar(sum((a.value * b.value for a, b in zip(self.coords, other.coords)),
                           Fraction(0)))
-
-    def add(self, other: "Point") -> "Point":
-        return Point(a + b for a, b in zip(self.coords, other.coords))
-
-    def sub(self, other: "Point") -> "Point":
-        return Point(a - b for a, b in zip(self.coords, other.coords))
-
-    def scale(self, factor: Scalar) -> "Point":
-        return Point(c * factor for c in self.coords)
 
     def serialize(self) -> list:
         return [c.serialize() for c in self.coords]
@@ -183,7 +130,7 @@ def primitive(coords) -> tuple:
 
 
 def origin_point(dim: int) -> Point:
-    return Point(Scalar.zero() for _ in range(dim))
+    return Point(Scalar(Fraction(0)) for _ in range(dim))
 
 
 class PointSet:
@@ -196,7 +143,7 @@ class PointSet:
     def __init__(self, dim: int, points: Iterable[Point]):
         self.dim = dim
         self.points = tuple(points)
-        self._index = None      # raw key -> position, built on first lookup
+        self._index = None      # coordinates -> position, built on first lookup
 
     def __len__(self):
         return len(self.points)
@@ -204,10 +151,11 @@ class PointSet:
     def __iter__(self):
         return iter(self.points)
 
-    def index_of(self, point: Point) -> Optional[int]:
+    def index_of(self, coords: tuple) -> Optional[int]:
+        """The position of the point with these coordinates (Fractions), if any."""
         if self._index is None:
             self._index = {p.raw(): i for i, p in enumerate(self.points)}
-        return self._index.get(point.raw())
+        return self._index.get(coords)
 
     def __eq__(self, other):
         if not isinstance(other, PointSet):

@@ -10,6 +10,7 @@ point/value data), so equal sections get bitwise-equal answers for free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .numerics import AffselError, Point, PointSet, Scalar, origin_point
@@ -68,20 +69,21 @@ def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
     shifted: Dict[tuple, Tuple[int, PointSet]] = {}     # base -> (index, sample)
     groups: Dict[tuple, list] = {}
     for x in inst.xs:
-        base = csi.base_point(x)
-        entry = shifted.get(base.raw())
+        base = csi.base_point(x).raw()
+        entry = shifted.get(base)
         if entry is None:
             j0 = inst.ys.index_of(base)
             if j0 is None:
                 raise ShiftDomainError(f"base point of x={x} is not a sample point")
             ys = inst.ys
-            if any(base.raw()):
-                ys = PointSet(inst.n, [p.sub(base) for p in ys.points])
-            entry = shifted[base.raw()] = (j0, ys)
+            if any(base):
+                ys = PointSet(inst.n, [Point(Scalar(c - b) for c, b in zip(p.raw(), base))
+                                       for p in ys.points])
+            entry = shifted[base] = (j0, ys)
         j0, ys = entry
         row = inst.values[x]
-        g0 = row[j0]
-        values = tuple(v - g0 for v in row) if g0.value else tuple(row)
+        g0 = row[j0].value
+        values = tuple([Scalar(v.value - g0) for v in row]) if g0 else tuple(row)
         # numerator/denominator pairs hash much faster than Fractions
         key = (j0, tuple((v.value.numerator, v.value.denominator) for v in values))
         groups.setdefault(key, (ys, values, []))[2].append(x)
@@ -121,21 +123,22 @@ class SubgradientSelector:
 def check_midpoint_convexity(inst: Instance) -> List[tuple]:
     """Midpoint convexity on sample triples: whenever the midpoint of two
     sample points is itself a sample point, its value may not exceed the
-    average.  Returns the violations found."""
+    average.  Returns the violations found, each as (x, one point, the
+    midpoint, the other point, the value at the midpoint, the average), the
+    two values as Fractions."""
     violations = []
-    half = Scalar.exact(1, 2)
     pts = inst.ys.points
+    coords = [p.raw() for p in pts]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            mid = Point((a + b) * half for a, b in zip(pts[i].coords, pts[j].coords))
-            k = inst.ys.index_of(mid)
+            k = inst.ys.index_of(tuple([(a + b) / 2 for a, b in zip(coords[i], coords[j])]))
             if k is None:
                 continue
             for x in inst.xs:
-                avg = (inst.values[x][i] + inst.values[x][j]) * half
-                if inst.values[x][k] > avg:
-                    violations.append((x, pts[i], mid, pts[j],
-                                       inst.values[x][k], avg))
+                row = inst.values[x]
+                avg = (row[i].value + row[j].value) / 2
+                if row[k].value > avg:
+                    violations.append((x, pts[i], pts[k], pts[j], row[k].value, avg))
     return violations
 
 
@@ -152,7 +155,7 @@ def select_subgradient(csi: ConvexSectionInstance,
     """
     inst = csi.instance
     if not (shift or csi.y0 is not None):
-        j0 = inst.ys.index_of(origin_point(inst.n))
+        j0 = inst.ys.index_of((Fraction(0),) * inst.n)
         if j0 is None:
             raise NotNormalizedError("not normalized: origin is not a sample point")
         for x in inst.xs:
@@ -166,8 +169,8 @@ def select_subgradient(csi: ConvexSectionInstance,
             if bad:
                 x, a, m, b, got, avg = bad[0]
                 raise AffselError(
-                    f"midpoint convexity fails for x={x}: value {got.serialize()} at "
-                    f"{m!r} exceeds average {avg.serialize()}")
+                    f"midpoint convexity fails for x={x}: value {got} at "
+                    f"{m!r} exceeds average {avg}")
 
     p_map: Dict[str, Point] = {}
     eps_map: Dict[str, Scalar] = {}
@@ -176,20 +179,20 @@ def select_subgradient(csi: ConvexSectionInstance,
         # every section of a group has the same data: solve the first, negated
         rep, gi = group.xs[0], group.instance
         single = Instance(n=gi.n, xs=(rep,), ys=gi.ys,
-                          values={rep: tuple(-v for v in gi.values[rep])})
+                          values={rep: tuple([Scalar(-v.value) for v in gi.values[rep]])})
         if config.backend == "exact":
             try:
                 witness = exact_linear_select(single)[rep]
             except InfeasibleSectionsError as exc:
                 raise InfeasibleSectionsError(
                     dict.fromkeys(group.xs, exc.infeasible[rep])) from None
-            eps, exact = Scalar.zero(), True
+            eps, exact = Scalar(Fraction(0)), True
         elif config.backend == "cone":
             sel = select_linear(single, config.linear)
             witness, eps, exact = sel.a[rep], sel.epsilon[rep], sel.exact[rep]
         else:
             raise AffselError(f"unknown backend {config.backend!r}")
-        p_rep = Point(-c for c in witness.coords)
+        p_rep = Point(Scalar(-c) for c in witness.raw())
         for x in group.xs:
             p_map[x], eps_map[x], exact_map[x] = p_rep, eps, exact
     return SubgradientSelector(xs=inst.xs, p=p_map, epsilon=eps_map,

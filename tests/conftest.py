@@ -22,3 +22,11 @@ def subprocess_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+def make_instance(n, points, rows, xs=None):
+    """Instance.build on the Points and Scalars tests write: rows maps each
+    id to its values in the order of points; ids default to its sorted keys."""
+    from affsel.hyperplane import Instance
+    return Instance.build(n, xs or sorted(rows), [p.raw() for p in points],
+                          {x: [v.value for v in row] for x, row in rows.items()})

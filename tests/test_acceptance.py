@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import subprocess_env
+from conftest import make_instance, subprocess_env
 
 from affsel.conelift import LinearConfig, select_linear
 from affsel.hyperplane import AffineSelector, Instance, select_affine
@@ -160,8 +160,8 @@ def test_criterion_3_section_functoriality():
 
 
 def test_criterion_4_hand_trace_fixture():
-    inst = Instance.build(1, ["x0"], [Point.of(-1), Point.of(2)],
-                          {"x0": [exact(0), exact(1)]})
+    inst = Instance.build(1, ["x0"], [(Fraction(-1),), (Fraction(2),)],
+                          {"x0": [Fraction(0), Fraction(1)]})
     selector, _ = select_affine(inst)
     ok = selector.b["x0"] == Point.of("1/2") and selector.c["x0"] == exact(1)
     _report(4, "n=1 fixture yields exactly B=1/2, C=1 under defaults", ok,
@@ -235,7 +235,7 @@ def _with_positive_origin(doc: InstanceFile) -> Instance:
     inst = doc.to_instance(EXACT)
     points = list(inst.ys.points) + [origin_point(inst.n)]
     rows = {x: list(inst.values[x]) + [exact(1)] for x in inst.xs}
-    return Instance.build(inst.n, inst.xs, points, rows)
+    return make_instance(inst.n, points, rows, xs=inst.xs)
 
 
 def test_criterion_7_linear_certificates():
@@ -249,11 +249,9 @@ def test_criterion_7_linear_certificates():
         sel = select_linear(inst, LinearConfig(lambda_max=2 ** 8, doublings=0))
         if not verify_domination(inst, sel, kind="linear").passed:
             bad.append(("domination", i))
-        lam = exact(sel.lambda_max)
         for x in inst.xs:
-            c = sel.cone_c[x]
-            expected = (c if c.value > 0 else exact(0)) / lam
-            if sel.epsilon[x] != expected:
+            expected = max(sel.cone_c[x].value, 0) / sel.lambda_max
+            if sel.epsilon[x].value != expected:
                 bad.append(("epsilon-formula", i, x))
         fm = fm_feasible(inst.ys, inst.values, homogeneous=True)
         if not all(r.feasible for r in fm.values()):
@@ -341,14 +339,14 @@ def _random_system(rng):
         c = Fraction(rng.randint(-6, 6))
         rows = [exact(sum((bi * p.coords[i].value for i, bi in enumerate(b)),
                           start=c) - Fraction(rng.randint(0, 8), 2)) for p in pts]
-        return Instance.build(n, ["x"], pts, {"x": rows}), False, True
+        return make_instance(n, pts, {"x": rows}), False, True
     if kind == 1:
         # homogeneous with planted dominator: feasible
         a = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
         rows = [exact(sum((ai * p.coords[i].value for i, ai in enumerate(a)),
                           start=Fraction(0)) - Fraction(rng.randint(0, 8), 2))
                 for p in pts]
-        return Instance.build(n, ["x"], pts, {"x": rows}), True, True
+        return make_instance(n, pts, {"x": rows}), True, True
     # homogeneous made infeasible by an opposite pair with positive value sum
     y = Point.of(*[Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(n)])
     neg = Point(-c for c in y.coords)
@@ -357,7 +355,7 @@ def _random_system(rng):
     pts = [p for p in pts if p.raw() not in (y.raw(), neg.raw())]
     all_pts = pts + [y, neg]
     rows = [exact(Fraction(rng.randint(-6, 6))) for _ in pts] + [exact(v1), exact(v2)]
-    return Instance.build(n, ["x"], all_pts, {"x": rows}), True, False
+    return make_instance(n, all_pts, {"x": rows}), True, False
 
 
 def test_criterion_9_oracle_self_test():

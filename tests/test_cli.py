@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from affsel import cli
 from affsel.cli import build_parser
 from conftest import subprocess_env
 
@@ -270,6 +271,11 @@ MALFORMED = {
     "zero-denominator": dict(WORKED, f=[["1/0", "1"]]),
     "nan": dict(WORKED, f=[["nan", "1"]]),
     "fractional-n": dict(WORKED, n="1.5"),
+    # n takes one sign and ASCII digits: "\u0661" read as 1, "\u00b2" and "+-1"
+    # failed inside int()
+    "n-arabic-digit": dict(WORKED, n="\u0661"),
+    "n-superscript-digit": dict(WORKED, n="\u00b2"),
+    "n-two-signs": dict(WORKED, n="+-1"),
     "top-level-array": [WORKED],
     "duplicate-ids": dict(WORKED, X=["a", "a"], f=[["0", "1"], ["2", "3"]]),
     "y0-dimension": dict(WORKED, y0=[["0", "0"]]),
@@ -309,6 +315,8 @@ MALFORMED_SELECTORS = {
                               "C": ["1"]},
     "selector-boolean-n": {"kind": "affine", "n": True, "X": ["x0"], "B": [["1/2"]],
                            "C": ["1"]},
+    "selector-arabic-digit-n": {"kind": "affine", "n": "\u0661", "X": ["x0"],
+                                "B": [["1/2"]], "C": ["1"]},
     # a string where a list belongs, a JSON boolean where a number belongs
     "selector-string-row": {"kind": "affine", "n": 1, "X": ["x0"], "B": ["9"], "C": ["1"]},
     "selector-string-column": {"kind": "affine", "n": 1, "X": ["x0"], "B": [["1/2"]],
@@ -339,8 +347,9 @@ MALFORMED_TEXT = {
                                           f'"B": [[0]], "C": [{LONG_INTEGER}]}}'),
 }
 
-# pipelines whose --doublings must be a non-negative integer
+# pipelines whose --doublings must be a non-negative integer in ASCII digits
 DOUBLINGS_PIPELINES = ("linear", "feature", "subgradient")
+BAD_DOUBLINGS = {"negative": "-1", "arabic-digit": "\u0661", "superscript-digit": "\u00b2"}
 
 # --lambda-max values that are not an integer >= 1 or b^e of non-negative
 # integers; -2^2 must not be read as (-2)^2 = 4
@@ -352,7 +361,11 @@ DEPTH_COMMANDS = {"depth-select-affine": ("select", "affine"), "depth-sandwich":
 
 # what the one stderr line must name
 EXPECTED_MESSAGE = {
-    **{f"doublings-negative-{p}": "--doublings" for p in DOUBLINGS_PIPELINES},
+    **{f"doublings-{name}-{p}": "--doublings" for name in BAD_DOUBLINGS
+       for p in DOUBLINGS_PIPELINES},
+    **dict.fromkeys(("n-arabic-digit", "n-superscript-digit", "n-two-signs",
+                     "selector-arabic-digit-n"),
+                    "n must be a non-negative integer"),
     **{f"gen-negative-n-{f}": "n must be >= 0" for f in ("affine", "meager", "convex")},
     **dict.fromkeys(BAD_LAMBDAS, "--lambda-max"),
     **dict.fromkeys(DEPTH_COMMANDS, "unrecognized arguments: --depth 3"),
@@ -383,7 +396,8 @@ EXPECTED_MESSAGE = {
 
 @pytest.mark.parametrize("case", [*MALFORMED, *MALFORMED_FUNCTIONS, *MALFORMED_SELECTORS,
                                   *MALFORMED_TEXT, "mode-float", "feature-repeated-y",
-                                  *(f"doublings-negative-{p}" for p in DOUBLINGS_PIPELINES),
+                                  *(f"doublings-{name}-{p}" for name in BAD_DOUBLINGS
+                                    for p in DOUBLINGS_PIPELINES),
                                   *(f"gen-negative-n-{f}" for f in ("affine", "meager", "convex")),
                                   *BAD_LAMBDAS, *DEPTH_COMMANDS])
 def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
@@ -417,8 +431,9 @@ def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
         path.write_text(json.dumps(dict(WORKED, Y=[["1"], ["1"], ["-1"]], f=[["0", "1", "0"]],
                                         phi=[["1"], ["100"], ["-1"]])))
         args = ("select", "feature", str(path), "--verify")
-    elif case.startswith("doublings-negative-"):
-        args = ("select", case.rsplit("-", 1)[1], str(worked_file), "--doublings", "-1")
+    elif case.startswith("doublings-"):
+        name, pipeline = case[len("doublings-"):].rsplit("-", 1)
+        args = ("select", pipeline, str(worked_file), "--doublings", BAD_DOUBLINGS[name])
     elif case.startswith("gen-negative-n-"):
         args = ("gen", case.rsplit("-", 1)[1], "--seed", "1", "--n", "-1", "--nx", "1",
                 "--ny", "2", "-o", str(tmp_path / "gen.json"))
@@ -452,6 +467,75 @@ def test_select_affine_trace_stdout_matches_recording(name):
     assert res.stderr == ""
     stdout = re.sub(r'"wall_time_s": [0-9.e+-]+', '"wall_time_s": 0', res.stdout)
     assert stdout == (GOLDEN / f"{name}.expected").read_text(encoding="utf-8")
+
+
+# `affsel select PIPELINE FILE --verify [flags]`, run in tests/golden and
+# recorded the same way: the cone lift, the feature push, the shift and the
+# convexity check, which the affine recordings do not run
+SELECT_RUNS = {
+    "linear_affine_n2": ("linear", "affine_n2.json"),
+    "feature": ("feature", "feature.json"),
+    "subgradient_convexity": ("subgradient", "convex_shifted_n2.json", "--check-convexity"),
+    "subgradient_cone": ("subgradient", "convex_shifted_n2.json", "--backend", "cone"),
+}
+
+
+@pytest.mark.parametrize("name", SELECT_RUNS)
+def test_select_stdout_matches_recording(name, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    assert cli.run(["select", *SELECT_RUNS[name], "--verify"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    stdout = re.sub(r'"wall_time_s": [0-9.e+-]+', '"wall_time_s": 0', out)
+    assert stdout == (GOLDEN / f"{name}.expected").read_text(encoding="utf-8")
+
+
+def test_convexity_violation_matches_recording(monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    assert cli.run(["select", "subgradient", "convexity_violation.json",
+                    "--check-convexity"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (GOLDEN / "convexity_violation.stderr").read_text(encoding="utf-8")
+
+
+# `affsel gen FAMILY ARGS` reproduces each recorded instance file byte for byte
+GEN_RUNS = {
+    "affine_n2": "affine --seed 5 --n 2 --nx 3 --ny 6",
+    "affine_n3": "affine --seed 6 --n 3 --nx 3 --ny 8",
+    "meager_n2": "meager --seed 7 --n 2 --nx 3 --ny 6",
+    "meager_n0": "meager --seed 7 --n 0 --nx 2 --ny 3",
+    "convex_shifted_n2": "convex --seed 8 --n 2 --nx 4 --ny 7 --k 3 --shifted",
+    "convex_shifted_n0": "convex --seed 8 --n 0 --nx 2 --ny 3 --k 2 --shifted",
+}
+
+
+@pytest.mark.parametrize("name", GEN_RUNS)
+def test_gen_reproduces_recorded_file(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    assert cli.run(["gen", *GEN_RUNS[name].split(), "-o", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_recursion_too_deep_exits_1_with_one_line(tmp_path):
+    # a valid file: one recursion level per dimension passes Python's limit
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"n": 5000, "X": ["x0"], "Y": [], "f": [[]]}))
+    res = run_cli("select", "affine", str(path), timeout=10)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == ("error: input too large: recursion deeper than Python's limit "
+                          "(RecursionError)\n")
+
+
+def test_out_of_memory_exits_1_with_one_line(worked_file, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "select_affine", exhausted)
+    assert cli.run(["select", "affine", str(worked_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: input too large: out of memory (MemoryError)\n"
 
 
 def _subcommands(parser) -> dict:

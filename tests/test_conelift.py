@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -18,17 +19,14 @@ from affsel.hyperplane import Instance, SelectConfig
 from affsel.instances import gen_meager_linear
 from affsel.numerics import Point, Scalar
 from affsel.oracle import check_domination, fm_feasible, verify_domination
+from conftest import make_instance
 
 
 def exact(v):
     return Scalar(Fraction(v))
 
 
-def make_instance(n, points, rows):
-    return Instance.build(n, sorted(rows), points, rows)
-
-
-SMALL = LinearConfig(lambda_max=2 ** 6, doublings=1, select=SelectConfig())
+SMALL = LinearConfig(lambda_max=2 ** 6, doublings=1)
 
 
 class TestPowerLadder:
@@ -60,7 +58,7 @@ class TestLiftToCone:
         inst = make_instance(1, [Point.of(1), Point.of(2)],
                              {"x0": [exact(3), exact(10)]})
         lifted = lift_to_cone(inst, (1, 2)).instance
-        idx = lifted.ys.index_of(Point.of(2))
+        idx = lifted.ys.index_of(Point.of(2).raw())
         assert lifted.values["x0"][idx] == exact(10)
 
     def test_homogeneity_across_sampled_pairs(self):
@@ -72,15 +70,15 @@ class TestLiftToCone:
             for j, w in enumerate(pts):
                 # collinear sampled pair w = lam * z with lam > 0
                 for lam in (2, 4):
-                    if w == z.scale(exact(lam)):
+                    if w.raw() == tuple(lam * c for c in z.raw()):
                         hz = lifted.values["x0"][i]
                         hw = lifted.values["x0"][j]
-                        assert hw == hz * exact(lam)
+                        assert hw.value == hz.value * lam
 
     def test_origin_contribution(self):
         inst = make_instance(1, [Point.of(0), Point.of(1)], {"x0": [exact(3), exact(1)]})
         lifted = lift_to_cone(inst, (1, 2)).instance
-        idx = lifted.ys.index_of(Point.of(0))
+        idx = lifted.ys.index_of(Point.of(0).raw())
         assert lifted.values["x0"][idx] == exact(6)   # lambda_max * positive origin value
 
     def test_bad_ladders(self):
@@ -97,12 +95,12 @@ class TestSelectLinear:
                              {"x0": [exact(-2), exact(4)]})   # f = 2y
         sel = select_linear(inst, SMALL)
         assert verify_domination(inst, sel, kind="linear").passed
-        lam = exact(sel.lambda_max)
-        c = sel.cone_c["x0"]
-        eps = sel.epsilon["x0"]
-        assert eps == (c if c.value > 0 else exact(0)) / lam
-        assert (eps * lam).value >= c.value
-        if c.value >= 0:
+        lam = sel.lambda_max
+        c = sel.cone_c["x0"].value
+        eps = sel.epsilon["x0"].value
+        assert eps == max(c, 0) / lam
+        assert eps * lam >= c
+        if c >= 0:
             assert eps * lam == c
         # the instance itself is exactly linearly dominated
         assert fm_feasible(inst.ys, inst.values, homogeneous=True)["x0"].feasible
@@ -121,6 +119,11 @@ class TestSelectLinear:
         sel = select_linear(inst, SMALL)
         assert verify_domination(inst, sel, kind="linear").passed
         assert sel.epsilon["x0"].value >= 0
+
+    def test_affine_settings_are_a_constant(self):
+        # the lifted selection always runs the default affine settings
+        assert "select" not in {f.name for f in fields(LinearConfig)}
+        assert LinearConfig.select == SMALL.select == SelectConfig()
 
     def test_section_functoriality(self):
         row = [exact(-2), exact(4)]
@@ -182,12 +185,12 @@ class TestFeatureSelect:
         sel = feature_select(inst, phi, SMALL)
         assert sel.n == 2
         for j, p in enumerate(inst.ys.points):
-            rhs = sel.a["x0"].dot(phi[p]) + sel.epsilon["x0"]
-            assert inst.values["x0"][j].le_bound(rhs)
+            rhs = sel.a["x0"].dot(phi[p]).value + sel.epsilon["x0"].value
+            assert inst.values["x0"][j].value <= rhs
 
     def test_injective_feature_map_matches_pushed_run(self):
         inst = make_instance(1, [Point.of(-1), Point.of(2)], {"x0": [exact(1), exact(-3)]})
-        phi = {p: Point([p.coords[0] * exact(2)]) for p in inst.ys.points}
+        phi = {p: Point.of(2 * p.coords[0].value) for p in inst.ys.points}
         pushed = push_through_features(inst, phi)
         assert select_linear(pushed, SMALL).serialize() == feature_select(inst, phi, SMALL).serialize()
 
@@ -200,8 +203,8 @@ class TestFeatureSelect:
         assert pushed.values["x0"] == (exact(1),)   # max over the preimage
         sel = feature_select(inst, phi, SMALL)
         for j, p in enumerate(inst.ys.points):
-            rhs = sel.a["x0"].dot(z0) + sel.epsilon["x0"]
-            assert inst.values["x0"][j].le_bound(rhs)
+            rhs = sel.a["x0"].dot(z0).value + sel.epsilon["x0"].value
+            assert inst.values["x0"][j].value <= rhs
 
     def test_phi_not_total(self):
         inst = make_instance(1, [Point.of(-1), Point.of(2)], {"x0": [exact(1), exact(-3)]})
@@ -230,7 +233,7 @@ class TestExactFlagSoundness:
             for seed in range(6):
                 inst = gen_meager_linear(seed, n, 4, ny).to_instance()
                 inst = Instance(n=n, xs=inst.xs, ys=inst.ys, values={
-                    x: tuple(v + 1 if i % 2 and j == i % len(inst.ys) else v
+                    x: tuple(Scalar(v.value + 1) if i % 2 and j == i % len(inst.ys) else v
                              for j, v in enumerate(inst.values[x]))
                     for i, x in enumerate(inst.xs)})
                 sel = select_linear(inst, SMALL)

@@ -8,27 +8,26 @@ from affsel import cli
 from affsel.hyperplane import (
     Instance,
     SelectConfig,
-    SignConditionError,
     WorkingTable,
     build_envelope,
-    chord_value,
     extend_domain,
-    intersection_point,
     select_affine,
 )
 from affsel.instances import InstanceFile
 from affsel.numerics import Point, Scalar
 from affsel.oracle import verify_domination, verify_working_closure
 from affsel.sandwich import BracketViolationError
+from conftest import make_instance
+from reference_geometry import (
+    SignConditionError,
+    chord_value,
+    extended_value,
+    intersection_point,
+)
 
 
 def exact(v):
     return Scalar(Fraction(v))
-
-
-def make_instance(n, points, rows, xs=None):
-    xs = xs or sorted(rows)
-    return Instance.build(n, xs, points, rows)
 
 
 WORKED = make_instance(1, [Point.of(-1), Point.of(2)], {"x0": [exact(0), exact(1)]})
@@ -38,15 +37,15 @@ class TestExtendDomain:
     def test_origin_off_domain(self):
         t = extend_domain(make_instance(1, [Point.of(-1), Point.of(2)],
                                         {"x0": [exact(3), exact(1)]}))
-        assert t.extended_value("x0", Point.of(0)) == exact(0)
+        assert extended_value(t, "x0", Point.of(0)) == exact(0)
 
     def test_off_domain_negative_norm(self):
         t = extend_domain(make_instance(2, [Point.of(1, 1)], {"x0": [exact(7)]}))
-        assert t.extended_value("x0", Point.of(2, 0)) == exact(-4)
+        assert extended_value(t, "x0", Point.of(2, 0)) == exact(-4)
 
     def test_original_points_win(self):
         t = extend_domain(make_instance(1, [Point.of(2)], {"x0": [exact(9)]}))
-        assert t.extended_value("x0", Point.of(2)) == exact(9)
+        assert extended_value(t, "x0", Point.of(2)) == exact(9)
 
 
 class TestIntersectionPoint:

@@ -109,3 +109,25 @@ def test_the_benchmark_replay_chain_matches_the_trace(n):
     for level in trace.summary()["levels"]:
         keys = {"dim", "points", "plus", "minus", "zero", "intersections"}
         assert keys <= set(level) if level["dim"] else "base_rule" in level
+
+
+def test_the_benchmark_pipelines_and_replays_run(tmp_path, monkeypatch):
+    # the names above exist; this runs what the benchmark reads of them
+    # (Scalar's le_bound, minus and value, Point.dot, lift_to_cone on the
+    # power ladder, ...) on one job per (n, shifted) of each workload at
+    # seed 1, through its own unchanged modules
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    tracer = importlib.import_module("tracing").Tracer()
+    for workload in workloads.WORKLOADS.values():
+        jobs = {}
+        for job in workload.plan(1):
+            jobs.setdefault((job.n, job.shifted), job)
+        directory = tmp_path / workload.name
+        directory.mkdir()
+        paths = workloads.write_corpus(workload, list(jobs.values()), directory)
+        for job, path in zip(jobs.values(), paths):
+            out = workloads.PIPELINES[workload.pipeline](path, tracer)
+            assert out.failed_x is None, (workload.name, job, out.reason)
+            workloads.REPLAYS[workload.pipeline](tracer, out)
+    assert tracer.counts["conelift.lifted_points"] and tracer.counts["oracle.fm_systems"]

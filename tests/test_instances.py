@@ -20,6 +20,7 @@ from affsel.instances import (
 from affsel.numerics import Point, Scalar
 from affsel.oracle import fm_feasible, verify_domination
 from affsel.hyperplane import AffineSelector
+from conftest import make_instance
 
 
 def exact(v):
@@ -144,7 +145,7 @@ class TestGenAffineDominated:
             b = Point(exact(v) for v in doc.meta["witness"]["b"][x])
             c = exact(doc.meta["witness"]["c"][x])
             for j, p in enumerate(inst.ys.points):
-                assert inst.values[x][j] == b.dot(p) + c
+                assert inst.values[x][j].value == b.dot(p).value + c.value
 
     def test_planted_witness_feasible(self):
         doc = gen_affine_dominated(11, 2, 2, 6)
@@ -155,8 +156,7 @@ class TestGenAffineDominated:
             b = Point(exact(v) for v in doc.meta["witness"]["b"][x])
             c = exact(doc.meta["witness"]["c"][x])
             sel = AffineSelector(n=inst.n, xs=(x,), b={x: b}, c={x: c})
-            sub = inst.__class__.build(inst.n, (x,), list(inst.ys.points),
-                                       {x: list(inst.values[x])})
+            sub = make_instance(inst.n, inst.ys.points, {x: inst.values[x]})
             assert verify_domination(sub, sel).passed
 
     def test_small_denominators(self):
@@ -197,7 +197,7 @@ class TestGenConvexSections:
         doc = gen_convex_sections(37, 2, 2, 6, k=3)
         inst = doc.to_instance()
         from affsel.numerics import origin_point
-        j = inst.ys.index_of(origin_point(2))
+        j = inst.ys.index_of(origin_point(2).raw())
         assert j is not None
         for x in inst.xs:
             assert inst.values[x][j] == exact(0)
@@ -226,4 +226,4 @@ class TestGenConvexSections:
         assert shifted.y0_rows is not None
         base = shifted.y0_table()["x0"]
         inst = shifted.to_instance()
-        assert inst.ys.index_of(base) is not None
+        assert inst.ys.index_of(base.raw()) is not None

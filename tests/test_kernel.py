@@ -1,8 +1,8 @@
 """The exact envelope and bracket against brute-force references.
 
-The references use only the public geometry (``intersection_point``,
-``chord_value``, the -|t|^2 extension behind ``extended_value``) and plain
-Fraction arithmetic, never the integer kernel.
+The references use only the geometry of ``reference_geometry``
+(``intersection_point``, ``chord_value``, the -|t|^2 extension behind
+``extended_value``) and plain Fraction arithmetic, never the integer kernel.
 """
 
 from copy import deepcopy
@@ -11,15 +11,9 @@ from math import gcd
 
 from hypothesis import given, strategies as st
 
-from affsel.hyperplane import (
-    Instance,
-    build_envelope,
-    chord_value,
-    extend_domain,
-    intersection_point,
-    select_affine,
-)
-from affsel.numerics import Point, Scalar
+from affsel.hyperplane import Instance, build_envelope, extend_domain, select_affine
+from affsel.numerics import Point
+from reference_geometry import chord_value, extended_value, intersection_point
 
 XS = ("x0", "x1", "x2")
 coord_st = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -48,8 +42,8 @@ def working_tables(draw, dims=st.integers(1, 3), side=(0, 5)):
             yp = Point.of(*draw(st.sampled_from(minus)))
             points.add(intersection_point(y, yp).raw())
     xs = XS[:draw(st.integers(1, 3))]
-    rows = {x: [Scalar(draw(value_st)) for _ in points] for x in xs}
-    return extend_domain(Instance.build(dim, xs, [Point.of(*p) for p in points], rows))
+    rows = {x: [draw(value_st) for _ in points] for x in xs}
+    return extend_domain(Instance.build(dim, xs, points, rows))
 
 
 def as_point(vector):
@@ -60,12 +54,12 @@ def as_point(vector):
 def reference_envelope(table):
     """{dropped point: {x: value}} and the number of distinct crossings."""
     points = [as_point(v) for v in table.points]
-    plus = [p for p in points if p.coords[-1].sign() > 0]
-    minus = [p for p in points if p.coords[-1].sign() < 0]
+    plus = [p for p in points if p.coords[-1].value > 0]
+    minus = [p for p in points if p.coords[-1].value < 0]
     out = {}
     for j, p in enumerate(points):
-        if p.coords[-1].sign() == 0:
-            out[Point(p.coords[:-1])] = {x: Scalar(table.values[x][j]) for x in table.values}
+        if p.coords[-1].value == 0:
+            out[Point(p.coords[:-1])] = {x: extended_value(table, x, p) for x in table.values}
     crossings = set()
     for y in plus:
         for yp in minus:
@@ -73,10 +67,10 @@ def reference_envelope(table):
             child = Point(t.coords[:-1])
             crossings.add(child)
             if child not in out:
-                out[child] = {x: table.extended_value(x, t) for x in table.values}
+                out[child] = {x: extended_value(table, x, t) for x in table.values}
             best = out[child]
             for x in table.values:
-                fx = {y: table.extended_value(x, y), yp: table.extended_value(x, yp)}
+                fx = {y: extended_value(table, x, y), yp: extended_value(table, x, yp)}
                 chord = chord_value(fx, y, yp)
                 if chord.value > best[x].value:
                     best[x] = chord
@@ -120,8 +114,8 @@ def instances(draw):
     pts = draw(st.lists(st.lists(coord_st, min_size=n, max_size=n).map(tuple),
                         min_size=1, max_size=7 if n == 3 else 10, unique=True))
     xs = XS[:draw(st.integers(1, 3))]
-    rows = {x: [Scalar(draw(value_st)) for _ in pts] for x in xs}
-    return Instance.build(n, xs, [Point.of(*p) for p in pts], rows)
+    rows = {x: [draw(value_st) for _ in pts] for x in xs}
+    return Instance.build(n, xs, pts, rows)
 
 
 @given(instances())
@@ -148,7 +142,8 @@ def test_bracket_matches_fraction_formula(inst):
 def test_child_order_is_exact_where_floats_tie():
     # the first coordinates differ by 2^-80, below float resolution
     tiny = Fraction(1, 3) + Fraction(1, 2 ** 80)
-    pts = [Point.of("1/3", 1, 0), Point.of(tiny, 0, 0), Point.of(0, 0, 1)]
-    table = extend_domain(Instance.build(3, ("x0",), pts, {"x0": [Scalar(Fraction(0))] * 3}))
+    pts = [(Fraction(1, 3), Fraction(1), Fraction(0)), (tiny, Fraction(0), Fraction(0)),
+           (Fraction(0), Fraction(0), Fraction(1))]
+    table = extend_domain(Instance.build(3, ("x0",), pts, {"x0": [Fraction(0)] * 3}))
     child = build_envelope(table)
     assert [as_point(v).raw()[0] for v in child.points] == [Fraction(1, 3), tiny]

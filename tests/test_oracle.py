@@ -23,14 +23,11 @@ from affsel.oracle import (
     verify_working_closure,
 )
 from affsel.subgradient import ShiftGroup, SubgradientSelector
+from conftest import make_instance
 
 
 def exact(v):
     return Scalar(Fraction(v))
-
-
-def make_instance(n, points, rows):
-    return Instance.build(n, sorted(rows), points, rows)
 
 
 WORKED = make_instance(1, [Point.of(-1), Point.of(2)], {"x0": [exact(0), exact(1)]})

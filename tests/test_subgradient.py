@@ -18,14 +18,11 @@ from affsel.subgradient import (
     select_subgradient,
     shift_to_origin,
 )
+from conftest import make_instance
 
 
 def exact(v):
     return Scalar(Fraction(v))
-
-
-def make_instance(n, points, rows):
-    return Instance.build(n, sorted(rows), points, rows)
 
 
 ABS = make_instance(1, [Point.of(-1), Point.of(0), Point.of(1)],
@@ -54,7 +51,7 @@ class TestShiftToOrigin:
         inst = make_instance(1, [Point.of(2), Point.of(5)], {"x0": [exact(7), exact(11)]})
         sh = shift_to_origin(ConvexSectionInstance(instance=inst, y0={"x0": Point.of(5)}))
         g = sh.groups[0].instance
-        assert g.values["x0"][g.ys.index_of(Point.of(0))] == exact(0)
+        assert g.values["x0"][g.ys.index_of(Point.of(0).raw())] == exact(0)
 
     def test_base_point_missing(self):
         inst = make_instance(1, [Point.of(0)], {"x0": [exact(0)]})
@@ -83,14 +80,14 @@ def reference_shift_to_origin(csi):
     inst = csi.instance
     groups, order = {}, []
     for x in inst.xs:
-        base = csi.base_point(x)
+        base = csi.base_point(x).raw()
         j0 = inst.ys.index_of(base)
         if j0 is None:
             raise ShiftDomainError(f"base point of x={x} is not a sample point")
-        g0 = inst.values[x][j0]
-        shifted = sorted(((p.sub(base), inst.values[x][j] - g0)
-                          for j, p in enumerate(inst.ys.points)), key=lambda t: t[0].raw())
-        key = tuple((p.raw(), v.value) for p, v in shifted)
+        g0 = inst.values[x][j0].value
+        shifted = sorted((tuple(c - b for c, b in zip(p.raw(), base)), v.value - g0)
+                         for p, v in zip(inst.ys.points, inst.values[x]))
+        key = tuple(shifted)
         if key not in groups:
             groups[key] = [shifted, []]
             order.append(key)
