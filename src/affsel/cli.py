@@ -11,10 +11,11 @@ import argparse
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from .numerics import AffselError, Point, Scalar
 from .sandwich import sandwich
-from .hyperplane import AffineSelector, SelectConfig, select_affine
+from .hyperplane import AffineSelector, Instance, SelectConfig, select_affine
 from .conelift import LinearConfig, LinearSelector, feature_select, select_linear
 from .subgradient import (
     ConvexSectionInstance,
@@ -54,10 +55,21 @@ class _Parser(argparse.ArgumentParser):
         raise CLIUsageError(message)
 
 
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _integer(text: str) -> int:
+    """An optional '-' and the ASCII digits 0-9."""
+    if not _is_digits(text[1:] if text.startswith("-") else text):
+        raise argparse.ArgumentTypeError(f"must be an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_lambda(text: str) -> int:
     """A positive integer, or b^e with non-negative integers b and e."""
     parts = text.split("^", 1)
-    if all(part.isascii() and part.isdigit() for part in parts):
+    if all(map(_is_digits, parts)):
         value = int(parts[0]) ** int(parts[1]) if len(parts) == 2 else int(parts[0])
         if value >= 1:
             return value
@@ -66,7 +78,7 @@ def _parse_lambda(text: str) -> int:
 
 
 def _non_negative(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
+    if not _is_digits(text):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 
@@ -77,59 +89,51 @@ def build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="generate a seeded instance file")
     gen.add_argument("family", choices=["affine", "meager", "convex"])
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--nx", type=int, required=True)
-    gen.add_argument("--ny", type=int, required=True)
-    gen.add_argument("--k", type=int, default=3)
+    for flag in ("--seed", "--n", "--nx", "--ny"):
+        gen.add_argument(flag, type=_integer, required=True)
+    gen.add_argument("--k", type=_integer, default=3)
     gen.add_argument("--zero-slack", action="store_true")
     gen.add_argument("--shifted", action="store_true")
     gen.add_argument("-o", "--output", required=True)
+    gen.set_defaults(handler=_cmd_gen)
 
     sel = sub.add_parser("select", help="run a selection pipeline")
     sel_sub = sel.add_subparsers(dest="pipeline", required=True)
-
-    aff = sel_sub.add_parser("affine")
-    aff.add_argument("file")
-    aff.add_argument("--sandwich", choices=["midpoint", "staged"], default="midpoint")
-    aff.add_argument("--base", choices=["novikov", "tight"], default="novikov")
-    aff.add_argument("--verify", action="store_true")
-    aff.add_argument("--trace", action="store_true")
-    aff.add_argument("-o", "--output")
-
-    lin = sel_sub.add_parser("linear")
-    lin.add_argument("file")
-    lin.add_argument("--lambda-max", default="2^20")
-    lin.add_argument("--doublings", type=_non_negative, default=3)
-    lin.add_argument("--verify", action="store_true")
-    lin.add_argument("-o", "--output")
-
-    feat = sel_sub.add_parser("feature")
-    feat.add_argument("file")
-    feat.add_argument("--lambda-max", default="2^20")
-    feat.add_argument("--doublings", type=_non_negative, default=3)
-    feat.add_argument("--verify", action="store_true")
-    feat.add_argument("-o", "--output")
-
-    sg = sel_sub.add_parser("subgradient")
-    sg.add_argument("file")
-    sg.add_argument("--backend", choices=["exact", "cone"], default="exact")
-    sg.add_argument("--shift", action="store_true")
-    sg.add_argument("--check-convexity", action="store_true")
-    sg.add_argument("--lambda-max", default="2^20")
-    sg.add_argument("--doublings", type=_non_negative, default=3)
-    sg.add_argument("--verify", action="store_true")
-    sg.add_argument("-o", "--output")
+    # each pipeline's options in --help order, between FILE and -o
+    store_true = {"action": "store_true"}
+    ladder = [("--lambda-max", {"default": "2^20"}),
+              ("--doublings", {"type": _non_negative, "default": 3})]
+    verify = ("--verify", store_true)
+    pipelines = {
+        "affine": (_select_affine, [
+            ("--sandwich", {"choices": ["midpoint", "staged"], "default": "midpoint"}),
+            ("--base", {"choices": ["novikov", "tight"], "default": "novikov"}),
+            verify, ("--trace", store_true)]),
+        "linear": (_select_linear, [*ladder, verify]),
+        "feature": (_select_feature, [*ladder, verify]),
+        "subgradient": (_select_subgradient, [
+            ("--backend", {"choices": ["exact", "cone"], "default": "exact"}),
+            ("--shift", store_true), ("--check-convexity", store_true), *ladder, verify]),
+    }
+    for name, (select, options) in pipelines.items():
+        pipe = sel_sub.add_parser(name)
+        pipe.add_argument("file")
+        for option, kwargs in options:
+            pipe.add_argument(option, **kwargs)
+        pipe.add_argument("-o", "--output")
+        pipe.set_defaults(handler=_cmd_select, select=select)
 
     sw = sub.add_parser("sandwich", help="insert between two finite functions")
     sw.add_argument("file_u")
     sw.add_argument("file_l")
     sw.add_argument("--mode", choices=["midpoint", "staged"], default="midpoint")
+    sw.set_defaults(handler=_cmd_sandwich)
 
     ver = sub.add_parser("verify", help="check a selector against an instance")
     ver.add_argument("file")
     ver.add_argument("selector_file")
     ver.add_argument("--kind", choices=["affine", "linear"], required=True)
+    ver.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -146,16 +150,14 @@ def _load_finite_function(path) -> dict:
     return dict(zip(xs, vals))
 
 
-def _load_selector(path) -> dict:
+def _load_selector(path, kind: str):
     data = read_json(path)
     if isinstance(data, dict) and isinstance(data.get("selector"), dict):
         data = data["selector"]   # run reports embed the selector
     if not isinstance(data, dict) or "kind" not in data:
         raise CLIUsageError(f"{path}: not a selector file")
-    return data
-
-
-def _selector_from_dict(data: dict):
+    if data["kind"] != kind:
+        raise CLIUsageError(f"selector kind {data['kind']!r} does not match --kind {kind}")
     try:
         return _build_selector(data)
     except KeyError as exc:
@@ -165,12 +167,11 @@ def _selector_from_dict(data: dict):
 
 
 def _build_selector(data: dict):
-    """Read a selector the way instance files are read: every field that
-    holds several values is a JSON list, numbers go through
+    """Read an affine or linear selector the way instance files are read:
+    every field that holds several values is a JSON list, numbers go through
     ``parse_rational`` (0.1 is 1/10; booleans are not numbers) and
     ``exact`` holds JSON booleans."""
     check_schema_version(data, "selector file")
-    kind = data["kind"]
     n = parse_dimension(data["n"])
     xs = tuple(parse_ids(data["X"], "selector file"))
 
@@ -188,33 +189,26 @@ def _build_selector(data: dict):
     def points(name) -> dict:
         return {x: Point(scalar(c) for c in row) for x, row in zip(xs, column(name, n))}
 
-    if kind == "affine":
+    if data["kind"] == "affine":
         return AffineSelector(n=n, xs=xs, b=points("B"),
                               c={x: scalar(v) for x, v in zip(xs, column("C"))})
-    if kind == "linear":
-        exact = column("exact") if "exact" in data else [True] * len(xs)
-        if not all(isinstance(v, bool) for v in exact):
-            raise InstanceFileError("selector file: exact must hold true or false per id in X")
-        lambda_max = data.get("lambda_max", 1)
-        if type(lambda_max) is not int or lambda_max < 1:
-            raise InstanceFileError(
-                f"selector file: lambda_max must be an integer >= 1, got {lambda_max!r}")
-        return LinearSelector(
-            n=n, xs=xs, a=points("A"),
-            epsilon={x: scalar(v) for x, v in zip(xs, column("epsilon"))},
-            exact=dict(zip(xs, exact)),
-            lambda_max=lambda_max,
-            cone_c={},
-        )
-    raise CLIUsageError(f"unsupported selector kind {kind!r}")
+    exact = column("exact") if "exact" in data else [True] * len(xs)
+    if not all(isinstance(v, bool) for v in exact):
+        raise InstanceFileError("selector file: exact must hold true or false per id in X")
+    lambda_max = data.get("lambda_max", 1)
+    if type(lambda_max) is not int or lambda_max < 1:
+        raise InstanceFileError(
+            f"selector file: lambda_max must be an integer >= 1, got {lambda_max!r}")
+    return LinearSelector(
+        n=n, xs=xs, a=points("A"),
+        epsilon={x: scalar(v) for x, v in zip(xs, column("epsilon"))},
+        exact=dict(zip(xs, exact)),
+        lambda_max=lambda_max,
+        cone_c={},
+    )
 
 
-def _emit(report: dict, started: float) -> None:
-    report["wall_time_s"] = round(time.perf_counter() - started, 6)
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
-
-
-def _cmd_gen(args, started) -> int:
+def _cmd_gen(args) -> tuple[dict, int]:
     if args.family == "affine":
         doc = gen_affine_dominated(args.seed, args.n, args.nx, args.ny,
                                    zero_slack=args.zero_slack)
@@ -232,148 +226,113 @@ def _cmd_gen(args, started) -> int:
         "output": {"path": args.output, "points": len(doc.y_rows),
                    "params": len(doc.xs)},
     }
-    _emit(report, started)
-    return 0
+    return report, 0
 
 
-def _maybe_save_selector(args, selector) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(selector.serialize(), indent=2) + "\n")
+class _Selection(NamedTuple):
+    """What a pipeline hands `_cmd_select`."""
+    inst: Instance
+    config: dict                # the report's config block
+    selector: object            # what -o writes
+    report: dict                # the report's selector block
+    verify: Callable[[], dict]  # runs the check, returns the verification block
+    input: dict = {}            # input fields between n and params
+    tail: dict = {}             # report fields after the verification block
 
 
-def _cmd_select_affine(args, started) -> int:
-    doc = load_instance_file(args.file)
-    inst = doc.to_instance()
-    config = SelectConfig(sandwich_mode=args.sandwich, base=args.base)
-    selector, trace = select_affine(inst, config)
-    report = {
-        "command": "select-affine",
-        "config": {"sandwich": args.sandwich, "base": args.base,
-                   "verify": args.verify, "trace": args.trace},
-        "input": {"path": args.file, "n": inst.n, "params": len(inst.xs),
-                  "points": len(inst.ys)},
-        "selector": selector.serialize(),
-    }
-    exit_code = 0
-    if args.verify:
-        rep = verify_domination(inst, selector, kind="affine")
-        closure = verify_working_closure(trace, selector)
-        report["verification"] = {
-            "passed": rep.passed and closure.passed,
-            "min_slack": {x: s.serialize() if s is not None else None
-                          for x, s in rep.min_slack.items()},
-            "closure_passed": closure.passed,
-        }
-        if not (rep.passed and closure.passed):
-            exit_code = 2
-    if args.trace:
-        report["trace_summary"] = trace.summary()
-    _maybe_save_selector(args, selector)
-    _emit(report, started)
-    return exit_code
+def _verification(rep, field: str) -> dict:
+    return {"passed": rep.passed, field: rep.serialize()[field]}
+
+
+def _linear_config(args) -> LinearConfig:
+    return LinearConfig(lambda_max=_parse_lambda(args.lambda_max), doublings=args.doublings)
 
 
 def _linear_report(selector: LinearSelector) -> dict:
-    out = selector.serialize()
-    out["attempts"] = [
+    return {**selector.serialize(), "attempts": [
         {"lambda_max": a.lambda_max, "exact": [a.exact[x] for x in selector.xs]}
-        for a in selector.attempts
-    ]
-    return out
+        for a in selector.attempts]}
 
 
-def _cmd_select_linear(args, started) -> int:
-    doc = load_instance_file(args.file)
+def _select_affine(args, doc) -> _Selection:
     inst = doc.to_instance()
-    config = LinearConfig(lambda_max=_parse_lambda(args.lambda_max),
-                          doublings=args.doublings)
+    selector, trace = select_affine(inst, SelectConfig(sandwich_mode=args.sandwich,
+                                                       base=args.base))
+
+    def verify() -> dict:
+        rep = verify_domination(inst, selector, kind="affine")
+        closure = verify_working_closure(trace, selector)
+        return {"passed": rep.passed and closure.passed,
+                "min_slack": rep.serialize()["min_slack"], "closure_passed": closure.passed}
+
+    return _Selection(
+        inst, {"sandwich": args.sandwich, "base": args.base, "verify": args.verify,
+               "trace": args.trace},
+        selector, selector.serialize(), verify,
+        tail={"trace_summary": trace.summary()} if args.trace else {})
+
+
+def _select_linear(args, doc) -> _Selection:
+    inst = doc.to_instance()
+    config = _linear_config(args)
     selector = select_linear(inst, config)
-    report = {
-        "command": "select-linear",
-        "config": {"lambda_max": config.lambda_max, "doublings": config.doublings,
-                   "verify": args.verify},
-        "input": {"path": args.file, "n": inst.n, "params": len(inst.xs),
-                  "points": len(inst.ys)},
-        "selector": _linear_report(selector),
-    }
-    exit_code = 0
-    if args.verify:
-        rep = verify_domination(inst, selector, kind="linear")
-        report["verification"] = {
-            "passed": rep.passed,
-            "min_slack": {x: s.serialize() if s is not None else None
-                          for x, s in rep.min_slack.items()},
-        }
-        if not rep.passed:
-            exit_code = 2
-    _maybe_save_selector(args, selector)
-    _emit(report, started)
-    return exit_code
+    return _Selection(
+        inst, {"lambda_max": config.lambda_max, "doublings": config.doublings,
+               "verify": args.verify},
+        selector, _linear_report(selector),
+        lambda: _verification(verify_domination(inst, selector, kind="linear"), "min_slack"))
 
 
-def _cmd_select_feature(args, started) -> int:
-    doc = load_instance_file(args.file)
+def _select_feature(args, doc) -> _Selection:
     if doc.phi_rows is None:
         raise CLIUsageError("feature selection requires a phi table")
     inst = doc.to_instance()
     phi = doc.phi_table()
-    config = LinearConfig(lambda_max=_parse_lambda(args.lambda_max),
-                          doublings=args.doublings)
+    config = _linear_config(args)
     selector = feature_select(inst, phi, config)
-    report = {
-        "command": "select-feature",
-        "config": {"lambda_max": config.lambda_max, "doublings": config.doublings,
-                   "verify": args.verify},
-        "input": {"path": args.file, "n": inst.n, "feature_dim": selector.n,
-                  "params": len(inst.xs), "points": len(inst.ys)},
-        "selector": _linear_report(selector),
-    }
-    exit_code = 0
-    if args.verify:
-        rep = verify_feature_domination(inst, selector, phi)
-        report["verification"] = {"passed": rep.passed,
-                                  "failures": rep.serialize()["failures"]}
-        if not rep.passed:
-            exit_code = 2
-    _maybe_save_selector(args, selector)
-    _emit(report, started)
-    return exit_code
+    return _Selection(
+        inst, {"lambda_max": config.lambda_max, "doublings": config.doublings,
+               "verify": args.verify},
+        selector, _linear_report(selector),
+        lambda: _verification(verify_feature_domination(inst, selector, phi), "failures"),
+        input={"feature_dim": selector.n})
 
 
-def _cmd_select_subgradient(args, started) -> int:
-    doc = load_instance_file(args.file)
+def _select_subgradient(args, doc) -> _Selection:
     inst = doc.to_instance()
-    y0 = doc.y0_table()
-    csi = ConvexSectionInstance(instance=inst, y0=y0)
-    config = SubgradientConfig(
-        backend=args.backend,
-        linear=LinearConfig(lambda_max=_parse_lambda(args.lambda_max),
-                            doublings=args.doublings),
-        check_convexity=args.check_convexity)
+    csi = ConvexSectionInstance(instance=inst, y0=doc.y0_table())
+    config = SubgradientConfig(backend=args.backend, linear=_linear_config(args),
+                               check_convexity=args.check_convexity)
     selector = select_subgradient(csi, config, shift=args.shift)
+    return _Selection(
+        inst, {"backend": args.backend, "shift": args.shift,
+               "check_convexity": args.check_convexity, "verify": args.verify},
+        selector, selector.serialize(),
+        lambda: _verification(verify_subgradient_domination(
+            shift_to_origin(csi).groups, selector), "failures"))
+
+
+def _cmd_select(args) -> tuple[dict, int]:
+    selection = args.select(args, load_instance_file(args.file))
     report = {
-        "command": "select-subgradient",
-        "config": {"backend": args.backend, "shift": bool(args.shift),
-                   "check_convexity": args.check_convexity,
-                   "verify": args.verify},
-        "input": {"path": args.file, "n": inst.n, "params": len(inst.xs),
-                  "points": len(inst.ys)},
-        "selector": selector.serialize(),
+        "command": f"select-{args.pipeline}",
+        "config": selection.config,
+        "input": {"path": args.file, "n": selection.inst.n, **selection.input,
+                  "params": len(selection.inst.xs), "points": len(selection.inst.ys)},
+        "selector": selection.report,
     }
-    exit_code = 0
+    passed = True
     if args.verify:
-        rep = verify_subgradient_domination(shift_to_origin(csi).groups, selector)
-        report["verification"] = {"passed": rep.passed,
-                                  "failures": rep.serialize()["failures"]}
-        if not rep.passed:
-            exit_code = 2
-    _maybe_save_selector(args, selector)
-    _emit(report, started)
-    return exit_code
+        report["verification"] = selection.verify()
+        passed = report["verification"]["passed"]
+    report.update(selection.tail)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(selection.selector.serialize(), indent=2) + "\n")
+    return report, 0 if passed else 2
 
 
-def _cmd_sandwich(args, started) -> int:
+def _cmd_sandwich(args) -> tuple[dict, int]:
     u = _load_finite_function(args.file_u)
     l = _load_finite_function(args.file_l)
     f = sandwich(u, l, args.mode)
@@ -382,18 +341,12 @@ def _cmd_sandwich(args, started) -> int:
         "config": {"mode": args.mode},
         "result": {"X": list(f), "values": [str(v) for v in f.values()]},
     }
-    _emit(report, started)
-    return 0
+    return report, 0
 
 
-def _cmd_verify(args, started) -> int:
-    doc = load_instance_file(args.file)
-    inst = doc.to_instance()
-    data = _load_selector(args.selector_file)
-    if data.get("kind") != args.kind:
-        raise CLIUsageError(
-            f"selector kind {data.get('kind')!r} does not match --kind {args.kind}")
-    selector = _selector_from_dict(data)
+def _cmd_verify(args) -> tuple[dict, int]:
+    inst = load_instance_file(args.file).to_instance()
+    selector = _load_selector(args.selector_file, args.kind)
     missing = [x for x in inst.xs if x not in selector.xs]
     if missing:
         raise InstanceFileError(f"selector file: no selector for parameter {missing[0]!r}")
@@ -403,8 +356,7 @@ def _cmd_verify(args, started) -> int:
         "config": {"kind": args.kind},
         "verification": rep.serialize(),
     }
-    _emit(report, started)
-    return 0 if rep.passed else 2
+    return report, 0 if rep.passed else 2
 
 
 def run(argv=None) -> int:
@@ -412,19 +364,11 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args, started)
-        if args.command == "select":
-            if args.pipeline == "affine":
-                return _cmd_select_affine(args, started)
-            if args.pipeline == "linear":
-                return _cmd_select_linear(args, started)
-            if args.pipeline == "feature":
-                return _cmd_select_feature(args, started)
-            return _cmd_select_subgradient(args, started)
-        if args.command == "sandwich":
-            return _cmd_sandwich(args, started)
-        return _cmd_verify(args, started)
+        # every command's handler returns its report and exit code
+        report, exit_code = args.handler(args)
+        report["wall_time_s"] = round(time.perf_counter() - started, 6)
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        return exit_code
     except CLIUsageError as exc:
         usage = " ".join(parser.format_usage().split())
         sys.stderr.write(f"usage error: {exc}; {usage}\n")

@@ -5,7 +5,6 @@ seeded instances) is shared between the domination and bracket criteria and
 keeps only summaries, not full traces.
 """
 
-import json
 import math
 import random
 import re

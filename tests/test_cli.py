@@ -356,6 +356,14 @@ BAD_DOUBLINGS = {"negative": "-1", "arabic-digit": "\u0661", "superscript-digit"
 BAD_LAMBDAS = {"lambda-negative-base": "-2^2", "lambda-negative-exponent": "2^-2",
                "lambda-zero": "0"}
 
+# gen's integer flags take an optional '-' and ASCII digits; int() read
+# "\u0661" as 1, "1_0" as 10, " 3" as 3 and "+2" as 2
+BAD_GEN_INTEGERS = {"gen-seed-arabic-digit": ("--seed", "\u0661"),
+                    "gen-n-arabic-digit": ("--n", "\u0661"),
+                    "gen-nx-underscore": ("--nx", "1_0"),
+                    "gen-ny-space": ("--ny", " 3"),
+                    "gen-k-plus-sign": ("--k", "+2")}
+
 # the removed --depth flag
 DEPTH_COMMANDS = {"depth-select-affine": ("select", "affine"), "depth-sandwich": ("sandwich",)}
 
@@ -368,6 +376,8 @@ EXPECTED_MESSAGE = {
                     "n must be a non-negative integer"),
     **{f"gen-negative-n-{f}": "n must be >= 0" for f in ("affine", "meager", "convex")},
     **dict.fromkeys(BAD_LAMBDAS, "--lambda-max"),
+    **{case: f"argument {flag}: must be an integer in ASCII digits"
+       for case, (flag, _) in BAD_GEN_INTEGERS.items()},
     **dict.fromkeys(DEPTH_COMMANDS, "unrecognized arguments: --depth 3"),
     "y0-dimension": "y0 point of dimension 2, expected 1",
     **{f"{kind}value-{name}": "not a finite rational" for kind in ("", "function-", "selector-")
@@ -399,7 +409,7 @@ EXPECTED_MESSAGE = {
                                   *(f"doublings-{name}-{p}" for name in BAD_DOUBLINGS
                                     for p in DOUBLINGS_PIPELINES),
                                   *(f"gen-negative-n-{f}" for f in ("affine", "meager", "convex")),
-                                  *BAD_LAMBDAS, *DEPTH_COMMANDS])
+                                  *BAD_LAMBDAS, *BAD_GEN_INTEGERS, *DEPTH_COMMANDS])
 def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
     if case in MALFORMED:
         path = tmp_path / "bad.json"
@@ -437,6 +447,12 @@ def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
     elif case.startswith("gen-negative-n-"):
         args = ("gen", case.rsplit("-", 1)[1], "--seed", "1", "--n", "-1", "--nx", "1",
                 "--ny", "2", "-o", str(tmp_path / "gen.json"))
+    elif case in BAD_GEN_INTEGERS:
+        flags = {"--seed": "1", "--n": "1", "--nx": "2", "--ny": "3", "--k": "2"}
+        flag, value = BAD_GEN_INTEGERS[case]
+        flags[flag] = value
+        args = ("gen", "convex", *(t for pair in flags.items() for t in pair),
+                "-o", str(tmp_path / "gen.json"))
     elif case in BAD_LAMBDAS:
         args = ("select", "linear", str(worked_file), f"--lambda-max={BAD_LAMBDAS[case]}")
     else:
@@ -477,6 +493,7 @@ SELECT_RUNS = {
     "feature": ("feature", "feature.json"),
     "subgradient_convexity": ("subgradient", "convex_shifted_n2.json", "--check-convexity"),
     "subgradient_cone": ("subgradient", "convex_shifted_n2.json", "--backend", "cone"),
+    "subgradient_shift": ("subgradient", "convex_shifted_n2.json", "--shift"),
 }
 
 
@@ -488,6 +505,42 @@ def test_select_stdout_matches_recording(name, monkeypatch, capsys):
     assert err == ""
     stdout = re.sub(r'"wall_time_s": [0-9.e+-]+', '"wall_time_s": 0', out)
     assert stdout == (GOLDEN / f"{name}.expected").read_text(encoding="utf-8")
+
+
+# `affsel verify` on the recorded selector files and on copies with one value
+# lowered, and `affsel sandwich` in both modes: (exit code, arguments), run in
+# tests/golden and recorded the same way
+RECORDED_RUNS = {
+    "verify_affine": (0, "verify", "affine_n2.json", "affine_n2.selector.json",
+                      "--kind", "affine"),
+    "verify_affine_tampered": (2, "verify", "affine_n2.json", "affine_n2.tampered.json",
+                               "--kind", "affine"),
+    "verify_linear": (0, "verify", "affine_n2.json", "linear_affine_n2.selector.json",
+                      "--kind", "linear"),
+    "verify_linear_tampered": (2, "verify", "affine_n2.json", "linear_affine_n2.tampered.json",
+                               "--kind", "linear"),
+    "sandwich_midpoint": (0, "sandwich", "sandwich_u.json", "sandwich_l.json"),
+    "sandwich_staged": (0, "sandwich", "sandwich_u.json", "sandwich_l.json", "--mode", "staged"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_RUNS)
+def test_stdout_matches_recording(name, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    code, *args = RECORDED_RUNS[name]
+    assert cli.run(args) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    stdout = re.sub(r'"wall_time_s": [0-9.e+-]+', '"wall_time_s": 0', out)
+    assert stdout == (GOLDEN / f"{name}.expected").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("pipeline, recorded", [("affine", "affine_n2.selector.json"),
+                                                ("linear", "linear_affine_n2.selector.json")])
+def test_selector_file_matches_recording(pipeline, recorded, tmp_path):
+    path = tmp_path / "sel.json"
+    assert cli.run(["select", pipeline, str(GOLDEN / "affine_n2.json"), "-o", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / recorded).read_bytes()
 
 
 def test_convexity_violation_matches_recording(monkeypatch, capsys):
@@ -555,6 +608,26 @@ def parser_flags() -> dict:
     return {name: [a.option_strings for a in p._actions
                    if a.option_strings and not isinstance(a, argparse._HelpAction)]
             for name, p in commands.items()}
+
+
+# the option strings of every subcommand, in the order `--help` lists them
+RECORDED_OPTIONS = {
+    "gen": [["--seed"], ["--n"], ["--nx"], ["--ny"], ["--k"], ["--zero-slack"], ["--shifted"],
+            ["-o", "--output"]],
+    "select affine": [["--sandwich"], ["--base"], ["--verify"], ["--trace"], ["-o", "--output"]],
+    "select linear": [["--lambda-max"], ["--doublings"], ["--verify"], ["-o", "--output"]],
+    "select feature": [["--lambda-max"], ["--doublings"], ["--verify"], ["-o", "--output"]],
+    "select subgradient": [["--backend"], ["--shift"], ["--check-convexity"], ["--lambda-max"],
+                           ["--doublings"], ["--verify"], ["-o", "--output"]],
+    "sandwich": [["--mode"]],
+    "verify": [["--kind"]],
+}
+
+
+def test_option_strings_match_recording():
+    flags = parser_flags()
+    assert list(flags) == list(RECORDED_OPTIONS)
+    assert flags == RECORDED_OPTIONS
 
 
 def readme_usage() -> dict:

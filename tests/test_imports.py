@@ -1,5 +1,5 @@
-"""Every name a module under src/affsel imports is used in that module, and
-every name the benchmark imports from the package still exists.
+"""Every name a module under src/affsel or tests imports is used in that
+module, and every name the benchmark imports from the package still exists.
 
 ``__init__.py`` is skipped: its imports are the package's re-exports.
 """
@@ -13,9 +13,11 @@ import pytest
 from affsel.hyperplane import build_envelope, extend_domain, select_affine
 from affsel.instances import gen_affine_dominated
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "affsel"
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "affsel"
+PERFBENCH = TESTS.parent / "perfbench"
+MODULES = [*sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+           *sorted(TESTS.glob("*.py"))]
 
 
 def unused_imports(source: str) -> list:
