@@ -16,16 +16,20 @@ indexes points exactly.  The sign split, the crossing points and their chord
 weights depend only on the point set; they are computed once per level and
 shared by every section.  Values are Fractions whose numerators and
 denominators are compared by cross-multiplication, and a Fraction is built
-once per result.  ``Scalar`` and ``Point`` appear only on the instance that
-goes in and the selector that comes out.
+once per result.  Floats only guide: they sort the child points, with an
+exact re-sort where they tie, and propose the dimension-one hull bridge,
+which one exact pass certifies.  Integers decide every result, and no float
+is stored in a table or reaches a selector.  ``Scalar`` and ``Point`` appear
+only on the instance that goes in and the selector that comes out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from operator import itemgetter
+from itertools import compress
+from math import gcd, inf
+from operator import eq, itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .numerics import AffselError, NumericsError, Point, PointSet, Scalar, primitive
@@ -114,30 +118,122 @@ def build_envelope(table: WorkingTable) -> WorkingTable:
 # ---------------------------------------------------------------------------
 
 
-def _order_key(key: tuple) -> tuple:
-    """Sort key for the lexicographic order of a point given as its integer
-    vector: each coordinate as a correctly rounded float (monotone, cheap to
-    compare), followed by the exact value, which decides only where the
-    floats tie."""
+def _ratio(n: int, d: int) -> float:
+    """n / d (d > 0) as a correctly rounded float, or an infinity of the
+    same sign where it overflows: monotone in n / d, as a guide needs."""
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf
+
+
+def _float_key(key: tuple) -> tuple:
+    """The coordinates of an integer vector (a_1, .., a_k, d) as floats.
+    Their order agrees with the exact lexicographic order wherever the
+    first coordinates differ as floats; ``_sort_children`` decides the rest."""
     den = key[-1]
-    out = []
-    for c in key[:-1]:
-        out += (c / den, Fraction(c, den))
-    return tuple(out)
+    try:
+        return tuple([c / den for c in key[:-1]])
+    except OverflowError:
+        return tuple([_ratio(c, den) for c in key[:-1]])
 
 
-def _max_chord(pairs, num, den, bn, bd):
-    """Largest of bn/bd and the chords of ``pairs`` at their shared crossing,
-    as an integer pair; None when no chord beats bn/bd."""
-    won = False
-    for ip, im, wp, wm, w in pairs:
-        dp = den[ip]
-        dm = den[im]
-        cn = wp * num[im] * dp + wm * num[ip] * dm
-        cd = w * dp * dm
-        if cn * bd > bn * cd:
-            bn, bd, won = cn, cd, True
-    return (bn, bd) if won else None
+def _exact_key(key: tuple) -> tuple:
+    den = key[-1]
+    return tuple([Fraction(c, den) for c in key[:-1]])
+
+
+def _sort_children(children: list) -> None:
+    """Sort child entries (float key, integer vector, ...) into exact
+    lexicographic order: by float keys, then exactly within each run whose
+    first float coordinate ties.  A tie in any later float coordinate sits
+    inside such a run, so the runs are all that floats can misorder."""
+    children.sort(key=itemgetter(0))
+    if len(children) < 2:
+        return      # a dimension-zero child has one point and no coordinates
+    firsts = [entry[0][0] for entry in children]
+    end = 0
+    for t in compress(range(1, len(firsts)), map(eq, firsts[1:], firsts)):
+        if t < end:
+            continue        # inside the run already re-sorted
+        end = t + 1
+        while end < len(firsts) and firsts[end] == firsts[t]:
+            end += 1
+        children[t - 1:end] = sorted(children[t - 1:end], key=lambda e: _exact_key(e[1]))
+
+
+def _exact_hull(coords, num, den) -> list:
+    """Positions in ``coords`` of the upper hull vertices of the points
+    (coordinate, value), by an exact monotone chain in coordinate order."""
+    quads = [(cn, cd, num[j], den[j]) for cn, cd, j in coords]
+    hull: list = []
+    for i, q in enumerate(quads):
+        while len(hull) >= 2 and _cross_nonneg_int(quads[hull[-2]], quads[hull[-1]], q):
+            hull.pop()
+        hull.append(i)
+    return hull
+
+
+def _float_hull(fys, fvs) -> list:
+    """The same chain on float coordinates and values: a candidate only."""
+    hull: list = []     # (coordinate, value, position)
+    for i, y3 in enumerate(fvs):
+        x3 = fys[i]
+        while len(hull) >= 2:
+            x1, y1, _ = hull[-2]
+            x2, y2, _ = hull[-1]
+            if (x2 - x1) * (y3 - y1) < (y2 - y1) * (x3 - x1):
+                break
+            hull.pop()
+        hull.append((x3, y3, i))
+    return [i for _, _, i in hull]
+
+
+def _edge_over_zero(coords, hull) -> tuple:
+    """The hull edge from a minus to a plus point.  The chain never drops
+    the first (minus) and the last (plus) point, so there is exactly one."""
+    for p, q in zip(hull, hull[1:]):
+        if coords[p][0] < 0 < coords[q][0]:
+            return p, q
+    raise AffselError("hull does not span zero")  # unreachable with both signs present
+
+
+def _none_above(coords, num, den, p, q) -> bool:
+    """Whether no point lies strictly above the line through positions p
+    and q, in exact integers.  A point (a/d, v/w) is on or below it iff
+    A v d <= (B a + C d) w, where A and B are y_q - y_p > 0 and
+    f_q - f_p scaled by one positive integer and C = A f_p - B y_p."""
+    ap, dp, jp = coords[p]
+    aq, dq, jq = coords[q]
+    vp, wp, vq, wq = num[jp], den[jp], num[jq], den[jq]
+    yn = aq * dp - ap * dq          # (y_q - y_p) dp dq
+    fn = vq * wp - vp * wq          # (f_q - f_p) wp wq
+    a, b, c = yn * wp * wq, fn * dp * dq, yn * wq * vp - fn * dq * ap
+    g = gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
+    return all([a * num[j] * d <= (b * y + c * d) * den[j] for y, d, j in coords])
+
+
+def _bridge(coords, fys, num, den) -> tuple:
+    """The crossing pair on the upper hull edge over zero: its chord is
+    the largest of all crossing chords at dimension one.
+
+    A float chain proposes the edge, and one exact pass certifies that no
+    point lies above its line.  That line then supports the upper hull over
+    zero, so its chord there is exactly the largest, whichever pair on it
+    was picked.  The exact chain runs only where the certificate fails or a
+    coordinate or value overflows a float (``fys`` is None)."""
+    try:
+        fvs = fys and [num[j] / den[j] for _, _, j in coords]
+    except OverflowError:
+        fvs = None
+    edge = fvs and _edge_over_zero(coords, _float_hull(fys, fvs))
+    if not (edge and _none_above(coords, num, den, *edge)):
+        edge = _edge_over_zero(coords, _exact_hull(coords, num, den))
+    p, q = edge
+    (bk, db, im), (ak, da, ip) = coords[p], coords[q]
+    wp, wm = ak * db, -bk * da
+    return ip, im, wp, wm, wp + wm
 
 
 @dataclass
@@ -203,10 +299,14 @@ class WorkingTable:
         # dimension one: every pair crosses at the origin of the line, and the
         # upper hull bridge over the off-zero points (already sorted by
         # coordinate) gives each section's largest chord there
-        coords = None
+        coords = fys = None
         if n_pairs and self.dim == 1:
             crossings[(1,)] = []
             coords = [(v[0], v[1], j) for j, v in enumerate(vecs) if v[0]]
+            try:
+                fys = [a / d for a, d, _ in coords]
+            except OverflowError:
+                pass        # the exact hull finds every bridge
         elif n_pairs:
             for ip in self.plus:
                 a = vecs[ip]
@@ -225,52 +325,47 @@ class WorkingTable:
                     pairs.append((ip, im, wp, wm, w))
         n_crossings = len(crossings)
 
-        # child points, (sort key, integer vector, stored index or None, pairs,
-        # ext), sorted into canonical order
+        # child points, (float key, integer vector, stored index or None,
+        # pairs, ext), sorted into canonical order; ext holds the -|y|^2
+        # extension as an integer pair and, once a section takes it as its
+        # value, as a Fraction
         children = []
         for key, j in stored.items():
-            children.append((_order_key(key), key, j, crossings.pop(key, ()), None))
+            children.append((_float_key(key), key, j, crossings.pop(key, ()), None))
         for key, pairs in crossings.items():
             den = key[-1]
-            ext = Fraction(-sum([c * c for c in key[:-1]]), den * den)
-            children.append((_order_key(key), key, None, pairs, ext))
+            ext = [-sum([c * c for c in key[:-1]]), den * den, None]
+            children.append((_float_key(key), key, None, pairs, ext))
         del stored, crossings     # the key maps end here; only the plan is kept
-        children.sort(key=itemgetter(0))
+        _sort_children(children)
 
         values = {}
         for x, row in self.values.items():
-            num = [f.numerator for f in row]
-            den = [f.denominator for f in row]
+            num, den = zip(*[f.as_integer_ratio() for f in row]) if row else ((), ())
+            bridge = coords and (_bridge(coords, fys, num, den),)
             out = []
             for _, _, j, pairs, ext in children:
-                if coords:
-                    pairs = (self._bridge(coords, num, den),)
                 if j is None:
-                    best = _max_chord(pairs, num, den, ext.numerator, ext.denominator)
-                    out.append(ext if best is None else Fraction(*best))
+                    bn, bd, value = ext
                 else:
-                    best = _max_chord(pairs, num, den, num[j], den[j])
-                    out.append(row[j] if best is None else Fraction(*best))
+                    bn, bd, value = num[j], den[j], row[j]
+                won = False
+                for ip, im, wp, wm, w in bridge or pairs:
+                    dp = den[ip]
+                    dm = den[im]
+                    cn = wp * num[im] * dp + wm * num[ip] * dm
+                    cd = w * dp * dm
+                    if cn * bd > bn * cd:
+                        bn, bd, won = cn, cd, True
+                if won:
+                    value = Fraction(bn, bd)
+                elif value is None:     # the extension, built once for all sections
+                    value = ext[2] = Fraction(bn, bd)
+                out.append(value)
             values[x] = tuple(out)
         child = WorkingTable(dim=self.dim - 1, points=[entry[1] for entry in children],
                              values=values)
         return child, n_crossings
-
-    def _bridge(self, coords, num, den) -> tuple:
-        """The crossing pair on the upper hull edge over zero: its chord is
-        the largest of all crossing chords at dimension one."""
-        quads = [(cn, cd, num[j], den[j]) for cn, cd, j in coords]
-        hull: list = []
-        for i, q in enumerate(quads):
-            while len(hull) >= 2 and _cross_nonneg_int(quads[hull[-2]], quads[hull[-1]], q):
-                hull.pop()
-            hull.append(i)
-        for p, q in zip(hull, hull[1:]):
-            if coords[p][0] < 0 < coords[q][0]:
-                (bk, db, im), (ak, da, ip) = coords[p], coords[q]
-                wp, wm = ak * db, -bk * da
-                return ip, im, wp, wm, wp + wm
-        raise AffselError("hull does not span zero")  # unreachable with both signs present
 
     def bracket(self, b_rows, c_map):
         """U = max over plus points and L = min over minus points of

@@ -2,6 +2,7 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -30,3 +31,19 @@ def make_instance(n, points, rows, xs=None):
     from affsel.hyperplane import Instance
     return Instance.build(n, xs or sorted(rows), [p.raw() for p in points],
                           {x: [v.value for v in row] for x, row in rows.items()})
+
+
+@pytest.fixture
+def exact_hull_calls(monkeypatch) -> list:
+    """A list that grows by one for each exact cross test of the
+    dimension-one hull, the bridge's fallback."""
+    from affsel import hyperplane
+    calls = []
+    exact = hyperplane._cross_nonneg_int
+
+    def counted(o, a, b):
+        calls.append(None)
+        return exact(o, a, b)
+
+    monkeypatch.setattr(hyperplane, "_cross_nonneg_int", counted)
+    return calls

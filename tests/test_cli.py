@@ -473,6 +473,9 @@ def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
 GOLDEN_RUNS = {
     "affine_n2": ("affine_n2.json",),
     "affine_n3_staged_tight": ("affine_n3.json", "--sandwich", "staged", "--base", "tight"),
+    # the affine-deep benchmark's size (gen affine --seed 1 --n 3 --nx 4
+    # --ny 18): its dimension-one level has 1,640 points
+    "affine_deep_n3": ("affine_deep_n3.json",),
 }
 
 
@@ -543,6 +546,12 @@ def test_selector_file_matches_recording(pipeline, recorded, tmp_path):
     assert path.read_bytes() == (GOLDEN / recorded).read_bytes()
 
 
+def test_deep_selector_file_matches_recording(tmp_path):
+    path = tmp_path / "sel.json"
+    assert cli.run(["select", "affine", str(GOLDEN / "affine_deep_n3.json"), "-o", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / "affine_deep_n3.selector.json").read_bytes()
+
+
 def test_convexity_violation_matches_recording(monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN)
     assert cli.run(["select", "subgradient", "convexity_violation.json",
@@ -556,6 +565,7 @@ def test_convexity_violation_matches_recording(monkeypatch, capsys):
 GEN_RUNS = {
     "affine_n2": "affine --seed 5 --n 2 --nx 3 --ny 6",
     "affine_n3": "affine --seed 6 --n 3 --nx 3 --ny 8",
+    "affine_deep_n3": "affine --seed 1 --n 3 --nx 4 --ny 18",
     "meager_n2": "meager --seed 7 --n 2 --nx 3 --ny 6",
     "meager_n0": "meager --seed 7 --n 0 --nx 2 --ny 3",
     "convex_shifted_n2": "convex --seed 8 --n 2 --nx 4 --ny 7 --k 3 --shifted",
@@ -579,6 +589,25 @@ def test_recursion_too_deep_exits_1_with_one_line(tmp_path):
     assert res.stdout == ""
     assert res.stderr == ("error: input too large: recursion deeper than Python's limit "
                           "(RecursionError)\n")
+
+
+def test_huge_coordinates_select_and_verify(tmp_path):
+    # 1e400 is a valid coordinate, but it overflows a float
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 2, "X": ["a"], "Y": [["1e400", "1"], ["-1", "-1e400"],
+                                                         ["0", "1"]], "f": [["0", "0", "0"]]}))
+    res = run_cli("select", "affine", str(path), "--verify")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["verification"]["passed"] is True
+
+
+def test_huge_values_take_the_exact_bridge(tmp_path, capsys, exact_hull_calls):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1, "X": ["a"], "Y": [["-1"], ["2"], ["3"]],
+                                "f": [["1e400", "1e400", "-1e400"]]}))
+    assert cli.run(["select", "affine", str(path), "--verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["verification"]["passed"] is True
+    assert exact_hull_calls
 
 
 def test_out_of_memory_exits_1_with_one_line(worked_file, monkeypatch, capsys):

@@ -147,3 +147,56 @@ def test_child_order_is_exact_where_floats_tie():
     table = extend_domain(Instance.build(3, ("x0",), pts, {"x0": [Fraction(0)] * 3}))
     child = build_envelope(table)
     assert [as_point(v).raw()[0] for v in child.points] == [Fraction(1, 3), tiny]
+
+
+# coordinates that differ by multiples of 2^-80: equal as floats, not exactly
+TINY = Fraction(1, 2 ** 80)
+tied_coord_st = st.builds(lambda base, k: base + k * TINY,
+                          st.sampled_from([Fraction(-2, 7), Fraction(1, 3), Fraction(1)]),
+                          st.integers(-2, 2))
+
+
+@st.composite
+def float_tied_tables(draw):
+    """Dimension-2 and -3 tables whose child points tie as floats in the
+    first and in the second coordinate: zero-side points on a grid of tied
+    coordinates, and off-zero points whose crossings land near them."""
+    dim = draw(st.sampled_from([2, 3]))
+    head = st.lists(tied_coord_st, min_size=dim - 1, max_size=dim - 1).map(tuple)
+    points = {h + (Fraction(0),) for h in draw(st.lists(head, min_size=2, max_size=8))}
+    lasts = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)])
+    for sign in (1, -1):
+        for h in draw(st.lists(head, max_size=3)):
+            points.add(h + (sign * draw(lasts),))
+    xs = XS[:draw(st.integers(1, 2))]
+    rows = {x: [draw(value_st) for _ in points] for x in xs}
+    return extend_domain(Instance.build(dim, xs, points, rows))
+
+
+@given(float_tied_tables())
+def test_child_order_is_exact_where_floats_tie_in_any_coordinate(table):
+    child = build_envelope(table)
+    coords = [as_point(v).raw() for v in child.points]
+    assert all(a < b for a, b in zip(coords, coords[1:]))
+    assert_envelope_matches(table)
+
+
+def dim1_table(values):
+    pts = [(Fraction(-1),), (Fraction(1, 2),), (Fraction(1),)]
+    return extend_domain(Instance.build(1, ("x0",), pts, {"x0": values}))
+
+
+def test_bridge_falls_back_to_the_exact_hull_where_floats_cannot_tell(exact_hull_calls):
+    # 1 + 2^-80 rounds to 1.0: in floats the middle point lies on the line
+    # through its neighbours and the chain drops it, but it lies above that
+    # line, so the certificate fails and the exact hull finds the bridge
+    table = dim1_table([Fraction(1), 1 + TINY, Fraction(1)])
+    assert_envelope_matches(table)
+    assert exact_hull_calls
+    assert build_envelope(table).values["x0"] == (1 + TINY * 2 / 3,)
+
+
+def test_bridge_certified_from_floats_runs_no_exact_hull(exact_hull_calls):
+    table = dim1_table([Fraction(0), Fraction(1), Fraction(0)])
+    assert_envelope_matches(table)
+    assert not exact_hull_calls
