@@ -22,7 +22,7 @@ from typing import ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from .numerics import AffselError, Point, Scalar
 from .hyperplane import Instance, SelectConfig, select_affine
-from .oracle import check_domination
+from .oracle import check_domination, pair_rows
 
 
 class LadderError(AffselError):
@@ -164,8 +164,7 @@ def _attempt(inst: Instance, lambda_max: int, config: LinearConfig):
     cone = lift_to_cone(inst, (1,) if lambda_max == 1 else (1, lambda_max))
     selector, trace = select_affine(cone.instance, config.select)
     eps_map = {x: Scalar(Fraction(max(c.value, 0), lambda_max)) for x, c in selector.c.items()}
-    report = check_domination("linear", inst.xs, inst.ys.points,
-                              {x: [v.value for v in inst.values[x]] for x in inst.xs},
+    report = check_domination("linear", inst.xs, inst.ys.points, pair_rows(inst),
                               {x: 0 for x in inst.xs},
                               {x: selector.b[x].raw() for x in inst.xs})
     failed = {x for x, _, _ in report.failures}

@@ -7,20 +7,22 @@ and finally inserts the last coefficient inside the bracket [U, L] implied
 by the lower-dimensional solution.  All choices are deterministic functions
 of the value section, so equal sections always produce equal selectors.
 
-The recursion runs on integers and Fractions (``WorkingTable``).  A point
-y in Q^k is held as its primitive integer vector (a_1, .., a_k, d): d > 0 is
-the least common denominator of the coordinates, y = a / d, and
-gcd(a_1, .., a_k, d) = 1 (``numerics.primitive``).  That vector is unique
-for each point, so equal vectors mean equal points and a dict keyed by them
-indexes points exactly.  The sign split, the crossing points and their chord
-weights depend only on the point set; they are computed once per level and
-shared by every section.  Values are Fractions whose numerators and
-denominators are compared by cross-multiplication, and a Fraction is built
-once per result.  Floats only guide: they sort the child points, with an
-exact re-sort where they tie, and propose the dimension-one hull bridge,
-which one exact pass certifies.  Integers decide every result, and no float
-is stored in a table or reaches a selector.  ``Scalar`` and ``Point`` appear
-only on the instance that goes in and the selector that comes out.
+The recursion runs on integers (``WorkingTable``).  A point y in Q^k is held
+as its primitive integer vector (a_1, .., a_k, d): d > 0 is the least common
+denominator of the coordinates, y = a / d, and gcd(a_1, .., a_k, d) = 1
+(``numerics.primitive``).  That vector is unique for each point, so equal
+vectors mean equal points and a dict keyed by them indexes points exactly.
+The sign split, the crossing points and their chord weights depend only on
+the point set; they are computed once per level and shared by every section.
+A value is a reduced integer pair (p, q): q > 0, gcd(p, q) = 1 and the value
+is p / q, the integers a Fraction of it holds.  Pairs are compared by
+cross-multiplication, and no table value is ever a Fraction: only the
+bracket, the picks and the base constants, which leave the kernel, are.
+Floats only guide: they sort the child points, with an exact re-sort where
+they tie, and propose the dimension-one hull bridge, which one exact pass
+certifies.  Integers decide every result, and no float is stored in a table
+or reaches a selector.  ``Scalar`` and ``Point`` appear only on the instance
+that goes in and the selector that comes out.
 """
 
 from __future__ import annotations
@@ -81,11 +83,12 @@ class Instance:
 
 def extend_domain(inst: Instance) -> WorkingTable:
     """The top working table: the instance's points as primitive integer
-    vectors and its values as Fractions."""
+    vectors and its values as reduced integer pairs."""
     return WorkingTable(
         dim=inst.n,
         points=[primitive(p.raw()) for p in inst.ys.points],
-        values={x: tuple([s.value for s in row]) for x, row in inst.values.items()},
+        values={x: tuple([s.value.as_integer_ratio() for s in row])
+                for x, row in inst.values.items()},
     )
 
 
@@ -244,9 +247,9 @@ class WorkingTable:
     last coefficient, or the base rule and constants at dimension zero).
 
     ``points`` holds primitive integer vectors in canonical (lexicographic)
-    order and ``values[x][j]`` the Fraction at points[j].  ``plus``,
-    ``minus`` and ``zero`` index the points by the sign of the last
-    coordinate; all three are empty at dimension zero.
+    order and ``values[x][j]`` the value at points[j] as its reduced integer
+    pair.  ``plus``, ``minus`` and ``zero`` index the points by the sign of
+    the last coordinate; all three are empty at dimension zero.
 
     A plus point (a, d_a) and a minus point (b, d_b) cross the hyperplane at
     (a_k b_i - b_k a_i) / (a_k d_b - b_k d_a), and the chord there is
@@ -255,7 +258,7 @@ class WorkingTable:
 
     dim: int
     points: List[tuple]
-    values: Mapping[str, Tuple[Fraction, ...]]
+    values: Mapping[str, Tuple[Tuple[int, int], ...]]
     plus: List[int] = field(init=False)
     minus: List[int] = field(init=False)
     zero: List[int] = field(init=False)
@@ -326,29 +329,26 @@ class WorkingTable:
         n_crossings = len(crossings)
 
         # child points, (float key, integer vector, stored index or None,
-        # pairs, ext), sorted into canonical order; ext holds the -|y|^2
-        # extension as an integer pair and, once a section takes it as its
-        # value, as a Fraction
+        # pairs, ext), sorted into canonical order; ext is the -|y|^2
+        # extension as a reduced pair, one tuple shared by every section
         children = []
         for key, j in stored.items():
             children.append((_float_key(key), key, j, crossings.pop(key, ()), None))
         for key, pairs in crossings.items():
-            den = key[-1]
-            ext = [-sum([c * c for c in key[:-1]]), den * den, None]
-            children.append((_float_key(key), key, None, pairs, ext))
+            en, ed = -sum([c * c for c in key[:-1]]), key[-1] * key[-1]
+            g = gcd(en, ed)
+            children.append((_float_key(key), key, None, pairs, (en // g, ed // g)))
         del stored, crossings     # the key maps end here; only the plan is kept
         _sort_children(children)
 
         values = {}
         for x, row in self.values.items():
-            num, den = zip(*[f.as_integer_ratio() for f in row]) if row else ((), ())
+            num, den = zip(*row) if row else ((), ())
             bridge = coords and (_bridge(coords, fys, num, den),)
             out = []
             for _, _, j, pairs, ext in children:
-                if j is None:
-                    bn, bd, value = ext
-                else:
-                    bn, bd, value = num[j], den[j], row[j]
+                value = ext if j is None else row[j]
+                bn, bd = value
                 won = False
                 for ip, im, wp, wm, w in bridge or pairs:
                     dp = den[ip]
@@ -358,9 +358,8 @@ class WorkingTable:
                     if cn * bd > bn * cd:
                         bn, bd, won = cn, cd, True
                 if won:
-                    value = Fraction(bn, bd)
-                elif value is None:     # the extension, built once for all sections
-                    value = ext[2] = Fraction(bn, bd)
+                    g = gcd(bn, bd)
+                    value = (bn // g, bd // g)
                 out.append(value)
             values[x] = tuple(out)
         child = WorkingTable(dim=self.dim - 1, points=[entry[1] for entry in children],
@@ -379,7 +378,7 @@ class WorkingTable:
         return upper, lower
 
     def _extreme(self, indices, row, cq, bq, e, sign) -> Optional[Fraction]:
-        # residual * e = (f.num e d - f.den (cq d + bq.a)) / (f.den a_k); sign
+        # with f = fn / fd, residual * e = (fn e d - fd (cq d + bq.a)) / (fd a_k); sign
         # is +1 on the plus side (max) and -1 on the minus side (min), and
         # multiplying through by it keeps the denominator positive
         bn = bd = None
@@ -389,9 +388,8 @@ class WorkingTable:
             s = cq * d
             for b, a in zip(bq, v):
                 s += b * a
-            f = row[j]
-            fd = f.denominator
-            rn = (f.numerator * e * d - fd * s) * sign
+            fn, fd = row[j]
+            rn = (fn * e * d - fd * s) * sign
             rd = fd * v[-2] * sign
             if bn is None or sign * (rn * bd - bn * rd) > 0:
                 bn, bd = rn, rd
@@ -454,7 +452,7 @@ def select_affine(inst: Instance, config: SelectConfig = SelectConfig()):
 def _base_case(working: WorkingTable, config: SelectConfig) -> Dict[str, Fraction]:
     xs = tuple(working.values)
     if working.points:
-        c_map = {x: working.values[x][0] for x in xs}
+        c_map = {x: Fraction(*working.values[x][0]) for x in xs}
         if config.base != "tight":
             c_map = {x: ceiling_cover(v) for x, v in c_map.items()}
     else:

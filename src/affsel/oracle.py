@@ -58,21 +58,23 @@ class DominationReport:
 
 
 def check_domination(kind: str, xs: Sequence[str], points: Sequence,
-                     rows: Mapping[str, Sequence[Fraction]], const: Mapping[str, Fraction],
-                     coeffs: Mapping[str, Sequence[Fraction]],
+                     rows: Mapping[str, Sequence[Tuple[int, int]]],
+                     const: Mapping[str, Fraction], coeffs: Mapping[str, Sequence[Fraction]],
                      at: Optional[Sequence[tuple]] = None) -> DominationReport:
     """Check rows[x][j] <= const[x] + coeffs[x] . y_j for every section x and
     sample index j, with zero tolerance.
 
-    ``at`` holds each y_j as its integer vector (a_1, .., a_k, d) with
-    y_j = a / d (``numerics.primitive``) and defaults to the vectors of
-    ``points``; coeffs[x] has k entries.  Failures name points[j].
+    rows[x][j] is the value p / q as the integer pair (p, q) with q > 0,
+    reduced (``pair_rows``) or not.  ``at`` holds each y_j as its integer
+    vector (a_1, .., a_k, d) with y_j = a / d (``numerics.primitive``) and
+    defaults to the vectors of ``points``; coeffs[x] has k entries.
+    Failures name points[j].
 
     The loop runs in integers: with the section's (const, coeffs) =
-    (c0, b) / d_x and rows[x][j] = p / q, the slack is
-    ((c0 d + b . a) q - p d_x d) / (d_x d q) over a positive denominator.
-    A Fraction is built only for the least slack and for failures; being
-    reduced, it equals the plain Fraction difference.
+    (c0, b) / d_x, the slack is ((c0 d + b . a) q - p d_x d) / (d_x d q)
+    over a positive denominator.  A Fraction is built only for the least
+    slack and for failures; being reduced, it equals the plain Fraction
+    difference.
     """
     if at is None:
         at = [primitive(p.raw()) for p in points]
@@ -83,10 +85,10 @@ def check_domination(kind: str, xs: Sequence[str], points: Sequence,
         row = rows[x]
         worst_num, worst_den = 0, 0          # worst_den == 0: no slack seen yet
         for j, a in enumerate(at):
-            value = row[j]
+            p, q = row[j]
             d = a[-1]
-            q, den = value.denominator, d_x * d
-            num = (c0 * d + sum(map(mul, b, a))) * q - value.numerator * den
+            den = d_x * d
+            num = (c0 * d + sum(map(mul, b, a))) * q - p * den
             den *= q
             if not worst_den or num * worst_den < worst_num * den:
                 worst_num, worst_den = num, den
@@ -111,8 +113,12 @@ def _merged(kind: str, xs: Sequence[str], reports) -> DominationReport:
                             failures=failures)
 
 
-def _fraction_rows(inst) -> Dict[str, List[Fraction]]:
-    return {x: [s.value for s in inst.values[x]] for x in inst.xs}
+def pair_rows(inst, negate: bool = False) -> Dict[str, List[Tuple[int, int]]]:
+    """The instance's values as the rows ``check_domination`` takes: each
+    value v (or -v, with ``negate``) as its reduced integer pair."""
+    sign = -1 if negate else 1
+    return {x: [(sign * s.value.numerator, s.value.denominator) for s in inst.values[x]]
+            for x in inst.xs}
 
 
 def verify_domination(inst, selector, kind: str = "affine") -> DominationReport:
@@ -123,7 +129,7 @@ def verify_domination(inst, selector, kind: str = "affine") -> DominationReport:
     if selector.n != inst.n:
         raise AffselError(f"dimension mismatch: selector n={selector.n}, instance n={inst.n}")
     const, coeffs = (selector.c, selector.b) if kind == "affine" else (selector.epsilon, selector.a)
-    return check_domination(kind, inst.xs, inst.ys.points, _fraction_rows(inst),
+    return check_domination(kind, inst.xs, inst.ys.points, pair_rows(inst),
                             {x: const[x].value for x in inst.xs},
                             {x: coeffs[x].raw() for x in inst.xs})
 
@@ -151,7 +157,7 @@ def verify_working_closure(trace, selector) -> DominationReport:
 def verify_feature_domination(inst, selector, phi: Mapping[Point, Point]) -> DominationReport:
     """Check f(x, y) <= A(x).phi(y) + epsilon(x) for every sample point y;
     failures name y, not its feature image."""
-    return check_domination("feature", inst.xs, inst.ys.points, _fraction_rows(inst),
+    return check_domination("feature", inst.xs, inst.ys.points, pair_rows(inst),
                             {x: selector.epsilon[x].value for x in inst.xs},
                             {x: selector.a[x].raw() for x in inst.xs},
                             at=[primitive(phi[p].raw()) for p in inst.ys.points])
@@ -164,7 +170,7 @@ def verify_subgradient_domination(groups, selector) -> DominationReport:
     groups = list(groups)
     return _merged("subgradient", [x for g in groups for x in g.xs], (
         check_domination("subgradient", g.xs, g.instance.ys.points,
-                         {x: [-v.value for v in g.instance.values[x]] for x in g.xs},
+                         pair_rows(g.instance, negate=True),
                          {x: selector.epsilon[x].value for x in g.xs},
                          {x: [-c for c in selector.p[x].raw()] for x in g.xs})
         for g in groups))

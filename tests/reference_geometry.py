@@ -37,8 +37,9 @@ def chord_value(fx, y: Point, yprime: Point) -> Scalar:
 
 
 def extended_value(table, x: str, point: Point) -> Scalar:
-    """The value of a working table at ``point``; off its points, -|point|^2."""
+    """The value of a working table at ``point``, read from its integer
+    pair; off its points, -|point|^2."""
     key = primitive(point.raw())
     if key in table.points:
-        return Scalar(table.values[x][table.points.index(key)])
+        return Scalar(Fraction(*table.values[x][table.points.index(key)]))
     return Scalar(-sum((c * c for c in point.raw()), Fraction(0)))

@@ -162,7 +162,8 @@ class TestTwoRungLift:
         a, _, exact_map, c, _ = _attempt(inst, lambda_max, LinearConfig())
         full = lift_to_cone(inst, power_ladder(lambda_max)).instance
         report = check_domination("affine", full.xs, full.ys.points,
-                                  {x: [v.value for v in full.values[x]] for x in full.xs},
+                                  {x: [v.value.as_integer_ratio() for v in full.values[x]]
+                                   for x in full.xs},
                                   {x: c[x].value for x in full.xs},
                                   {x: a[x].raw() for x in full.xs})
         assert report.passed, report.failures[:1]

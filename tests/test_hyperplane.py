@@ -99,18 +99,18 @@ class TestBuildEnvelope:
     def test_worked_dim1(self):
         table = extend_domain(WORKED)
         assert table.points == [(-1, 1), (2, 1)]
-        assert table.values["x0"] == (0, 1)
+        assert table.values["x0"] == ((0, 1), (1, 1))     # 0 and 1 as reduced pairs
         assert (table.plus, table.minus, table.zero) == ([1], [0], [])
         child = build_envelope(table)
         assert child.dim == 0
         assert child.points == [(1,)]
-        assert child.values["x0"] == (Fraction(1, 3),)
+        assert child.values["x0"] == ((1, 3),)
 
     def test_empty_positive_side(self):
         inst = make_instance(1, [Point.of(-1), Point.of(0)], {"x0": [exact(2), exact(5)]})
         child = build_envelope(extend_domain(inst))
         assert child.points == [(1,)]
-        assert child.values["x0"] == (5,)   # only the zero point descends
+        assert child.values["x0"] == ((5, 1),)   # only the zero point descends
 
     def test_colliding_pairs_take_max(self):
         # two symmetric pairs both cross at the origin of the hyperplane
@@ -122,7 +122,7 @@ class TestBuildEnvelope:
         child = build_envelope(extend_domain(inst))
         idx = child.points.index((0, 1))
         # chords at the shared crossing: 1/2, 5/3, -2/3, 1/2; extension value 0
-        assert child.values["x0"][idx] == Fraction(5, 3)
+        assert child.values["x0"][idx] == (5, 3)
 
 
 class TestSelectAffine:
@@ -137,7 +137,7 @@ class TestSelectAffine:
         assert all(type(v) is Fraction for v in (top.upper["x0"], top.lower["x0"]))
         base = trace.levels[-1]
         assert base.base_c == {"x0": 1} and type(base.base_c["x0"]) is Fraction
-        assert base.values["x0"] == (Fraction(1, 3),)
+        assert base.values["x0"] == ((1, 3),)
 
     def test_base_case_ceiling(self):
         inst = make_instance(0, [Point.of()], {"x0": [exact("23/10")]})

@@ -21,9 +21,10 @@ value_st = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
 @st.composite
-def working_tables(draw, dims=st.integers(1, 3), side=(0, 5)):
-    """Working tables with zero-side points, colliding crossings (coordinates
-    come from a small grid), and crossings that land on stored points."""
+def working_instances(draw, dims=st.integers(1, 3), side=(0, 5)):
+    """Instances whose top working tables have zero-side points, colliding
+    crossings (coordinates come from a small grid), and crossings that land
+    on stored points."""
     dim = draw(dims)
     head = st.lists(coord_st, min_size=dim - 1, max_size=dim - 1)
     positive = st.fractions(min_value="1/3", max_value=3 * side[1], max_denominator=3)
@@ -43,7 +44,11 @@ def working_tables(draw, dims=st.integers(1, 3), side=(0, 5)):
             points.add(intersection_point(y, yp).raw())
     xs = XS[:draw(st.integers(1, 3))]
     rows = {x: [draw(value_st) for _ in points] for x in xs}
-    return extend_domain(Instance.build(dim, xs, points, rows))
+    return Instance.build(dim, xs, points, rows)
+
+
+def working_tables(dims=st.integers(1, 3), side=(0, 5)):
+    return working_instances(dims, side).map(extend_domain)
 
 
 def as_point(vector):
@@ -87,7 +92,7 @@ def assert_envelope_matches(table):
     assert all(v[-1] > 0 and gcd(*v) == 1 for v in child.points)
     for i, p in enumerate(points):
         for x in table.values:
-            assert child.values[x][i] == ref[p][x].value
+            assert child.values[x][i] == ref[p][x].value.as_integer_ratio()
     assert n_intersections == n_crossings
     assert child == build_envelope(table)
     assert table == before      # the count is filled in by _select_level, not here
@@ -96,6 +101,24 @@ def assert_envelope_matches(table):
 @given(working_tables())
 def test_envelope_matches_reference(table):
     assert_envelope_matches(table)
+
+
+@given(working_instances())
+def test_every_level_holds_reduced_pairs_of_the_reference_values(inst):
+    # each level's table against the reference envelope of the level above,
+    # the top level against the instance: every value is the pair (p, q)
+    # with q > 0 and gcd(p, q) == 1, so equal values are equal pairs
+    _, trace = select_affine(inst)
+    want = {p: {x: inst.values[x][j] for x in inst.xs} for j, p in enumerate(inst.ys.points)}
+    for above, level in zip([None, *trace.levels], trace.levels):
+        if above is not None:
+            want, _ = reference_envelope(above)
+        points = [as_point(v) for v in level.points]
+        assert set(points) == set(want)
+        for x, row in level.values.items():
+            for p, (num, den) in zip(points, row):
+                assert den > 0 and gcd(num, den) == 1
+                assert Fraction(num, den) == want[p][x].value
 
 
 @given(st.one_of(working_tables(dims=st.just(1), side=(1, 8)),
@@ -133,7 +156,7 @@ def test_bracket_matches_fraction_formula(inst):
                 y = as_point(v).raw()
                 if y[-1] == 0:
                     continue
-                rest = record.values[x][j] - c - sum(bi * yi for bi, yi in zip(b, y))
+                rest = Fraction(*record.values[x][j]) - c - sum(bi * yi for bi, yi in zip(b, y))
                 slopes[1 if y[-1] > 0 else -1].append(rest / y[-1])
             assert record.upper[x] == (max(slopes[1]) if slopes[1] else None)
             assert record.lower[x] == (min(slopes[-1]) if slopes[-1] else None)
@@ -193,7 +216,7 @@ def test_bridge_falls_back_to_the_exact_hull_where_floats_cannot_tell(exact_hull
     table = dim1_table([Fraction(1), 1 + TINY, Fraction(1)])
     assert_envelope_matches(table)
     assert exact_hull_calls
-    assert build_envelope(table).values["x0"] == (1 + TINY * 2 / 3,)
+    assert build_envelope(table).values["x0"] == ((1 + TINY * 2 / 3).as_integer_ratio(),)
 
 
 def test_bridge_certified_from_floats_runs_no_exact_hull(exact_hull_calls):

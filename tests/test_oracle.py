@@ -131,6 +131,11 @@ def reference_check_domination(kind, xs, points, rows, const, coeffs, at=None):
                             failures=failures)
 
 
+def as_pairs(rows):
+    """Fraction rows as the reduced integer pairs ``check_domination`` takes."""
+    return {x: [v.as_integer_ratio() for v in row] for x, row in rows.items()}
+
+
 def assert_same_report(got, want):
     assert got.serialize() == want.serialize()
     assert got.failures == want.failures
@@ -177,15 +182,33 @@ class TestIntegerKernel:
     def test_matches_fraction_loop(self, problem):
         xs, points, rows, const, coeffs, at = problem
         vectors = None if at is None else [as_vector(coords) for coords in at]
-        assert_same_report(check_domination("closure", xs, points, rows, const, coeffs, vectors),
+        assert_same_report(check_domination("closure", xs, points, as_pairs(rows), const,
+                                            coeffs, vectors),
                            reference_check_domination("closure", xs, points, rows, const,
                                                       coeffs, at))
+
+    @given(domination_problems(), st.data())
+    def test_unreduced_pairs_give_the_reduced_report(self, problem, data):
+        # a row value may be any pair (k p, k q) with k > 0, (2p, 2q) among them
+        xs, points, rows, const, coeffs, at = problem
+        vectors = None if at is None else [as_vector(coords) for coords in at]
+        factor = st.one_of(st.just(2), st.integers(1, 10 ** 12))
+        scaled = {}
+        for x, row in as_pairs(rows).items():
+            ks = data.draw(st.lists(factor, min_size=len(row), max_size=len(row)))
+            scaled[x] = [(k * p, k * q) for k, (p, q) in zip(ks, row)]
+        got = check_domination("closure", xs, points, scaled, const, coeffs, vectors)
+        assert_same_report(got, check_domination("closure", xs, points, as_pairs(rows),
+                                                 const, coeffs, vectors))
+        assert_same_report(got, reference_check_domination("closure", xs, points, rows,
+                                                           const, coeffs, at))
+        assert all(type(s.value) is Fraction for s in got.min_slack.values() if s is not None)
 
     def test_empty_points_and_dim0(self):
         rep = check_domination("sample", ["x0"], [], {"x0": []}, {"x0": Fraction(1)},
                                {"x0": ()})
         assert rep.passed and rep.min_slack == {"x0": None}
-        rows = {"x0": [Fraction(5, 2)]}
+        rows = {"x0": [(5, 2)]}
         rep = check_domination("closure", ["x0"], [Point.of()], rows, {"x0": Fraction(2)},
                                {"x0": ()})
         assert rep.failures == [("x0", Point.of(), exact("-1/2"))]
@@ -194,7 +217,7 @@ class TestIntegerKernel:
     def test_least_slack_tie_keeps_reduced_value(self):
         # the first two slacks tie at 1/2, computed as 9/18 and 25/50; the third is 1
         pts = [Point.of("1/3"), Point.of("1/5"), Point.of(0)]
-        rows = {"x0": [Fraction(1, 3), Fraction(1, 5), Fraction(-1, 2)]}
+        rows = {"x0": [(1, 3), (1, 5), (-1, 2)]}
         rep = check_domination("sample", ["x0"], pts, rows, {"x0": Fraction(1, 2)},
                                {"x0": (Fraction(1),)})
         assert rep.min_slack["x0"].serialize() == "1/2"
@@ -214,7 +237,8 @@ class TestIntegerKernel:
                 rep = verify_working_closure(trace, low)
                 assert not rep.passed
                 reference = [reference_check_domination(
-                    "closure", low.xs, [as_point(v) for v in record.points], record.values,
+                    "closure", low.xs, [as_point(v) for v in record.points],
+                    {x: [Fraction(*v) for v in row] for x, row in record.values.items()},
                     {x: low.c[x].value for x in low.xs},
                     {x: low.b[x].raw()[:record.dim] for x in low.xs})
                     for record in trace.levels]
