@@ -305,7 +305,7 @@ def _select_subgradient(args, doc) -> _Selection:
                                check_convexity=args.check_convexity)
     selector = select_subgradient(csi, config, shift=args.shift)
     return _Selection(
-        inst, {"backend": args.backend, "shift": args.shift,
+        inst, {"backend": args.backend, "shift": args.shift or csi.y0 is not None,
                "check_convexity": args.check_convexity, "verify": args.verify},
         selector, selector.serialize(),
         lambda: _verification(verify_subgradient_domination(

@@ -19,10 +19,13 @@ is p / q, the integers a Fraction of it holds.  Pairs are compared by
 cross-multiplication, and no table value is ever a Fraction: only the
 bracket, the picks and the base constants, which leave the kernel, are.
 Floats only guide: they sort the child points, with an exact re-sort where
-they tie, and propose the dimension-one hull bridge, which one exact pass
-certifies.  Integers decide every result, and no float is stored in a table
-or reaches a selector.  ``Scalar`` and ``Point`` appear only on the instance
-that goes in and the selector that comes out.
+they tie, and propose each section's upper hull at dimension one, which one
+exact pass certifies.  The certified hull serves both the bridge (the largest
+chord over zero) and the bracket, which only hull vertices can attain.
+Integers decide every result, and no float is stored in a table or reaches a
+selector.  ``select_affine`` solves each distinct value row once.  ``Scalar``
+and ``Point`` appear only on the instance that goes in and the selector that
+comes out.
 """
 
 from __future__ import annotations
@@ -201,39 +204,60 @@ def _edge_over_zero(coords, hull) -> tuple:
     raise AffselError("hull does not span zero")  # unreachable with both signs present
 
 
-def _none_above(coords, num, den, p, q) -> bool:
-    """Whether no point lies strictly above the line through positions p
-    and q, in exact integers.  A point (a/d, v/w) is on or below it iff
-    A v d <= (B a + C d) w, where A and B are y_q - y_p > 0 and
-    f_q - f_p scaled by one positive integer and C = A f_p - B y_p."""
-    ap, dp, jp = coords[p]
-    aq, dq, jq = coords[q]
-    vp, wp, vq, wq = num[jp], den[jp], num[jq], den[jq]
-    yn = aq * dp - ap * dq          # (y_q - y_p) dp dq
-    fn = vq * wp - vp * wq          # (f_q - f_p) wp wq
-    a, b, c = yn * wp * wq, fn * dp * dq, yn * wq * vp - fn * dq * ap
-    g = gcd(a, b, c)
-    a, b, c = a // g, b // g, c // g
-    return all([a * num[j] * d <= (b * y + c * d) * den[j] for y, d, j in coords])
+def _is_upper_hull(coords, num, den, hull) -> bool:
+    """Whether the chain through positions ``hull`` is the upper hull of all
+    the points, in exact integers: it is concave, and every point lies on or
+    below the piece over its own coordinate.
+
+    The piece from p to q is the line A f = B y + C with A and B the
+    differences y_q - y_p > 0 and f_q - f_p scaled by one positive integer
+    and C = A f_p - B y_p.  Its slope is B / A, so the chain is concave iff
+    B_2 A_1 <= B_1 A_2 for consecutive pieces, and a point (a/d, v/w) is on
+    or below it iff A v d <= (B a + C d) w.  The ends p and q lie on it, so
+    only the points strictly between them are checked."""
+    a1 = b1 = None
+    for p, q in zip(hull, hull[1:]):
+        ap, dp, jp = coords[p]
+        aq, dq, jq = coords[q]
+        vp, wp, vq, wq = num[jp], den[jp], num[jq], den[jq]
+        yn = aq * dp - ap * dq          # (y_q - y_p) dp dq
+        fn = vq * wp - vp * wq          # (f_q - f_p) wp wq
+        a, b = yn * wp * wq, fn * dp * dq
+        if a1 is not None and b * a1 > b1 * a:
+            return False
+        a1, b1 = a, b
+        if q - p > 1:
+            c = yn * wq * vp - fn * dq * ap
+            g = gcd(a, b, c)
+            a, b, c = a // g, b // g, c // g
+            if not all([a * num[j] * d <= (b * y + c * d) * den[j]
+                        for y, d, j in coords[p + 1:q]]):
+                return False
+    return True
 
 
-def _bridge(coords, fys, num, den) -> tuple:
-    """The crossing pair on the upper hull edge over zero: its chord is
-    the largest of all crossing chords at dimension one.
+def _upper_hull(coords, fys, num, den) -> list:
+    """Positions in ``coords`` of the upper hull vertices, in coordinate
+    order; collinear points may be among them.
 
-    A float chain proposes the edge, and one exact pass certifies that no
-    point lies above its line.  That line then supports the upper hull over
-    zero, so its chord there is exactly the largest, whichever pair on it
-    was picked.  The exact chain runs only where the certificate fails or a
-    coordinate or value overflows a float (``fys`` is None)."""
+    A float chain proposes the hull, and one exact pass certifies it
+    (``_is_upper_hull``).  The exact chain runs only where the certificate
+    fails or a coordinate or value overflows a float (``fys`` is None)."""
     try:
         fvs = fys and [num[j] / den[j] for _, _, j in coords]
     except OverflowError:
         fvs = None
-    edge = fvs and _edge_over_zero(coords, _float_hull(fys, fvs))
-    if not (edge and _none_above(coords, num, den, *edge)):
-        edge = _edge_over_zero(coords, _exact_hull(coords, num, den))
-    p, q = edge
+    hull = fvs and _float_hull(fys, fvs)
+    if hull and _is_upper_hull(coords, num, den, hull):
+        return hull
+    return _exact_hull(coords, num, den)
+
+
+def _bridge(coords, hull) -> tuple:
+    """The crossing pair on the upper hull edge over zero: its line supports
+    the upper hull there, so its chord is exactly the largest of all crossing
+    chords at dimension one, whichever pair on it was picked."""
+    p, q = _edge_over_zero(coords, hull)
     (bk, db, im), (ak, da, ip) = coords[p], coords[q]
     wp, wm = ak * db, -bk * da
     return ip, im, wp, wm, wp + wm
@@ -242,9 +266,10 @@ def _bridge(coords, fys, num, den) -> tuple:
 @dataclass
 class WorkingTable:
     """One recursion level: a working set with per-parameter values, its sign
-    split, and the diagnostics ``_select_level`` records there (the number of
-    distinct crossing points, the bracket [U, L] and the rule that picked the
-    last coefficient, or the base rule and constants at dimension zero).
+    split, and what ``_select_level`` records there (the number of distinct
+    crossing points, the upper hull vertices of each section at dimension
+    one, the bracket [U, L] and the rule that picked the last coefficient, or
+    the base rule and constants at dimension zero).
 
     ``points`` holds primitive integer vectors in canonical (lexicographic)
     order and ``values[x][j]`` the value at points[j] as its reduced integer
@@ -263,6 +288,7 @@ class WorkingTable:
     minus: List[int] = field(init=False)
     zero: List[int] = field(init=False)
     n_intersections: int = 0
+    hull: Optional[Dict[str, List[int]]] = None            # upper hull vertices per x (None: no bridge)
     upper: Optional[Dict[str, Optional[Fraction]]] = None  # U per x (None: no positive side)
     lower: Optional[Dict[str, Optional[Fraction]]] = None  # L per x (None: no negative side)
     rule: str = ""                                         # sandwich | lower-only | upper-only | zero | base
@@ -287,9 +313,11 @@ class WorkingTable:
             out["base_rule"] = self.base_rule
         return out
 
-    def envelope(self) -> Tuple[WorkingTable, int]:
-        """The child level one dimension down, and the number of distinct
-        crossing points; this table is left unchanged."""
+    def envelope(self) -> Tuple[WorkingTable, int, Optional[Dict[str, List[int]]]]:
+        """The child level one dimension down, the number of distinct
+        crossing points, and at dimension one with both sides present the
+        indices of each section's upper hull vertices (else None); this
+        table is left unchanged."""
         vecs = self.points
         n_pairs = len(self.plus) * len(self.minus)
 
@@ -342,9 +370,14 @@ class WorkingTable:
         _sort_children(children)
 
         values = {}
+        hulls = {} if coords else None
         for x, row in self.values.items():
             num, den = zip(*row) if row else ((), ())
-            bridge = coords and (_bridge(coords, fys, num, den),)
+            bridge = None
+            if coords:
+                hull = _upper_hull(coords, fys, num, den)
+                hulls[x] = [coords[i][2] for i in hull]
+                bridge = (_bridge(coords, hull),)
             out = []
             for _, _, j, pairs, ext in children:
                 value = ext if j is None else row[j]
@@ -364,17 +397,30 @@ class WorkingTable:
             values[x] = tuple(out)
         child = WorkingTable(dim=self.dim - 1, points=[entry[1] for entry in children],
                              values=values)
-        return child, n_crossings
+        return child, n_crossings, hulls
 
     def bracket(self, b_rows, c_map):
         """U = max over plus points and L = min over minus points of
-        (f - c - b.y) / y_k, with c and b over one common denominator e."""
+        (f - c - b.y) / y_k, with c and b over one common denominator e.
+
+        Where ``hull`` holds a section's upper hull vertices (dimension one),
+        only those are searched.  A point below the hull has a smaller slope
+        (f - C) / y than the hull over it, and on a hull edge with line a + b y
+        the slope b + (a - C) / y is monotone in y > 0.  On the edge over zero
+        a = H(0), the bridge chord, and the base constant C is at least that,
+        so the slope rises towards the edge's plus end.  So U is attained at a
+        plus vertex, and L, likewise, at a minus vertex."""
         upper: Dict[str, Optional[Fraction]] = {}
         lower: Dict[str, Optional[Fraction]] = {}
         for x, row in self.values.items():
             cq, *bq, e = primitive((c_map[x], *b_rows[x]))
-            upper[x] = self._extreme(self.plus, row, cq, bq, e, 1)
-            lower[x] = self._extreme(self.minus, row, cq, bq, e, -1)
+            plus, minus = self.plus, self.minus
+            if self.hull is not None:
+                vertices = self.hull[x]
+                plus = [j for j in vertices if self.points[j][-2] > 0]
+                minus = [j for j in vertices if self.points[j][-2] < 0]
+            upper[x] = self._extreme(plus, row, cq, bq, e, 1)
+            lower[x] = self._extreme(minus, row, cq, bq, e, -1)
         return upper, lower
 
     def _extreme(self, indices, row, cq, bq, e, sign) -> Optional[Fraction]:
@@ -436,15 +482,30 @@ def select_affine(inst: Instance, config: SelectConfig = SelectConfig()):
     """Select a dominating affine functional per parameter.
 
     Returns (selector, trace); domination holds with zero slack on the full
-    working closure.
+    working closure.  Each distinct value row is solved once, and parameters
+    with equal rows share its selector and its trace tables.
     """
     trace = RecursionTrace()
-    b_rows, c_map = _select_level(extend_domain(inst), config, trace.levels)
+    top = extend_domain(inst)
+    # equal rows give equal selectors, so the recursion runs once per distinct
+    # row, on the first x that holds it, and every x reads that x's results
+    first: Dict[tuple, str] = {}
+    rep = {x: first.setdefault(top.values[x], x) for x in inst.xs}
+    shared = len(first) < len(inst.xs)
+    if shared:
+        top.values = {x: top.values[x] for x in first.values()}
+    b_rows, c_map = _select_level(top, config, trace.levels)
+    if shared:      # the trace holds every x, in xs order, as reports do
+        for level in trace.levels:
+            for name in ("values", "upper", "lower", "base_c", "hull"):
+                table = getattr(level, name)
+                if table is not None:
+                    setattr(level, name, {x: table[rep[x]] for x in inst.xs})
     selector = AffineSelector(
         n=inst.n,
         xs=inst.xs,
-        b={x: Point(map(Scalar, b_rows[x])) for x in inst.xs},
-        c={x: Scalar(c_map[x]) for x in inst.xs},
+        b={x: Point(map(Scalar, b_rows[rep[x]])) for x in inst.xs},
+        c={x: Scalar(c_map[rep[x]]) for x in inst.xs},
     )
     return selector, trace
 
@@ -467,7 +528,7 @@ def _select_level(working: WorkingTable, config: SelectConfig, levels):
     if working.dim == 0:
         return {x: [] for x in xs}, _base_case(working, config)
 
-    child, working.n_intersections = working.envelope()
+    child, working.n_intersections, working.hull = working.envelope()
     b_rows, c_map = _select_level(child, config, levels)
 
     # sandwich() raises BracketViolationError where U > L

@@ -255,6 +255,8 @@ def test_subgradient_auto_shift_with_origin_base(tmp_path):
     res = run_cli("select", "subgradient", str(path), "--verify")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["verification"]["passed"] is True
+    # the report names what ran: a file with y0 is shifted without --shift
+    assert json.loads(res.stdout)["config"]["shift"] is True
 
 
 # values Fraction() reads differently on different Python versions (1_000 on

@@ -9,9 +9,11 @@ from copy import deepcopy
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 
-from affsel.hyperplane import Instance, build_envelope, extend_domain, select_affine
+from affsel import hyperplane
+from affsel.hyperplane import Instance, SelectConfig, build_envelope, extend_domain, select_affine
 from affsel.numerics import Point
 from reference_geometry import chord_value, extended_value, intersection_point
 
@@ -84,7 +86,7 @@ def reference_envelope(table):
 
 def assert_envelope_matches(table):
     before = deepcopy(table)
-    child, n_intersections = table.envelope()
+    child, n_intersections, _ = table.envelope()
     ref, n_crossings = reference_envelope(table)
     points = [as_point(v) for v in child.points]
     assert points == sorted(ref, key=Point.raw)
@@ -141,9 +143,10 @@ def instances(draw):
     return Instance.build(n, xs, pts, rows)
 
 
-@given(instances())
-def test_bracket_matches_fraction_formula(inst):
-    selector, trace = select_affine(inst)
+def assert_bracket_matches_formula(inst, config=SelectConfig()):
+    """U and L of every level against the maximum and minimum over every
+    plus and minus point."""
+    selector, trace = select_affine(inst, config)
     for record in trace.levels:
         k = record.dim
         if k == 0:
@@ -160,6 +163,19 @@ def test_bracket_matches_fraction_formula(inst):
                 slopes[1 if y[-1] > 0 else -1].append(rest / y[-1])
             assert record.upper[x] == (max(slopes[1]) if slopes[1] else None)
             assert record.lower[x] == (min(slopes[-1]) if slopes[-1] else None)
+
+
+@given(instances())
+def test_bracket_matches_fraction_formula(inst):
+    assert_bracket_matches_formula(inst)
+
+
+@given(working_instances(dims=st.just(1), side=(9, 14)), st.sampled_from(["novikov", "tight"]))
+def test_hull_bracket_matches_fraction_formula_on_large_levels(inst, base):
+    # U and L are taken over the upper hull vertices only; the base constant
+    # C is at least the bridge chord H(0), and under "tight" it is H(0)
+    # itself wherever no zero-side point lies above it
+    assert_bracket_matches_formula(inst, SelectConfig(base=base))
 
 
 def test_child_order_is_exact_where_floats_tie():
@@ -204,9 +220,12 @@ def test_child_order_is_exact_where_floats_tie_in_any_coordinate(table):
     assert_envelope_matches(table)
 
 
-def dim1_table(values):
-    pts = [(Fraction(-1),), (Fraction(1, 2),), (Fraction(1),)]
-    return extend_domain(Instance.build(1, ("x0",), pts, {"x0": values}))
+def dim1_instance(values, coords=(-1, Fraction(1, 2), 1)):
+    return Instance.build(1, ("x0",), [(Fraction(c),) for c in coords], {"x0": values})
+
+
+def dim1_table(values, coords=(-1, Fraction(1, 2), 1)):
+    return extend_domain(dim1_instance(values, coords))
 
 
 def test_bridge_falls_back_to_the_exact_hull_where_floats_cannot_tell(exact_hull_calls):
@@ -223,3 +242,84 @@ def test_bridge_certified_from_floats_runs_no_exact_hull(exact_hull_calls):
     table = dim1_table([Fraction(0), Fraction(1), Fraction(0)])
     assert_envelope_matches(table)
     assert not exact_hull_calls
+
+
+def test_hull_falls_back_to_the_exact_chain_off_the_bridge(exact_hull_calls):
+    # the bridge (-1, 1) is right in floats, but the plus vertex (2, 1 + 2^-80)
+    # sits 2^-80 above the chord from (1, 1) to (3, 1): floats drop it, the
+    # certificate of the whole hull fails there, and the exact chain keeps it.
+    # C = 1 and every other plus point has slope (f - C) / y = 0, so U = 2^-81
+    # is attained at that vertex alone
+    coords, values = (-1, 1, 2, 3), [Fraction(-1), Fraction(1), 1 + TINY, Fraction(1)]
+    assert_envelope_matches(dim1_table(values, coords))
+    assert exact_hull_calls
+    _, trace = select_affine(dim1_instance(values, coords))
+    assert trace.levels[0].upper["x0"] == TINY / 2
+    assert_bracket_matches_formula(dim1_instance(values, coords))
+
+
+def test_hull_falls_back_to_the_exact_chain_where_floats_turn_the_wrong_way(exact_hull_calls):
+    # -13/63 is the chord at 2/3 from (-1, -1) to (2, 3/7); 2^-80 below it the
+    # point at 2/3 is no hull vertex, but the float chain keeps it and is not
+    # concave.  With no point between its vertices, only the concavity test
+    # rejects it: the bridge it proposes, (-1, 2/3), is not the hull's
+    coords, values = (-1, Fraction(2, 3), 2), [Fraction(-1), Fraction(-13, 63) - TINY, Fraction(3, 7)]
+    assert_envelope_matches(dim1_table(values, coords))
+    assert exact_hull_calls
+
+
+@st.composite
+def duplicated_rows(draw):
+    """An instance of distinct rows, and one holding those rows plus copies
+    of some of them, in any order; ``source`` maps each id of the second to
+    the id of the first whose row it holds."""
+    inst = draw(instances())
+    points = [p.raw() for p in inst.ys.points]
+    rows = {}
+    for x in inst.xs:
+        row = [s.value for s in inst.values[x]]
+        if row not in rows.values():
+            rows[x] = row
+    distinct = Instance.build(inst.n, tuple(rows), points, rows)
+    copies = draw(st.lists(st.sampled_from(distinct.xs), min_size=1, max_size=4))
+    source = {x: x for x in distinct.xs}
+    source.update({f"d{i}": x for i, x in enumerate(copies)})
+    xs = draw(st.permutations(list(source)))
+    return distinct, Instance.build(inst.n, xs, points, {x: rows[source[x]] for x in xs}), source
+
+
+def traced_bridges(inst):
+    calls = []
+    bridge = hyperplane._bridge
+
+    def counted(*args):
+        calls.append(None)
+        return bridge(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hyperplane, "_bridge", counted)
+        selector, trace = select_affine(inst)
+    return selector, trace, len(calls)
+
+
+@given(duplicated_rows())
+def test_each_distinct_row_is_solved_once(case):
+    distinct, inst, source = case
+    want, want_trace, want_bridges = traced_bridges(distinct)
+    got, trace, bridges = traced_bridges(inst)
+    one = want_trace.levels[-2]     # dimension one
+    assert want_bridges == (len(distinct.xs) if one.plus and one.minus else 0)
+    assert bridges == want_bridges
+    for x in inst.xs:
+        assert got.b[x] == want.b[source[x]] and got.c[x] == want.c[source[x]]
+    assert len(trace.levels) == len(want_trace.levels)
+    for level, ref in zip(trace.levels, want_trace.levels):
+        assert level.summary() == ref.summary()
+        assert list(level.values) == list(inst.xs)
+        for name in ("values", "upper", "lower", "base_c"):
+            table, ref_table = getattr(level, name), getattr(ref, name)
+            if ref_table is None:
+                assert table is None
+            else:
+                assert list(table) == list(inst.xs)
+                assert all(table[x] == ref_table[source[x]] for x in inst.xs)
