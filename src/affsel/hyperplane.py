@@ -14,6 +14,8 @@ denominator of the coordinates, y = a / d, and gcd(a_1, .., a_k, d) = 1
 vectors mean equal points and a dict keyed by them indexes points exactly.
 The sign split, the crossing points and their chord weights depend only on
 the point set; they are computed once per level and shared by every section.
+A dimension-two level builds them on the line, where each crossing is the
+point t / w of a reduced integer pair (t, w).
 A value is a reduced integer pair (p, q): q > 0, gcd(p, q) = 1 and the value
 is p / q, the integers a Fraction of it holds.  Pairs are compared by
 cross-multiplication, and no table value is ever a Fraction: only the
@@ -279,6 +281,8 @@ class WorkingTable:
     A plus point (a, d_a) and a minus point (b, d_b) cross the hyperplane at
     (a_k b_i - b_k a_i) / (a_k d_b - b_k d_a), and the chord there is
     (w+ f(minus) + w- f(plus)) / (w+ + w-) with w+ = a_k d_b, w- = -b_k d_a.
+    At dimension two the crossing is the point t / w of a line, with
+    t = a_k b_0 - b_k a_0 and w = w+ + w-, and its vector is (t, w) / gcd(t, w).
     """
 
     dim: int
@@ -338,6 +342,23 @@ class WorkingTable:
                 fys = [a / d for a, d, _ in coords]
             except OverflowError:
                 pass        # the exact hull finds every bridge
+        elif n_pairs and self.dim == 2:
+            # dimension two: every point is (a_0, a_k, d) and every crossing
+            # the point t / w on a line, keyed by two integers
+            for ip in self.plus:
+                a0, ak, da = vecs[ip]
+                for im in self.minus:
+                    b0, bk, db = vecs[im]
+                    wp = ak * db
+                    wm = -bk * da
+                    w = wp + wm
+                    t = ak * b0 - bk * a0
+                    g = gcd(t, w)
+                    key = (t // g, w // g) if g > 1 else (t, w)
+                    pairs = crossings.get(key)
+                    if pairs is None:
+                        crossings[key] = pairs = []
+                    pairs.append((ip, im, wp, wm, w))
         elif n_pairs:
             for ip in self.plus:
                 a = vecs[ip]
@@ -362,10 +383,17 @@ class WorkingTable:
         children = []
         for key, j in stored.items():
             children.append((_float_key(key), key, j, crossings.pop(key, ()), None))
-        for key, pairs in crossings.items():
-            en, ed = -sum([c * c for c in key[:-1]]), key[-1] * key[-1]
-            g = gcd(en, ed)
-            children.append((_float_key(key), key, None, pairs, (en // g, ed // g)))
+        if self.dim == 2:
+            # gcd(t, w) = 1, so (-t^2, w^2) is reduced, and t / w is the
+            # correctly rounded float _float_key gives
+            for key, pairs in crossings.items():
+                t, w = key
+                children.append(((_ratio(t, w),), key, None, pairs, (-t * t, w * w)))
+        else:
+            for key, pairs in crossings.items():
+                en, ed = -sum([c * c for c in key[:-1]]), key[-1] * key[-1]
+                g = gcd(en, ed)
+                children.append((_float_key(key), key, None, pairs, (en // g, ed // g)))
         del stored, crossings     # the key maps end here; only the plan is kept
         _sort_children(children)
 

@@ -1,0 +1,128 @@
+"""The CLI contract on JSON-shaped files: whatever an instance or selector
+file holds, `affsel select` and `affsel verify` exit 0, 1 or 2, write at most
+one line to stderr, and let no exception escape.  Exit 1 writes nothing to
+stdout; exits 0 and 2 write one JSON report.
+
+Files are drawn small (n <= 3, at most 4 points and 3 parameters): about
+half are well formed, so the pipelines run to the end, and the rest have one
+field replaced by a value of the wrong shape or type, or dropped.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from affsel import cli
+
+RATIONALS = st.one_of(st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "5/3", "2", "-0.25"]),
+                      st.integers(-4, 4))
+JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.integers(-10 ** 6, 10 ** 6),
+                 st.sampled_from(["", "x", "1/0", "1e400", "1e-400", "--1", "1/2/3", "0x10"]),
+                 st.lists(st.integers(-2, 2), max_size=2), st.just({}))
+IDS = st.lists(st.sampled_from(["x0", "x1", "x2", 3, 1.5]), min_size=1, max_size=3, unique=True)
+
+PIPELINES = (("affine",), ("linear",), ("feature",), ("subgradient",),
+             ("subgradient", "--backend", "cone"))
+
+
+def rows(draw, count, width):
+    return [draw(st.lists(RATIONALS, min_size=width, max_size=width)) for _ in range(count)]
+
+
+def corrupt(draw, doc: dict) -> dict:
+    """The document with one field dropped, replaced by junk, or holding
+    junk in one of its entries."""
+    key = draw(st.sampled_from(sorted(doc)))
+    how = draw(st.sampled_from(["drop", "replace", "entry"]))
+    if how == "drop":
+        del doc[key]
+    elif how == "replace" or not (isinstance(doc[key], list) and doc[key]):
+        doc[key] = draw(JUNK)
+    else:
+        entries = doc[key]
+        i = draw(st.integers(0, len(entries) - 1))
+        if isinstance(entries[i], list) and entries[i] and draw(st.booleans()):
+            entries[i][draw(st.integers(0, len(entries[i]) - 1))] = draw(JUNK)
+        else:
+            entries[i] = draw(JUNK)
+    return doc
+
+
+@st.composite
+def instance_docs(draw, n=None, xs=None):
+    n = draw(st.integers(0, 3)) if n is None else n
+    xs = draw(IDS) if xs is None else xs
+    m = draw(st.integers(0, 4))
+    doc = {"n": n, "X": xs, "Y": rows(draw, m, n), "f": rows(draw, len(xs), m)}
+    if draw(st.booleans()):
+        doc["schema_version"] = 1
+    if draw(st.booleans()):
+        doc["phi"] = rows(draw, m, draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        doc["y0"] = rows(draw, len(xs), n)
+    return corrupt(draw, doc) if draw(st.booleans()) else doc
+
+
+@st.composite
+def selector_docs(draw, n, xs):
+    kind = draw(st.sampled_from(["affine", "linear"]))
+    doc = {"schema_version": 1, "kind": kind, "n": n, "X": xs}
+    if kind == "affine":
+        doc.update(B=rows(draw, len(xs), n), C=draw(st.lists(RATIONALS, min_size=len(xs),
+                                                               max_size=len(xs))))
+    else:
+        doc.update(A=rows(draw, len(xs), n),
+                   epsilon=draw(st.lists(RATIONALS, min_size=len(xs), max_size=len(xs))),
+                   exact=draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs))),
+                   lambda_max=draw(st.integers(1, 2 ** 20)))
+    if draw(st.booleans()):
+        doc = {"command": "select", "selector": doc}
+    return corrupt(draw, doc) if draw(st.booleans()) else doc
+
+
+@st.composite
+def verify_cases(draw):
+    """An instance file and a selector file, mostly of one dimension and one
+    set of ids, and the --kind to read the selector as."""
+    n, xs = draw(st.integers(0, 3)), draw(IDS)
+    inst = draw(instance_docs(n, xs))
+    if draw(st.booleans()):
+        n, xs = draw(st.integers(0, 3)), draw(IDS)
+    return inst, draw(selector_docs(n, xs)), draw(st.sampled_from(["affine", "linear"]))
+
+
+def run_in_process(argv_of, *docs) -> None:
+    """cli.run on the documents written to files, checked against the
+    contract."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(Path(tmp) / f"doc{i}.json")
+            paths[-1].write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv_of(*map(str, paths)))
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+    else:
+        assert isinstance(json.loads(out.getvalue()), dict)
+
+
+@settings(max_examples=120)
+@given(instance_docs(), st.sampled_from(PIPELINES), st.booleans())
+def test_select_on_any_instance_file_exits_0_1_or_2(doc, pipeline, verify):
+    flags = ("--verify",) if verify else ()
+    run_in_process(lambda path: ["select", pipeline[0], path, *pipeline[1:], *flags], doc)
+
+
+@settings(max_examples=120)
+@given(verify_cases())
+def test_verify_on_any_selector_file_exits_0_1_or_2(case):
+    inst, selector, kind = case
+    run_in_process(lambda i, s: ["verify", i, s, "--kind", kind], inst, selector)

@@ -100,8 +100,10 @@ def assert_envelope_matches(table):
     assert table == before      # the count is filled in by _select_level, not here
 
 
-@given(working_tables())
+@given(st.one_of(working_tables(), working_tables(dims=st.just(2), side=(6, 12))))
 def test_envelope_matches_reference(table):
+    # dimension two builds its crossing plan on the line; the large draws
+    # (36-144 pairs) share crossings and land them on stored points
     assert_envelope_matches(table)
 
 
@@ -186,6 +188,20 @@ def test_child_order_is_exact_where_floats_tie():
     table = extend_domain(Instance.build(3, ("x0",), pts, {"x0": [Fraction(0)] * 3}))
     child = build_envelope(table)
     assert [as_point(v).raw()[0] for v in child.points] == [Fraction(1, 3), tiny]
+
+
+def test_child_order_is_exact_where_float_keys_overflow():
+    # the crossings with the minus point (0, -1) lie at a / (h + 1) for the
+    # plus point (a, h): -10^400, -2*10^400, 2*10^400 and 10^400 in the order
+    # the pairs are met.  Their float keys are -inf, -inf, inf and inf
+    big = 10 ** 400
+    pts = [(Fraction(-5 * big), Fraction(4)), (Fraction(-4 * big), Fraction(1)),
+           (Fraction(4 * big), Fraction(1)), (Fraction(5 * big), Fraction(4)),
+           (Fraction(0), Fraction(-1))]
+    table = extend_domain(Instance.build(2, ("x0",), pts, {"x0": [Fraction(0)] * 5}))
+    child = build_envelope(table)
+    assert [as_point(v).raw()[0] for v in child.points] == [-2 * big, -big, big, 2 * big]
+    assert_envelope_matches(table)
 
 
 # coordinates that differ by multiples of 2^-80: equal as floats, not exactly
