@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .numerics import AffselError, Point, Scalar
 from .sandwich import sandwich
@@ -30,6 +30,7 @@ from .oracle import (
     verify_working_closure,
 )
 from .instances import (
+    MAX_DIGITS,
     InstanceFileError,
     check_schema_version,
     gen_affine_dominated,
@@ -66,13 +67,26 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _parse_lambda(text: str) -> int:
-    """A positive integer, or b^e with non-negative integers b and e."""
+# the largest rung a selection may reach, lambda_max * 2^doublings, stays
+# below this: the report writes it, and ints of more digits cannot be printed
+_RUNG_LIMIT = 10 ** MAX_DIGITS
+
+
+def _parse_lambda(text: str) -> Optional[int]:
+    """A positive integer, or b^e with non-negative integers b and e; None if
+    it is not below _RUNG_LIMIT, which b^e is found not to be from e and the
+    bit length of b before any power is computed."""
     parts = text.split("^", 1)
     if all(map(_is_digits, parts)):
-        value = int(parts[0]) ** int(parts[1]) if len(parts) == 2 else int(parts[0])
+        if max(len(part.lstrip("0")) for part in parts) > MAX_DIGITS:
+            return None
+        base, exp = int(parts[0]), int(parts[1]) if len(parts) == 2 else 1
+        # b^e >= 2^((bits of b - 1) e), and 2^(bits of the limit) exceeds it
+        if (base.bit_length() - 1) * exp >= _RUNG_LIMIT.bit_length():
+            return None
+        value = base ** exp
         if value >= 1:
-            return value
+            return value if value < _RUNG_LIMIT else None
     raise CLIUsageError(f"--lambda-max must be an integer >= 1 or 'b^e' with "
                         f"non-negative integers b and e, got {text!r}")
 
@@ -245,7 +259,15 @@ def _verification(rep, field: str) -> dict:
 
 
 def _linear_config(args) -> LinearConfig:
-    return LinearConfig(lambda_max=_parse_lambda(args.lambda_max), doublings=args.doublings)
+    """The ladder flags, bounded before any work: lambda_max * 2^doublings,
+    the largest rung the retries can reach, has at most MAX_DIGITS digits."""
+    lambda_max, doublings = _parse_lambda(args.lambda_max), args.doublings
+    if (lambda_max is None or lambda_max.bit_length() + doublings > _RUNG_LIMIT.bit_length()
+            or lambda_max << doublings >= _RUNG_LIMIT):
+        shown = args.lambda_max if len(args.lambda_max) <= 40 else args.lambda_max[:20] + "..."
+        raise CLIUsageError(f"--lambda-max {shown} times 2^{doublings} (--doublings) "
+                            f"exceeds the limit of {MAX_DIGITS} digits")
+    return LinearConfig(lambda_max=lambda_max, doublings=doublings)
 
 
 def _linear_report(selector: LinearSelector) -> dict:
@@ -339,7 +361,7 @@ def _cmd_sandwich(args) -> tuple[dict, int]:
     report = {
         "command": "sandwich",
         "config": {"mode": args.mode},
-        "result": {"X": list(f), "values": [str(v) for v in f.values()]},
+        "result": {"X": list(f), "values": [Scalar(v).serialize() for v in f.values()]},
     }
     return report, 0
 

@@ -12,16 +12,29 @@ The lift samples the cone at the two rungs lambda in {1, lambda_max}: at a
 lifted point lambda * y with value lambda * v, domination reads
 lambda * (b.y - v) + C >= 0, linear in lambda, so holding at both ends it
 holds at every scale between; further rungs would add points, no constraints.
+
+The lift runs in integers, and what does not depend on the ladder is read
+once per selection (``_read_rays``).  A sample point y = a / d
+(``numerics.primitive``) lies at t = gcd(a) / d on the ray of the primitive
+direction a / gcd(a), and its unit-rung value is t M(x, ray), M being the
+largest f / t over the ray's sample points (at the origin, f(x, 0)), held as
+a reduced integer pair.  An attempt only scales: at rung lambda the copy of y
+is the vector (lambda a, d) / gcd(lambda, d) and its value the pair
+(lambda p, q) / gcd(lambda, q), both still reduced.  The copies go straight
+into the top ``WorkingTable`` of the affine recursion; no Fraction, ``Scalar``
+or ``Point`` is built for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Dict, List, Mapping, Optional, Tuple
+from math import gcd
+from typing import ClassVar, Dict, List, Mapping, NamedTuple, Tuple
 
-from .numerics import AffselError, Point, Scalar
-from .hyperplane import Instance, SelectConfig, select_affine
+from .numerics import AffselError, Point, Scalar, primitive
+from .hyperplane import (Instance, SelectConfig, WorkingTable, float_key, select_table,
+                         sort_exact)
 from .oracle import check_domination, pair_rows
 
 
@@ -31,16 +44,6 @@ class LadderError(AffselError):
 
 class FeatureMapError(AffselError):
     pass
-
-
-def _ray_key(coords: tuple) -> Optional[Tuple[tuple, Fraction]]:
-    """Canonical (direction, scale) for the open ray through a point given
-    by its coordinates; the origin has no ray and returns None."""
-    for c in coords:
-        if c:
-            scale = abs(c)
-            return tuple([coord / scale for coord in coords]), scale
-    return None
 
 
 def power_ladder(lambda_max: int) -> Tuple[int, ...]:
@@ -71,8 +74,46 @@ class ConeInstance:
     instance: Instance
 
 
-def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
-    lambdas = tuple(lambdas)
+class _Rays(NamedTuple):
+    """What the lift and the exactness check read of a sample, whatever the
+    ladder: its values as reduced integer pairs, its points as primitive
+    vectors, and each point's copy at rung 1 as (vector, ``float_key`` of
+    it, unit-rung values per x)."""
+    inst: Instance
+    rows: Dict[str, List[Tuple[int, int]]]
+    vecs: List[tuple]
+    copies: List[tuple]
+
+
+def _max_pair(a: tuple, b: tuple) -> tuple:
+    return b if b[0] * a[1] > a[0] * b[1] else a
+
+
+def _read_rays(inst: Instance) -> _Rays:
+    rows = pair_rows(inst)
+    cols = list(rows.values())
+    vecs = [primitive(p.raw()) for p in inst.ys.points]
+    rays = []                   # per point (g, ray): t = g / d, g = 0 at the origin
+    best: Dict[tuple, list] = {}    # ray -> per x, the largest f / t on it
+    for j, v in enumerate(vecs):
+        g = gcd(*v[:-1])
+        ray = tuple([c // g for c in v[:-1]]) if g else None
+        rays.append((g, ray))
+        if g:
+            slopes = [(col[j][0] * v[-1], col[j][1] * g) for col in cols]
+            kept = best.get(ray)
+            best[ray] = slopes if kept is None else list(map(_max_pair, kept, slopes))
+    copies = []
+    for j, (v, (g, ray)) in enumerate(zip(vecs, rays)):
+        values = tuple([col[j] for col in cols])
+        if g:
+            values = tuple([(g * m // h, v[-1] * w // h) for m, w in best[ray]
+                            for h in [gcd(g * m, v[-1] * w)]])
+        copies.append((v, float_key(v), values))
+    return _Rays(inst, rows, vecs, copies)
+
+
+def _check_ladder(lambdas: tuple) -> None:
     if not lambdas or lambdas[0] != 1:
         raise LadderError("scale ladder must start at 1")
     prev = 0
@@ -83,37 +124,43 @@ def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
             raise LadderError("scale ladder must be strictly increasing")
         prev = lam
 
-    # per-ray best slope: M(x, ray) = max f(x, y) / s(y) over ray members
-    coords = [p.raw() for p in inst.ys.points]
-    keys = [_ray_key(c) for c in coords]
-    ray_best: Dict[tuple, Dict[str, Fraction]] = {}
-    origin_rows: Optional[Dict[str, Fraction]] = None
-    for j, key in enumerate(keys):
-        if key is None:
-            origin_rows = {x: inst.values[x][j].value for x in inst.xs}
-            continue
-        direction, scale = key
-        slot = ray_best.setdefault(direction, {})
-        for x in inst.xs:
-            slope = inst.values[x][j].value / scale
-            if x not in slot or slot[x] < slope:
-                slot[x] = slope
 
-    points = []
-    rows = {x: [] for x in inst.xs}
-    for p, key in zip(coords, keys):
-        for lam in lambdas:
-            points.append(tuple([lam * c for c in p]))
-            if key is None:
-                # origin: contributions lambda * f(x, 0) collide at 0; max rule
-                for x in inst.xs:
-                    rows[x].append(lam * origin_rows[x])
-            else:
-                direction, scale = key
-                zscale = lam * scale
-                for x in inst.xs:
-                    rows[x].append(zscale * ray_best[direction][x])
-    return ConeInstance(instance=Instance.build(inst.n, inst.xs, points, rows))
+def _lift(rays: _Rays, lambdas) -> WorkingTable:
+    """The top working table of the lift onto the ladder ``lambdas``, which is
+    checked first: the copy of every sample point at every rung, in exact
+    lexicographic order (``sort_exact``).  Equal copies merge by the max of
+    their values, as ``Instance.build`` merges; off the origin they carry
+    equal values, since the value at a lifted point z is t(z) M(x, ray)."""
+    lambdas = tuple(lambdas)
+    _check_ladder(lambdas)
+    entries: Dict[tuple, tuple] = {}    # lifted vector -> (float key, vector, values)
+    for lam in lambdas:
+        for v, key, values in rays.copies:
+            if lam > 1:
+                g = gcd(lam, v[-1])
+                v = (*[lam // g * c for c in v[:-1]], v[-1] // g)
+                key = float_key(v)
+                values = tuple([(lam // h * p, q // h) for p, q in values
+                                for h in [gcd(lam, q)]])
+            kept = entries.get(v)
+            if kept is not None:
+                values = tuple(map(_max_pair, kept[2], values))
+            entries[v] = (key, v, values)
+    children = list(entries.values())
+    sort_exact(children)
+    return WorkingTable(dim=rays.inst.n, points=[e[1] for e in children],
+                        values={x: tuple([e[2][i] for e in children])
+                                for i, x in enumerate(rays.rows)})
+
+
+def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
+    """The instance lifted onto any valid ladder (1, ..): the table ``_lift``
+    builds, as an instance."""
+    table = _lift(_read_rays(inst), lambdas)
+    points = [tuple([Fraction(c, v[-1]) for c in v[:-1]]) for v in table.points]
+    return ConeInstance(instance=Instance.build(
+        inst.n, inst.xs, points,
+        {x: [Fraction(p, q) for p, q in row] for x, row in table.values.items()}))
 
 
 @dataclass(frozen=True)
@@ -160,13 +207,14 @@ class LinearSelector:
         }
 
 
-def _attempt(inst: Instance, lambda_max: int, config: LinearConfig):
-    cone = lift_to_cone(inst, (1,) if lambda_max == 1 else (1, lambda_max))
-    selector, trace = select_affine(cone.instance, config.select)
+def _attempt(rays: _Rays, lambda_max: int, config: LinearConfig):
+    inst = rays.inst
+    top = _lift(rays, (1,) if lambda_max == 1 else (1, lambda_max))
+    selector, trace = select_table(inst.n, inst.xs, top, config.select)
     eps_map = {x: Scalar(Fraction(max(c.value, 0), lambda_max)) for x, c in selector.c.items()}
-    report = check_domination("linear", inst.xs, inst.ys.points, pair_rows(inst),
+    report = check_domination("linear", inst.xs, inst.ys.points, rays.rows,
                               {x: 0 for x in inst.xs},
-                              {x: selector.b[x].raw() for x in inst.xs})
+                              {x: selector.b[x].raw() for x in inst.xs}, at=rays.vecs)
     failed = {x for x, _, _ in report.failures}
     exact_map = {x: x not in failed for x in inst.xs}
     return selector.b, eps_map, exact_map, selector.c, trace
@@ -179,8 +227,9 @@ def select_linear(inst: Instance, config: LinearConfig = LinearConfig()) -> Line
     attempts: List[AttemptRecord] = []
     lambda_max = config.lambda_max
     retries = config.doublings
+    rays = _read_rays(inst)
     while True:
-        a_map, eps_map, exact_map, c_map, _ = _attempt(inst, lambda_max, config)
+        a_map, eps_map, exact_map, c_map, _ = _attempt(rays, lambda_max, config)
         attempts.append(AttemptRecord(lambda_max=lambda_max, exact=exact_map))
         if all(exact_map.values()) or retries <= 0:
             return LinearSelector(

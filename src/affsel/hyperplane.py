@@ -25,8 +25,10 @@ they tie, and propose each section's upper hull at dimension one, which one
 exact pass certifies.  The certified hull serves both the bridge (the largest
 chord over zero) and the bracket, which only hull vertices can attain.
 Integers decide every result, and no float is stored in a table or reaches a
-selector.  ``select_affine`` solves each distinct value row once.  ``Scalar``
-and ``Point`` appear only on the instance that goes in and the selector that
+selector.  ``select_table`` runs the recursion from a top table, which
+``select_affine`` makes from an instance (``extend_domain``) and the cone lift
+builds in integers, and solves each distinct value row once.  ``Scalar`` and
+``Point`` appear only on the instance that goes in and the selector that
 comes out.
 """
 
@@ -135,10 +137,10 @@ def _ratio(n: int, d: int) -> float:
         return inf if n > 0 else -inf
 
 
-def _float_key(key: tuple) -> tuple:
+def float_key(key: tuple) -> tuple:
     """The coordinates of an integer vector (a_1, .., a_k, d) as floats.
     Their order agrees with the exact lexicographic order wherever the
-    first coordinates differ as floats; ``_sort_children`` decides the rest."""
+    first coordinates differ as floats; ``sort_exact`` decides the rest."""
     den = key[-1]
     try:
         return tuple([c / den for c in key[:-1]])
@@ -151,14 +153,15 @@ def _exact_key(key: tuple) -> tuple:
     return tuple([Fraction(c, den) for c in key[:-1]])
 
 
-def _sort_children(children: list) -> None:
-    """Sort child entries (float key, integer vector, ...) into exact
-    lexicographic order: by float keys, then exactly within each run whose
-    first float coordinate ties.  A tie in any later float coordinate sits
-    inside such a run, so the runs are all that floats can misorder."""
+def sort_exact(children: list) -> None:
+    """Sort entries (float key, integer vector, ...) of distinct vectors, an
+    envelope's children or a cone lift's copies, into exact lexicographic
+    order: by float keys, then exactly within each run whose first float
+    coordinate ties.  A tie in any later float coordinate sits inside such a
+    run, so the runs are all that floats can misorder."""
     children.sort(key=itemgetter(0))
     if len(children) < 2:
-        return      # a dimension-zero child has one point and no coordinates
+        return      # a dimension-zero table has one point and no coordinates
     firsts = [entry[0][0] for entry in children]
     end = 0
     for t in compress(range(1, len(firsts)), map(eq, firsts[1:], firsts)):
@@ -382,10 +385,10 @@ class WorkingTable:
         # extension as a reduced pair, one tuple shared by every section
         children = []
         for key, j in stored.items():
-            children.append((_float_key(key), key, j, crossings.pop(key, ()), None))
+            children.append((float_key(key), key, j, crossings.pop(key, ()), None))
         if self.dim == 2:
             # gcd(t, w) = 1, so (-t^2, w^2) is reduced, and t / w is the
-            # correctly rounded float _float_key gives
+            # correctly rounded float that float_key gives
             for key, pairs in crossings.items():
                 t, w = key
                 children.append(((_ratio(t, w),), key, None, pairs, (-t * t, w * w)))
@@ -393,9 +396,9 @@ class WorkingTable:
             for key, pairs in crossings.items():
                 en, ed = -sum([c * c for c in key[:-1]]), key[-1] * key[-1]
                 g = gcd(en, ed)
-                children.append((_float_key(key), key, None, pairs, (en // g, ed // g)))
+                children.append((float_key(key), key, None, pairs, (en // g, ed // g)))
         del stored, crossings     # the key maps end here; only the plan is kept
-        _sort_children(children)
+        sort_exact(children)
 
         values = {}
         hulls = {} if coords else None
@@ -513,13 +516,20 @@ def select_affine(inst: Instance, config: SelectConfig = SelectConfig()):
     working closure.  Each distinct value row is solved once, and parameters
     with equal rows share its selector and its trace tables.
     """
+    return select_table(inst.n, inst.xs, extend_domain(inst), config)
+
+
+def select_table(n: int, xs: Tuple[str, ...], top: WorkingTable,
+                 config: SelectConfig = SelectConfig()):
+    """``select_affine`` on its top working table: ``top`` holds the points of
+    an n-dimensional instance and a value row for each x in ``xs``, as
+    ``extend_domain`` makes them.  The recursion may rebind ``top.values``."""
     trace = RecursionTrace()
-    top = extend_domain(inst)
     # equal rows give equal selectors, so the recursion runs once per distinct
     # row, on the first x that holds it, and every x reads that x's results
     first: Dict[tuple, str] = {}
-    rep = {x: first.setdefault(top.values[x], x) for x in inst.xs}
-    shared = len(first) < len(inst.xs)
+    rep = {x: first.setdefault(top.values[x], x) for x in xs}
+    shared = len(first) < len(xs)
     if shared:
         top.values = {x: top.values[x] for x in first.values()}
     b_rows, c_map = _select_level(top, config, trace.levels)
@@ -528,12 +538,12 @@ def select_affine(inst: Instance, config: SelectConfig = SelectConfig()):
             for name in ("values", "upper", "lower", "base_c", "hull"):
                 table = getattr(level, name)
                 if table is not None:
-                    setattr(level, name, {x: table[rep[x]] for x in inst.xs})
+                    setattr(level, name, {x: table[rep[x]] for x in xs})
     selector = AffineSelector(
-        n=inst.n,
-        xs=inst.xs,
-        b={x: Point(map(Scalar, b_rows[rep[x]])) for x in inst.xs},
-        c={x: Scalar(c_map[rep[x]]) for x in inst.xs},
+        n=n,
+        xs=xs,
+        b={x: Point(map(Scalar, b_rows[rep[x]])) for x in xs},
+        c={x: Scalar(c_map[rep[x]]) for x in xs},
     )
     return selector, trace
 

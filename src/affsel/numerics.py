@@ -75,7 +75,11 @@ class Scalar:
         return self.value <= self._raw(other)
 
     def serialize(self) -> str:
-        return str(self.value)
+        try:
+            return str(self.value)
+        except ValueError:      # a numerator or denominator past the int-to-str limit
+            raise NumericsError("output too large: a value has more digits than "
+                                "Python's int-to-str limit") from None
 
     def __repr__(self):
         return f"Scalar({self.value})"

@@ -1,10 +1,13 @@
-"""The crossing geometry of one recursion level, in plain Fraction arithmetic
-on points: the reference the integer kernel of ``WorkingTable`` is compared
-against (test_kernel.py) and whose formulas test_hyperplane.py pins.
+"""The crossing geometry of one recursion level and the cone lift, in plain
+Fraction arithmetic on points: the references the integer kernel of
+``WorkingTable`` (test_kernel.py) and the integer lift of ``conelift``
+(test_conelift.py) are compared against, and whose formulas
+test_hyperplane.py pins.
 """
 
 from fractions import Fraction
 
+from affsel.hyperplane import Instance
 from affsel.numerics import Point, Scalar, primitive
 
 
@@ -43,3 +46,51 @@ def extended_value(table, x: str, point: Point) -> Scalar:
     if key in table.points:
         return Scalar(Fraction(*table.values[x][table.points.index(key)]))
     return Scalar(-sum((c * c for c in point.raw()), Fraction(0)))
+
+
+def _ray_key(coords: tuple):
+    """Canonical (direction, scale) for the open ray through a point given
+    by its coordinates; the origin has no ray and returns None."""
+    for c in coords:
+        if c:
+            scale = abs(c)
+            return tuple([coord / scale for coord in coords]), scale
+    return None
+
+
+def reference_lift(inst: Instance, lambdas) -> Instance:
+    """The instance lifted onto the ladder ``lambdas`` (not checked here):
+    every sample point at every rung, with the value lam * |y_first| times the
+    largest f / |y_first| over the point's ray (lam * f(x, 0) at the origin),
+    equal points merged by ``Instance.build``."""
+    # per-ray best slope: M(x, ray) = max f(x, y) / s(y) over ray members
+    coords = [p.raw() for p in inst.ys.points]
+    keys = [_ray_key(c) for c in coords]
+    ray_best = {}
+    origin_rows = None
+    for j, key in enumerate(keys):
+        if key is None:
+            origin_rows = {x: inst.values[x][j].value for x in inst.xs}
+            continue
+        direction, scale = key
+        slot = ray_best.setdefault(direction, {})
+        for x in inst.xs:
+            slope = inst.values[x][j].value / scale
+            if x not in slot or slot[x] < slope:
+                slot[x] = slope
+
+    points = []
+    rows = {x: [] for x in inst.xs}
+    for p, key in zip(coords, keys):
+        for lam in lambdas:
+            points.append(tuple([lam * c for c in p]))
+            if key is None:
+                # origin: contributions lambda * f(x, 0) collide at 0; max rule
+                for x in inst.xs:
+                    rows[x].append(lam * origin_rows[x])
+            else:
+                direction, scale = key
+                zscale = lam * scale
+                for x in inst.xs:
+                    rows[x].append(zscale * ray_best[direction][x])
+    return Instance.build(inst.n, inst.xs, points, rows)

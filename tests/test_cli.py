@@ -9,6 +9,7 @@ import pytest
 
 from affsel import cli
 from affsel.cli import build_parser
+from affsel.instances import gen_meager_linear, save_instance_file
 from conftest import subprocess_env
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -144,6 +145,58 @@ class TestSelectLinear:
                       "--doublings", "0")
         assert res.returncode == 0
         assert json.loads(res.stdout)["selector"]["lambda_max"] == 64
+
+
+@pytest.fixture
+def meager_file(tmp_path):
+    """`gen meager --seed 1 --n 1 --nx 2 --ny 3`, with the identity as phi."""
+    doc = gen_meager_linear(1, 1, 2, 3)
+    doc.phi_rows = doc.y_rows
+    path = tmp_path / "meager.json"
+    save_instance_file(doc, path)
+    return path
+
+
+LADDER_PIPELINES = (("linear",), ("feature",), ("subgradient",),
+                    ("subgradient", "--backend", "cone"))
+
+
+class TestLadderBound:
+    """lambda_max * 2^doublings, the largest rung the retries reach, has at
+    most 4300 digits, or the command stops before any work."""
+
+    @pytest.mark.parametrize("pipeline", LADDER_PIPELINES)
+    @pytest.mark.parametrize("lambda_max, doublings", [("10^5000", "0"), ("2^20", "14400"),
+                                                       ("2^14285", "0"), ("1" * 4301, "0")])
+    def test_past_the_digit_limit_is_a_usage_error(self, meager_file, capsys, pipeline,
+                                                   lambda_max, doublings):
+        code = cli.run(["select", pipeline[0], str(meager_file), *pipeline[1:],
+                        "--lambda-max", lambda_max, "--doublings", doublings])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: --lambda-max ")
+        assert "exceeds the limit of 4300 digits" in err
+        assert len(err.splitlines()) == 1
+
+    def test_largest_rung_within_the_limit_still_selects(self, meager_file, capsys):
+        assert cli.run(["select", "linear", str(meager_file), "--lambda-max", "2^14000",
+                        "--doublings", "2", "--verify"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verification"]["passed"] is True
+        assert report["selector"]["attempts"][0]["lambda_max"] == 2 ** 14000
+
+
+def test_a_result_past_the_digit_limit_exits_1_with_one_line(tmp_path, capsys):
+    # both values are readable; their midpoint has about 8,600 digits
+    big = 10 ** 4299
+    u, l = tmp_path / "u.json", tmp_path / "l.json"
+    u.write_text(json.dumps({"X": ["a"], "values": [f"1/{big + 3}"]}))
+    l.write_text(json.dumps({"X": ["a"], "values": [f"1/{big + 1}"]}))
+    assert cli.run(["sandwich", str(u), str(l)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: output too large: a value has more digits than Python's "
+                   "int-to-str limit\n")
 
 
 class TestSelectSubgradientAndFeature:

@@ -1,11 +1,14 @@
-"""The CLI contract on JSON-shaped files: whatever an instance or selector
-file holds, `affsel select` and `affsel verify` exit 0, 1 or 2, write at most
-one line to stderr, and let no exception escape.  Exit 1 writes nothing to
-stdout; exits 0 and 2 write one JSON report.
+"""The CLI contract on any file and any ladder flags: whatever an instance or
+selector file holds, `affsel select` and `affsel verify` exit 0, 1 or 2, write
+at most one line to stderr, and let no exception escape.  Exit 1 writes nothing
+to stdout; exits 0 and 2 write one JSON report.
 
 Files are drawn small (n <= 3, at most 4 points and 3 parameters): about
 half are well formed, so the pipelines run to the end, and the rest have one
-field replaced by a value of the wrong shape or type, or dropped.
+field replaced by a value of the wrong shape or type, or dropped.  Raw files
+are random bytes, or such a JSON document with a few bytes spliced in.
+`--lambda-max` and `--doublings` are drawn in and out of range, past the
+4300-digit bound on the largest rung among them.
 """
 
 import contextlib
@@ -27,6 +30,11 @@ IDS = st.lists(st.sampled_from(["x0", "x1", "x2", 3, 1.5]), min_size=1, max_size
 
 PIPELINES = (("affine",), ("linear",), ("feature",), ("subgradient",),
              ("subgradient", "--backend", "cone"))
+LADDER_PIPELINES = (("linear",), ("feature",), ("subgradient", "--backend", "cone"))
+LAMBDAS = st.one_of(st.integers(1, 2 ** 64).map(str),
+                    st.sampled_from(["1", "2^20", "2^14000", "2^14285", "10^5000", "1^99999",
+                                     "0^0", "0", "-1", "2^-1", "1.5", "", "x", "9" * 4301]))
+DOUBLINGS = st.one_of(st.integers(0, 3).map(str), st.sampled_from(["300", "14400", "-1", "x"]))
 
 
 def rows(draw, count, width):
@@ -95,14 +103,28 @@ def verify_cases(draw):
     return inst, draw(selector_docs(n, xs)), draw(st.sampled_from(["affine", "linear"]))
 
 
+def raw(draw, doc) -> bytes:
+    """Random bytes, or the document as JSON with up to 4 of its bytes
+    replaced by up to 4 random ones."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    text = json.dumps(doc).encode()
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 4)))
+    return text[:i] + draw(st.binary(max_size=4)) + text[j:]
+
+
 def run_in_process(argv_of, *docs) -> None:
-    """cli.run on the documents written to files, checked against the
-    contract."""
+    """cli.run on the documents (bytes are written as they are) written to
+    files, checked against the contract."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, doc in enumerate(docs):
             paths.append(Path(tmp) / f"doc{i}.json")
-            paths[-1].write_text(json.dumps(doc))
+            if isinstance(doc, bytes):
+                paths[-1].write_bytes(doc)
+            else:
+                paths[-1].write_text(json.dumps(doc))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(argv_of(*map(str, paths)))
@@ -126,3 +148,23 @@ def test_select_on_any_instance_file_exits_0_1_or_2(doc, pipeline, verify):
 def test_verify_on_any_selector_file_exits_0_1_or_2(case):
     inst, selector, kind = case
     run_in_process(lambda i, s: ["verify", i, s, "--kind", kind], inst, selector)
+
+
+@settings(max_examples=60)
+@given(st.data(), instance_docs(), st.sampled_from(PIPELINES))
+def test_select_on_raw_bytes_exits_0_1_or_2(data, doc, pipeline):
+    run_in_process(lambda path: ["select", pipeline[0], path, *pipeline[1:]], raw(data.draw, doc))
+
+
+@settings(max_examples=60)
+@given(st.data(), verify_cases())
+def test_verify_on_raw_bytes_exits_0_1_or_2(data, case):
+    inst, selector, kind = case
+    run_in_process(lambda i, s: ["verify", i, s, "--kind", kind], inst, raw(data.draw, selector))
+
+
+@settings(max_examples=60)
+@given(instance_docs(), st.sampled_from(LADDER_PIPELINES), LAMBDAS, DOUBLINGS)
+def test_select_with_any_ladder_flags_exits_0_1_or_2(doc, pipeline, lambda_max, doublings):
+    run_in_process(lambda path: ["select", pipeline[0], path, *pipeline[1:],
+                                 f"--lambda-max={lambda_max}", f"--doublings={doublings}"], doc)

@@ -4,22 +4,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from affsel import conelift
 from affsel.conelift import (
     FeatureMapError,
     LadderError,
     LinearConfig,
     _attempt,
+    _lift,
+    _read_rays,
     feature_select,
     lift_to_cone,
     power_ladder,
     push_through_features,
     select_linear,
 )
-from affsel.hyperplane import Instance, SelectConfig
+from affsel.hyperplane import Instance, SelectConfig, extend_domain
 from affsel.instances import gen_meager_linear
 from affsel.numerics import Point, Scalar
 from affsel.oracle import check_domination, fm_feasible, verify_domination
 from conftest import make_instance
+from reference_geometry import reference_lift
 
 
 def exact(v):
@@ -153,13 +157,77 @@ def cone_instances(draw):
     return make_instance(n, points, rows)
 
 
+@st.composite
+def lift_cases(draw):
+    """An n = 1..3 instance and a ladder: (1,), (1, lam) or the power ladder
+    up to lam.  Several points share a ray, some at lam (or, on the power
+    ladder, a power of two) times another, so that copies land on sample
+    points; the origin is present or absent, and values have either sign."""
+    n = draw(st.integers(1, 3))
+    lam = draw(st.sampled_from((2, 3, 2 ** 20, 2 ** 23)))
+    ladder = draw(st.sampled_from(((1,), (1, lam), power_ladder(2 ** draw(st.integers(0, 6))))))
+    coords = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                      min_size=n, max_size=n)
+    ray = draw(coords.filter(any))
+    points = {(Fraction(0),) * n} if draw(st.booleans()) else set()
+    for s in draw(st.lists(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4),
+                           min_size=1, max_size=3, unique=True)):
+        points.add(tuple(s * c for c in ray))
+        if draw(st.booleans()):
+            rung = draw(st.sampled_from(ladder))
+            points.add(tuple(rung * s * c for c in ray))
+    points.update(map(tuple, draw(st.lists(coords, max_size=4))))
+    values = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    xs = ("x0", "x1")[:draw(st.integers(1, 2))]
+    inst = Instance.build(n, xs, sorted(points), {x: [draw(values) for _ in points] for x in xs})
+    return inst, ladder
+
+
+class TestIntegerLift:
+    @given(lift_cases())
+    def test_equals_the_reference_lift(self, case):
+        inst, ladder = case
+        ref = reference_lift(inst, ladder)
+        table, top = _lift(_read_rays(inst), ladder), extend_domain(ref)
+        assert (table.dim, table.points, table.values) == (top.dim, top.points, top.values)
+        assert lift_to_cone(inst, ladder).instance == ref
+
+    def test_origin_copies_merge_by_max(self):
+        inst = make_instance(1, [Point.of(0), Point.of(1)],
+                             {"x0": [exact(3), exact(1)], "x1": [exact(-3), exact(1)]})
+        table = _lift(_read_rays(inst), (1, 4))
+        assert table.points == [(0, 1), (1, 1), (4, 1)]
+        assert table.values == {"x0": ((12, 1), (1, 1), (4, 1)),
+                                "x1": ((-3, 1), (1, 1), (4, 1))}
+
+    @pytest.mark.parametrize("lambda_max", [0, -1])
+    def test_selection_checks_the_ladder(self, lambda_max):
+        inst = make_instance(1, [Point.of(1)], {"x0": [exact(1)]})
+        with pytest.raises(LadderError):
+            select_linear(inst, LinearConfig(lambda_max=lambda_max))
+
+    def test_rays_are_read_once_per_selection(self, monkeypatch):
+        calls = []
+        read = conelift._read_rays
+
+        def counted(inst):
+            calls.append(None)
+            return read(inst)
+
+        monkeypatch.setattr(conelift, "_read_rays", counted)
+        inst = make_instance(1, [Point.of(0), Point.of(1)], {"x0": [exact(1), exact(0)]})
+        sel = select_linear(inst, LinearConfig(lambda_max=2 ** 4, doublings=2))
+        assert len(sel.attempts) == 3
+        assert len(calls) == 1
+
+
 class TestTwoRungLift:
     @given(cone_instances(),
            st.one_of(st.sampled_from((1, 2, 3, 10)), st.integers(0, 20).map(lambda k: 2 ** k)))
     def test_dominates_every_rung_of_the_power_ladder(self, inst, lambda_max):
         # domination at lambda * y is linear in lambda, so the ends {1, lambda_max}
         # carry every constraint of the rungs between them
-        a, _, exact_map, c, _ = _attempt(inst, lambda_max, LinearConfig())
+        a, _, exact_map, c, _ = _attempt(_read_rays(inst), lambda_max, LinearConfig())
         full = lift_to_cone(inst, power_ladder(lambda_max)).instance
         report = check_domination("affine", full.xs, full.ys.points,
                                   {x: [v.value.as_integer_ratio() for v in full.values[x]]
@@ -174,7 +242,7 @@ class TestTwoRungLift:
     def test_top_level_holds_at_most_two_copies_of_the_sample(self):
         inst = make_instance(2, [Point.of(1, 0), Point.of(-1, 2), Point.of(0, -3)],
                              {"x0": [exact(1), exact(-2), exact(3)]})
-        *_, trace = _attempt(inst, 2 ** 6, LinearConfig())
+        *_, trace = _attempt(_read_rays(inst), 2 ** 6, LinearConfig())
         assert trace.levels[0].dim == 2
         assert len(trace.levels[0].points) <= 2 * len(inst.ys)
 
