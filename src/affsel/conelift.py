@@ -8,6 +8,19 @@ into a certified residual epsilon = max(0, C) / lambda_max.  Driving
 lambda_max up shrinks the residual; an exactness flag records whether the
 residual was actually needed.
 
+The lifted recursion runs the ``tight`` base (``LinearConfig.select``): C is
+the value of the dimension-zero envelope itself, not rounded up to a
+positive integer as the ``novikov`` base of ``select affine`` does.  Either
+way B.z + C dominates every lifted point z, and every sample point y has a
+copy lambda_max y whose value is at least lambda_max f(x, y) (the origin's
+copies merge to the larger of f(x, 0) and lambda_max f(x, 0)), so
+f(x, y) <= B.y + C / lambda_max <= B.y + max(0, C) / lambda_max.
+Where C <= 0 the residual is 0 and the section is exact at the first
+attempt.  A positive C has been seen only where, at some level, the -|y|^2
+extension at a crossing lies above a.y for the section's Fourier-Motzkin
+witness a; such a crossing was there at every lambda_max tried, so the
+retries did not make those sections exact.
+
 The lift samples the cone at the two rungs lambda in {1, lambda_max}: at a
 lifted point lambda * y with value lambda * v, domination reads
 lambda * (b.y - v) + C >= 0, linear in lambda, so holding at both ends it
@@ -168,7 +181,7 @@ class LinearConfig:
     lambda_max: int = 2 ** 20
     doublings: int = 3
     # the affine settings of the lifted selection; a constant, not an option
-    select: ClassVar[SelectConfig] = SelectConfig()
+    select: ClassVar[SelectConfig] = SelectConfig(base="tight")
 
 
 @dataclass

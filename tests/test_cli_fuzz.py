@@ -8,13 +8,15 @@ half are well formed, so the pipelines run to the end, and the rest have one
 field replaced by a value of the wrong shape or type, or dropped.  Raw files
 are random bytes, or such a JSON document with a few bytes spliced in.
 `--lambda-max` and `--doublings` are drawn in and out of range, past the
-4300-digit bound on the largest rung among them.
+4300-digit bound on the largest rung among them.  `affsel sandwich` is fuzzed
+the same way on pairs of function files, in both modes.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -103,6 +105,21 @@ def verify_cases(draw):
     return inst, draw(selector_docs(n, xs)), draw(st.sampled_from(["affine", "linear"]))
 
 
+@st.composite
+def sandwich_cases(draw):
+    """Two function files {"X", "values"} for `affsel sandwich`, mostly on
+    one list of ids and, in about half the draws, with u <= l at every id;
+    each file has one field corrupted in about a quarter of the draws."""
+    xs = draw(IDS)
+    pairs = draw(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=len(xs), max_size=len(xs)))
+    if draw(st.booleans()):
+        pairs = [sorted(pair, key=lambda v: Fraction(str(v))) for pair in pairs]
+    docs = [{"X": xs, "values": [pair[i] for pair in pairs]} for i in (0, 1)]
+    if draw(st.booleans()):
+        docs[1]["X"] = draw(IDS)
+    return [corrupt(draw, doc) if draw(st.integers(0, 3)) == 0 else doc for doc in docs]
+
+
 def raw(draw, doc) -> bytes:
     """Random bytes, or the document as JSON with up to 4 of its bytes
     replaced by up to 4 random ones."""
@@ -168,3 +185,17 @@ def test_verify_on_raw_bytes_exits_0_1_or_2(data, case):
 def test_select_with_any_ladder_flags_exits_0_1_or_2(doc, pipeline, lambda_max, doublings):
     run_in_process(lambda path: ["select", pipeline[0], path, *pipeline[1:],
                                  f"--lambda-max={lambda_max}", f"--doublings={doublings}"], doc)
+
+
+@settings(max_examples=120)
+@given(sandwich_cases(), st.sampled_from(["midpoint", "staged"]))
+def test_sandwich_on_any_function_files_exits_0_1_or_2(docs, mode):
+    run_in_process(lambda u, l: ["sandwich", u, l, "--mode", mode], *docs)
+
+
+@settings(max_examples=60)
+@given(st.data(), sandwich_cases(), st.sampled_from(["midpoint", "staged"]))
+def test_sandwich_on_raw_bytes_exits_0_1_or_2(data, docs, mode):
+    which = data.draw(st.sampled_from([(0,), (1,), (0, 1)]))
+    docs = [raw(data.draw, doc) if i in which else doc for i, doc in enumerate(docs)]
+    run_in_process(lambda u, l: ["sandwich", u, l, "--mode", mode], *docs)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from affsel import conelift
+from affsel.cli import build_parser
 from affsel.conelift import (
     FeatureMapError,
     LadderError,
@@ -125,9 +126,23 @@ class TestSelectLinear:
         assert sel.epsilon["x0"].value >= 0
 
     def test_affine_settings_are_a_constant(self):
-        # the lifted selection always runs the default affine settings
+        # the lifted selection always runs the tight base; affine selection
+        # keeps the novikov default
         assert "select" not in {f.name for f in fields(LinearConfig)}
-        assert LinearConfig.select == SMALL.select == SelectConfig()
+        assert LinearConfig.select == SMALL.select == SelectConfig(base="tight")
+        assert SelectConfig().base == "novikov"
+        assert build_parser().parse_args(["select", "affine", "f.json"]).base == "novikov"
+
+    def test_linear_section_is_exact_at_the_first_attempt(self):
+        # f = 2y: the tight base keeps C = 0, so the section gets its own
+        # slope with no residual and no retry
+        inst = make_instance(1, [Point.of(-1), Point.of(2)],
+                             {"x0": [exact(-2), exact(4)]})
+        sel = select_linear(inst, SMALL)
+        assert sel.a["x0"] == Point.of(2)
+        assert sel.epsilon["x0"] == exact(0)
+        assert sel.exact["x0"]
+        assert len(sel.attempts) == 1
 
     def test_section_functoriality(self):
         row = [exact(-2), exact(4)]

@@ -7,7 +7,7 @@ from affsel.conelift import LinearConfig
 from affsel.hyperplane import Instance
 from affsel.instances import gen_convex_sections
 from affsel.numerics import AffselError, Point, Scalar
-from affsel.oracle import InfeasibleSectionsError
+from affsel.oracle import InfeasibleSectionsError, verify_subgradient_domination
 from affsel.subgradient import (
     ConvexSectionInstance,
     ShiftGroup,
@@ -197,14 +197,33 @@ class TestSelectSubgradient:
             assert lower.value <= ABS.values["x0"][j].value
 
     def test_backends_agree_on_validity(self):
-        doc = gen_convex_sections(21, 1, 2, 5, k=2)
-        inst = doc.to_instance()
-        for cfg in (SubgradientConfig(), CONE_CFG):
-            sel = select_subgradient(ConvexSectionInstance(instance=inst), cfg)
-            for x in inst.xs:
-                for j, y in enumerate(inst.ys.points):
-                    lower = sel.p[x].dot(y) - sel.epsilon[x]
-                    assert lower.value <= inst.values[x][j].value
+        # seeded convex files at n = 1..3, with and without base points: both
+        # backends dominate on the same shifted groups, and a section the cone
+        # backend reports exact carries no residual
+        files = [(21, 1, 2, 5, 2, False)] + [
+            (seed, n, 3, ny, 3, shifted)
+            for n, ny in ((1, 6), (2, 10), (3, 10)) for seed in (1, 2, 3)
+            for shifted in (False, True)]
+        exact_seen = 0
+        for seed, n, nx, ny, k, shifted in files:
+            doc = gen_convex_sections(seed, n, nx, ny, k, shifted=shifted)
+            inst = doc.to_instance()
+            csi = ConvexSectionInstance(instance=inst, y0=doc.y0_table())
+            groups = shift_to_origin(csi).groups
+            for cfg in (SubgradientConfig(), CONE_CFG):
+                sel = select_subgradient(csi, cfg)
+                case = (seed, n, shifted, cfg.backend)
+                assert verify_subgradient_domination(groups, sel).passed, case
+                for x in inst.xs:
+                    if sel.exact[x]:
+                        assert sel.epsilon[x].value == 0, (case, x)
+                    if not shifted:
+                        for j, y in enumerate(inst.ys.points):
+                            lower = sel.p[x].dot(y) - sel.epsilon[x]
+                            assert lower.value <= inst.values[x][j].value, (case, x)
+                if cfg.backend == "cone":
+                    exact_seen += sum(sel.exact.values())
+        assert exact_seen
 
     def test_functoriality(self):
         row = [exact(1), exact(0), exact(1)]
