@@ -27,7 +27,8 @@ lambda * (b.y - v) + C >= 0, linear in lambda, so holding at both ends it
 holds at every scale between; further rungs would add points, no constraints.
 
 The lift runs in integers, and what does not depend on the ladder is read
-once per selection (``_read_rays``).  A sample point y = a / d
+once per selection from the sample's top table (``_read_rays``); the oracle
+is called only to certify the exact flags.  A sample point y = a / d
 (``numerics.primitive``) lies at t = gcd(a) / d on the ray of the primitive
 direction a / gcd(a), and its unit-rung value is t M(x, ray), M being the
 largest f / t over the ray's sample points (at the origin, f(x, 0)), held as
@@ -45,10 +46,10 @@ from fractions import Fraction
 from math import gcd
 from typing import ClassVar, Dict, List, Mapping, NamedTuple, Tuple
 
-from .numerics import AffselError, Point, Scalar, primitive
-from .hyperplane import (Instance, SelectConfig, WorkingTable, float_key, select_table,
-                         sort_exact)
-from .oracle import check_domination, pair_rows
+from .numerics import AffselError, Point, Scalar
+from .hyperplane import (Instance, SelectConfig, WorkingTable, extend_domain, float_key,
+                         select_table, sort_exact)
+from .oracle import check_domination
 
 
 class LadderError(AffselError):
@@ -89,11 +90,11 @@ class ConeInstance:
 
 class _Rays(NamedTuple):
     """What the lift and the exactness check read of a sample, whatever the
-    ladder: its values as reduced integer pairs, its points as primitive
-    vectors, and each point's copy at rung 1 as (vector, ``float_key`` of
-    it, unit-rung values per x)."""
+    ladder: its top table's values and points (``extend_domain``), and each
+    point's copy at rung 1 as (vector, ``float_key`` of it, unit-rung values
+    per x)."""
     inst: Instance
-    rows: Dict[str, List[Tuple[int, int]]]
+    rows: Mapping[str, Tuple[Tuple[int, int], ...]]
     vecs: List[tuple]
     copies: List[tuple]
 
@@ -103,9 +104,9 @@ def _max_pair(a: tuple, b: tuple) -> tuple:
 
 
 def _read_rays(inst: Instance) -> _Rays:
-    rows = pair_rows(inst)
+    top = extend_domain(inst)
+    rows, vecs = top.values, top.points
     cols = list(rows.values())
-    vecs = [primitive(p.raw()) for p in inst.ys.points]
     rays = []                   # per point (g, ray): t = g / d, g = 0 at the origin
     best: Dict[tuple, list] = {}    # ray -> per x, the largest f / t on it
     for j, v in enumerate(vecs):

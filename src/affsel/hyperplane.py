@@ -22,8 +22,9 @@ cross-multiplication, and no table value is ever a Fraction: only the
 bracket, the picks and the base constants, which leave the kernel, are.
 Floats only guide: they sort the child points, with an exact re-sort where
 they tie, and propose each section's upper hull at dimension one, which one
-exact pass certifies.  The certified hull serves both the bridge (the largest
-chord over zero) and the bracket, which only hull vertices can attain.
+exact pass certifies; where it does not, the same chain runs on Fractions.
+The hull serves both the bridge (the largest chord over zero) and the
+bracket, which only hull vertices can attain.
 Integers decide every result, and no float is stored in a table or reaches a
 selector.  ``select_table`` runs the recursion from a top table, which
 ``select_affine`` makes from an instance (``extend_domain``) and the cone lift
@@ -99,21 +100,6 @@ def extend_domain(inst: Instance) -> WorkingTable:
     )
 
 
-def _cross_nonneg_int(o, a, b) -> bool:
-    """Whether (a.c - o.c)(b.v - o.v) - (a.v - o.v)(b.c - o.c) >= 0 for points
-    given as (cn, cd, vn, vd) integer quadruples with positive denominators.
-    Pure integer arithmetic: no rational normalization in the hull loop."""
-    ocn, ocd, ovn, ovd = o
-    acn, acd, avn, avd = a
-    bcn, bcd, bvn, bvd = b
-    d1 = acn * ocd - ocn * acd
-    d2 = bvn * ovd - ovn * bvd
-    d3 = avn * ovd - ovn * avd
-    d4 = bcn * ocd - ocn * bcd
-    # shared positive factor ocd*ovd cancels from both sides
-    return d1 * d2 * avd * bcd >= d3 * d4 * acd * bvd
-
-
 def build_envelope(table: WorkingTable) -> WorkingTable:
     """Collapse one dimension: chord envelope at crossing points, merged with
     the extended values, on the dropped-coordinate point set.  ``table`` is
@@ -173,23 +159,13 @@ def sort_exact(children: list) -> None:
         children[t - 1:end] = sorted(children[t - 1:end], key=lambda e: _exact_key(e[1]))
 
 
-def _exact_hull(coords, num, den) -> list:
-    """Positions in ``coords`` of the upper hull vertices of the points
-    (coordinate, value), by an exact monotone chain in coordinate order."""
-    quads = [(cn, cd, num[j], den[j]) for cn, cd, j in coords]
-    hull: list = []
-    for i, q in enumerate(quads):
-        while len(hull) >= 2 and _cross_nonneg_int(quads[hull[-2]], quads[hull[-1]], q):
-            hull.pop()
-        hull.append(i)
-    return hull
-
-
-def _float_hull(fys, fvs) -> list:
-    """The same chain on float coordinates and values: a candidate only."""
+def _chain(ys, fs) -> list:
+    """Positions of the upper hull vertices of the points (ys[i], fs[i]),
+    taken in the order of ys, by a monotone chain that drops collinear
+    points.  On floats it proposes a hull only; on Fractions it is exact."""
     hull: list = []     # (coordinate, value, position)
-    for i, y3 in enumerate(fvs):
-        x3 = fys[i]
+    for i, y3 in enumerate(fs):
+        x3 = ys[i]
         while len(hull) >= 2:
             x1, y1, _ = hull[-2]
             x2, y2, _ = hull[-1]
@@ -200,13 +176,11 @@ def _float_hull(fys, fvs) -> list:
     return [i for _, _, i in hull]
 
 
-def _edge_over_zero(coords, hull) -> tuple:
-    """The hull edge from a minus to a plus point.  The chain never drops
-    the first (minus) and the last (plus) point, so there is exactly one."""
-    for p, q in zip(hull, hull[1:]):
-        if coords[p][0] < 0 < coords[q][0]:
-            return p, q
-    raise AffselError("hull does not span zero")  # unreachable with both signs present
+def _exact_hull(coords, num, den) -> list:
+    """``_chain`` on the exact coordinates and values, as Fractions: the
+    fallback of ``_upper_hull``."""
+    return _chain([Fraction(a, d) for a, d, _ in coords],
+                  [Fraction(num[j], den[j]) for _, _, j in coords])
 
 
 def _is_upper_hull(coords, num, den, hull) -> bool:
@@ -245,36 +219,39 @@ def _upper_hull(coords, fys, num, den) -> list:
     """Positions in ``coords`` of the upper hull vertices, in coordinate
     order; collinear points may be among them.
 
-    A float chain proposes the hull, and one exact pass certifies it
-    (``_is_upper_hull``).  The exact chain runs only where the certificate
-    fails or a coordinate or value overflows a float (``fys`` is None)."""
+    The chain (``_chain``) proposes the hull on floats, and one exact pass
+    certifies it (``_is_upper_hull``).  It runs again on Fractions only where
+    the certificate fails or a coordinate or value overflows a float (``fys``
+    is None): a float error can cost time, never change the hull."""
     try:
         fvs = fys and [num[j] / den[j] for _, _, j in coords]
     except OverflowError:
         fvs = None
-    hull = fvs and _float_hull(fys, fvs)
+    hull = fvs and _chain(fys, fvs)
     if hull and _is_upper_hull(coords, num, den, hull):
         return hull
     return _exact_hull(coords, num, den)
 
 
 def _bridge(coords, hull) -> tuple:
-    """The crossing pair on the upper hull edge over zero: its line supports
-    the upper hull there, so its chord is exactly the largest of all crossing
-    chords at dimension one, whichever pair on it was picked."""
-    p, q = _edge_over_zero(coords, hull)
-    (bk, db, im), (ak, da, ip) = coords[p], coords[q]
-    wp, wm = ak * db, -bk * da
-    return ip, im, wp, wm, wp + wm
+    """The crossing pair on the upper hull edge over zero, the one edge from
+    a minus to a plus point (the chain keeps both end points).  Its line
+    supports the upper hull there, so its chord is exactly the largest of all
+    crossing chords at dimension one, whichever pair on it was picked."""
+    for p, q in zip(hull, hull[1:]):
+        if coords[p][0] < 0 < coords[q][0]:
+            (bk, db, im), (ak, da, ip) = coords[p], coords[q]
+            wp, wm = ak * db, -bk * da
+            return ip, im, wp, wm, wp + wm
+    raise AffselError("hull does not span zero")  # unreachable with both signs present
 
 
 @dataclass
 class WorkingTable:
     """One recursion level: a working set with per-parameter values, its sign
     split, and what ``_select_level`` records there (the number of distinct
-    crossing points, the upper hull vertices of each section at dimension
-    one, the bracket [U, L] and the rule that picked the last coefficient, or
-    the base rule and constants at dimension zero).
+    crossing points, the bracket [U, L] and the rule that picked the last
+    coefficient, or the base rule and constants at dimension zero).
 
     ``points`` holds primitive integer vectors in canonical (lexicographic)
     order and ``values[x][j]`` the value at points[j] as its reduced integer
@@ -295,7 +272,6 @@ class WorkingTable:
     minus: List[int] = field(init=False)
     zero: List[int] = field(init=False)
     n_intersections: int = 0
-    hull: Optional[Dict[str, List[int]]] = None            # upper hull vertices per x (None: no bridge)
     upper: Optional[Dict[str, Optional[Fraction]]] = None  # U per x (None: no positive side)
     lower: Optional[Dict[str, Optional[Fraction]]] = None  # L per x (None: no negative side)
     rule: str = ""                                         # sandwich | lower-only | upper-only | zero | base
@@ -430,24 +406,25 @@ class WorkingTable:
                              values=values)
         return child, n_crossings, hulls
 
-    def bracket(self, b_rows, c_map):
+    def bracket(self, b_rows, c_map, hull=None):
         """U = max over plus points and L = min over minus points of
         (f - c - b.y) / y_k, with c and b over one common denominator e.
 
-        Where ``hull`` holds a section's upper hull vertices (dimension one),
-        only those are searched.  A point below the hull has a smaller slope
-        (f - C) / y than the hull over it, and on a hull edge with line a + b y
-        the slope b + (a - C) / y is monotone in y > 0.  On the edge over zero
-        a = H(0), the bridge chord, and the base constant C is at least that,
-        so the slope rises towards the edge's plus end.  So U is attained at a
-        plus vertex, and L, likewise, at a minus vertex."""
+        Where ``hull`` holds each section's upper hull vertices (``envelope``
+        gives them at dimension one), only those are searched.  A point below
+        the hull has a smaller slope (f - C) / y than the hull over it, and on
+        a hull edge with line a + b y the slope b + (a - C) / y is monotone in
+        y > 0.  On the edge over zero a = H(0), the bridge chord, and the base
+        constant C is at least that, so the slope rises towards the edge's
+        plus end.  So U is attained at a plus vertex, and L, likewise, at a
+        minus vertex."""
         upper: Dict[str, Optional[Fraction]] = {}
         lower: Dict[str, Optional[Fraction]] = {}
         for x, row in self.values.items():
             cq, *bq, e = primitive((c_map[x], *b_rows[x]))
             plus, minus = self.plus, self.minus
-            if self.hull is not None:
-                vertices = self.hull[x]
+            if hull is not None:
+                vertices = hull[x]
                 plus = [j for j in vertices if self.points[j][-2] > 0]
                 minus = [j for j in vertices if self.points[j][-2] < 0]
             upper[x] = self._extreme(plus, row, cq, bq, e, 1)
@@ -523,22 +500,19 @@ def select_table(n: int, xs: Tuple[str, ...], top: WorkingTable,
                  config: SelectConfig = SelectConfig()):
     """``select_affine`` on its top working table: ``top`` holds the points of
     an n-dimensional instance and a value row for each x in ``xs``, as
-    ``extend_domain`` makes them.  The recursion may rebind ``top.values``."""
+    ``extend_domain`` makes them.  ``top.values`` is cut to the distinct rows."""
     trace = RecursionTrace()
     # equal rows give equal selectors, so the recursion runs once per distinct
     # row, on the first x that holds it, and every x reads that x's results
     first: Dict[tuple, str] = {}
     rep = {x: first.setdefault(top.values[x], x) for x in xs}
-    shared = len(first) < len(xs)
-    if shared:
-        top.values = {x: top.values[x] for x in first.values()}
+    top.values = {x: top.values[x] for x in first.values()}
     b_rows, c_map = _select_level(top, config, trace.levels)
-    if shared:      # the trace holds every x, in xs order, as reports do
-        for level in trace.levels:
-            for name in ("values", "upper", "lower", "base_c", "hull"):
-                table = getattr(level, name)
-                if table is not None:
-                    setattr(level, name, {x: table[rep[x]] for x in xs})
+    for level in trace.levels:      # the trace holds every x, in xs order, as reports do
+        for name in ("values", "upper", "lower", "base_c"):
+            table = getattr(level, name)
+            if table is not None:
+                setattr(level, name, {x: table[rep[x]] for x in xs})
     selector = AffineSelector(
         n=n,
         xs=xs,
@@ -566,11 +540,11 @@ def _select_level(working: WorkingTable, config: SelectConfig, levels):
     if working.dim == 0:
         return {x: [] for x in xs}, _base_case(working, config)
 
-    child, working.n_intersections, working.hull = working.envelope()
+    child, working.n_intersections, hull = working.envelope()
     b_rows, c_map = _select_level(child, config, levels)
 
     # sandwich() raises BracketViolationError where U > L
-    upper, lower = working.bracket(b_rows, c_map)
+    upper, lower = working.bracket(b_rows, c_map, hull)
     working.upper, working.lower = upper, lower
     if working.plus and working.minus:
         working.rule = "sandwich"

@@ -35,15 +35,16 @@ def make_instance(n, points, rows, xs=None):
 
 @pytest.fixture
 def exact_hull_calls(monkeypatch) -> list:
-    """A list that grows by one for each exact cross test of the
-    dimension-one hull, the bridge's fallback."""
+    """A list that grows by one for each run of the exact chain of the
+    dimension-one hull, on Fractions: the fallback where the float chain's
+    hull is not certified."""
     from affsel import hyperplane
     calls = []
-    exact = hyperplane._cross_nonneg_int
+    exact = hyperplane._exact_hull
 
-    def counted(o, a, b):
+    def counted(coords, num, den):
         calls.append(None)
-        return exact(o, a, b)
+        return exact(coords, num, den)
 
-    monkeypatch.setattr(hyperplane, "_cross_nonneg_int", counted)
+    monkeypatch.setattr(hyperplane, "_exact_hull", counted)
     return calls

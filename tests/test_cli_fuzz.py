@@ -1,7 +1,8 @@
 """The CLI contract on any file and any ladder flags: whatever an instance or
 selector file holds, `affsel select` and `affsel verify` exit 0, 1 or 2, write
-at most one line to stderr, and let no exception escape.  Exit 1 writes nothing
-to stdout; exits 0 and 2 write one JSON report.
+at most one line to stderr, and let no exception escape, each example within
+``DEADLINE``.  Exit 1 writes nothing to stdout; exits 0 and 2 write one JSON
+report.
 
 Files are drawn small (n <= 3, at most 4 points and 3 parameters): about
 half are well formed, so the pipelines run to the end, and the rest have one
@@ -16,6 +17,7 @@ import contextlib
 import io
 import json
 import tempfile
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +39,10 @@ LAMBDAS = st.one_of(st.integers(1, 2 ** 64).map(str),
                     st.sampled_from(["1", "2^20", "2^14000", "2^14285", "10^5000", "1^99999",
                                      "0^0", "0", "-1", "2^-1", "1.5", "", "x", "9" * 4301]))
 DOUBLINGS = st.one_of(st.integers(0, 3).map(str), st.sampled_from(["300", "14400", "-1", "x"]))
+# the per-example time bound: at 1,500 examples per property the slowest
+# example took 0.36 s (the ladder flags; 0.10-0.34 s elsewhere, 4-6 ms on
+# average, Python 3.11 on a shared 2-vCPU x86-64 VM), over ten times less
+DEADLINE = timedelta(seconds=5)
 
 
 def rows(draw, count, width):
@@ -153,47 +159,47 @@ def run_in_process(argv_of, *docs) -> None:
         assert isinstance(json.loads(out.getvalue()), dict)
 
 
-@settings(max_examples=120)
+@settings(max_examples=120, deadline=DEADLINE)
 @given(instance_docs(), st.sampled_from(PIPELINES), st.booleans())
 def test_select_on_any_instance_file_exits_0_1_or_2(doc, pipeline, verify):
     flags = ("--verify",) if verify else ()
     run_in_process(lambda path: ["select", pipeline[0], path, *pipeline[1:], *flags], doc)
 
 
-@settings(max_examples=120)
+@settings(max_examples=120, deadline=DEADLINE)
 @given(verify_cases())
 def test_verify_on_any_selector_file_exits_0_1_or_2(case):
     inst, selector, kind = case
     run_in_process(lambda i, s: ["verify", i, s, "--kind", kind], inst, selector)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=DEADLINE)
 @given(st.data(), instance_docs(), st.sampled_from(PIPELINES))
 def test_select_on_raw_bytes_exits_0_1_or_2(data, doc, pipeline):
     run_in_process(lambda path: ["select", pipeline[0], path, *pipeline[1:]], raw(data.draw, doc))
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=DEADLINE)
 @given(st.data(), verify_cases())
 def test_verify_on_raw_bytes_exits_0_1_or_2(data, case):
     inst, selector, kind = case
     run_in_process(lambda i, s: ["verify", i, s, "--kind", kind], inst, raw(data.draw, selector))
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=DEADLINE)
 @given(instance_docs(), st.sampled_from(LADDER_PIPELINES), LAMBDAS, DOUBLINGS)
 def test_select_with_any_ladder_flags_exits_0_1_or_2(doc, pipeline, lambda_max, doublings):
     run_in_process(lambda path: ["select", pipeline[0], path, *pipeline[1:],
                                  f"--lambda-max={lambda_max}", f"--doublings={doublings}"], doc)
 
 
-@settings(max_examples=120)
+@settings(max_examples=120, deadline=DEADLINE)
 @given(sandwich_cases(), st.sampled_from(["midpoint", "staged"]))
 def test_sandwich_on_any_function_files_exits_0_1_or_2(docs, mode):
     run_in_process(lambda u, l: ["sandwich", u, l, "--mode", mode], *docs)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=DEADLINE)
 @given(st.data(), sandwich_cases(), st.sampled_from(["midpoint", "staged"]))
 def test_sandwich_on_raw_bytes_exits_0_1_or_2(data, docs, mode):
     which = data.draw(st.sampled_from([(0,), (1,), (0, 1)]))

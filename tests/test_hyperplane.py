@@ -226,7 +226,7 @@ class TestBracketCheck:
 
     @pytest.fixture
     def inverted_bracket(self, monkeypatch):
-        def bracket(level, b_rows, c_map):
+        def bracket(level, b_rows, c_map, hull=None):
             xs = level.values
             return {x: Fraction(1) for x in xs}, {x: Fraction(0) for x in xs}
         monkeypatch.setattr(WorkingTable, "bracket", bracket)

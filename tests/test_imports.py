@@ -69,6 +69,21 @@ def test_oracle_shares_no_code_with_the_selector():
     assert package_imports((SRC / "oracle.py").read_text(encoding="utf-8")) <= {"numerics"}
 
 
+def oracle_imports(source: str) -> list:
+    """The import statements of ``source`` that reach the oracle module."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and "oracle" in package_imports(ast.unparse(node))]
+
+
+def test_the_selector_calls_the_oracle_only_to_certify_exact_flags():
+    # the kernel never reads the oracle; the cone lift calls it only to check
+    # whether a section's residual was needed, and reads its samples itself
+    assert oracle_imports((SRC / "hyperplane.py").read_text(encoding="utf-8")) == []
+    assert oracle_imports((SRC / "conelift.py").read_text(encoding="utf-8")) == [
+        "from .oracle import check_domination"]
+
+
 def test_detects_package_imports():
     assert package_imports("from . import hyperplane\nfrom .numerics import Scalar\n"
                            "import affsel.conelift\nfrom affsel import sandwich\n"
