@@ -4,10 +4,16 @@ feasibility decision procedure.
 The feasibility oracle decides, by Fourier-Motzkin elimination, whether a
 finite value table admits an affine (or linear) dominator, and
 back-substitutes a deterministic witness or replays an infeasibility
-certificate.  The elimination runs in integers: each row is a primitive
-integer inequality, and its combination of the input constraints is held as
-integer multipliers over one integer scale; Fractions are built only for the
-witness and the certificate.  Chernikov's rule (after t eliminations, a row
+certificate.  The elimination runs in integers from its input to its answer.
+Its entry, ``solve_rows``, takes the constraints as integer rows already in
+canonical order: each point as its primitive integer vector and each value as
+an integer pair, negated on request, which is how the subgradient backend
+hands over a shifted group.  ``fm_feasible`` and ``exact_linear_select`` are
+the Fraction adapter in front of it: they sort the constraints and convert
+them.  Each row of the elimination is a primitive integer inequality, and its
+combination of the input constraints is held as integer multipliers over one
+integer scale; Fractions are built only for the witness and for a
+certificate.  Chernikov's rule (after t eliminations, a row
 that combines more than t + 1 input constraints is implied by the others)
 keeps the rows from multiplying.  The oracle imports only ``numerics`` and
 shares no code path with the recursive selector, so agreement between the
@@ -113,11 +119,10 @@ def _merged(kind: str, xs: Sequence[str], reports) -> DominationReport:
                             failures=failures)
 
 
-def pair_rows(inst, negate: bool = False) -> Dict[str, List[Tuple[int, int]]]:
+def pair_rows(inst) -> Dict[str, List[Tuple[int, int]]]:
     """The instance's values as the rows ``check_domination`` takes: each
-    value v (or -v, with ``negate``) as its reduced integer pair."""
-    sign = -1 if negate else 1
-    return {x: [(sign * s.value.numerator, s.value.denominator) for s in inst.values[x]]
+    value as its reduced integer pair."""
+    return {x: [(s.value.numerator, s.value.denominator) for s in inst.values[x]]
             for x in inst.xs}
 
 
@@ -165,15 +170,21 @@ def verify_feature_domination(inst, selector, phi: Mapping[Point, Point]) -> Dom
 
 def verify_subgradient_domination(groups, selector) -> DominationReport:
     """Check p(x).y - epsilon(x) <= g(x, y) on every shifted section group
-    (objects with ``instance`` and ``xs``), as -g <= epsilon + (-p).y, whose
-    slack g - p.y + epsilon is the same."""
-    groups = list(groups)
-    return _merged("subgradient", [x for g in groups for x in g.xs], (
-        check_domination("subgradient", g.xs, g.instance.ys.points,
-                         pair_rows(g.instance, negate=True),
-                         {x: selector.epsilon[x].value for x in g.xs},
-                         {x: [-c for c in selector.p[x].raw()] for x in g.xs})
-        for g in groups))
+    (``subgradient.ShiftGroup``), as -g <= epsilon + (-p).y, whose slack
+    g - p.y + epsilon is the same.  It reads each group's value pairs and
+    integer vectors, and its ``instance`` only to name a failing point."""
+    reports = []
+    for g in groups:
+        neg = [(-p, q) for p, q in g.pairs]
+        report = check_domination(
+            "subgradient", g.xs, range(len(neg)), dict.fromkeys(g.xs, neg),
+            {x: selector.epsilon[x].value for x in g.xs},
+            {x: [-c for c in selector.p[x].raw()] for x in g.xs}, at=g.vectors)
+        if report.failures:
+            points = g.instance.ys.points
+            report.failures = [(x, points[j], s) for x, j, s in report.failures]
+        reports.append(report)
+    return _merged("subgradient", [x for r in reports for x in r.min_slack], reports)
 
 
 # ---------------------------------------------------------------------------
@@ -276,32 +287,46 @@ def _eliminate(rows: list, var: int, t: int) -> Tuple[list, Optional[tuple]]:
     return out, None
 
 
-def _certificate(row: tuple, canon) -> FeasibilityResult:
+def _certificate(row: tuple, at, pairs, sign: int) -> FeasibilityResult:
     _, _, _, combo, scale = row
     multipliers = {i: Fraction(m, scale) for i, m in combo}
+    constraints = [(tuple([Fraction(a, v[-1]) for a in v[:-1]]), Fraction(sign * p, q))
+                   for v, (p, q) in zip(at, pairs)]
     return FeasibilityResult(feasible=False,
-                             certificate=InfeasibilityCertificate(multipliers, canon))
+                             certificate=InfeasibilityCertificate(multipliers, constraints))
 
 
-def _solve_system(constraints: List[Tuple[Tuple[Fraction, ...], Fraction]],
-                  width: int) -> FeasibilityResult:
-    """Decide {v : coeffs_i . v >= rhs_i} nonempty; deterministic witness."""
-    # the witness depends on the constraint set only; canonical order makes
-    # the certificate independent of input order too
-    canon = sorted(constraints)
+def solve_rows(at: Sequence[tuple], pairs: Sequence[Tuple[int, int]], width: int,
+               negate: bool = False) -> FeasibilityResult:
+    """Decide {v : y_i . v >= r_i} nonempty, with a deterministic witness.
+
+    y_i has ``width`` coordinates and is given as its primitive integer
+    vector at[i] = (a_1, .., a_width, d), y_i = a / d (``numerics.primitive``);
+    r_i is p / q, or -p / q with ``negate``, for the integer pair
+    pairs[i] = (p, q), q > 0.  The constraints come in canonical order:
+    sorted, as a canonical sample with one value per point is.  Fractions are
+    built only for the witness and a certificate, which indexes the
+    constraints in this order.
+    """
+    sign = -1 if negate else 1
     rows, seen = [], set()
-    for i, (coords, value) in enumerate(canon):
-        d = lcm(*(v.denominator for v in coords), value.denominator)
-        coeffs = tuple(v.numerator * (d // v.denominator) for v in coords)
-        rhs = value.numerator * (d // value.denominator)
+    for i, (vec, (p, q)) in enumerate(zip(at, pairs, strict=True)):
+        # the constraint times m = lcm(d, q), then divided by the gcd g of the
+        # integer row: the row is m / g times the constraint
+        d = vec[-1]
+        m = lcm(d, q)
+        u = m // d
+        coeffs = vec[:-1] if u == 1 else tuple([a * u for a in vec[:-1]])
+        rhs = sign * p * (m // q)
         if rhs <= 0 and not any(coeffs):
             continue                     # 0 >= 0 or 0 >= negative
         g = gcd(*coeffs, rhs)
-        coeffs, rhs = tuple(c // g for c in coeffs), rhs // g
-        h = gcd(d, g)
-        row = (coeffs, rhs, 1 << i, ((i, d // h),), g // h)
+        if g > 1:
+            coeffs, rhs = tuple([c // g for c in coeffs]), rhs // g
+        h = gcd(m, g)
+        row = (coeffs, rhs, 1 << i, ((i, m // h),), g // h)
         if not any(coeffs):
-            return _certificate(row, canon)
+            return _certificate(row, at, pairs, sign)
         if (coeffs, rhs) not in seen:
             seen.add((coeffs, rhs))
             rows.append(row)
@@ -310,7 +335,7 @@ def _solve_system(constraints: List[Tuple[Tuple[Fraction, ...], Fraction]],
     for t, var in enumerate(range(width - 1, -1, -1), start=1):
         rows, bad = _eliminate(rows, var, t)
         if bad is not None:
-            return _certificate(bad, canon)
+            return _certificate(bad, at, pairs, sign)
         stages.append(rows)
 
     # back-substitution: variable j is chosen from the stage where it is the
@@ -329,18 +354,31 @@ def _solve_system(constraints: List[Tuple[Tuple[Fraction, ...], Fraction]],
                     lo = (rest, s)
             elif hi is None or rest * hi[1] > hi[0] * s:
                 hi = (-rest, -s)
+        # the value num / v_den, reduced
         if lo is not None and hi is not None:
-            v = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1] * den)
+            num, v_den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1] * den
         elif lo is not None or hi is not None:
-            num, d = lo or hi
-            v = Fraction(num, d * den)
+            num, v_den = lo or hi
+            v_den *= den
         else:
-            v = Fraction(0)
-        grown = lcm(den, v.denominator)
-        nums = [m * (grown // den) for m in nums] + [v.numerator * (grown // v.denominator)]
+            num, v_den = 0, 1
+        r = gcd(num, v_den)
+        num, v_den = num // r, v_den // r
+        grown = lcm(den, v_den)
+        nums = [m * (grown // den) for m in nums] + [num * (grown // v_den)]
         den = grown
     return FeasibilityResult(feasible=True,
                              witness=tuple(Scalar(Fraction(m, den)) for m in nums))
+
+
+def _solve_system(constraints: List[Tuple[Tuple[Fraction, ...], Fraction]],
+                  width: int) -> FeasibilityResult:
+    """Decide {v : coeffs_i . v >= rhs_i} nonempty; deterministic witness."""
+    # the witness depends on the constraint set only; canonical order makes
+    # the certificate independent of input order too
+    canon = sorted(constraints)
+    return solve_rows([primitive(c) for c, _ in canon],
+                      [v.as_integer_ratio() for _, v in canon], width)
 
 
 def fm_feasible(points: PointSet, values: Mapping[str, Sequence[Scalar]],

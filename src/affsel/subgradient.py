@@ -1,22 +1,30 @@
 """Subgradient selection at a base point for parameter-dependent convex
 sections, by reduction to linear selection on the negated values.
 
-The exact backend asks the feasibility oracle for a zero-residual answer;
-the cone backend runs the lift-based linear selection and inherits its
-certified residual.  Sections are grouped by shape (identical shifted
-point/value data), so equal sections get bitwise-equal answers for free.
+Sections are shifted so that the base point is the origin and the value there
+is zero, and grouped by shape (identical shifted point/value data), so equal
+sections get bitwise-equal answers for free.  The shift runs in integers: a
+group holds its value row as reduced integer pairs and its sample as
+primitive integer vectors, and builds its ``Instance`` of Points and Scalars
+only when a caller reads it.
+
+The exact backend hands each group's integer rows, negation folded in, to the
+feasibility oracle for a zero-residual answer; the cone backend runs the
+lift-based linear selection on the negated view and inherits its certified
+residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .numerics import AffselError, Point, PointSet, Scalar, origin_point
+from .numerics import AffselError, Point, PointSet, Scalar, origin_point, primitive
 from .hyperplane import Instance
 from .conelift import LinearConfig, select_linear
-from .oracle import InfeasibleSectionsError, exact_linear_select
+from .oracle import InfeasibleSectionsError, solve_rows
 
 
 class NotNormalizedError(AffselError):
@@ -44,10 +52,83 @@ class ConvexSectionInstance:
         return self.y0[x]
 
 
-@dataclass(frozen=True)
+class _Sample:
+    """The sample ``ys`` translated so that its point j0 is the origin, shared
+    by the groups of one base point; with no ``origin``, ``ys`` itself.
+    Translation keeps the lexicographic order and merges no points, so the
+    translate is canonical as it stands.  Its integer vectors and its Points
+    are each built on first read, the vectors of a translate in integers from
+    those of ``origin``, the untranslated sample."""
+
+    def __init__(self, ys: PointSet, origin: Optional["_Sample"] = None, j0: int = 0):
+        self.ys, self._origin, self._j0 = ys, origin, j0
+        self._vectors: Optional[List[tuple]] = None
+        self._points: Optional[PointSet] = None
+
+    def vectors(self) -> List[tuple]:
+        if self._vectors is None:
+            if self._origin is None:
+                self._vectors = [primitive(p.raw()) for p in self.ys.points]
+            else:
+                at = self._origin.vectors()
+                *c, e = at[self._j0]
+                out = []
+                for *a, d in at:
+                    # a / d - c / e = (a e - c d) / (d e), made primitive
+                    v = [ai * e - ci * d for ai, ci in zip(a, c)]
+                    v.append(d * e)
+                    g = gcd(*v)
+                    out.append(tuple([t // g for t in v]) if g > 1 else tuple(v))
+                self._vectors = out
+        return self._vectors
+
+    def points(self) -> PointSet:
+        if self._origin is None:
+            return self.ys
+        if self._points is None:
+            self._points = PointSet(self.ys.dim, [
+                Point([Scalar(Fraction(a, v[-1])) for a in v[:-1]]) for v in self.vectors()])
+        return self._points
+
+
 class ShiftGroup:
-    instance: Instance            # single shared section shape, one or more xs
-    xs: Tuple[str, ...]
+    """Sections that share one shifted shape: the translated sample and the
+    one value row they all have on it.
+
+    ``pairs`` holds the row as reduced integer pairs (p, q) of p / q, and
+    ``vectors`` the sample as primitive integer vectors, in the sample's
+    canonical order; the oracle reads these.  ``instance`` is the same data
+    as an ``Instance`` of Points and Scalars, built on first read.  A group
+    made from an instance takes its sample and its sections' one row from it.
+    """
+
+    def __init__(self, xs, instance: Optional[Instance] = None, *,
+                 sample: Optional[_Sample] = None,
+                 pairs: Optional[Tuple[Tuple[int, int], ...]] = None,
+                 row: Optional[Tuple[Scalar, ...]] = None):
+        self.xs = tuple(xs)
+        if instance is not None:
+            row = instance.values[self.xs[0]]
+            if any(instance.values[x] != row for x in self.xs[1:]):
+                raise AffselError("the sections of a shift group must share one row")
+            sample, pairs = _Sample(instance.ys), tuple([v.value.as_integer_ratio() for v in row])
+        self.pairs = pairs
+        self._sample, self._row, self._instance = sample, row, instance
+
+    @property
+    def vectors(self) -> List[tuple]:
+        return self._sample.vectors()
+
+    @property
+    def instance(self) -> Instance:
+        if self._instance is None:
+            row = self._row
+            if row is None:
+                row = tuple([Scalar(Fraction(p, q)) for p, q in self.pairs])
+            ys = self._sample.points()
+            self._instance = Instance(n=ys.dim, xs=self.xs, ys=ys,
+                                      values=dict.fromkeys(self.xs, row))
+        return self._instance
 
 
 @dataclass(frozen=True)
@@ -59,39 +140,40 @@ def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
     """Translate each section so its base point is the origin and its value
     there is zero.  Sections with identical shifted data share one group.
 
-    The sample is shifted once per distinct base point.  Translation keeps the
-    lexicographic order and merges no points, so the shifted sample is a
-    canonical point set as it stands; and translates of one finite set are
-    equal only under equal bases, so sections are grouped by (base, shifted
-    values).
+    The sample is shifted once per distinct base point, in integers and only
+    when read.  Translates of one finite set are equal only under equal
+    bases, so sections are grouped by (base, shifted values); the values are
+    shifted as reduced integer pairs.  A section whose base is the origin
+    keeps the sample, and one whose value there is zero keeps its row.
     """
     inst = csi.instance
-    shifted: Dict[tuple, Tuple[int, PointSet]] = {}     # base -> (index, sample)
-    groups: Dict[tuple, list] = {}
+    itself = _Sample(inst.ys)
+    zero = (Fraction(0),) * inst.n
+    samples: Dict[tuple, Tuple[int, _Sample]] = {}      # base -> (index, sample)
+    groups: Dict[tuple, tuple] = {}     # (index, pairs) -> (sample, pairs, row, xs)
     for x in inst.xs:
-        base = csi.base_point(x).raw()
-        entry = shifted.get(base)
+        base = zero if csi.y0 is None else csi.y0[x].raw()
+        entry = samples.get(base)
         if entry is None:
             j0 = inst.ys.index_of(base)
             if j0 is None:
                 raise ShiftDomainError(f"base point of x={x} is not a sample point")
-            ys = inst.ys
-            if any(base):
-                ys = PointSet(inst.n, [Point(Scalar(c - b) for c, b in zip(p.raw(), base))
-                                       for p in ys.points])
-            entry = shifted[base] = (j0, ys)
-        j0, ys = entry
+            entry = samples[base] = (j0, _Sample(inst.ys, itself, j0) if any(base) else itself)
+        j0, sample = entry
         row = inst.values[x]
-        g0 = row[j0].value
-        values = tuple([Scalar(v.value - g0) for v in row]) if g0 else tuple(row)
-        # numerator/denominator pairs hash much faster than Fractions
-        key = (j0, tuple((v.value.numerator, v.value.denominator) for v in values))
-        groups.setdefault(key, (ys, values, []))[2].append(x)
+        pairs = [v.value.as_integer_ratio() for v in row]
+        p0, q0 = pairs[j0]
+        if p0:
+            row = None
+            for j, (p, q) in enumerate(pairs):
+                num, den = p * q0 - p0 * q, q * q0
+                g = gcd(num, den)
+                pairs[j] = (num // g, den // g)
+        key = (j0, tuple(pairs))
+        groups.setdefault(key, (sample, key[1], row, []))[3].append(x)
     return ShiftedSections(groups=tuple(
-        ShiftGroup(instance=Instance(n=inst.n, xs=tuple(xs), ys=ys,
-                                     values=dict.fromkeys(xs, values)),
-                   xs=tuple(xs))
-        for ys, values, xs in groups.values()))
+        ShiftGroup(xs, sample=sample, pairs=pairs, row=row)
+        for sample, pairs, row, xs in groups.values()))
 
 
 @dataclass(frozen=True)
@@ -176,23 +258,22 @@ def select_subgradient(csi: ConvexSectionInstance,
     eps_map: Dict[str, Scalar] = {}
     exact_map: Dict[str, bool] = {}
     for group in sections.groups:
-        # every section of a group has the same data: solve the first, negated
-        rep, gi = group.xs[0], group.instance
-        single = Instance(n=gi.n, xs=(rep,), ys=gi.ys,
-                          values={rep: tuple([Scalar(-v.value) for v in gi.values[rep]])})
+        # every section of a group has the same data: solve it once, negated
         if config.backend == "exact":
-            try:
-                witness = exact_linear_select(single)[rep]
-            except InfeasibleSectionsError as exc:
-                raise InfeasibleSectionsError(
-                    dict.fromkeys(group.xs, exc.infeasible[rep])) from None
+            result = solve_rows(group.vectors, group.pairs, inst.n, negate=True)
+            if not result.feasible:
+                raise InfeasibleSectionsError(dict.fromkeys(group.xs, result.certificate))
+            witness = [c.value for c in result.witness]
             eps, exact = Scalar(Fraction(0)), True
         elif config.backend == "cone":
+            rep, gi = group.xs[0], group.instance
+            single = Instance(n=gi.n, xs=(rep,), ys=gi.ys,
+                              values={rep: tuple([Scalar(-v.value) for v in gi.values[rep]])})
             sel = select_linear(single, config.linear)
-            witness, eps, exact = sel.a[rep], sel.epsilon[rep], sel.exact[rep]
+            witness, eps, exact = sel.a[rep].raw(), sel.epsilon[rep], sel.exact[rep]
         else:
             raise AffselError(f"unknown backend {config.backend!r}")
-        p_rep = Point(Scalar(-c) for c in witness.raw())
+        p_rep = Point([Scalar(-c) for c in witness])
         for x in group.xs:
             p_map[x], eps_map[x], exact_map[x] = p_rep, eps, exact
     return SubgradientSelector(xs=inst.xs, p=p_map, epsilon=eps_map,

@@ -10,7 +10,7 @@ from affsel import oracle
 from affsel.conelift import LinearSelector
 from affsel.hyperplane import AffineSelector, Instance, select_affine
 from affsel.instances import gen_affine_dominated
-from affsel.numerics import Point, PointSet, Scalar
+from affsel.numerics import Point, PointSet, Scalar, primitive
 from affsel.oracle import (
     DominationReport,
     InfeasibleSectionsError,
@@ -541,3 +541,91 @@ class TestFmAgainstReference:
         assert fm_feasible(points, {"x0": row}, homogeneous=True)["x0"].feasible
         # some rows sit on the bound
         assert max(seen) == 0
+
+
+# sample coordinates; values take RATIONALS, large denominators included
+COORDS = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+
+@st.composite
+def shifted_sections(draw):
+    """A canonical sample without duplicate points (n = 0..3, at most 12
+    points, the origin often among them) and one value row with value zero
+    at the origin: convex (a max of linear functions, so the negated system
+    is feasible), concave (a min of them: infeasible unless they agree on the
+    sample), or free values."""
+    n = draw(st.integers(0, 3))
+    origin = (Fraction(0),) * n
+    coords = set(draw(st.lists(st.tuples(*[COORDS] * n), max_size=11, unique=True)))
+    if draw(st.booleans()):
+        coords.add(origin)
+    points = PointSet(n, [Point.of(*c) for c in sorted(coords)])
+    kind = draw(st.sampled_from(["convex", "concave", "free"]))
+    if kind == "free":
+        row = [Fraction(0) if p.raw() == origin else draw(RATIONALS) for p in points]
+    else:
+        slopes = draw(st.lists(st.tuples(*[RATIONALS] * n), min_size=1, max_size=3))
+        pick = max if kind == "convex" else min
+        row = [pick(sum((a * y for a, y in zip(s, p.raw())), Fraction(0)) for s in slopes)
+               for p in points]
+    return points, [exact(v) for v in row]
+
+
+class TestIntegerEntry:
+    """``solve_rows`` on integer vectors and value pairs against the Fraction
+    paths: ``fm_feasible`` on the same values (negated, as the subgradient
+    backend asks) and the reference elimination."""
+
+    @given(shifted_sections(), st.booleans())
+    def test_matches_fraction_paths(self, section, negate):
+        points, row = section
+        sign = -1 if negate else 1
+        signed = [exact(sign * v.value) for v in row]
+        got = oracle.solve_rows([primitive(p.raw()) for p in points],
+                                [v.value.as_integer_ratio() for v in row], points.dim,
+                                negate=negate)
+        want = fm_feasible(points, {"x0": signed}, homogeneous=True)["x0"]
+        assert got.feasible == want.feasible
+        if got.feasible:
+            assert got.witness == want.witness
+            assert got.certificate is None
+        else:
+            assert got.witness is None
+            assert got.certificate.multipliers == want.certificate.multipliers
+            assert got.certificate.constraints == want.certificate.constraints
+            assert got.certificate.replays_to_contradiction()
+            assert want.certificate.replays_to_contradiction()
+        # last, as it costs the most: about a second on 12 points at n = 3,
+        # which a failing example's shrinking would pay many times over
+        feasible, witness, _ = reference_solve_system(
+            fm_constraints(points, signed, True), points.dim)
+        assert got.feasible == feasible
+        if feasible:
+            assert tuple(s.value for s in got.witness) == witness
+
+    def test_proportional_constraints_enter_the_elimination_once(self, monkeypatch):
+        # y = 1, 2, 3 with values 2, 4, 6 (negated) are one constraint a >= -2
+        # once each row is divided by its gcd; -1 with value 5 is a second
+        real, seen = oracle._eliminate, []
+
+        def recorded(rows, var, t):
+            seen.append([row[:2] for row in rows])
+            return real(rows, var, t)
+
+        monkeypatch.setattr(oracle, "_eliminate", recorded)
+        got = oracle.solve_rows([(-1, 1), (1, 1), (2, 1), (3, 1)],
+                                [(5, 1), (2, 1), (4, 1), (6, 1)], 1, negate=True)
+        assert seen == [[((-1,), -5), ((1,), -2)]]
+        assert got.witness == (exact(Fraction(3, 2)),)
+
+    def test_concave_at_the_origin_is_infeasible(self):
+        # -|y| on {-1, 0, 1}: no p with p.y <= g(y) on both sides
+        points = PointSet(1, [Point.of(-1), Point.of(0), Point.of(1)])
+        got = oracle.solve_rows([primitive(p.raw()) for p in points],
+                                [(-1, 1), (0, 1), (-1, 1)], 1, negate=True)
+        assert not got.feasible
+        assert got.certificate.multipliers == {0: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert got.certificate.constraints == [((Fraction(-1),), Fraction(1)),
+                                               ((Fraction(0),), Fraction(0)),
+                                               ((Fraction(1),), Fraction(1))]
+        assert got.certificate.replays_to_contradiction()

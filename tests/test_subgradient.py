@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from affsel import oracle
+from affsel import subgradient
 from affsel.conelift import LinearConfig
 from affsel.hyperplane import Instance
 from affsel.instances import gen_convex_sections
-from affsel.numerics import AffselError, Point, Scalar
+from affsel.numerics import AffselError, Point, Scalar, primitive
 from affsel.oracle import InfeasibleSectionsError, verify_subgradient_domination
 from affsel.subgradient import (
     ConvexSectionInstance,
@@ -14,6 +14,7 @@ from affsel.subgradient import (
     NotNormalizedError,
     ShiftDomainError,
     SubgradientConfig,
+    SubgradientSelector,
     check_midpoint_convexity,
     select_subgradient,
     shift_to_origin,
@@ -105,6 +106,11 @@ def assert_same_groups(csi):
     got, want = shift_to_origin(csi).groups, reference_shift_to_origin(csi)
     assert [g.xs for g in got] == [g.xs for g in want]
     for g, w in zip(got, want):
+        # the integer rows and vectors the oracle reads, before the view is built
+        for x in g.xs:
+            assert g.pairs == tuple(v.value.as_integer_ratio() for v in w.instance.values[x])
+        assert g.vectors == [primitive(p.raw()) for p in w.instance.ys.points]
+        assert g.vectors == [primitive(p.raw()) for p in g.instance.ys.points]
         assert g.instance.n == w.instance.n and g.instance.xs == w.instance.xs
         assert g.instance.ys == w.instance.ys
         assert {x: tuple(v) for x, v in g.instance.values.items()} == dict(w.instance.values)
@@ -140,6 +146,51 @@ class TestShiftAgainstReference:
         assert [g.xs for g in groups] == [("x0",), ("x1",)]
         assert groups[0].instance.values["x0"] == groups[1].instance.values["x1"]
         assert groups[0].instance.ys != groups[1].instance.ys
+
+
+def refuse_instance(monkeypatch):
+    def refused(group):
+        raise AssertionError("the exact path read a group's instance")
+    monkeypatch.setattr(ShiftGroup, "instance", property(refused))
+
+
+class TestIntegerPath:
+    """The exact backend and its check run on each group's integer rows and
+    vectors alone; the Instance view is built only when a caller reads it."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_select_and_verify_never_read_the_view(self, n, monkeypatch):
+        for seed in range(3):
+            for shifted in (False, True):
+                doc = gen_convex_sections(seed, n, 4, 7, k=2, shifted=shifted)
+                csi = ConvexSectionInstance(instance=doc.to_instance(), y0=doc.y0_table())
+                want = select_subgradient(csi)
+                with monkeypatch.context() as m:
+                    refuse_instance(m)
+                    sel = select_subgradient(csi)
+                    assert verify_subgradient_domination(shift_to_origin(csi).groups,
+                                                         sel).passed
+                assert sel.serialize() == want.serialize()
+
+    def test_a_failure_reads_the_view_to_name_its_point(self):
+        csi = ConvexSectionInstance(instance=ABS, y0={"x0": Point.of(1)})
+        sel = SubgradientSelector(xs=("x0",), p={"x0": Point.of(-3)},
+                                  epsilon={"x0": exact(0)}, backend="exact")
+        # shifted to {-2, -1, 0} with values (0, -1, 0): -3 . -2 = 6 > 0
+        rep = verify_subgradient_domination(shift_to_origin(csi).groups, sel)
+        assert rep.failures == [("x0", Point.of(-2), exact(-6)), ("x0", Point.of(-1), exact(-4))]
+
+    def test_a_group_from_an_instance_needs_one_row(self):
+        two = make_instance(1, [Point.of(0), Point.of(1)],
+                            {"x0": [exact(0), exact(1)], "x1": [exact(0), exact(2)]})
+        with pytest.raises(AffselError, match="share one row"):
+            ShiftGroup(instance=two, xs=("x0", "x1"))
+        assert ShiftGroup(instance=two, xs=("x1",)).pairs == ((0, 1), (2, 1))
+
+    def test_the_origin_base_reuses_the_sample_and_row(self):
+        (group,) = shift_to_origin(ConvexSectionInstance(instance=ABS)).groups
+        assert group.instance.ys is ABS.ys
+        assert group.instance.values["x0"] is ABS.values["x0"]
 
 
 class TestSelectSubgradient:
@@ -235,16 +286,20 @@ class TestSelectSubgradient:
 
     def test_one_system_per_group(self, monkeypatch):
         calls = []
-        real = oracle.fm_feasible
-
-        def counting(points, values, homogeneous):
-            calls.append(tuple(values))
-            return real(points, values, homogeneous)
-
-        monkeypatch.setattr(oracle, "fm_feasible", counting)
+        real = subgradient.solve_rows
         row = [exact(1), exact(0), exact(1)]
         inst = make_instance(1, [Point.of(-1), Point.of(0), Point.of(1)],
                              {"x0": row, "x1": [exact(2), exact(0), exact(2)], "x2": row})
+        # each call names the first section whose row it solves
+        first = {}
+        for x in inst.xs:
+            first.setdefault(tuple(v.value.as_integer_ratio() for v in inst.values[x]), x)
+
+        def counting(at, pairs, width, negate=False):
+            calls.append((first[tuple(pairs)],))
+            return real(at, pairs, width, negate)
+
+        monkeypatch.setattr(subgradient, "solve_rows", counting)
         select_subgradient(ConvexSectionInstance(instance=inst))
         # x0 and x2 form one group: one call, for one section, per group
         assert calls == [("x0",), ("x1",)]
