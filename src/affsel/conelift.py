@@ -27,16 +27,18 @@ lambda * (b.y - v) + C >= 0, linear in lambda, so holding at both ends it
 holds at every scale between; further rungs would add points, no constraints.
 
 The lift runs in integers, and what does not depend on the ladder is read
-once per selection from the sample's top table (``_read_rays``); the oracle
-is called only to certify the exact flags.  A sample point y = a / d
-(``numerics.primitive``) lies at t = gcd(a) / d on the ray of the primitive
-direction a / gcd(a), and its unit-rung value is t M(x, ray), M being the
-largest f / t over the ray's sample points (at the origin, f(x, 0)), held as
-a reduced integer pair.  An attempt only scales: at rung lambda the copy of y
-is the vector (lambda a, d) / gcd(lambda, d) and its value the pair
-(lambda p, q) / gcd(lambda, q), both still reduced.  The copies go straight
-into the top ``WorkingTable`` of the affine recursion; no Fraction, ``Scalar``
-or ``Point`` is built for them.
+once per selection from the sample's top table (``_read_rays``), which
+``select_linear_table`` takes as it stands: ``select_linear`` makes it from an
+instance, and the cone backend of the subgradient selection from a shifted
+group's integer rows.  The oracle is called only to certify the exact flags.
+A sample point y = a / d (``numerics.primitive``) lies at t = gcd(a) / d on
+the ray of the primitive direction a / gcd(a), and its unit-rung value is t
+M(x, ray), M being the largest f / t over the ray's sample points (at the
+origin, f(x, 0)), held as a reduced integer pair.  An attempt only scales: at
+rung lambda the copy of y is the vector (lambda a, d) / gcd(lambda, d) and its
+value the pair (lambda p, q) / gcd(lambda, q), both still reduced.  The copies
+go straight into the top ``WorkingTable`` of the affine recursion; no
+Fraction, ``Scalar`` or ``Point`` is built for them.
 """
 
 from __future__ import annotations
@@ -90,10 +92,9 @@ class ConeInstance:
 
 class _Rays(NamedTuple):
     """What the lift and the exactness check read of a sample, whatever the
-    ladder: its top table's values and points (``extend_domain``), and each
-    point's copy at rung 1 as (vector, ``float_key`` of it, unit-rung values
-    per x)."""
-    inst: Instance
+    ladder: its top table's dimension, values and points, and each point's
+    copy at rung 1 as (vector, ``float_key`` of it, unit-rung values per x)."""
+    dim: int
     rows: Mapping[str, Tuple[Tuple[int, int], ...]]
     vecs: List[tuple]
     copies: List[tuple]
@@ -103,8 +104,7 @@ def _max_pair(a: tuple, b: tuple) -> tuple:
     return b if b[0] * a[1] > a[0] * b[1] else a
 
 
-def _read_rays(inst: Instance) -> _Rays:
-    top = extend_domain(inst)
+def _read_rays(top: WorkingTable) -> _Rays:
     rows, vecs = top.values, top.points
     cols = list(rows.values())
     rays = []                   # per point (g, ray): t = g / d, g = 0 at the origin
@@ -124,7 +124,7 @@ def _read_rays(inst: Instance) -> _Rays:
             values = tuple([(g * m // h, v[-1] * w // h) for m, w in best[ray]
                             for h in [gcd(g * m, v[-1] * w)]])
         copies.append((v, float_key(v), values))
-    return _Rays(inst, rows, vecs, copies)
+    return _Rays(top.dim, rows, vecs, copies)
 
 
 def _check_ladder(lambdas: tuple) -> None:
@@ -162,7 +162,7 @@ def _lift(rays: _Rays, lambdas) -> WorkingTable:
             entries[v] = (key, v, values)
     children = list(entries.values())
     sort_exact(children)
-    return WorkingTable(dim=rays.inst.n, points=[e[1] for e in children],
+    return WorkingTable(dim=rays.dim, points=[e[1] for e in children],
                         values={x: tuple([e[2][i] for e in children])
                                 for i, x in enumerate(rays.rows)})
 
@@ -170,7 +170,7 @@ def _lift(rays: _Rays, lambdas) -> WorkingTable:
 def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
     """The instance lifted onto any valid ladder (1, ..): the table ``_lift``
     builds, as an instance."""
-    table = _lift(_read_rays(inst), lambdas)
+    table = _lift(_read_rays(extend_domain(inst)), lambdas)
     points = [tuple([Fraction(c, v[-1]) for c in v[:-1]]) for v in table.points]
     return ConeInstance(instance=Instance.build(
         inst.n, inst.xs, points,
@@ -222,32 +222,37 @@ class LinearSelector:
 
 
 def _attempt(rays: _Rays, lambda_max: int, config: LinearConfig):
-    inst = rays.inst
+    xs = tuple(rays.rows)
     top = _lift(rays, (1,) if lambda_max == 1 else (1, lambda_max))
-    selector, trace = select_table(inst.n, inst.xs, top, config.select)
+    selector, *_ = select_table(rays.dim, xs, top, config.select)
     eps_map = {x: Scalar(Fraction(max(c.value, 0), lambda_max)) for x, c in selector.c.items()}
-    report = check_domination("linear", inst.xs, inst.ys.points, rays.rows,
-                              {x: 0 for x in inst.xs},
-                              {x: selector.b[x].raw() for x in inst.xs}, at=rays.vecs)
+    report = check_domination("linear", xs, rays.vecs, rays.rows, dict.fromkeys(xs, 0),
+                              {x: selector.b[x].raw() for x in xs}, at=rays.vecs)
     failed = {x for x, _, _ in report.failures}
-    exact_map = {x: x not in failed for x in inst.xs}
-    return selector.b, eps_map, exact_map, selector.c, trace
+    exact_map = {x: x not in failed for x in xs}
+    return selector.b, eps_map, exact_map, selector.c
 
 
 def select_linear(inst: Instance, config: LinearConfig = LinearConfig()) -> LinearSelector:
-    """Certified linear selection: always returns A and a residual epsilon
-    with f <= A.y + epsilon on the sample; retries with a doubled ladder
-    while any section stays inexact and retries remain."""
+    """``select_linear_table`` on the instance's top table."""
+    return select_linear_table(extend_domain(inst), config)
+
+
+def select_linear_table(top: WorkingTable, config: LinearConfig = LinearConfig()) -> LinearSelector:
+    """Certified linear selection from a top working table, as
+    ``extend_domain`` makes it: always returns A and a residual epsilon with
+    f <= A.y + epsilon on the sample; retries with a doubled ladder while
+    any section stays inexact and retries remain."""
     attempts: List[AttemptRecord] = []
     lambda_max = config.lambda_max
     retries = config.doublings
-    rays = _read_rays(inst)
+    rays = _read_rays(top)
     while True:
-        a_map, eps_map, exact_map, c_map, _ = _attempt(rays, lambda_max, config)
+        a_map, eps_map, exact_map, c_map = _attempt(rays, lambda_max, config)
         attempts.append(AttemptRecord(lambda_max=lambda_max, exact=exact_map))
         if all(exact_map.values()) or retries <= 0:
             return LinearSelector(
-                n=inst.n, xs=inst.xs, a=a_map, epsilon=eps_map, exact=exact_map,
+                n=rays.dim, xs=tuple(rays.rows), a=a_map, epsilon=eps_map, exact=exact_map,
                 lambda_max=lambda_max, cone_c=c_map, attempts=attempts,
             )
         retries -= 1

@@ -28,9 +28,10 @@ bracket, which only hull vertices can attain.
 Integers decide every result, and no float is stored in a table or reaches a
 selector.  ``select_table`` runs the recursion from a top table, which
 ``select_affine`` makes from an instance (``extend_domain``) and the cone lift
-builds in integers, and solves each distinct value row once.  ``Scalar`` and
-``Point`` appear only on the instance that goes in and the selector that
-comes out.
+builds in integers, and solves each distinct value row once; only
+``select_affine``, whose trace the closure check reads, copies the trace
+tables out to every parameter.  ``Scalar`` and ``Point`` appear only on the
+instance that goes in and the selector that comes out.
 """
 
 from __future__ import annotations
@@ -493,14 +494,24 @@ def select_affine(inst: Instance, config: SelectConfig = SelectConfig()):
     working closure.  Each distinct value row is solved once, and parameters
     with equal rows share its selector and its trace tables.
     """
-    return select_table(inst.n, inst.xs, extend_domain(inst), config)
+    selector, trace, rep = select_table(inst.n, inst.xs, extend_domain(inst), config)
+    for level in trace.levels:      # the trace holds every x, in xs order, as reports do
+        for name in ("values", "upper", "lower", "base_c"):
+            table = getattr(level, name)
+            if table is not None:
+                setattr(level, name, {x: table[rep[x]] for x in inst.xs})
+    return selector, trace
 
 
 def select_table(n: int, xs: Tuple[str, ...], top: WorkingTable,
                  config: SelectConfig = SelectConfig()):
-    """``select_affine`` on its top working table: ``top`` holds the points of
+    """The recursion from its top working table: ``top`` holds the points of
     an n-dimensional instance and a value row for each x in ``xs``, as
-    ``extend_domain`` makes them.  ``top.values`` is cut to the distinct rows."""
+    ``extend_domain`` makes them.  ``top.values`` is cut to the distinct rows.
+
+    Returns (selector, trace, rep): the selector holds every x, and the
+    trace's tables hold the distinct rows only, each under the first x with
+    that row, which is rep[x] for every x with it."""
     trace = RecursionTrace()
     # equal rows give equal selectors, so the recursion runs once per distinct
     # row, on the first x that holds it, and every x reads that x's results
@@ -508,18 +519,13 @@ def select_table(n: int, xs: Tuple[str, ...], top: WorkingTable,
     rep = {x: first.setdefault(top.values[x], x) for x in xs}
     top.values = {x: top.values[x] for x in first.values()}
     b_rows, c_map = _select_level(top, config, trace.levels)
-    for level in trace.levels:      # the trace holds every x, in xs order, as reports do
-        for name in ("values", "upper", "lower", "base_c"):
-            table = getattr(level, name)
-            if table is not None:
-                setattr(level, name, {x: table[rep[x]] for x in xs})
     selector = AffineSelector(
         n=n,
         xs=xs,
         b={x: Point(map(Scalar, b_rows[rep[x]])) for x in xs},
         c={x: Scalar(c_map[rep[x]]) for x in xs},
     )
-    return selector, trace
+    return selector, trace, rep
 
 
 def _base_case(working: WorkingTable, config: SelectConfig) -> Dict[str, Fraction]:

@@ -8,16 +8,15 @@ certificate.  The elimination runs in integers from its input to its answer.
 Its entry, ``solve_rows``, takes the constraints as integer rows already in
 canonical order: each point as its primitive integer vector and each value as
 an integer pair, negated on request, which is how the subgradient backend
-hands over a shifted group.  ``fm_feasible`` and ``exact_linear_select`` are
-the Fraction adapter in front of it: they sort the constraints and convert
-them.  Each row of the elimination is a primitive integer inequality, and its
-combination of the input constraints is held as integer multipliers over one
-integer scale; Fractions are built only for the witness and for a
-certificate.  Chernikov's rule (after t eliminations, a row
-that combines more than t + 1 input constraints is implied by the others)
-keeps the rows from multiplying.  The oracle imports only ``numerics`` and
-shares no code path with the recursive selector, so agreement between the
-two is meaningful evidence.
+hands over a shifted group.  ``fm_feasible`` is the Fraction adapter in
+front of it: it sorts the constraints and converts them.  Each row of the
+elimination is a primitive integer inequality, and its combination of the
+input constraints is held as integer multipliers over one integer scale;
+Fractions are built only for the witness and for a certificate.  Chernikov's
+rule (after t eliminations, a row that combines more than t + 1 input
+constraints is implied by the others) keeps the rows from multiplying.  The
+oracle imports only ``numerics`` and shares no code path with the recursive
+selector, so agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -371,37 +370,22 @@ def solve_rows(at: Sequence[tuple], pairs: Sequence[Tuple[int, int]], width: int
                              witness=tuple(Scalar(Fraction(m, den)) for m in nums))
 
 
-def _solve_system(constraints: List[Tuple[Tuple[Fraction, ...], Fraction]],
-                  width: int) -> FeasibilityResult:
-    """Decide {v : coeffs_i . v >= rhs_i} nonempty; deterministic witness."""
-    # the witness depends on the constraint set only; canonical order makes
-    # the certificate independent of input order too
-    canon = sorted(constraints)
-    return solve_rows([primitive(c) for c, _ in canon],
-                      [v.as_integer_ratio() for _, v in canon], width)
-
-
 def fm_feasible(points: PointSet, values: Mapping[str, Sequence[Scalar]],
                 homogeneous: bool) -> Dict[str, FeasibilityResult]:
     """Per section, decide existence of coefficients with f(x, y) <= b.y + c
-    (affine) or f(x, y) <= a.y (homogeneous), over exact rationals.
+    (affine) or f(x, y) <= a.y (homogeneous), over exact rationals, with a
+    deterministic witness.
 
     Unknown order is (b_1 .. b_n, c); variables are eliminated last-to-first,
-    so the constant goes first in the affine case.
+    so the constant goes first in the affine case.  The witness depends on
+    the constraint set only; sorting the constraints into canonical order
+    makes the certificate independent of input order too.
     """
     width = points.dim if homogeneous else points.dim + 1
     coeffs = [p.raw() if homogeneous else p.raw() + (Fraction(1),) for p in points.points]
-    return {x: _solve_system([(c, v.value) for c, v in zip(coeffs, row, strict=True)], width)
-            for x, row in values.items()}
-
-
-def exact_linear_select(inst) -> Dict[str, Point]:
-    """Deterministic linear dominator per section from the elimination witness.
-
-    Raises with per-section certificates when any section is infeasible.
-    """
-    results = fm_feasible(inst.ys, inst.values, homogeneous=True)
-    bad = {x: r.certificate for x, r in results.items() if not r.feasible}
-    if bad:
-        raise InfeasibleSectionsError(bad)
-    return {x: Point(results[x].witness) for x in inst.xs}
+    results = {}
+    for x, row in values.items():
+        canon = sorted(zip(coeffs, [v.value for v in row], strict=True))
+        results[x] = solve_rows([primitive(c) for c, _ in canon],
+                                [v.as_integer_ratio() for _, v in canon], width)
+    return results

@@ -8,22 +8,24 @@ group holds its value row as reduced integer pairs and its sample as
 primitive integer vectors, and builds its ``Instance`` of Points and Scalars
 only when a caller reads it.
 
-The exact backend hands each group's integer rows, negation folded in, to the
-feasibility oracle for a zero-residual answer; the cone backend runs the
-lift-based linear selection on the negated view and inherits its certified
-residual.
+Both backends read each group's integer rows, negated, and neither builds the
+group's ``Instance``.  The exact backend hands them, negation folded in, to
+the feasibility oracle for a zero-residual answer; the cone backend hands them
+as a top working table to the lift-based linear selection and inherits its
+certified residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .numerics import AffselError, Point, PointSet, Scalar, origin_point, primitive
-from .hyperplane import Instance
-from .conelift import LinearConfig, select_linear
+from .hyperplane import Instance, WorkingTable
+from .conelift import LinearConfig, select_linear_table
 from .oracle import InfeasibleSectionsError, solve_rows
 
 
@@ -97,38 +99,27 @@ class ShiftGroup:
 
     ``pairs`` holds the row as reduced integer pairs (p, q) of p / q, and
     ``vectors`` the sample as primitive integer vectors, in the sample's
-    canonical order; the oracle reads these.  ``instance`` is the same data
-    as an ``Instance`` of Points and Scalars, built on first read.  A group
-    made from an instance takes its sample and its sections' one row from it.
+    canonical order; the backends and the check read these.  ``instance`` is
+    the same data as an ``Instance`` of Points and Scalars, built on first
+    read; ``row``, where given, is the row as Scalars.
     """
 
-    def __init__(self, xs, instance: Optional[Instance] = None, *,
-                 sample: Optional[_Sample] = None,
-                 pairs: Optional[Tuple[Tuple[int, int], ...]] = None,
-                 row: Optional[Tuple[Scalar, ...]] = None):
-        self.xs = tuple(xs)
-        if instance is not None:
-            row = instance.values[self.xs[0]]
-            if any(instance.values[x] != row for x in self.xs[1:]):
-                raise AffselError("the sections of a shift group must share one row")
-            sample, pairs = _Sample(instance.ys), tuple([v.value.as_integer_ratio() for v in row])
-        self.pairs = pairs
-        self._sample, self._row, self._instance = sample, row, instance
+    def __init__(self, xs, sample: _Sample, pairs: Tuple[Tuple[int, int], ...],
+                 row: Optional[Tuple[Scalar, ...]]):
+        self.xs, self.pairs = tuple(xs), pairs
+        self._sample, self._row = sample, row
 
     @property
     def vectors(self) -> List[tuple]:
         return self._sample.vectors()
 
-    @property
+    @cached_property
     def instance(self) -> Instance:
-        if self._instance is None:
-            row = self._row
-            if row is None:
-                row = tuple([Scalar(Fraction(p, q)) for p, q in self.pairs])
-            ys = self._sample.points()
-            self._instance = Instance(n=ys.dim, xs=self.xs, ys=ys,
-                                      values=dict.fromkeys(self.xs, row))
-        return self._instance
+        row = self._row
+        if row is None:
+            row = tuple([Scalar(Fraction(p, q)) for p, q in self.pairs])
+        ys = self._sample.points()
+        return Instance(n=ys.dim, xs=self.xs, ys=ys, values=dict.fromkeys(self.xs, row))
 
 
 @dataclass(frozen=True)
@@ -172,8 +163,7 @@ def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
         key = (j0, tuple(pairs))
         groups.setdefault(key, (sample, key[1], row, []))[3].append(x)
     return ShiftedSections(groups=tuple(
-        ShiftGroup(xs, sample=sample, pairs=pairs, row=row)
-        for sample, pairs, row, xs in groups.values()))
+        ShiftGroup(xs, sample, pairs, row) for sample, pairs, row, xs in groups.values()))
 
 
 @dataclass(frozen=True)
@@ -266,10 +256,10 @@ def select_subgradient(csi: ConvexSectionInstance,
             witness = [c.value for c in result.witness]
             eps, exact = Scalar(Fraction(0)), True
         elif config.backend == "cone":
-            rep, gi = group.xs[0], group.instance
-            single = Instance(n=gi.n, xs=(rep,), ys=gi.ys,
-                              values={rep: tuple([Scalar(-v.value) for v in gi.values[rep]])})
-            sel = select_linear(single, config.linear)
+            rep = group.xs[0]
+            top = WorkingTable(dim=inst.n, points=group.vectors,
+                               values={rep: tuple([(-p, q) for p, q in group.pairs])})
+            sel = select_linear_table(top, config.linear)
             witness, eps, exact = sel.a[rep].raw(), sel.epsilon[rep], sel.exact[rep]
         else:
             raise AffselError(f"unknown backend {config.backend!r}")

@@ -1,7 +1,5 @@
 """Every name a module under src/affsel or tests imports is used in that
 module, and every name the benchmark imports from the package still exists.
-
-``__init__.py`` is skipped: its imports are the package's re-exports.
 """
 
 import ast
@@ -16,8 +14,7 @@ from affsel.instances import gen_affine_dominated
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "affsel"
 PERFBENCH = TESTS.parent / "perfbench"
-MODULES = [*sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-           *sorted(TESTS.glob("*.py"))]
+MODULES = [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]
 
 
 def unused_imports(source: str) -> list:

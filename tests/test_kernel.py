@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from affsel import hyperplane
-from affsel.hyperplane import Instance, SelectConfig, build_envelope, extend_domain, select_affine
+from affsel.hyperplane import (Instance, SelectConfig, build_envelope, extend_domain,
+                               select_affine, select_table)
 from affsel.numerics import Point
 from reference_geometry import chord_value, extended_value, intersection_point
 
@@ -352,3 +353,23 @@ def test_each_distinct_row_is_solved_once(case):
             else:
                 assert list(table) == list(inst.xs)
                 assert all(table[x] == ref_table[source[x]] for x in inst.xs)
+
+
+@given(duplicated_rows())
+def test_only_select_affine_copies_the_trace_to_every_row(case):
+    # select_table's tables hold each distinct row once, under the first x
+    # that holds it; select_affine gives every x that x's tables
+    _, inst, source = case
+    first = {}
+    for x in inst.xs:
+        first.setdefault(source[x], x)
+    _, table_trace, rep = select_table(inst.n, inst.xs, extend_domain(inst), SelectConfig())
+    assert rep == {x: first[source[x]] for x in inst.xs}
+    _, trace = select_affine(inst)
+    for own, level in zip(table_trace.levels, trace.levels, strict=True):
+        for name in ("values", "upper", "lower", "base_c"):
+            table, full = getattr(own, name), getattr(level, name)
+            if table is not None:
+                assert list(table) == list(first.values())
+                assert list(full) == list(inst.xs)
+                assert all(full[x] == table[first[source[x]]] for x in inst.xs)

@@ -8,21 +8,19 @@ from hypothesis import given, strategies as st
 
 from affsel import oracle
 from affsel.conelift import LinearSelector
-from affsel.hyperplane import AffineSelector, Instance, select_affine
+from affsel.hyperplane import AffineSelector, select_affine
 from affsel.instances import gen_affine_dominated
 from affsel.numerics import Point, PointSet, Scalar, primitive
 from affsel.oracle import (
     DominationReport,
-    InfeasibleSectionsError,
     check_domination,
-    exact_linear_select,
     fm_feasible,
     verify_domination,
     verify_feature_domination,
     verify_subgradient_domination,
     verify_working_closure,
 )
-from affsel.subgradient import ShiftGroup, SubgradientSelector
+from affsel.subgradient import ConvexSectionInstance, SubgradientSelector, shift_to_origin
 from conftest import make_instance
 
 
@@ -84,11 +82,11 @@ class TestOtherDominationChecks:
 
     def test_subgradient_failure_slack_includes_epsilon(self):
         # g = [1, 0, 2] at y = -1, 0, 2; p = 2, epsilon = 1: g - p.y + epsilon
-        bad = ShiftGroup(instance=make_instance(1, [Point.of(-1), Point.of(0), Point.of(2)],
-                                                {"x0": [exact(1), exact(0), exact(2)]}),
-                         xs=("x0",))
-        good = ShiftGroup(instance=make_instance(1, [Point.of(0)], {"x1": [exact(0)]}),
-                          xs=("x1",))
+        (bad,) = shift_to_origin(ConvexSectionInstance(instance=make_instance(
+            1, [Point.of(-1), Point.of(0), Point.of(2)],
+            {"x0": [exact(1), exact(0), exact(2)]}))).groups
+        (good,) = shift_to_origin(ConvexSectionInstance(instance=make_instance(
+            1, [Point.of(0)], {"x1": [exact(0)]}))).groups
         sel = SubgradientSelector(xs=("x0", "x1"), p={"x0": Point.of(2), "x1": Point.of(5)},
                                   epsilon={"x0": exact(1), "x1": exact(0)}, backend="exact")
         rep = verify_subgradient_domination([bad, good], sel)
@@ -320,16 +318,19 @@ class TestFmFeasible:
 
 
 class TestExactLinearSelect:
+    """Exact linear selection: the witness of the homogeneous system."""
+
     def test_pinned(self):
         inst = make_instance(1, [Point.of(-1), Point.of(2)],
                              {"x0": [exact(-2), exact(4)]})
-        assert exact_linear_select(inst) == {"x0": Point.of(2)}
+        res = fm_feasible(inst.ys, inst.values, homogeneous=True)
+        assert res["x0"].feasible and res["x0"].witness == (exact(2),)
 
     def test_infeasible_error_lists_sections(self):
         inst = make_instance(1, [Point.of(0)], {"x0": [exact(1)], "x1": [exact(0)]})
-        with pytest.raises(InfeasibleSectionsError) as err:
-            exact_linear_select(inst)
-        assert set(err.value.infeasible) == {"x0"}
+        res = fm_feasible(inst.ys, inst.values, homogeneous=True)
+        assert {x for x, r in res.items() if not r.feasible} == {"x0"}
+        assert res["x0"].certificate.replays_to_contradiction()
 
     def test_agreement_with_select_affine(self):
         selector, _ = select_affine(WORKED)
@@ -340,17 +341,13 @@ class TestExactLinearSelect:
 
 class TestEmptySamples:
     def test_empty_constraints_witness_arity(self):
-        from affsel.numerics import PointSet
-        ps = PointSet(2, [])
-        res = fm_feasible(ps, {"x0": []}, homogeneous=True)
-        assert res["x0"].feasible
-        assert res["x0"].witness == (exact(0), exact(0))
-        res_aff = fm_feasible(ps, {"x0": []}, homogeneous=False)
-        assert res_aff["x0"].witness == (exact(0), exact(0), exact(0))
-
-    def test_exact_linear_select_empty(self):
-        inst = Instance.build(3, ("x0",), [], {"x0": []})
-        assert exact_linear_select(inst) == {"x0": Point.of(0, 0, 0)}
+        for n in (2, 3):
+            ps = PointSet(n, [])
+            res = fm_feasible(ps, {"x0": []}, homogeneous=True)
+            assert res["x0"].feasible
+            assert res["x0"].witness == (exact(0),) * n
+            res_aff = fm_feasible(ps, {"x0": []}, homogeneous=False)
+            assert res_aff["x0"].witness == (exact(0),) * (n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from affsel import subgradient
-from affsel.conelift import LinearConfig
+from affsel.conelift import LinearConfig, select_linear
 from affsel.hyperplane import Instance
 from affsel.instances import gen_convex_sections
 from affsel.numerics import AffselError, Point, Scalar, primitive
@@ -97,23 +97,22 @@ def reference_shift_to_origin(csi):
     for key in order:
         shifted, xs = groups[key]
         rows = {x: [v for _, v in shifted] for x in xs}
-        out.append(ShiftGroup(instance=Instance.build(inst.n, xs, [p for p, _ in shifted], rows),
-                              xs=tuple(xs)))
+        out.append((tuple(xs), Instance.build(inst.n, xs, [p for p, _ in shifted], rows)))
     return out
 
 
 def assert_same_groups(csi):
     got, want = shift_to_origin(csi).groups, reference_shift_to_origin(csi)
-    assert [g.xs for g in got] == [g.xs for g in want]
-    for g, w in zip(got, want):
+    assert [g.xs for g in got] == [xs for xs, _ in want]
+    for g, (_, w) in zip(got, want):
         # the integer rows and vectors the oracle reads, before the view is built
         for x in g.xs:
-            assert g.pairs == tuple(v.value.as_integer_ratio() for v in w.instance.values[x])
-        assert g.vectors == [primitive(p.raw()) for p in w.instance.ys.points]
+            assert g.pairs == tuple(v.value.as_integer_ratio() for v in w.values[x])
+        assert g.vectors == [primitive(p.raw()) for p in w.ys.points]
         assert g.vectors == [primitive(p.raw()) for p in g.instance.ys.points]
-        assert g.instance.n == w.instance.n and g.instance.xs == w.instance.xs
-        assert g.instance.ys == w.instance.ys
-        assert {x: tuple(v) for x, v in g.instance.values.items()} == dict(w.instance.values)
+        assert g.instance.n == w.n and g.instance.xs == w.xs
+        assert g.instance.ys == w.ys
+        assert {x: tuple(v) for x, v in g.instance.values.items()} == dict(w.values)
 
 
 class TestShiftAgainstReference:
@@ -155,7 +154,7 @@ def refuse_instance(monkeypatch):
 
 
 class TestIntegerPath:
-    """The exact backend and its check run on each group's integer rows and
+    """Both backends and the check run on each group's integer rows and
     vectors alone; the Instance view is built only when a caller reads it."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -180,12 +179,25 @@ class TestIntegerPath:
         rep = verify_subgradient_domination(shift_to_origin(csi).groups, sel)
         assert rep.failures == [("x0", Point.of(-2), exact(-6)), ("x0", Point.of(-1), exact(-4))]
 
-    def test_a_group_from_an_instance_needs_one_row(self):
-        two = make_instance(1, [Point.of(0), Point.of(1)],
-                            {"x0": [exact(0), exact(1)], "x1": [exact(0), exact(2)]})
-        with pytest.raises(AffselError, match="share one row"):
-            ShiftGroup(instance=two, xs=("x0", "x1"))
-        assert ShiftGroup(instance=two, xs=("x1",)).pairs == ((0, 1), (2, 1))
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_the_cone_backend_never_reads_the_view(self, n, monkeypatch):
+        for seed in range(3):
+            for shifted in (False, True):
+                doc = gen_convex_sections(seed, n, 4, 7, k=2, shifted=shifted)
+                csi = ConvexSectionInstance(instance=doc.to_instance(), y0=doc.y0_table())
+                with monkeypatch.context() as m:
+                    refuse_instance(m)
+                    sel = select_subgradient(csi, CONE_CFG)
+                # linear selection on each group's negated view gives -p
+                for group in shift_to_origin(csi).groups:
+                    rep, view = group.xs[0], group.instance
+                    negated = Instance(n=n, xs=(rep,), ys=view.ys,
+                                       values={rep: tuple(-v for v in view.values[rep])})
+                    want = select_linear(negated, CONE_CFG.linear)
+                    for x in group.xs:
+                        assert sel.p[x] == Point(-c for c in want.a[rep].coords)
+                        assert sel.epsilon[x] == want.epsilon[rep]
+                        assert sel.exact[x] == want.exact[rep]
 
     def test_the_origin_base_reuses_the_sample_and_row(self):
         (group,) = shift_to_origin(ConvexSectionInstance(instance=ABS)).groups
