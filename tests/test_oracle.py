@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from affsel import oracle
 from affsel.conelift import LinearSelector
-from affsel.hyperplane import AffineSelector, select_affine
+from affsel.hyperplane import AffineSelector, Instance, select_affine
 from affsel.instances import gen_affine_dominated
 from affsel.numerics import Point, PointSet, Scalar, primitive
 from affsel.oracle import (
@@ -348,6 +348,14 @@ class TestEmptySamples:
             assert res["x0"].witness == (exact(0),) * n
             res_aff = fm_feasible(ps, {"x0": []}, homogeneous=False)
             assert res_aff["x0"].witness == (exact(0),) * (n + 1)
+
+    def test_exact_linear_select_empty(self):
+        # the linear selection an instance with no samples gets from the
+        # elimination witness is the zero point
+        inst = Instance.build(3, ("x0",), [], {"x0": []})
+        res = fm_feasible(inst.ys, inst.values, homogeneous=True)
+        assert res["x0"].feasible
+        assert Point(res["x0"].witness) == Point.of(0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
