@@ -4,7 +4,7 @@ from fractions import Fraction
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from affsel.hyperplane import select_affine
 from affsel.instances import (
@@ -44,6 +44,43 @@ TOO_LARGE = {
     "long-exponent": "1e" + "9" * (MAX_DIGITS + 1),
 }
 
+# each form of the grammar as a value whose numerator or denominator in
+# lowest terms has k digits
+DIGIT_FORMS = {
+    "integer": lambda k: "9" * k,
+    "numerator": lambda k: "9" * k + "/2",
+    "denominator": lambda k: "1/" + "9" * k,
+    "decimal": lambda k: "9" * (k - 1) + ".9",
+    "fraction": lambda k: "0." + "0" * (k - 2) + "3",
+    "exponent": lambda k: f"9e{k - 1}",
+    "negative-exponent": lambda k: f"3E-{k - 1}",
+}
+
+DIGITS = "0123456789"
+
+
+@st.composite
+def grammar_strings(draw):
+    """Text in the grammar of parse_rational: surrounding whitespace, an
+    optional sign, then "p/q", an integer (leading zeros allowed) or a
+    decimal with an optional fraction and exponent."""
+    run = st.text(DIGITS, min_size=1, max_size=25)
+    form = draw(st.sampled_from(["fraction", "integer", "decimal"]))
+    if form == "fraction":
+        body = f"{draw(run)}/{draw(run.filter(lambda d: d.strip('0')))}"
+    elif form == "integer":
+        body = draw(run)
+    else:
+        whole = draw(st.text(DIGITS, max_size=25))
+        frac = draw(st.none() | st.text(DIGITS, max_size=25))
+        if not whole and not frac:
+            whole = draw(run)
+        exp = draw(st.none() | st.tuples(st.sampled_from("eE"), st.sampled_from(["", "-", "+"]),
+                                         st.text(DIGITS, min_size=1, max_size=3)))
+        body = whole + ("" if frac is None else "." + frac) + ("".join(exp) if exp else "")
+    space = st.text(" \t\n\r\u2002", max_size=3)
+    return draw(space) + draw(st.sampled_from(["", "-", "+"])) + body + draw(space)
+
 
 class TestParseRational:
     @pytest.mark.parametrize("value, expected", [
@@ -73,6 +110,29 @@ class TestParseRational:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_json_numbers_read_as_their_decimal_text(self, value):
         assert parse_rational(value) == Fraction(str(value))
+
+    @example(".5")
+    @example("1.")
+    @example("+3/4")
+    @example(" 7\n")
+    @example("007")
+    @example("-1.5e+2")
+    @example("1E-3")
+    @example("-0")
+    @example("0e999")
+    @given(grammar_strings())
+    def test_agrees_with_fraction_on_the_grammar(self, text):
+        assert parse_rational(text) == Fraction(text)
+
+    @pytest.mark.parametrize("sign", ["-", "+"])
+    @pytest.mark.parametrize("form", DIGIT_FORMS)
+    def test_each_form_at_the_digit_limit(self, form, sign):
+        text = sign + DIGIT_FORMS[form](MAX_DIGITS)
+        out = parse_rational(text)
+        assert out == Fraction(text)
+        assert MAX_DIGITS in (len(str(abs(out.numerator))), len(str(out.denominator)))
+        with pytest.raises(InstanceFileError, match=f"exceeds the limit of {MAX_DIGITS} digits"):
+            parse_rational(sign + DIGIT_FORMS[form](MAX_DIGITS + 1))
 
     @pytest.mark.parametrize("name", LARGEST)
     def test_largest_values_read(self, name):
