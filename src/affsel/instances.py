@@ -25,11 +25,11 @@ SCHEMA_VERSION = 1
 MAX_DIGITS = 4300
 _LIMIT = 10 ** MAX_DIGITS
 
-# "p/q", or a decimal with an optional exponent, in ASCII digits: the
-# grammar of Fraction() differs between Python versions
+# "p/q" or an integer, or a decimal with a point or an exponent, in ASCII
+# digits: the grammar of Fraction() differs between Python versions
 _RATIONAL = re.compile(r"""
     (?P<sign>[-+]?)
-    (?: (?P<num>\d+) / (?P<den>\d+)
+    (?: (?P<num>\d+) (?: / (?P<den>0*[1-9]\d*) )?
       | (?=\.?\d) (?P<int>\d*) (?: \.(?P<frac>\d*) )? (?: [eE](?P<exp>[-+]?\d+) )? )
     """, re.ASCII | re.VERBOSE)
 
@@ -47,20 +47,22 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     text = (value if isinstance(value, str) else str(value) if type(value) is float else "").strip()
     m = _RATIONAL.fullmatch(text)
-    if m is None or m["den"] and not m["den"].strip("0"):
+    if m is None:
         raise InstanceFileError(f"not a finite rational: {value!r}")
     sign, num, den, whole, frac, exp = m.groups("")
-    if max(map(len, (num, den, whole, frac, exp))) <= MAX_DIGITS:
-        if den:
-            num, den, shift = int(num), int(den), 0
-        else:                   # whole.frac * 10^exp; zero at any exponent
-            num, den = int(whole or "0") * 10 ** len(frac) + int(frac or "0"), 1
-            shift = int(exp or "0") - len(frac) if num else 0
+    if num:     # "p/q" or an integer: runs within the limit keep lowest terms within it
+        if len(num) <= MAX_DIGITS and len(den) <= MAX_DIGITS:
+            return Fraction(int(sign + num), int(den or 1))
+    elif max(len(whole), len(frac), len(exp)) <= MAX_DIGITS:
+        # whole.frac * 10^exp; zero at any exponent
+        num = int(whole or "0") * 10 ** len(frac) + int(frac or "0")
+        shift = int(exp or "0") - len(frac) if num else 0
         # past 3 * MAX_DIGITS no reduction brings the value back under the limit
         if abs(shift) <= 3 * MAX_DIGITS:
-            out = Fraction(num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0))
+            num = -num if sign == "-" else num
+            out = Fraction(num * 10 ** max(shift, 0), 10 ** max(-shift, 0))
             if abs(out.numerator) < _LIMIT and out.denominator < _LIMIT:
-                return -out if sign == "-" else out
+                return out
     shown = text if len(text) <= 40 else text[:20] + "..."
     raise InstanceFileError(f"{shown!r} exceeds the limit of {MAX_DIGITS} digits")
 
@@ -165,6 +167,10 @@ class InstanceFile:
                 raise InstanceFileError("f rows must align with Y")
         if phi is not None and len(phi) != len(y_rows):
             raise InstanceFileError("phi must align with Y")
+        for i, row in enumerate(phi or ()):
+            if len(row) != len(phi[0]):
+                raise InstanceFileError(
+                    f"phi row {i} has {len(row)} entries, the first row has {len(phi[0])}")
         if y0 is not None and len(y0) != len(xs):
             raise InstanceFileError("y0 must align with X")
         return cls(n=n, xs=xs, y_rows=y_rows, f_rows=f_rows, phi_rows=phi,

@@ -334,6 +334,9 @@ MALFORMED = {
     "top-level-array": [WORKED],
     "duplicate-ids": dict(WORKED, X=["a", "a"], f=[["0", "1"], ["2", "3"]]),
     "y0-dimension": dict(WORKED, y0=[["0", "0"]]),
+    # read as a dimension mismatch between a point of dimension 1 and a table
+    # of dimension 2, which named no field of the file
+    "phi-ragged": dict(WORKED, Y=[["1"], ["2"]], f=[["1", "2"]], phi=[["1", "2"], ["3"]]),
     # only the JSON integer 1 is a schema version; int() read 1.9 as 1
     "schema-version-7": dict(WORKED, schema_version=7),
     "schema-version-fractional": dict(WORKED, schema_version=1.9),
@@ -435,6 +438,7 @@ EXPECTED_MESSAGE = {
        for case, (flag, _) in BAD_GEN_INTEGERS.items()},
     **dict.fromkeys(DEPTH_COMMANDS, "unrecognized arguments: --depth 3"),
     "y0-dimension": "y0 point of dimension 2, expected 1",
+    "phi-ragged": "phi row 1 has 1 entries, the first row has 2",
     **{f"{kind}value-{name}": "not a finite rational" for kind in ("", "function-", "selector-")
        for name in ("underscore", "spaced-fraction", "arabic-digits")},
     **{f"{kind}value-{name}": "exceeds the limit of 4300 digits"
@@ -469,7 +473,7 @@ def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
     if case in MALFORMED:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(MALFORMED[case]))
-        pipeline = "subgradient" if case == "y0-dimension" else "affine"
+        pipeline = {"y0-dimension": "subgradient", "phi-ragged": "feature"}.get(case, "affine")
         args = ("select", pipeline, str(path))
     elif case in MALFORMED_TEXT:
         kind, text = MALFORMED_TEXT[case]

@@ -12,7 +12,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from affsel import hyperplane
 from affsel.hyperplane import (Instance, SelectConfig, build_envelope, extend_domain,
@@ -373,3 +373,36 @@ def test_only_select_affine_copies_the_trace_to_every_row(case):
                 assert list(table) == list(first.values())
                 assert list(full) == list(inst.xs)
                 assert all(full[x] == table[first[source[x]]] for x in inst.xs)
+
+
+@st.composite
+def points_below_the_hull(draw):
+    """Two copies of an instance with one more point q, a convex combination
+    with rational weights of 2 to n + 1 of its points that is not one of
+    them; each copy gives q, in every section, a value strictly below the
+    same combination of the points' values."""
+    n = draw(st.integers(1, 3))
+    points = draw(st.lists(st.lists(coord_st, min_size=n, max_size=n).map(tuple),
+                           min_size=2, max_size=7 if n == 3 else 10, unique=True))
+    xs = XS[:draw(st.integers(1, 3))]
+    rows = {x: [draw(value_st) for _ in points] for x in xs}
+    picked = draw(st.lists(st.sampled_from(range(len(points))), min_size=2,
+                           max_size=min(n + 1, len(points)), unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(picked), max_size=len(picked)))
+    weights = [Fraction(w, sum(weights)) for w in weights]
+    q = tuple(sum(w * points[i][k] for w, i in zip(weights, picked)) for k in range(n))
+    assume(q not in points)
+    below = st.integers(1, 12).map(lambda k: Fraction(k, 4))
+    return [Instance.build(n, xs, points + [q],
+                           {x: row + [sum(w * row[i] for w, i in zip(weights, picked)) - draw(below)]
+                            for x, row in rows.items()})
+            for _ in range(2)]
+
+
+@given(points_below_the_hull(), st.sampled_from(["novikov", "tight"]))
+def test_a_point_below_the_hull_does_not_move_the_selector(pair, base):
+    # domination by an affine functional depends on a section only through
+    # its upper concave envelope, so no value under it may decide B or C
+    first, second = (select_affine(inst, SelectConfig(base=base))[0].serialize()
+                     for inst in pair)
+    assert first == second
