@@ -150,9 +150,11 @@ RATIONALS = st.one_of(
 
 @st.composite
 def domination_problems(draw):
-    dim = draw(st.integers(0, 3))
+    # dimension up to 5: an n=5 level carries six-entry vectors (a_1, .., a_5, d)
+    dim = draw(st.integers(0, 5))
     at_dim = draw(st.sampled_from([dim, dim + 1, max(dim - 1, 0)]))
-    count = draw(st.integers(0, 6))
+    # the tiny tables the cone lift checks (1-4 points) and larger levels
+    count = draw(st.one_of(st.integers(0, 4), st.integers(5, 40)))
     points = [Point.of(*draw(st.lists(RATIONALS, min_size=dim, max_size=dim)))
               for _ in range(count)]
     at = None
@@ -160,11 +162,16 @@ def domination_problems(draw):
         at = [tuple(draw(st.lists(RATIONALS, min_size=at_dim, max_size=at_dim)))
               for _ in range(count)]
     width = dim if at is None else at_dim
-    xs = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    xs = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
     const = {x: draw(RATIONALS) for x in xs}
     coeffs = {x: tuple(draw(st.lists(RATIONALS, min_size=width, max_size=width))) for x in xs}
     rows = {}
-    for x in xs:
+    for i, x in enumerate(xs):
+        if i and draw(st.booleans()):
+            # the section repeats an earlier section's row, as a parameter
+            # whose values equal another's does
+            rows[x] = list(rows[xs[draw(st.integers(0, i - 1))]])
+            continue
         evaluate = at if at is not None else [p.raw() for p in points]
         row = []
         for coords in evaluate:
@@ -220,10 +227,12 @@ class TestIntegerKernel:
                                {"x0": (Fraction(1),)})
         assert rep.min_slack["x0"].serialize() == "1/2"
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_closure_on_selector_traces_with_lowered_c(self, n):
-        for seed in range(3):
-            inst = gen_affine_dominated(seed, n, 3, 6 + 2 * n).to_instance()
+        # n=4 on one small file, of levels 8 -> 16 -> 63 -> 945 -> 0 points
+        sizes = [(seed, 3, 6 + 2 * n) for seed in range(3)] if n < 4 else [(0, 2, 8)]
+        for seed, nx, ny in sizes:
+            inst = gen_affine_dominated(seed, n, nx, ny).to_instance()
             selector, trace = select_affine(inst)
             good = verify_working_closure(trace, selector)
             assert good.passed
