@@ -1,6 +1,12 @@
 """Independent verification: zero-slack domination checks and an exact
 feasibility decision procedure.
 
+The domination check, ``check_domination``, runs in integers.  It reads the
+points as primitive integer vectors one coordinate column at a time: the
+affine part of every point in a section comes from C-level maps over the
+columns, and one loop then takes the least slack and the failures in point
+order.
+
 The feasibility oracle decides, by Fourier-Motzkin elimination, whether a
 finite value table admits an affine (or linear) dominator, and
 back-substitutes a deterministic witness or replays an infeasibility
@@ -24,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .numerics import AffselError, Point, PointSet, Scalar, primitive
@@ -72,33 +79,39 @@ def check_domination(kind: str, xs: Sequence[str], points: Sequence,
     rows[x][j] is the value p / q as the integer pair (p, q) with q > 0,
     reduced (``pair_rows``) or not.  ``at`` holds each y_j as its integer
     vector (a_1, .., a_k, d) with y_j = a / d (``numerics.primitive``) and
-    defaults to the vectors of ``points``; coeffs[x] has k entries.
+    defaults to the vectors of ``points``; coeffs[x] must have k entries.
     Failures name points[j].
 
-    The loop runs in integers: with the section's (const, coeffs) =
-    (c0, b) / d_x, the slack is ((c0 d + b . a) q - p d_x d) / (d_x d q)
+    The vectors are read once, as k + 1 columns: a_1 .. a_k of every point,
+    then d.  With the section's (const, coeffs) = (c0, b) / d_x, its affine
+    parts c0 d + b . a come from maps over those columns, and one loop over
+    the points takes the slack ((c0 d + b . a) q - p d_x d) / (d_x d q)
     over a positive denominator.  A Fraction is built only for the least
     slack and for failures; being reduced, it equals the plain Fraction
     difference.
     """
     if at is None:
         at = [primitive(p.raw()) for p in points]
+    *cols, ds = zip(*at) if at else ((),)
     min_slack: Dict[str, Optional[Scalar]] = {}
     failures: List[tuple] = []
     for x in xs:
         c0, *b, d_x = primitive((const[x], *coeffs[x]))
-        row = rows[x]
+        if len(b) != len(cols) and at:
+            raise AffselError(f"section {x}: {len(b)} coefficients for points "
+                              f"of dimension {len(cols)}")
+        parts = map(mul, repeat(c0), ds)
+        for c, col in zip(b, cols):
+            parts = map(add, parts, map(mul, repeat(c), col))
         worst_num, worst_den = 0, 0          # worst_den == 0: no slack seen yet
-        for j, a in enumerate(at):
-            p, q = row[j]
-            d = a[-1]
+        for part, (p, q), d, y in zip(parts, rows[x], ds, points, strict=True):
             den = d_x * d
-            num = (c0 * d + sum(map(mul, b, a))) * q - p * den
+            num = part * q - p * den
             den *= q
             if not worst_den or num * worst_den < worst_num * den:
                 worst_num, worst_den = num, den
             if num < 0:
-                failures.append((x, points[j], Scalar(Fraction(num, den))))
+                failures.append((x, y, Scalar(Fraction(num, den))))
         min_slack[x] = Scalar(Fraction(worst_num, worst_den)) if worst_den else None
     return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
                             failures=failures)

@@ -10,7 +10,7 @@ from affsel import oracle
 from affsel.conelift import LinearSelector
 from affsel.hyperplane import AffineSelector, Instance, select_affine
 from affsel.instances import gen_affine_dominated
-from affsel.numerics import Point, PointSet, Scalar, primitive
+from affsel.numerics import AffselError, Point, PointSet, Scalar, primitive
 from affsel.oracle import (
     DominationReport,
     check_domination,
@@ -226,6 +226,30 @@ class TestIntegerKernel:
         rep = check_domination("sample", ["x0"], pts, rows, {"x0": Fraction(1, 2)},
                                {"x0": (Fraction(1),)})
         assert rep.min_slack["x0"].serialize() == "1/2"
+
+    @pytest.mark.parametrize("b", [(0, 10), ()])
+    def test_coefficients_of_the_wrong_width_are_refused(self, b):
+        # y = 1 and y = 2, both with value 5, under the constant 0: a second
+        # coefficient would multiply the denominator d and pass with slack 5,
+        # a missing one would read as 0
+        pts = [Point.of(1), Point.of(2)]
+        rows = {"x0": [(5, 1), (5, 1)]}
+        with pytest.raises(AffselError, match=rf"^section x0: {len(b)} coefficients "
+                                              r"for points of dimension 1$"):
+            check_domination("sample", ["x0"], pts, rows, {"x0": Fraction(0)}, {"x0": b})
+        rep = check_domination("sample", ["x0"], pts, rows, {"x0": Fraction(0)},
+                               {"x0": (Fraction(0),)})
+        assert len(rep.failures) == 2 and rep.min_slack == {"x0": exact(-5)}
+
+    @pytest.mark.parametrize("a", [("1/2",), ("1/2", -1, 3)])
+    def test_feature_selector_of_the_wrong_width_is_refused(self, a):
+        phi = {Point.of(-1): Point.of(-2, 1), Point.of(2): Point.of(4, 1)}
+        sel = LinearSelector(n=len(a), xs=("x0",), a={"x0": Point.of(*a)},
+                             epsilon={"x0": exact(0)}, exact={"x0": False},
+                             lambda_max=1, cone_c={})
+        with pytest.raises(AffselError, match=rf"^section x0: {len(a)} coefficients "
+                                              r"for points of dimension 2$"):
+            verify_feature_domination(WORKED, sel, phi)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_closure_on_selector_traces_with_lowered_c(self, n):
