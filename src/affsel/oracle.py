@@ -88,11 +88,12 @@ def check_domination(kind: str, xs: Sequence[str], points: Sequence,
     the points takes the slack ((c0 d + b . a) q - p d_x d) / (d_x d q)
     over a positive denominator.  A Fraction is built only for the least
     slack and for failures; being reduced, it equals the plain Fraction
-    difference.
+    difference.  Vectors of different lengths, or a row or point list of
+    another length than the vectors', raise ValueError.
     """
     if at is None:
         at = [primitive(p.raw()) for p in points]
-    *cols, ds = zip(*at) if at else ((),)
+    *cols, ds = zip(*at, strict=True) if at else ((),)
     min_slack: Dict[str, Optional[Scalar]] = {}
     failures: List[tuple] = []
     for x in xs:

@@ -241,6 +241,15 @@ class TestIntegerKernel:
                                {"x0": (Fraction(0),)})
         assert len(rep.failures) == 2 and rep.min_slack == {"x0": exact(-5)}
 
+    def test_vectors_of_different_widths_are_refused(self):
+        # read as columns, a one-coordinate vector would cut the others to its
+        # width, and their last coordinate would pass for their denominator
+        at = [(1, 2, 1), (3, 1)]
+        with pytest.raises(ValueError):
+            check_domination("feature", ["x0"], [Point.of(0), Point.of(1)],
+                             {"x0": [(0, 1), (0, 1)]}, {"x0": Fraction(0)},
+                             {"x0": (Fraction(1), Fraction(1))}, at=at)
+
     @pytest.mark.parametrize("a", [("1/2",), ("1/2", -1, 3)])
     def test_feature_selector_of_the_wrong_width_is_refused(self, a):
         phi = {Point.of(-1): Point.of(-2, 1), Point.of(2): Point.of(4, 1)}
