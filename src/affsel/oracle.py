@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 from itertools import repeat
+from math import gcd, lcm
 from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -79,7 +79,8 @@ def check_domination(kind: str, xs: Sequence[str], points: Sequence,
     rows[x][j] is the value p / q as the integer pair (p, q) with q > 0,
     reduced (``pair_rows``) or not.  ``at`` holds each y_j as its integer
     vector (a_1, .., a_k, d) with y_j = a / d (``numerics.primitive``) and
-    defaults to the vectors of ``points``; coeffs[x] must have k entries.
+    defaults to the vectors of ``points``; coeffs[x] must have k entries,
+    or AffselError names the section and both widths.
     Failures name points[j].
 
     The vectors are read once, as k + 1 columns: a_1 .. a_k of every point,
