@@ -625,6 +625,7 @@ GEN_RUNS = {
     "affine_n2": "affine --seed 5 --n 2 --nx 3 --ny 6",
     "affine_n3": "affine --seed 6 --n 3 --nx 3 --ny 8",
     "affine_deep_n3": "affine --seed 1 --n 3 --nx 4 --ny 18",
+    "affine_n0": "affine --seed 9 --n 0 --nx 2 --ny 3",
     "meager_n2": "meager --seed 7 --n 2 --nx 3 --ny 6",
     "meager_n0": "meager --seed 7 --n 0 --nx 2 --ny 3",
     "convex_shifted_n2": "convex --seed 8 --n 2 --nx 4 --ny 7 --k 3 --shifted",

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from affsel.hyperplane import Instance
 from affsel.instances import parse_rational
@@ -108,3 +108,58 @@ class TestDedupInsert:
     def test_rows_align_with_points(self):
         with pytest.raises(NumericsError, match="one value for each of 2 points"):
             Instance.build(1, ("x",), [pt(0), pt(1)], {"x": [Fraction(0)]})
+
+
+# coordinates where a float key cannot decide the order: base + k 2^-80 ties
+# as a float with base, +-(10^400 + k) overflows one, and 1/3 is also 2/6
+TIE = Fraction(1, 2 ** 80)
+HUGE = 10 ** 400
+tie_coords = st.one_of(
+    st.builds(lambda base, k: base + k * TIE,
+              st.sampled_from([Fraction(0), Fraction(1), Fraction(-5, 3)]), st.integers(-2, 2)),
+    st.builds(lambda sign, k: Fraction(sign * (HUGE + k)), st.sampled_from([-1, 1]),
+              st.integers(-2, 2)),
+    st.sampled_from([Fraction(1, 3), Fraction(2, 6)]),
+)
+tie_values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def tie_tables(draw):
+    """(n, entries): each entry a point of dimension n and its values under
+    the parameters x and z; points repeat often."""
+    n = draw(st.integers(0, 3))
+    point = st.tuples(*[tie_coords] * n)
+    return n, draw(st.lists(st.tuples(point, tie_values, tie_values), max_size=10))
+
+
+def build_xz(n, entries):
+    return Instance.build(n, ("x", "z"), [p for p, _, _ in entries],
+                          {"x": [a for _, a, _ in entries], "z": [b for _, _, b in entries]})
+
+
+class TestCanonicalFormWhereFloatsTie:
+    @given(tie_tables(), st.randoms(use_true_random=False))
+    @example((2, [((1 + TIE, Fraction(0)), 1, 0), ((Fraction(1), Fraction(5)), 2, 0)]), None)
+    @example((2, [((Fraction(0), 1 + TIE), 1, 0), ((Fraction(0), Fraction(1)), 2, 0)]), None)
+    @example((1, [((Fraction(HUGE + 1),), 1, 0), ((Fraction(HUGE),), 2, 0),
+                  ((Fraction(-HUGE),), 0, 0), ((Fraction(-HUGE - 1),), 3, 0)]), None)
+    @example((2, [((Fraction(1, 3), TIE), 1, 2), ((Fraction(2, 6), TIE), 2, 1)]), None)
+    @example((0, [((), 1, 2), ((), 3, -1), ((), -1, 0)]), None)
+    @example((0, []), None)
+    @example((2, []), None)
+    def test_sorted_order_max_merge_and_any_input_order(self, table, rnd):
+        n, entries = table
+        inst = build_xz(n, entries)
+        best = {}
+        for p, a, b in entries:
+            kept = best.setdefault(p, (a, b))
+            best[p] = (max(a, kept[0]), max(b, kept[1]))
+        raws = [p.raw() for p in inst.ys.points]
+        assert raws == sorted(best)
+        assert [s.value for s in inst.values["x"]] == [best[p][0] for p in raws]
+        assert [s.value for s in inst.values["z"]] == [best[p][1] for p in raws]
+        shuffled = list(reversed(entries))
+        if rnd is not None:
+            rnd.shuffle(shuffled)
+        assert build_xz(n, shuffled) == inst
