@@ -260,6 +260,10 @@ def save_instance_file(doc: InstanceFile, path) -> None:
 COEFF_LOW, COEFF_HIGH = -5, 5
 SLACK_HIGH = 5
 MAX_DENOMINATOR = 8
+# the number of distinct values _rand_fraction draws (221), so a sample of
+# dimension n has at most _GRID ** n distinct points
+_GRID = len({Fraction(p, q) for q in range(1, MAX_DENOMINATOR + 1)
+             for p in range(COEFF_LOW * q, COEFF_HIGH * q + 1)})
 
 
 def _rand_fraction(rng: random.Random, low: int = COEFF_LOW, high: int = COEFF_HIGH) -> Fraction:
@@ -274,6 +278,7 @@ def _rand_point(rng: random.Random, n: int) -> tuple:
 
 def _distinct_points(rng: random.Random, n: int, count: int,
                      seed_points: Tuple[tuple, ...] = ()) -> List[tuple]:
+    count = min(count, _GRID ** n)     # no draw adds a point once every one is there
     points = list(seed_points)
     seen = set(points)
     attempts = 0
@@ -295,8 +300,6 @@ def gen_affine_dominated(seed: int, n: int, nx: int, ny: int, *,
     if n < 0:
         raise InstanceFileError("n must be >= 0")
     rng = random.Random(seed)
-    if n == 0:
-        ny = 1
     xs = [f"x{i}" for i in range(nx)]
     points = _distinct_points(rng, n, ny)
     witness_b: Dict[str, List[str]] = {}
@@ -332,8 +335,6 @@ def gen_meager_linear(seed: int, n: int, nx: int, ny: int) -> InstanceFile:
     if n < 0:
         raise InstanceFileError("n must be >= 0")
     rng = random.Random(seed)
-    if n == 0:
-        ny = 1
     xs = [f"x{i}" for i in range(nx)]
     points = _distinct_points(rng, n, ny)
     alphas: Dict[str, List[Fraction]] = {}

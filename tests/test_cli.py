@@ -640,6 +640,22 @@ def test_gen_reproduces_recorded_file(name, tmp_path):
     assert path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("family", ["affine", "meager", "convex --k 2"])
+@pytest.mark.parametrize("n, points", [(0, 1), (1, 221)])
+def test_gen_stops_drawing_once_it_has_every_point(family, n, points, tmp_path, monkeypatch):
+    # a coordinate takes one of 221 values, so dimension n has 221^n points;
+    # asked for more, gen writes them all and stops drawing
+    from affsel import instances
+    draws = []
+    draw = instances._rand_point
+    monkeypatch.setattr(instances, "_rand_point", lambda rng, n: draws.append(n) or draw(rng, n))
+    path = tmp_path / "f.json"
+    assert cli.run(["gen", *family.split(), "--seed", "3", "--n", str(n), "--nx", "2",
+                    "--ny", "1000000", "-o", str(path)]) == 0
+    assert len(json.loads(path.read_text())["Y"]) == points
+    assert draws.count(n) <= 200 * points
+
+
 def test_recursion_too_deep_exits_1_with_one_line(tmp_path):
     # a valid file: one recursion level per dimension passes Python's limit
     path = tmp_path / "deep.json"
