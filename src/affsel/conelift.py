@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import gcd
 from typing import ClassVar, Dict, List, Mapping, NamedTuple, Tuple
 
-from .numerics import AffselError, Point, Scalar
+from .numerics import AffselError, Point, Scalar, rational_coords
 from .hyperplane import (Instance, SelectConfig, WorkingTable, extend_domain, float_key,
                          select_table, sort_exact)
 from .oracle import check_domination
@@ -171,9 +171,8 @@ def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
     """The instance lifted onto any valid ladder (1, ..): the table ``_lift``
     builds, as an instance."""
     table = _lift(_read_rays(extend_domain(inst)), lambdas)
-    points = [tuple([Fraction(c, v[-1]) for c in v[:-1]]) for v in table.points]
     return ConeInstance(instance=Instance.build(
-        inst.n, inst.xs, points,
+        inst.n, inst.xs, map(rational_coords, table.points),
         {x: [Fraction(p, q) for p, q in row] for x, row in table.values.items()}))
 
 

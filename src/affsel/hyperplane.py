@@ -41,9 +41,10 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd, inf
 from operator import eq, itemgetter
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .numerics import AffselError, NumericsError, Point, PointSet, Scalar, primitive
+from .numerics import (AffselError, NumericsError, Point, PointSet, Scalar, primitive,
+                       rational_coords)
 from .sandwich import ceiling_cover, sandwich
 
 
@@ -51,54 +52,63 @@ from .sandwich import ceiling_cover, sandwich
 class Instance:
     """Finite selection instance: parameter ids, a point cloud, and a value table.
 
-    Rows are aligned with the canonical order of ``ys``.
+    Rows are aligned with the canonical order of ``ys``.  ``vectors`` holds
+    each point as its primitive integer vector and ``pairs[x]`` each value of
+    the row as its reduced integer pair, in that order: the integer form that
+    the recursion, the oracle and the shift read.  Both are immutable, as the
+    top working table shares them, and equality ignores them.
     """
 
     n: int
     xs: Tuple[str, ...]
     ys: PointSet
     values: Mapping[str, Tuple[Scalar, ...]]
+    vectors: Tuple[tuple, ...] = field(compare=False)
+    pairs: Mapping[str, Tuple[Tuple[int, int], ...]] = field(compare=False)
 
     @classmethod
     def build(cls, n: int, xs, points, rows: Mapping) -> "Instance":
         """The one place an instance's points and values are made, and the
         one canonicalizer of a point table: ``points`` are tuples of
         Fractions and ``rows[x][j]`` is the Fraction at ``points[j]``.
-        Checks that every point has dimension n, merges equal points by the
-        pointwise max of their values (the supremum, so the order of the
-        points does not matter), sorts the points lexicographically and
-        aligns each row with that order."""
+        Checks that every point has dimension n, keys each point by its
+        primitive vector, merges equal points by the pointwise max of their
+        values (the supremum, so the order of the points does not matter),
+        sorts the points into exact lexicographic order (``sort_exact``) and
+        aligns each row with that order.  The Points and Scalars hold the
+        input Fractions; ``vectors`` and ``pairs`` are made here, once."""
         xs = tuple(xs)
         points = list(points)
         cols = [rows[x] for x in xs]
         if any(len(col) != len(points) for col in cols):
             raise NumericsError(f"every row must hold one value for each of {len(points)} points")
-        merged: Dict[tuple, list] = {}      # coordinates -> values, one per x
+        merged: Dict[tuple, tuple] = {}     # vector -> (float key, vector, point, values per x)
         for j, p in enumerate(points):
             if len(p) != n:
                 raise NumericsError(f"dimension mismatch: point dim {len(p)}, table dim {n}")
+            v = primitive(p)
             vals = [col[j] for col in cols]
-            kept = merged.setdefault(p, vals)
-            if kept is not vals:
-                kept[:] = map(max, kept, vals)
-        entries = sorted(merged.items(), key=itemgetter(0))
-        return cls(n=n, xs=xs, ys=PointSet(n, [Point(map(Scalar, p)) for p, _ in entries]),
-                   values={x: tuple([Scalar(vals[i]) for _, vals in entries])
-                           for i, x in enumerate(xs)})
+            kept = merged.get(v)
+            if kept is None:
+                merged[v] = (float_key(v), v, p, vals)
+            else:
+                kept[3][:] = map(max, kept[3], vals)
+        entries = list(merged.values())
+        sort_exact(entries)
+        return cls(n=n, xs=xs, ys=PointSet(n, [Point(map(Scalar, e[2])) for e in entries]),
+                   values={x: tuple([Scalar(e[3][i]) for e in entries])
+                           for i, x in enumerate(xs)},
+                   vectors=tuple([e[1] for e in entries]),
+                   pairs={x: tuple([e[3][i].as_integer_ratio() for e in entries])
+                          for i, x in enumerate(xs)})
 
     def section_fingerprint(self, x: str) -> tuple:
-        return tuple(s.value for s in self.values[x])
+        return self.pairs[x]
 
 
 def extend_domain(inst: Instance) -> WorkingTable:
-    """The top working table: the instance's points as primitive integer
-    vectors and its values as reduced integer pairs."""
-    return WorkingTable(
-        dim=inst.n,
-        points=[primitive(p.raw()) for p in inst.ys.points],
-        values={x: tuple([s.value.as_integer_ratio() for s in row])
-                for x, row in inst.values.items()},
-    )
+    """The top working table: the instance's vectors and value pairs."""
+    return WorkingTable(inst.n, inst.vectors, dict(inst.pairs))
 
 
 def build_envelope(table: WorkingTable) -> WorkingTable:
@@ -135,11 +145,6 @@ def float_key(key: tuple) -> tuple:
         return tuple([_ratio(c, den) for c in key[:-1]])
 
 
-def _exact_key(key: tuple) -> tuple:
-    den = key[-1]
-    return tuple([Fraction(c, den) for c in key[:-1]])
-
-
 def sort_exact(children: list) -> None:
     """Sort entries (float key, integer vector, ...) of distinct vectors, an
     envelope's children or a cone lift's copies, into exact lexicographic
@@ -157,7 +162,7 @@ def sort_exact(children: list) -> None:
         end = t + 1
         while end < len(firsts) and firsts[end] == firsts[t]:
             end += 1
-        children[t - 1:end] = sorted(children[t - 1:end], key=lambda e: _exact_key(e[1]))
+        children[t - 1:end] = sorted(children[t - 1:end], key=lambda e: rational_coords(e[1]))
 
 
 def _chain(ys, fs) -> list:
@@ -267,7 +272,7 @@ class WorkingTable:
     """
 
     dim: int
-    points: List[tuple]
+    points: Sequence[tuple]
     values: Mapping[str, Tuple[Tuple[int, int], ...]]
     plus: List[int] = field(init=False)
     minus: List[int] = field(init=False)

@@ -133,6 +133,13 @@ def primitive(coords) -> tuple:
     return (*[c.numerator * (d // c.denominator) for c in coords], d)
 
 
+def rational_coords(vector) -> tuple:
+    """The coordinates a_i / d of an integer vector (a_1, .., a_k, d), d > 0,
+    as Fractions: the inverse of ``primitive``."""
+    d = vector[-1]
+    return tuple([Fraction(a, d) for a in vector[:-1]])
+
+
 def origin_point(dim: int) -> Point:
     return Point(Scalar(Fraction(0)) for _ in range(dim))
 

@@ -34,7 +34,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .numerics import AffselError, Point, PointSet, Scalar, primitive
+from .numerics import AffselError, Point, PointSet, Scalar, primitive, rational_coords
 
 
 class InfeasibleSectionsError(AffselError):
@@ -133,13 +133,6 @@ def _merged(kind: str, xs: Sequence[str], reports) -> DominationReport:
                             failures=failures)
 
 
-def pair_rows(inst) -> Dict[str, List[Tuple[int, int]]]:
-    """The instance's values as the rows ``check_domination`` takes: each
-    value as its reduced integer pair."""
-    return {x: [(s.value.numerator, s.value.denominator) for s in inst.values[x]]
-            for x in inst.xs}
-
-
 def verify_domination(inst, selector, kind: str = "affine") -> DominationReport:
     """Check f(x, y) <= B(x).y + C(x) (affine) or f(x, y) <= A(x).y + epsilon(x)
     (linear) for every sample point, with zero tolerance."""
@@ -148,9 +141,9 @@ def verify_domination(inst, selector, kind: str = "affine") -> DominationReport:
     if selector.n != inst.n:
         raise AffselError(f"dimension mismatch: selector n={selector.n}, instance n={inst.n}")
     const, coeffs = (selector.c, selector.b) if kind == "affine" else (selector.epsilon, selector.a)
-    return check_domination(kind, inst.xs, inst.ys.points, pair_rows(inst),
+    return check_domination(kind, inst.xs, inst.ys.points, inst.pairs,
                             {x: const[x].value for x in inst.xs},
-                            {x: coeffs[x].raw() for x in inst.xs})
+                            {x: coeffs[x].raw() for x in inst.xs}, at=inst.vectors)
 
 
 def verify_working_closure(trace, selector) -> DominationReport:
@@ -168,7 +161,7 @@ def verify_working_closure(trace, selector) -> DominationReport:
                          {x: b[x][:level.dim] for x in xs}, at=level.points)
         for level in trace.levels))
     # a level holds integer vectors (a, d); a failure names the point a / d
-    report.failures = [(x, Point(Scalar(Fraction(c, v[-1])) for c in v[:-1]), s)
+    report.failures = [(x, Point(map(Scalar, rational_coords(v))), s)
                        for x, v, s in report.failures]
     return report
 
@@ -176,7 +169,7 @@ def verify_working_closure(trace, selector) -> DominationReport:
 def verify_feature_domination(inst, selector, phi: Mapping[Point, Point]) -> DominationReport:
     """Check f(x, y) <= A(x).phi(y) + epsilon(x) for every sample point y;
     failures name y, not its feature image."""
-    return check_domination("feature", inst.xs, inst.ys.points, pair_rows(inst),
+    return check_domination("feature", inst.xs, inst.ys.points, inst.pairs,
                             {x: selector.epsilon[x].value for x in inst.xs},
                             {x: selector.a[x].raw() for x in inst.xs},
                             at=[primitive(phi[p].raw()) for p in inst.ys.points])
@@ -304,7 +297,7 @@ def _eliminate(rows: list, var: int, t: int) -> Tuple[list, Optional[tuple]]:
 def _certificate(row: tuple, at, pairs, sign: int) -> FeasibilityResult:
     _, _, _, combo, scale = row
     multipliers = {i: Fraction(m, scale) for i, m in combo}
-    constraints = [(tuple([Fraction(a, v[-1]) for a in v[:-1]]), Fraction(sign * p, q))
+    constraints = [(rational_coords(v), Fraction(sign * p, q))
                    for v, (p, q) in zip(at, pairs)]
     return FeasibilityResult(feasible=False,
                              certificate=InfeasibilityCertificate(multipliers, constraints))

@@ -23,7 +23,7 @@ from functools import cached_property
 from math import gcd
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .numerics import AffselError, Point, PointSet, Scalar, origin_point, primitive
+from .numerics import AffselError, Point, PointSet, Scalar, origin_point, rational_coords
 from .hyperplane import Instance, WorkingTable
 from .conelift import LinearConfig, select_linear_table
 from .oracle import InfeasibleSectionsError, solve_rows
@@ -55,41 +55,29 @@ class ConvexSectionInstance:
 
 
 class _Sample:
-    """The sample ``ys`` translated so that its point j0 is the origin, shared
-    by the groups of one base point; with no ``origin``, ``ys`` itself.
+    """The instance's sample translated so that its point j0 is the origin,
+    shared by the groups of one base point; with no j0, the sample itself.
     Translation keeps the lexicographic order and merges no points, so the
-    translate is canonical as it stands.  Its integer vectors and its Points
-    are each built on first read, the vectors of a translate in integers from
-    those of ``origin``, the untranslated sample."""
+    translate is canonical as it stands.  Its integer vectors are made here,
+    from the instance's; its Points are built on first read."""
 
-    def __init__(self, ys: PointSet, origin: Optional["_Sample"] = None, j0: int = 0):
-        self.ys, self._origin, self._j0 = ys, origin, j0
-        self._vectors: Optional[List[tuple]] = None
-        self._points: Optional[PointSet] = None
-
-    def vectors(self) -> List[tuple]:
-        if self._vectors is None:
-            if self._origin is None:
-                self._vectors = [primitive(p.raw()) for p in self.ys.points]
-            else:
-                at = self._origin.vectors()
-                *c, e = at[self._j0]
-                out = []
-                for *a, d in at:
-                    # a / d - c / e = (a e - c d) / (d e), made primitive
-                    v = [ai * e - ci * d for ai, ci in zip(a, c)]
-                    v.append(d * e)
-                    g = gcd(*v)
-                    out.append(tuple([t // g for t in v]) if g > 1 else tuple(v))
-                self._vectors = out
-        return self._vectors
+    def __init__(self, inst: Instance, j0: Optional[int] = None):
+        self.dim, self.vectors, self._points = inst.n, inst.vectors, inst.ys
+        if j0 is not None:
+            *c, e = inst.vectors[j0]
+            out = []
+            for *a, d in inst.vectors:
+                # a / d - c / e = (a e - c d) / (d e), made primitive
+                v = [ai * e - ci * d for ai, ci in zip(a, c)]
+                v.append(d * e)
+                g = gcd(*v)
+                out.append(tuple([t // g for t in v]) if g > 1 else tuple(v))
+            self.vectors, self._points = tuple(out), None
 
     def points(self) -> PointSet:
-        if self._origin is None:
-            return self.ys
         if self._points is None:
-            self._points = PointSet(self.ys.dim, [
-                Point([Scalar(Fraction(a, v[-1])) for a in v[:-1]]) for v in self.vectors()])
+            self._points = PointSet(self.dim, [Point(map(Scalar, rational_coords(v)))
+                                               for v in self.vectors])
         return self._points
 
 
@@ -100,8 +88,8 @@ class ShiftGroup:
     ``pairs`` holds the row as reduced integer pairs (p, q) of p / q, and
     ``vectors`` the sample as primitive integer vectors, in the sample's
     canonical order; the backends and the check read these.  ``instance`` is
-    the same data as an ``Instance`` of Points and Scalars, built on first
-    read; ``row``, where given, is the row as Scalars.
+    the same data as an ``Instance``, whose Points and Scalars are built on
+    first read; ``row``, where given, is the row as Scalars.
     """
 
     def __init__(self, xs, sample: _Sample, pairs: Tuple[Tuple[int, int], ...],
@@ -110,8 +98,8 @@ class ShiftGroup:
         self._sample, self._row = sample, row
 
     @property
-    def vectors(self) -> List[tuple]:
-        return self._sample.vectors()
+    def vectors(self) -> Tuple[tuple, ...]:
+        return self._sample.vectors
 
     @cached_property
     def instance(self) -> Instance:
@@ -119,7 +107,8 @@ class ShiftGroup:
         if row is None:
             row = tuple([Scalar(Fraction(p, q)) for p, q in self.pairs])
         ys = self._sample.points()
-        return Instance(n=ys.dim, xs=self.xs, ys=ys, values=dict.fromkeys(self.xs, row))
+        return Instance(n=ys.dim, xs=self.xs, ys=ys, values=dict.fromkeys(self.xs, row),
+                        vectors=self.vectors, pairs=dict.fromkeys(self.xs, self.pairs))
 
 
 @dataclass(frozen=True)
@@ -131,14 +120,15 @@ def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
     """Translate each section so its base point is the origin and its value
     there is zero.  Sections with identical shifted data share one group.
 
-    The sample is shifted once per distinct base point, in integers and only
-    when read.  Translates of one finite set are equal only under equal
-    bases, so sections are grouped by (base, shifted values); the values are
-    shifted as reduced integer pairs.  A section whose base is the origin
-    keeps the sample, and one whose value there is zero keeps its row.
+    The sample is shifted once per distinct base point, in integers from the
+    instance's vectors.  Translates of one finite set are equal only under
+    equal bases, so sections are grouped by (base, shifted values); the
+    values are shifted from the instance's reduced integer pairs.  A section
+    whose base is the origin keeps the sample, and one whose value there is
+    zero keeps its row.
     """
     inst = csi.instance
-    itself = _Sample(inst.ys)
+    itself = _Sample(inst)
     zero = (Fraction(0),) * inst.n
     samples: Dict[tuple, Tuple[int, _Sample]] = {}      # base -> (index, sample)
     groups: Dict[tuple, tuple] = {}     # (index, pairs) -> (sample, pairs, row, xs)
@@ -149,19 +139,18 @@ def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
             j0 = inst.ys.index_of(base)
             if j0 is None:
                 raise ShiftDomainError(f"base point of x={x} is not a sample point")
-            entry = samples[base] = (j0, _Sample(inst.ys, itself, j0) if any(base) else itself)
+            entry = samples[base] = (j0, _Sample(inst, j0) if any(base) else itself)
         j0, sample = entry
-        row = inst.values[x]
-        pairs = [v.value.as_integer_ratio() for v in row]
+        row, pairs = inst.values[x], inst.pairs[x]
         p0, q0 = pairs[j0]
         if p0:
-            row = None
-            for j, (p, q) in enumerate(pairs):
+            row, shifted = None, []
+            for p, q in pairs:
                 num, den = p * q0 - p0 * q, q * q0
                 g = gcd(num, den)
-                pairs[j] = (num // g, den // g)
-        key = (j0, tuple(pairs))
-        groups.setdefault(key, (sample, key[1], row, []))[3].append(x)
+                shifted.append((num // g, den // g))
+            pairs = tuple(shifted)
+        groups.setdefault((j0, pairs), (sample, pairs, row, []))[3].append(x)
     return ShiftedSections(groups=tuple(
         ShiftGroup(xs, sample, pairs, row) for sample, pairs, row, xs in groups.values()))
 

@@ -204,7 +204,7 @@ class TestIntegerLift:
         inst, ladder = case
         ref = reference_lift(inst, ladder)
         table, top = _lift(_read_rays(extend_domain(inst)), ladder), extend_domain(ref)
-        assert (table.dim, table.points, table.values) == (top.dim, top.points, top.values)
+        assert (table.dim, tuple(table.points), table.values) == (top.dim, top.points, top.values)
         assert lift_to_cone(inst, ladder).instance == ref
 
     def test_origin_copies_merge_by_max(self):
@@ -317,7 +317,7 @@ class TestExactFlagSoundness:
         for n, ny in [(1, 2), (1, 6), (2, 2), (2, 4), (2, 8), (3, 4), (3, 8)]:
             for seed in range(6):
                 inst = gen_meager_linear(seed, n, 4, ny).to_instance()
-                inst = Instance(n=n, xs=inst.xs, ys=inst.ys, values={
+                inst = make_instance(n, inst.ys.points, xs=inst.xs, rows={
                     x: tuple(Scalar(v.value + 1) if i % 2 and j == i % len(inst.ys) else v
                              for j, v in enumerate(inst.values[x]))
                     for i, x in enumerate(inst.xs)})

@@ -98,7 +98,7 @@ class TestChordValue:
 class TestBuildEnvelope:
     def test_worked_dim1(self):
         table = extend_domain(WORKED)
-        assert table.points == [(-1, 1), (2, 1)]
+        assert table.points == ((-1, 1), (2, 1))
         assert table.values["x0"] == ((0, 1), (1, 1))     # 0 and 1 as reduced pairs
         assert (table.plus, table.minus, table.zero) == ([1], [0], [])
         child = build_envelope(table)

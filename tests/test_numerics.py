@@ -9,6 +9,8 @@ from affsel.numerics import (
     NumericsError,
     Point,
     Scalar,
+    primitive,
+    rational_coords,
 )
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=64)
@@ -46,6 +48,11 @@ class TestPoint:
     def test_dot_dim_mismatch(self):
         with pytest.raises(NumericsError):
             Point.of(1).dot(Point.of(1, 2))
+
+
+@given(st.lists(fractions_st, max_size=4))
+def test_rational_coords_inverts_primitive(coords):
+    assert rational_coords(primitive(coords)) == tuple(coords)
 
 
 def pt(*values) -> tuple:
@@ -159,6 +166,10 @@ class TestCanonicalFormWhereFloatsTie:
         assert raws == sorted(best)
         assert [s.value for s in inst.values["x"]] == [best[p][0] for p in raws]
         assert [s.value for s in inst.values["z"]] == [best[p][1] for p in raws]
+        # the integer form every reader takes from the instance
+        assert inst.vectors == tuple(primitive(p.raw()) for p in inst.ys.points)
+        for x in inst.xs:
+            assert inst.pairs[x] == tuple(v.value.as_integer_ratio() for v in inst.values[x])
         shuffled = list(reversed(entries))
         if rnd is not None:
             rnd.shuffle(shuffled)

@@ -108,8 +108,8 @@ def assert_same_groups(csi):
         # the integer rows and vectors the oracle reads, before the view is built
         for x in g.xs:
             assert g.pairs == tuple(v.value.as_integer_ratio() for v in w.values[x])
-        assert g.vectors == [primitive(p.raw()) for p in w.ys.points]
-        assert g.vectors == [primitive(p.raw()) for p in g.instance.ys.points]
+        assert g.vectors == tuple(primitive(p.raw()) for p in w.ys.points)
+        assert g.vectors == tuple(primitive(p.raw()) for p in g.instance.ys.points)
         assert g.instance.n == w.n and g.instance.xs == w.xs
         assert g.instance.ys == w.ys
         assert {x: tuple(v) for x, v in g.instance.values.items()} == dict(w.values)
@@ -191,8 +191,8 @@ class TestIntegerPath:
                 # linear selection on each group's negated view gives -p
                 for group in shift_to_origin(csi).groups:
                     rep, view = group.xs[0], group.instance
-                    negated = Instance(n=n, xs=(rep,), ys=view.ys,
-                                       values={rep: tuple(-v for v in view.values[rep])})
+                    negated = make_instance(n, view.ys.points,
+                                            {rep: tuple(-v for v in view.values[rep])})
                     want = select_linear(negated, CONE_CFG.linear)
                     for x in group.xs:
                         assert sel.p[x] == Point(-c for c in want.a[rep].coords)
