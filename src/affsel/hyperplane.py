@@ -95,12 +95,12 @@ class Instance:
                 kept[3][:] = map(max, kept[3], vals)
         entries = list(merged.values())
         sort_exact(entries)
+        cols = list(zip(*[e[3] for e in entries])) or [()] * len(xs)
         return cls(n=n, xs=xs, ys=PointSet(n, [Point(map(Scalar, e[2])) for e in entries]),
-                   values={x: tuple([Scalar(e[3][i]) for e in entries])
-                           for i, x in enumerate(xs)},
+                   values={x: tuple(map(Scalar, col)) for x, col in zip(xs, cols)},
                    vectors=tuple([e[1] for e in entries]),
-                   pairs={x: tuple([e[3][i].as_integer_ratio() for e in entries])
-                          for i, x in enumerate(xs)})
+                   pairs={x: tuple([v.as_integer_ratio() for v in col])
+                          for x, col in zip(xs, cols)})
 
     def section_fingerprint(self, x: str) -> tuple:
         return self.pairs[x]
