@@ -20,18 +20,20 @@ A value is a reduced integer pair (p, q): q > 0, gcd(p, q) = 1 and the value
 is p / q, the integers a Fraction of it holds.  Pairs are compared by
 cross-multiplication, and no table value is ever a Fraction: only the
 bracket, the picks and the base constants, which leave the kernel, are.
-Floats only guide: they sort the child points, with an exact re-sort where
-they tie, and propose each section's upper hull at dimension one, which one
-exact pass certifies; where it does not, the same chain runs on Fractions.
+Floats only guide: they sort an instance's and each child's points, with an
+exact re-sort where they tie, and propose each section's upper hull at
+dimension one, which one exact pass certifies; where it does not, the same
+chain runs on Fractions.
 The hull serves both the bridge (the largest chord over zero) and the
 bracket, which only hull vertices can attain.
 Integers decide every result, and no float is stored in a table or reaches a
 selector.  ``select_table`` runs the recursion from a top table, which
-``select_affine`` makes from an instance (``extend_domain``) and the cone lift
-builds in integers, and solves each distinct value row once; only
-``select_affine``, whose trace the closure check reads, copies the trace
-tables out to every parameter.  ``Scalar`` and ``Point`` appear only on the
-instance that goes in and the selector that comes out.
+``select_affine`` takes from the vectors and value pairs ``Instance.build``
+keeps (``extend_domain``) and the cone lift builds in integers, and solves
+each distinct value row once; only ``select_affine``, whose trace the
+closure check reads, copies the trace tables out to every parameter.
+``Scalar`` and ``Point`` appear only on the instance that goes in and the
+selector that comes out.
 """
 
 from __future__ import annotations
@@ -52,10 +54,9 @@ from .sandwich import ceiling_cover, sandwich
 class Instance:
     """Finite selection instance: parameter ids, a point cloud, and a value table.
 
-    Rows are aligned with the canonical order of ``ys``.  ``vectors`` holds
-    each point as its primitive integer vector and ``pairs[x]`` each value of
-    the row as its reduced integer pair, in that order: the integer form that
-    the recursion, the oracle and the shift read.  Both are immutable, as the
+    Rows are aligned with the canonical order of ``ys``, and so are the
+    integer form's ``vectors`` (each point's primitive vector) and
+    ``pairs[x]`` (each value's reduced pair).  Those are immutable, as the
     top working table shares them, and equality ignores them.
     """
 
@@ -71,12 +72,11 @@ class Instance:
         """The one place an instance's points and values are made, and the
         one canonicalizer of a point table: ``points`` are tuples of
         Fractions and ``rows[x][j]`` is the Fraction at ``points[j]``.
-        Checks that every point has dimension n, keys each point by its
-        primitive vector, merges equal points by the pointwise max of their
-        values (the supremum, so the order of the points does not matter),
-        sorts the points into exact lexicographic order (``sort_exact``) and
-        aligns each row with that order.  The Points and Scalars hold the
-        input Fractions; ``vectors`` and ``pairs`` are made here, once."""
+        Checks that every point has dimension n, merges points with equal
+        primitive vectors by the pointwise max of their values (the
+        supremum, so the order of the points does not matter), sorts them
+        into exact lexicographic order (``sort_exact``), aligns each row with
+        that order and makes the integer form, the one every reader takes."""
         xs = tuple(xs)
         points = list(points)
         cols = [rows[x] for x in xs]
@@ -88,19 +88,17 @@ class Instance:
                 raise NumericsError(f"dimension mismatch: point dim {len(p)}, table dim {n}")
             v = primitive(p)
             vals = [col[j] for col in cols]
-            kept = merged.get(v)
-            if kept is None:
-                merged[v] = (float_key(v), v, p, vals)
-            else:
+            kept = merged.setdefault(v, (float_key(v), v, p, vals))
+            if kept[3] is not vals:
                 kept[3][:] = map(max, kept[3], vals)
         entries = list(merged.values())
         sort_exact(entries)
-        cols = list(zip(*[e[3] for e in entries])) or [()] * len(xs)
+        merged_cols = list(zip(*[e[3] for e in entries])) or [()] * len(xs)
         return cls(n=n, xs=xs, ys=PointSet(n, [Point(map(Scalar, e[2])) for e in entries]),
-                   values={x: tuple(map(Scalar, col)) for x, col in zip(xs, cols)},
+                   values={x: tuple(map(Scalar, col)) for x, col in zip(xs, merged_cols)},
                    vectors=tuple([e[1] for e in entries]),
                    pairs={x: tuple([v.as_integer_ratio() for v in col])
-                          for x, col in zip(xs, cols)})
+                          for x, col in zip(xs, merged_cols)})
 
     def section_fingerprint(self, x: str) -> tuple:
         return self.pairs[x]

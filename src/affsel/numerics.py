@@ -1,10 +1,11 @@
 """Exact rational scalars, points, point sets, and the integer-vector form
 of a rational point.
 
-Instances, selectors and reports hold these types (``Instance.build``
-makes an instance's); the library computes on their Fractions, and the
-recursion and the domination check on ``primitive`` vectors.  Values
-are arbitrary-precision rationals, so every comparison is error-free and
+Instances, selectors and reports hold these types.  ``Instance.build``
+makes an instance's, and once, beside them, its integer form: each point's
+``primitive`` vector and each value's reduced integer pair, which the
+recursion, the checks and the shift read from it.  Values are
+arbitrary-precision rationals, so every comparison is error-free and
 domination checks hold with zero slack.
 """
 
@@ -136,8 +137,7 @@ def primitive(coords) -> tuple:
 def rational_coords(vector) -> tuple:
     """The coordinates a_i / d of an integer vector (a_1, .., a_k, d), d > 0,
     as Fractions: the inverse of ``primitive``."""
-    d = vector[-1]
-    return tuple([Fraction(a, d) for a in vector[:-1]])
+    return tuple([Fraction(a, vector[-1]) for a in vector[:-1]])
 
 
 def origin_point(dim: int) -> Point:

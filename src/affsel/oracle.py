@@ -5,7 +5,8 @@ The domination check, ``check_domination``, runs in integers.  It reads the
 points as primitive integer vectors one coordinate column at a time: the
 affine part of every point in a section comes from C-level maps over the
 columns, and one loop then takes the least slack and the failures in point
-order.
+order.  It reads the vectors and value pairs that ``Instance.build`` keeps
+on an instance, a recursion level's table, or a shifted group's rows.
 
 The feasibility oracle decides, by Fourier-Motzkin elimination, whether a
 finite value table admits an affine (or linear) dominator, and
@@ -77,10 +78,10 @@ def check_domination(kind: str, xs: Sequence[str], points: Sequence,
     sample index j, with zero tolerance.
 
     rows[x][j] is the value p / q as the integer pair (p, q) with q > 0,
-    reduced (``pair_rows``) or not.  ``at`` holds each y_j as its integer
-    vector (a_1, .., a_k, d) with y_j = a / d (``numerics.primitive``) and
-    defaults to the vectors of ``points``; coeffs[x] must have k entries,
-    or AffselError names the section and both widths.
+    reduced (``Instance.pairs``) or not.  ``at`` holds each y_j as its
+    integer vector (a_1, .., a_k, d) with y_j = a / d (``Instance.vectors``)
+    and defaults to the vectors of ``points``; coeffs[x] must have k
+    entries, or AffselError names the section and both widths.
     Failures name points[j].
 
     The vectors are read once, as k + 1 columns: a_1 .. a_k of every point,

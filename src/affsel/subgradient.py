@@ -3,7 +3,8 @@ sections, by reduction to linear selection on the negated values.
 
 Sections are shifted so that the base point is the origin and the value there
 is zero, and grouped by shape (identical shifted point/value data), so equal
-sections get bitwise-equal answers for free.  The shift runs in integers: a
+sections get bitwise-equal answers for free.  The shift runs in integers on
+the instance's vectors and value pairs, which ``Instance.build`` made: a
 group holds its value row as reduced integer pairs and its sample as
 primitive integer vectors, and builds its ``Instance`` of Points and Scalars
 only when a caller reads it.

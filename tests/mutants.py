@@ -25,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
@@ -98,13 +99,14 @@ def main(names) -> int:
     if unknown:
         print(f"unknown mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    statuses = []
+    statuses, start = [], time.perf_counter()
     for mutant in MUTANTS:
         if names and mutant.name not in names:
             continue
         status, detail = run(mutant)
         statuses.append(status)
         print(f"{mutant.name}: {status} ({detail})", flush=True)
+    print(f"{len(statuses)} mutants in {time.perf_counter() - start:.0f} s")
     return 0 if all(s == "killed" for s in statuses) else 1
 
 
