@@ -73,16 +73,15 @@ class DominationReport:
 def check_domination(kind: str, xs: Sequence[str], points: Sequence,
                      rows: Mapping[str, Sequence[Tuple[int, int]]],
                      const: Mapping[str, Fraction], coeffs: Mapping[str, Sequence[Fraction]],
-                     at: Optional[Sequence[tuple]] = None) -> DominationReport:
+                     at: Sequence[tuple]) -> DominationReport:
     """Check rows[x][j] <= const[x] + coeffs[x] . y_j for every section x and
     sample index j, with zero tolerance.
 
     rows[x][j] is the value p / q as the integer pair (p, q) with q > 0,
     reduced (``Instance.pairs``) or not.  ``at`` holds each y_j as its
-    integer vector (a_1, .., a_k, d) with y_j = a / d (``Instance.vectors``)
-    and defaults to the vectors of ``points``; coeffs[x] must have k
-    entries, or AffselError names the section and both widths.
-    Failures name points[j].
+    integer vector (a_1, .., a_k, d) with y_j = a / d (``Instance.vectors``);
+    coeffs[x] must have k entries, or AffselError names the section and both
+    widths.  Failures name points[j].
 
     The vectors are read once, as k + 1 columns: a_1 .. a_k of every point,
     then d.  With the section's (const, coeffs) = (c0, b) / d_x, its affine
@@ -93,8 +92,6 @@ def check_domination(kind: str, xs: Sequence[str], points: Sequence,
     difference.  Vectors of different lengths, or a row or point list of
     another length than the vectors', raise ValueError.
     """
-    if at is None:
-        at = [primitive(p.raw()) for p in points]
     *cols, ds = zip(*at, strict=True) if at else ((),)
     min_slack: Dict[str, Optional[Scalar]] = {}
     failures: List[tuple] = []

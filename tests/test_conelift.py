@@ -249,7 +249,7 @@ class TestTwoRungLift:
                                   {x: [v.value.as_integer_ratio() for v in full.values[x]]
                                    for x in full.xs},
                                   {x: c[x].value for x in full.xs},
-                                  {x: a[x].raw() for x in full.xs})
+                                  {x: a[x].raw() for x in full.xs}, at=full.vectors)
         assert report.passed, report.failures[:1]
         for x in inst.xs:
             assert exact_map[x] == all(v.value <= a[x].dot(p).value

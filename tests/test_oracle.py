@@ -101,6 +101,13 @@ def as_vector(coords):
     return (*(c.numerator * (d // c.denominator) for c in coords), d)
 
 
+def vectors_of(points, at):
+    """The integer vectors check_domination reads: of ``at`` where given,
+    else of the points."""
+    return [as_vector(coords) for coords in (at if at is not None else
+                                             [p.raw() for p in points])]
+
+
 def as_point(vector):
     return Point.of(*[Fraction(a, vector[-1]) for a in vector[:-1]])
 
@@ -186,7 +193,7 @@ class TestIntegerKernel:
     @given(domination_problems())
     def test_matches_fraction_loop(self, problem):
         xs, points, rows, const, coeffs, at = problem
-        vectors = None if at is None else [as_vector(coords) for coords in at]
+        vectors = vectors_of(points, at)
         assert_same_report(check_domination("closure", xs, points, as_pairs(rows), const,
                                             coeffs, vectors),
                            reference_check_domination("closure", xs, points, rows, const,
@@ -196,7 +203,7 @@ class TestIntegerKernel:
     def test_unreduced_pairs_give_the_reduced_report(self, problem, data):
         # a row value may be any pair (k p, k q) with k > 0, (2p, 2q) among them
         xs, points, rows, const, coeffs, at = problem
-        vectors = None if at is None else [as_vector(coords) for coords in at]
+        vectors = vectors_of(points, at)
         factor = st.one_of(st.just(2), st.integers(1, 10 ** 12))
         scaled = {}
         for x, row in as_pairs(rows).items():
@@ -211,11 +218,11 @@ class TestIntegerKernel:
 
     def test_empty_points_and_dim0(self):
         rep = check_domination("sample", ["x0"], [], {"x0": []}, {"x0": Fraction(1)},
-                               {"x0": ()})
+                               {"x0": ()}, [])
         assert rep.passed and rep.min_slack == {"x0": None}
         rows = {"x0": [(5, 2)]}
         rep = check_domination("closure", ["x0"], [Point.of()], rows, {"x0": Fraction(2)},
-                               {"x0": ()})
+                               {"x0": ()}, [(1,)])
         assert rep.failures == [("x0", Point.of(), exact("-1/2"))]
         assert rep.min_slack == {"x0": exact("-1/2")}
 
@@ -224,7 +231,7 @@ class TestIntegerKernel:
         pts = [Point.of("1/3"), Point.of("1/5"), Point.of(0)]
         rows = {"x0": [(1, 3), (1, 5), (-1, 2)]}
         rep = check_domination("sample", ["x0"], pts, rows, {"x0": Fraction(1, 2)},
-                               {"x0": (Fraction(1),)})
+                               {"x0": (Fraction(1),)}, vectors_of(pts, None))
         assert rep.min_slack["x0"].serialize() == "1/2"
 
     @pytest.mark.parametrize("b", [(0, 10), ()])
@@ -236,9 +243,10 @@ class TestIntegerKernel:
         rows = {"x0": [(5, 1), (5, 1)]}
         with pytest.raises(AffselError, match=rf"^section x0: {len(b)} coefficients "
                                               r"for points of dimension 1$"):
-            check_domination("sample", ["x0"], pts, rows, {"x0": Fraction(0)}, {"x0": b})
+            check_domination("sample", ["x0"], pts, rows, {"x0": Fraction(0)}, {"x0": b},
+                             vectors_of(pts, None))
         rep = check_domination("sample", ["x0"], pts, rows, {"x0": Fraction(0)},
-                               {"x0": (Fraction(0),)})
+                               {"x0": (Fraction(0),)}, vectors_of(pts, None))
         assert len(rep.failures) == 2 and rep.min_slack == {"x0": exact(-5)}
 
     def test_vectors_of_different_widths_are_refused(self):
