@@ -37,8 +37,10 @@ M(x, ray), M being the largest f / t over the ray's sample points (at the
 origin, f(x, 0)), held as a reduced integer pair.  An attempt only scales: at
 rung lambda the copy of y is the vector (lambda a, d) / gcd(lambda, d) and its
 value the pair (lambda p, q) / gcd(lambda, q), both still reduced.  The copies
-go straight into the top ``WorkingTable`` of the affine recursion; no
-Fraction, ``Scalar`` or ``Point`` is built for them.
+are merged and sorted by ``merge_table``, the accumulator ``Instance.build``
+uses, straight into the top ``WorkingTable`` of the affine recursion; no
+Fraction, ``Scalar`` or ``Point`` is built for them.  ``lift_to_cone`` wraps
+that table as an instance, whose views are built only when read.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from fractions import Fraction
 from math import gcd
 from typing import ClassVar, Dict, List, Mapping, NamedTuple, Tuple
 
-from .numerics import AffselError, Point, Scalar, rational_coords
+from .numerics import AffselError, Point, PointSet, Scalar
 from .hyperplane import (Instance, SelectConfig, WorkingTable, extend_domain, float_key,
-                         select_table, sort_exact)
+                         max_pair, merge_table, select_table)
 from .oracle import check_domination
 
 
@@ -100,10 +102,6 @@ class _Rays(NamedTuple):
     copies: List[tuple]
 
 
-def _max_pair(a: tuple, b: tuple) -> tuple:
-    return b if b[0] * a[1] > a[0] * b[1] else a
-
-
 def _read_rays(top: WorkingTable) -> _Rays:
     rows, vecs = top.values, top.points
     cols = list(rows.values())
@@ -116,7 +114,7 @@ def _read_rays(top: WorkingTable) -> _Rays:
         if g:
             slopes = [(col[j][0] * v[-1], col[j][1] * g) for col in cols]
             kept = best.get(ray)
-            best[ray] = slopes if kept is None else list(map(_max_pair, kept, slopes))
+            best[ray] = slopes if kept is None else list(map(max_pair, kept, slopes))
     copies = []
     for j, (v, (g, ray)) in enumerate(zip(vecs, rays)):
         values = tuple([col[j] for col in cols])
@@ -141,13 +139,13 @@ def _check_ladder(lambdas: tuple) -> None:
 
 def _lift(rays: _Rays, lambdas) -> WorkingTable:
     """The top working table of the lift onto the ladder ``lambdas``, which is
-    checked first: the copy of every sample point at every rung, in exact
-    lexicographic order (``sort_exact``).  Equal copies merge by the max of
-    their values, as ``Instance.build`` merges; off the origin they carry
-    equal values, since the value at a lifted point z is t(z) M(x, ray)."""
+    checked first: the copy of every sample point at every rung, merged and
+    sorted by ``merge_table``, as ``Instance.build`` merges and sorts.  Off
+    the origin, equal copies carry equal values, since the value at a lifted
+    point z is t(z) M(x, ray)."""
     lambdas = tuple(lambdas)
     _check_ladder(lambdas)
-    entries: Dict[tuple, tuple] = {}    # lifted vector -> (float key, vector, values)
+    entries = []
     for lam in lambdas:
         for v, key, values in rays.copies:
             if lam > 1:
@@ -156,24 +154,17 @@ def _lift(rays: _Rays, lambdas) -> WorkingTable:
                 key = float_key(v)
                 values = tuple([(lam // h * p, q // h) for p, q in values
                                 for h in [gcd(lam, q)]])
-            kept = entries.get(v)
-            if kept is not None:
-                values = tuple(map(_max_pair, kept[2], values))
-            entries[v] = (key, v, values)
-    children = list(entries.values())
-    sort_exact(children)
-    return WorkingTable(dim=rays.dim, points=[e[1] for e in children],
-                        values={x: tuple([e[2][i] for e in children])
-                                for i, x in enumerate(rays.rows)})
+            entries.append((v, key, values))
+    points, values = merge_table(tuple(rays.rows), entries)
+    return WorkingTable(dim=rays.dim, points=points, values=values)
 
 
 def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
     """The instance lifted onto any valid ladder (1, ..): the table ``_lift``
     builds, as an instance."""
     table = _lift(_read_rays(extend_domain(inst)), lambdas)
-    return ConeInstance(instance=Instance.build(
-        inst.n, inst.xs, map(rational_coords, table.points),
-        {x: [Fraction(p, q) for p, q in row] for x, row in table.values.items()}))
+    return ConeInstance(instance=Instance(n=inst.n, xs=inst.xs, ys=PointSet(inst.n, table.points),
+                                          pairs=table.values))
 
 
 @dataclass(frozen=True)
@@ -225,7 +216,7 @@ def _attempt(rays: _Rays, lambda_max: int, config: LinearConfig):
     top = _lift(rays, (1,) if lambda_max == 1 else (1, lambda_max))
     selector, *_ = select_table(rays.dim, xs, top, config.select)
     eps_map = {x: Scalar(Fraction(max(c.value, 0), lambda_max)) for x, c in selector.c.items()}
-    report = check_domination("linear", xs, rays.vecs, rays.rows, dict.fromkeys(xs, 0),
+    report = check_domination("linear", xs, rays.rows, dict.fromkeys(xs, 0),
                               {x: selector.b[x].raw() for x in xs}, at=rays.vecs)
     failed = {x for x, _, _ in report.failures}
     exact_map = {x: x not in failed for x in xs}

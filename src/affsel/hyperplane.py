@@ -27,19 +27,23 @@ chain runs on Fractions.
 The hull serves both the bridge (the largest chord over zero) and the
 bracket, which only hull vertices can attain.
 Integers decide every result, and no float is stored in a table or reaches a
-selector.  ``select_table`` runs the recursion from a top table, which
-``select_affine`` takes from the vectors and value pairs ``Instance.build``
-keeps (``extend_domain``) and the cone lift builds in integers, and solves
-each distinct value row once; only ``select_affine``, whose trace the
-closure check reads, copies the trace tables out to every parameter.
-``Scalar`` and ``Point`` appear only on the instance that goes in and the
-selector that comes out.
+selector.  An ``Instance`` is stored in the same integers: ``Instance.build``
+and the cone lift make their top tables with one accumulator,
+``merge_table``, which merges equal vectors by the pointwise max and sorts
+them with ``sort_exact``.  ``select_table`` runs the recursion from a top
+table, which ``select_affine`` takes from the instance as it is stored
+(``extend_domain``), and solves each distinct value row once; only
+``select_affine``, whose trace the closure check reads, copies the trace
+tables out to every parameter.  ``Scalar`` and ``Point`` appear only on the
+selector that comes out, and in an instance's views, which a caller builds
+by reading them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import gcd, inf
 from operator import eq, itemgetter
@@ -52,56 +56,80 @@ from .sandwich import ceiling_cover, sandwich
 
 @dataclass(frozen=True)
 class Instance:
-    """Finite selection instance: parameter ids, a point cloud, and a value table.
+    """Finite selection instance: parameter ids, a point cloud, and a value
+    table, stored once, in integers.
 
-    Rows are aligned with the canonical order of ``ys``, and so are the
-    integer form's ``vectors`` (each point's primitive vector) and
-    ``pairs[x]`` (each value's reduced pair).  Those are immutable, as the
-    top working table shares them, and equality ignores them.
+    ``ys`` holds each point's primitive vector in canonical order, and
+    ``pairs[x][j]`` the value at ys[j] as its reduced integer pair; the top
+    working table shares both, so they are immutable.  ``values``, the rows
+    as Scalars, is a view of ``pairs`` made on first read, as ``ys.points``
+    is of the vectors.
     """
 
     n: int
     xs: Tuple[str, ...]
     ys: PointSet
-    values: Mapping[str, Tuple[Scalar, ...]]
-    vectors: Tuple[tuple, ...] = field(compare=False)
-    pairs: Mapping[str, Tuple[Tuple[int, int], ...]] = field(compare=False)
+    pairs: Mapping[str, Tuple[Tuple[int, int], ...]]
 
     @classmethod
     def build(cls, n: int, xs, points, rows: Mapping) -> "Instance":
-        """The one place an instance's points and values are made, and the
-        one canonicalizer of a point table: ``points`` are tuples of
-        Fractions and ``rows[x][j]`` is the Fraction at ``points[j]``.
-        Checks that every point has dimension n, merges points with equal
-        primitive vectors by the pointwise max of their values (the
-        supremum, so the order of the points does not matter), sorts them
-        into exact lexicographic order (``sort_exact``), aligns each row with
-        that order and makes the integer form, the one every reader takes."""
+        """The one place an instance is made from rationals: ``points`` are
+        tuples of rationals and ``rows[x][j]`` is the rational at
+        ``points[j]``.  Checks that every point has dimension n, and makes
+        each point's primitive vector and each value's reduced pair, which
+        ``merge_table`` merges and sorts into the canonical table."""
         xs = tuple(xs)
         points = list(points)
         cols = [rows[x] for x in xs]
         if any(len(col) != len(points) for col in cols):
             raise NumericsError(f"every row must hold one value for each of {len(points)} points")
-        merged: Dict[tuple, tuple] = {}     # vector -> (float key, vector, point, values per x)
+        entries = []
         for j, p in enumerate(points):
             if len(p) != n:
                 raise NumericsError(f"dimension mismatch: point dim {len(p)}, table dim {n}")
             v = primitive(p)
-            vals = [col[j] for col in cols]
-            kept = merged.setdefault(v, (float_key(v), v, p, vals))
-            if kept[3] is not vals:
-                kept[3][:] = map(max, kept[3], vals)
-        entries = list(merged.values())
-        sort_exact(entries)
-        merged_cols = list(zip(*[e[3] for e in entries])) or [()] * len(xs)
-        return cls(n=n, xs=xs, ys=PointSet(n, [Point(map(Scalar, e[2])) for e in entries]),
-                   values={x: tuple(map(Scalar, col)) for x, col in zip(xs, merged_cols)},
-                   vectors=tuple([e[1] for e in entries]),
-                   pairs={x: tuple([v.as_integer_ratio() for v in col])
-                          for x, col in zip(xs, merged_cols)})
+            entries.append((v, float_key(v), tuple([col[j].as_integer_ratio() for col in cols])))
+        vectors, pairs = merge_table(xs, entries)
+        return cls(n=n, xs=xs, ys=PointSet(n, vectors), pairs=pairs)
+
+    @property
+    def vectors(self) -> Tuple[tuple, ...]:
+        return self.ys.vectors
+
+    @cached_property
+    def values(self) -> Mapping[str, Tuple[Scalar, ...]]:
+        views: Dict[tuple, tuple] = {}      # equal rows share one view
+        for row in self.pairs.values():
+            if row not in views:
+                views[row] = tuple([Scalar(Fraction(p, q)) for p, q in row])
+        return {x: views[row] for x, row in self.pairs.items()}
 
     def section_fingerprint(self, x: str) -> tuple:
         return self.pairs[x]
+
+
+def max_pair(a: tuple, b: tuple) -> tuple:
+    return b if b[0] * a[1] > a[0] * b[1] else a
+
+
+def merge_table(xs: Sequence[str], entries) -> Tuple[list, Dict[str, tuple]]:
+    """The one accumulator of a point table, for ``Instance.build`` and the
+    cone lift: ``entries`` are (primitive vector, its ``float_key``, one
+    reduced value pair per x in ``xs``).  Equal vectors merge by the
+    pointwise max of their pairs (the supremum, so the order of the entries
+    does not matter), and the merged table is sorted into exact
+    lexicographic order (``sort_exact``).  Returns the vectors and each x's
+    column of pairs, in that order."""
+    merged: Dict[tuple, tuple] = {}     # vector -> (float key, vector, pairs)
+    for v, key, values in entries:
+        kept = merged.get(v)
+        if kept is not None:
+            values = tuple(map(max_pair, kept[2], values))
+        merged[v] = (key, v, values)
+    entries = list(merged.values())
+    sort_exact(entries)
+    cols = list(zip(*[e[2] for e in entries])) or [()] * len(xs)
+    return [e[1] for e in entries], dict(zip(xs, cols))
 
 
 def extend_domain(inst: Instance) -> WorkingTable:

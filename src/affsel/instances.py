@@ -2,7 +2,9 @@
 
 Generators are pure functions of (seed, parameters); coefficients are drawn
 from small-denominator rationals so that intersection points and elimination
-steps stay compact at desk scale.
+steps stay compact at desk scale.  A generator writes its file directly, its
+distinct points in exact lexicographic order, and builds no ``Instance``;
+``InstanceFile.to_instance`` is where a file becomes one.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from math import lcm
+from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .numerics import EXACT, AffselError, Point, Scalar, check_mode
@@ -201,19 +204,6 @@ class InstanceFile:
             return None
         return {x: Point(map(Scalar, row)) for x, row in zip(self.xs, self.y0_rows)}
 
-    @classmethod
-    def from_instance(cls, inst: Instance, meta: Optional[dict] = None,
-                      y0: Optional[Mapping[str, tuple]] = None) -> "InstanceFile":
-        """The file of an instance; ``y0`` maps each x to its base point's
-        coordinates."""
-        y_rows = [list(p.raw()) for p in inst.ys.points]
-        f_rows = [[s.value for s in inst.values[x]] for x in inst.xs]
-        y0_rows = None
-        if y0 is not None:
-            y0_rows = [list(y0[x]) for x in inst.xs]
-        return cls(n=inst.n, xs=list(inst.xs), y_rows=y_rows, f_rows=f_rows,
-                   y0_rows=y0_rows, meta=meta)
-
 
 def _rational_rows(data: dict, field: str) -> List[List[Fraction]]:
     rows = data[field]
@@ -260,10 +250,11 @@ def save_instance_file(doc: InstanceFile, path) -> None:
 COEFF_LOW, COEFF_HIGH = -5, 5
 SLACK_HIGH = 5
 MAX_DENOMINATOR = 8
-# the number of distinct values _rand_fraction draws (221), so a sample of
+# the _GRID (221) distinct values _rand_fraction draws, so a sample of
 # dimension n has at most _GRID ** n distinct points
-_GRID = len({Fraction(p, q) for q in range(1, MAX_DENOMINATOR + 1)
-             for p in range(COEFF_LOW * q, COEFF_HIGH * q + 1)})
+_VALUES = sorted({Fraction(p, q) for q in range(1, MAX_DENOMINATOR + 1)
+                  for p in range(COEFF_LOW * q, COEFF_HIGH * q + 1)})
+_GRID = len(_VALUES)
 
 
 def _rand_fraction(rng: random.Random, low: int = COEFF_LOW, high: int = COEFF_HIGH) -> Fraction:
@@ -278,9 +269,22 @@ def _rand_point(rng: random.Random, n: int) -> tuple:
 
 def _distinct_points(rng: random.Random, n: int, count: int,
                      seed_points: Tuple[tuple, ...] = ()) -> List[tuple]:
-    count = min(count, _GRID ** n)     # no draw adds a point once every one is there
+    """``count`` distinct points, the seed points first; all of the grid
+    where it has fewer.  Drawn one at a time, repeats dropped, a point takes
+    about two draws up to a quarter of the grid, 6.5 at three quarters and
+    more near all of it (a coupon collection), so past a quarter the points
+    are grid cells drawn without replacement, each cell's base-_GRID digits
+    indexing _VALUES.  A dimension-zero point is drawn from no randomness."""
+    grid = _GRID ** n
+    count = min(count, grid)     # no draw adds a point once every one is there
     points = list(seed_points)
     seen = set(points)
+    if n and 4 * count > grid:
+        for cell in rng.sample(range(grid), count):
+            p = tuple([_VALUES[cell // _GRID ** i % _GRID] for i in range(n)])
+            if p not in seen:
+                points.append(p)
+        return points[:count]
     attempts = 0
     while len(points) < count and attempts < count * 200:
         p = _rand_point(rng, n)
@@ -292,70 +296,70 @@ def _distinct_points(rng: random.Random, n: int, count: int,
     return points
 
 
-def gen_affine_dominated(seed: int, n: int, nx: int, ny: int, *,
-                         zero_slack: bool = False) -> InstanceFile:
-    """Instances with a planted affine dominator: f(x, y) = b.y + c - slack."""
+def _sorted_file(n: int, xs: List[str], points: List[tuple], rows: Mapping[str, list],
+                 meta: dict, base: Optional[tuple] = None) -> InstanceFile:
+    """The file of distinct points and their rows, the points in exact
+    lexicographic order, as ``Instance.build`` orders them: sorted on their
+    coordinates over one common denominator, integers that compare faster
+    than Fractions.  ``base``, where given, is every x's base point."""
+    den = lcm(*[c.denominator for p in points for c in p])
+    order = sorted(range(len(points)), key=lambda j: [c.numerator * (den // c.denominator)
+                                                      for c in points[j]])
+    return InstanceFile(n=n, xs=xs, y_rows=[list(points[j]) for j in order],
+                        f_rows=[[rows[x][j] for j in order] for x in xs],
+                        y0_rows=None if base is None else [list(base) for _ in xs], meta=meta)
+
+
+def _sample(seed: int, n: int, nx: int, ny: int, seed_points: Tuple[tuple, ...] = ()):
+    """What every generator checks and draws first: (rng, xs, points)."""
     if nx < 1 or ny < 1:
         raise InstanceFileError("sizes must be >= 1")
     if n < 0:
         raise InstanceFileError("n must be >= 0")
     rng = random.Random(seed)
-    xs = [f"x{i}" for i in range(nx)]
-    points = _distinct_points(rng, n, ny)
+    return rng, [f"x{i}" for i in range(nx)], _distinct_points(rng, n, ny, seed_points)
+
+
+def _dot(coeffs, p, start: Fraction = Fraction(0)) -> Fraction:
+    return sum(map(mul, coeffs, p), start)
+
+
+def gen_affine_dominated(seed: int, n: int, nx: int, ny: int, *,
+                         zero_slack: bool = False) -> InstanceFile:
+    """Instances with a planted affine dominator: f(x, y) = b.y + c - slack."""
+    rng, xs, points = _sample(seed, n, nx, ny)
     witness_b: Dict[str, List[str]] = {}
     witness_c: Dict[str, str] = {}
     rows: Dict[str, List[Fraction]] = {}
     for x in xs:
         b = [_rand_fraction(rng) for _ in range(n)]
         c = _rand_fraction(rng)
-        witness_b[x] = [str(v) for v in b]
-        witness_c[x] = str(c)
+        witness_b[x], witness_c[x] = [str(v) for v in b], str(c)
         row = []
         for p in points:
             slack = Fraction(0) if zero_slack else _rand_fraction(rng, 0, SLACK_HIGH)
-            val = c - slack
-            for coeff, coord in zip(b, p):
-                val += coeff * coord
-            row.append(val)
+            row.append(_dot(b, p, c - slack))
         rows[x] = row
-    inst = Instance.build(n, xs, points, rows)
     meta = {
         "generator": "affine_dominated",
         "seed": seed,
         "witness": {"b": witness_b, "c": witness_c},
         "zero_slack": zero_slack,
     }
-    return InstanceFile.from_instance(inst, meta=meta)
+    return _sorted_file(n, xs, points, rows, meta)
 
 
 def gen_meager_linear(seed: int, n: int, nx: int, ny: int) -> InstanceFile:
     """Exactly linear sections f(x, y) = alpha(x).y; alpha recorded as witness."""
-    if nx < 1 or ny < 1:
-        raise InstanceFileError("sizes must be >= 1")
-    if n < 0:
-        raise InstanceFileError("n must be >= 0")
-    rng = random.Random(seed)
-    xs = [f"x{i}" for i in range(nx)]
-    points = _distinct_points(rng, n, ny)
-    alphas: Dict[str, List[Fraction]] = {}
-    rows: Dict[str, List[Fraction]] = {}
-    for x in xs:
-        alpha = [_rand_fraction(rng) for _ in range(n)]
-        alphas[x] = alpha
-        row = []
-        for p in points:
-            val = Fraction(0)
-            for coeff, coord in zip(alpha, p):
-                val += coeff * coord
-            row.append(val)
-        rows[x] = row
-    inst = Instance.build(n, xs, points, rows)
+    rng, xs, points = _sample(seed, n, nx, ny)
+    alphas = {x: [_rand_fraction(rng) for _ in range(n)] for x in xs}
+    rows = {x: [_dot(alphas[x], p) for p in points] for x in xs}
     meta = {
         "generator": "meager_linear",
         "seed": seed,
         "witness": {"alpha": {x: [str(v) for v in alphas[x]] for x in xs}},
     }
-    return InstanceFile.from_instance(inst, meta=meta)
+    return _sorted_file(n, xs, points, rows, meta)
 
 
 def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
@@ -367,29 +371,11 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
     base point and per-parameter offsets are added, for the shifted-origin
     workflow; the same seed without ``shifted`` is the pre-shifted twin.
     """
-    if nx < 1 or ny < 1 or k < 1:
+    if k < 1:
         raise InstanceFileError("sizes must be >= 1")
-    if n < 0:
-        raise InstanceFileError("n must be >= 0")
-    rng = random.Random(seed)
-    xs = [f"x{i}" for i in range(nx)]
-    points = _distinct_points(rng, n, ny, seed_points=((Fraction(0),) * n,))
-    slopes: Dict[str, List[List[Fraction]]] = {}
-    rows: Dict[str, List[Fraction]] = {}
-    for x in xs:
-        px = [[_rand_fraction(rng) for _ in range(n)] for _ in range(k)]
-        slopes[x] = px
-        row = []
-        for p in points:
-            best = None
-            for slope in px:
-                val = Fraction(0)
-                for coeff, coord in zip(slope, p):
-                    val += coeff * coord
-                if best is None or val > best:
-                    best = val
-            row.append(best)
-        rows[x] = row
+    rng, xs, points = _sample(seed, n, nx, ny, ((Fraction(0),) * n,))
+    slopes = {x: [[_rand_fraction(rng) for _ in range(n)] for _ in range(k)] for x in xs}
+    rows = {x: [max(_dot(s, p) for s in slopes[x]) for p in points] for x in xs}
     meta = {
         "generator": "convex_sections",
         "seed": seed,
@@ -397,13 +383,11 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
         "witness": {"slopes": {x: [[str(v) for v in s] for s in slopes[x]] for x in xs}},
         "shifted": shifted,
     }
-    y0 = None
+    base = None
     if shifted:
         base = _rand_point(rng, n)
         offsets = {x: _rand_fraction(rng) for x in xs}
         points = [tuple(map(add, p, base)) for p in points]
         rows = {x: [v + offsets[x] for v in rows[x]] for x in xs}
-        y0 = {x: base for x in xs}
         meta["offsets"] = {x: str(offsets[x]) for x in xs}
-    inst = Instance.build(n, xs, points, rows)
-    return InstanceFile.from_instance(inst, meta=meta, y0=y0)
+    return _sorted_file(n, xs, points, rows, meta, base)

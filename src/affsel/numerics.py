@@ -1,12 +1,14 @@
 """Exact rational scalars, points, point sets, and the integer-vector form
 of a rational point.
 
-Instances, selectors and reports hold these types.  ``Instance.build``
-makes an instance's, and once, beside them, its integer form: each point's
-``primitive`` vector and each value's reduced integer pair, which the
-recursion, the checks and the shift read from it.  Values are
-arbitrary-precision rationals, so every comparison is error-free and
-domination checks hold with zero slack.
+An instance is stored once, in its integer form: each point as its
+``primitive`` vector and each value as its reduced integer pair, which
+``Instance.build`` makes and the recursion, the checks and the shift read.
+``Scalar`` and ``Point`` are what selectors and reports hold; an instance's
+own Points and Scalars are views, built from the integer form on first read
+(``PointSet.points``, ``Instance.values``).  Values are arbitrary-precision
+rationals, so every comparison is error-free and domination checks hold
+with zero slack.
 """
 
 from __future__ import annotations
@@ -146,32 +148,41 @@ def origin_point(dim: int) -> Point:
 
 class PointSet:
     """Duplicate-free points of one dimension in canonical (lexicographic)
-    order.  The constructor wraps points that are already so;
-    ``Instance.build`` is what puts a table of points in that form."""
+    order, held as their primitive vectors.  The constructor wraps vectors
+    that are already so; ``Instance.build`` is what puts a table of points
+    in that form.  Length, equality and ``index_of`` read the vectors; the
+    ``Point``s are built on first read of ``points`` or on iteration."""
 
-    __slots__ = ("dim", "points", "_index")
+    __slots__ = ("dim", "vectors", "_points", "_index")
 
-    def __init__(self, dim: int, points: Iterable[Point]):
+    def __init__(self, dim: int, vectors: Iterable[tuple]):
         self.dim = dim
-        self.points = tuple(points)
-        self._index = None      # coordinates -> position, built on first lookup
+        self.vectors = tuple(vectors)
+        self._points = None
+        self._index = None      # vector -> position, built on first lookup
+
+    @property
+    def points(self) -> tuple:
+        if self._points is None:
+            self._points = tuple([Point(map(Scalar, rational_coords(v))) for v in self.vectors])
+        return self._points
 
     def __len__(self):
-        return len(self.points)
+        return len(self.vectors)
 
     def __iter__(self):
         return iter(self.points)
 
     def index_of(self, coords: tuple) -> Optional[int]:
-        """The position of the point with these coordinates (Fractions), if any."""
+        """The position of the point with these coordinates (rationals), if any."""
         if self._index is None:
-            self._index = {p.raw(): i for i, p in enumerate(self.points)}
-        return self._index.get(coords)
+            self._index = {v: i for i, v in enumerate(self.vectors)}
+        return self._index.get(primitive(coords))
 
     def __eq__(self, other):
         if not isinstance(other, PointSet):
             return NotImplemented
-        return self.dim == other.dim and self.points == other.points
+        return self.dim == other.dim and self.vectors == other.vectors
 
     def __repr__(self):
-        return f"PointSet(dim={self.dim}, points={list(self.points)!r})"
+        return f"PointSet(dim={self.dim}, vectors={list(self.vectors)!r})"

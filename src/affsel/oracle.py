@@ -5,8 +5,9 @@ The domination check, ``check_domination``, runs in integers.  It reads the
 points as primitive integer vectors one coordinate column at a time: the
 affine part of every point in a section comes from C-level maps over the
 columns, and one loop then takes the least slack and the failures in point
-order.  It reads the vectors and value pairs that ``Instance.build`` keeps
-on an instance, a recursion level's table, or a shifted group's rows.
+order.  It reads the vectors and value pairs an instance is stored as, a
+recursion level's table, or a shifted group's rows, and names a failure by
+its sample index; each verifier builds a Point only for a failure.
 
 The feasibility oracle decides, by Fourier-Motzkin elimination, whether a
 finite value table admits an affine (or linear) dominator, and
@@ -15,15 +16,16 @@ certificate.  The elimination runs in integers from its input to its answer.
 Its entry, ``solve_rows``, takes the constraints as integer rows already in
 canonical order: each point as its primitive integer vector and each value as
 an integer pair, negated on request, which is how the subgradient backend
-hands over a shifted group.  ``fm_feasible`` is the Fraction adapter in
-front of it: it sorts the constraints and converts them.  Each row of the
-elimination is a primitive integer inequality, and its combination of the
-input constraints is held as integer multipliers over one integer scale;
-Fractions are built only for the witness and for a certificate.  Chernikov's
-rule (after t eliminations, a row that combines more than t + 1 input
-constraints is implied by the others) keeps the rows from multiplying.  The
-oracle imports only ``numerics`` and shares no code path with the recursive
-selector, so agreement between the two is meaningful evidence.
+hands over a shifted group.  ``fm_feasible`` is the adapter in front of it
+for a ``PointSet`` and Scalar rows: it reads the set's vectors and converts
+the values.  Each row of the elimination is a primitive integer inequality,
+and its combination of the input constraints is held as integer multipliers
+over one integer scale; Fractions are built only for the witness and for a
+certificate.  Chernikov's rule (after t eliminations, a row that combines
+more than t + 1 input constraints is implied by the others) keeps the rows
+from multiplying.  The oracle imports only ``numerics`` and shares no code
+path with the recursive selector, so agreement between the two is
+meaningful evidence.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class DominationReport:
         }
 
 
-def check_domination(kind: str, xs: Sequence[str], points: Sequence,
+def check_domination(kind: str, xs: Sequence[str],
                      rows: Mapping[str, Sequence[Tuple[int, int]]],
                      const: Mapping[str, Fraction], coeffs: Mapping[str, Sequence[Fraction]],
                      at: Sequence[tuple]) -> DominationReport:
@@ -81,7 +83,8 @@ def check_domination(kind: str, xs: Sequence[str], points: Sequence,
     reduced (``Instance.pairs``) or not.  ``at`` holds each y_j as its
     integer vector (a_1, .., a_k, d) with y_j = a / d (``Instance.vectors``);
     coeffs[x] must have k entries, or AffselError names the section and both
-    widths.  Failures name points[j].
+    widths.  Failures name the sample index j; each verifier turns it into
+    a point (``_named``), so no point is built while the check passes.
 
     The vectors are read once, as k + 1 columns: a_1 .. a_k of every point,
     then d.  With the section's (const, coeffs) = (c0, b) / d_x, its affine
@@ -89,8 +92,8 @@ def check_domination(kind: str, xs: Sequence[str], points: Sequence,
     the points takes the slack ((c0 d + b . a) q - p d_x d) / (d_x d q)
     over a positive denominator.  A Fraction is built only for the least
     slack and for failures; being reduced, it equals the plain Fraction
-    difference.  Vectors of different lengths, or a row or point list of
-    another length than the vectors', raise ValueError.
+    difference.  Vectors of different lengths, or a row of another length
+    than the vectors', raise ValueError.
     """
     *cols, ds = zip(*at, strict=True) if at else ((),)
     min_slack: Dict[str, Optional[Scalar]] = {}
@@ -104,17 +107,25 @@ def check_domination(kind: str, xs: Sequence[str], points: Sequence,
         for c, col in zip(b, cols):
             parts = map(add, parts, map(mul, repeat(c), col))
         worst_num, worst_den = 0, 0          # worst_den == 0: no slack seen yet
-        for part, (p, q), d, y in zip(parts, rows[x], ds, points, strict=True):
+        for j, (part, (p, q), d) in enumerate(zip(parts, rows[x], ds, strict=True)):
             den = d_x * d
             num = part * q - p * den
             den *= q
             if not worst_den or num * worst_den < worst_num * den:
                 worst_num, worst_den = num, den
             if num < 0:
-                failures.append((x, y, Scalar(Fraction(num, den))))
+                failures.append((x, j, Scalar(Fraction(num, den))))
         min_slack[x] = Scalar(Fraction(worst_num, worst_den)) if worst_den else None
     return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
                             failures=failures)
+
+
+def _named(report: DominationReport, at: Sequence[tuple]) -> DominationReport:
+    """The report with each failure's sample index j replaced by the point
+    of the integer vector at[j]."""
+    report.failures = [(x, Point(map(Scalar, rational_coords(at[j]))), s)
+                       for x, j, s in report.failures]
+    return report
 
 
 def _merged(kind: str, xs: Sequence[str], reports) -> DominationReport:
@@ -139,9 +150,10 @@ def verify_domination(inst, selector, kind: str = "affine") -> DominationReport:
     if selector.n != inst.n:
         raise AffselError(f"dimension mismatch: selector n={selector.n}, instance n={inst.n}")
     const, coeffs = (selector.c, selector.b) if kind == "affine" else (selector.epsilon, selector.a)
-    return check_domination(kind, inst.xs, inst.ys.points, inst.pairs,
-                            {x: const[x].value for x in inst.xs},
-                            {x: coeffs[x].raw() for x in inst.xs}, at=inst.vectors)
+    return _named(check_domination(kind, inst.xs, inst.pairs,
+                                   {x: const[x].value for x in inst.xs},
+                                   {x: coeffs[x].raw() for x in inst.xs}, at=inst.vectors),
+                  inst.vectors)
 
 
 def verify_working_closure(trace, selector) -> DominationReport:
@@ -154,41 +166,33 @@ def verify_working_closure(trace, selector) -> DominationReport:
     xs = selector.xs
     const = {x: selector.c[x].value for x in xs}
     b = {x: selector.b[x].raw() for x in xs}
-    report = _merged("closure", xs, (
-        check_domination("closure", xs, level.points, level.values, const,
-                         {x: b[x][:level.dim] for x in xs}, at=level.points)
+    return _merged("closure", xs, (
+        _named(check_domination("closure", xs, level.values, const,
+                                {x: b[x][:level.dim] for x in xs}, at=level.points),
+               level.points)
         for level in trace.levels))
-    # a level holds integer vectors (a, d); a failure names the point a / d
-    report.failures = [(x, Point(map(Scalar, rational_coords(v))), s)
-                       for x, v, s in report.failures]
-    return report
 
 
 def verify_feature_domination(inst, selector, phi: Mapping[Point, Point]) -> DominationReport:
     """Check f(x, y) <= A(x).phi(y) + epsilon(x) for every sample point y;
     failures name y, not its feature image."""
-    return check_domination("feature", inst.xs, inst.ys.points, inst.pairs,
-                            {x: selector.epsilon[x].value for x in inst.xs},
-                            {x: selector.a[x].raw() for x in inst.xs},
-                            at=[primitive(phi[p].raw()) for p in inst.ys.points])
+    return _named(check_domination("feature", inst.xs, inst.pairs,
+                                   {x: selector.epsilon[x].value for x in inst.xs},
+                                   {x: selector.a[x].raw() for x in inst.xs},
+                                   at=[primitive(phi[p].raw()) for p in inst.ys.points]),
+                  inst.vectors)
 
 
 def verify_subgradient_domination(groups, selector) -> DominationReport:
     """Check p(x).y - epsilon(x) <= g(x, y) on every shifted section group
     (``subgradient.ShiftGroup``), as -g <= epsilon + (-p).y, whose slack
     g - p.y + epsilon is the same.  It reads each group's value pairs and
-    integer vectors, and its ``instance`` only to name a failing point."""
-    reports = []
-    for g in groups:
-        neg = [(-p, q) for p, q in g.pairs]
-        report = check_domination(
-            "subgradient", g.xs, range(len(neg)), dict.fromkeys(g.xs, neg),
-            {x: selector.epsilon[x].value for x in g.xs},
-            {x: [-c for c in selector.p[x].raw()] for x in g.xs}, at=g.vectors)
-        if report.failures:
-            points = g.instance.ys.points
-            report.failures = [(x, points[j], s) for x, j, s in report.failures]
-        reports.append(report)
+    integer vectors."""
+    reports = [_named(check_domination(
+        "subgradient", g.xs, dict.fromkeys(g.xs, [(-p, q) for p, q in g.pairs]),
+        {x: selector.epsilon[x].value for x in g.xs},
+        {x: [-c for c in selector.p[x].raw()] for x in g.xs}, at=g.vectors), g.vectors)
+        for g in groups]
     return _merged("subgradient", [x for r in reports for x in r.min_slack], reports)
 
 
@@ -384,14 +388,11 @@ def fm_feasible(points: PointSet, values: Mapping[str, Sequence[Scalar]],
 
     Unknown order is (b_1 .. b_n, c); variables are eliminated last-to-first,
     so the constant goes first in the affine case.  The witness depends on
-    the constraint set only; sorting the constraints into canonical order
-    makes the certificate independent of input order too.
+    the constraint set only, and the certificate indexes the constraints in
+    the canonical order of ``points``, whose vectors (a, d) are read as they
+    stand, or as (a, d, d) with the constant's coordinate 1 appended.
     """
     width = points.dim if homogeneous else points.dim + 1
-    coeffs = [p.raw() if homogeneous else p.raw() + (Fraction(1),) for p in points.points]
-    results = {}
-    for x, row in values.items():
-        canon = sorted(zip(coeffs, [v.value for v in row], strict=True))
-        results[x] = solve_rows([primitive(c) for c, _ in canon],
-                                [v.as_integer_ratio() for _, v in canon], width)
-    return results
+    at = points.vectors if homogeneous else [(*v, v[-1]) for v in points.vectors]
+    return {x: solve_rows(at, [v.value.as_integer_ratio() for v in row], width)
+            for x, row in values.items()}

@@ -4,16 +4,16 @@ sections, by reduction to linear selection on the negated values.
 Sections are shifted so that the base point is the origin and the value there
 is zero, and grouped by shape (identical shifted point/value data), so equal
 sections get bitwise-equal answers for free.  The shift runs in integers on
-the instance's vectors and value pairs, which ``Instance.build`` made: a
-group holds its value row as reduced integer pairs and its sample as
-primitive integer vectors, and builds its ``Instance`` of Points and Scalars
-only when a caller reads it.
+the instance's vectors and value pairs, the form an instance is stored in: a
+group holds its value row as reduced integer pairs and its sample as a
+``PointSet`` of primitive vectors, one translate shared by the groups of a
+base point, and builds its ``Instance`` only when a caller reads it.
 
-Both backends read each group's integer rows, negated, and neither builds the
-group's ``Instance``.  The exact backend hands them, negation folded in, to
-the feasibility oracle for a zero-residual answer; the cone backend hands them
-as a top working table to the lift-based linear selection and inherits its
-certified residual.
+Both backends and the check read each group's integer rows, negated, and
+none builds the group's ``Instance`` or a Point of its sample.  The exact
+backend hands them, negation folded in, to the feasibility oracle for a
+zero-residual answer; the cone backend hands them as a top working table to
+the lift-based linear selection and inherits its certified residual.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cached_property
 from math import gcd
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .numerics import AffselError, Point, PointSet, Scalar, origin_point, rational_coords
+from .numerics import AffselError, Point, PointSet, Scalar, origin_point
 from .hyperplane import Instance, WorkingTable
 from .conelift import LinearConfig, select_linear_table
 from .oracle import InfeasibleSectionsError, solve_rows
@@ -55,61 +55,42 @@ class ConvexSectionInstance:
         return self.y0[x]
 
 
-class _Sample:
+def _translate(inst: Instance, j0: int) -> PointSet:
     """The instance's sample translated so that its point j0 is the origin,
-    shared by the groups of one base point; with no j0, the sample itself.
-    Translation keeps the lexicographic order and merges no points, so the
-    translate is canonical as it stands.  Its integer vectors are made here,
-    from the instance's; its Points are built on first read."""
-
-    def __init__(self, inst: Instance, j0: Optional[int] = None):
-        self.dim, self.vectors, self._points = inst.n, inst.vectors, inst.ys
-        if j0 is not None:
-            *c, e = inst.vectors[j0]
-            out = []
-            for *a, d in inst.vectors:
-                # a / d - c / e = (a e - c d) / (d e), made primitive
-                v = [ai * e - ci * d for ai, ci in zip(a, c)]
-                v.append(d * e)
-                g = gcd(*v)
-                out.append(tuple([t // g for t in v]) if g > 1 else tuple(v))
-            self.vectors, self._points = tuple(out), None
-
-    def points(self) -> PointSet:
-        if self._points is None:
-            self._points = PointSet(self.dim, [Point(map(Scalar, rational_coords(v)))
-                                               for v in self.vectors])
-        return self._points
+    in integers from its vectors.  Translation keeps the lexicographic order
+    and merges no points, so the translate is canonical as it stands."""
+    *c, e = inst.vectors[j0]
+    out = []
+    for *a, d in inst.vectors:
+        # a / d - c / e = (a e - c d) / (d e), made primitive
+        v = [ai * e - ci * d for ai, ci in zip(a, c)]
+        v.append(d * e)
+        g = gcd(*v)
+        out.append(tuple([t // g for t in v]) if g > 1 else tuple(v))
+    return PointSet(inst.n, out)
 
 
 class ShiftGroup:
-    """Sections that share one shifted shape: the translated sample and the
-    one value row they all have on it.
+    """Sections that share one shifted shape: the translated sample ``ys``,
+    shared by the groups of one base point, and the one value row they all
+    have on it, ``pairs``, as reduced integer pairs (p, q) of p / q.
 
-    ``pairs`` holds the row as reduced integer pairs (p, q) of p / q, and
-    ``vectors`` the sample as primitive integer vectors, in the sample's
-    canonical order; the backends and the check read these.  ``instance`` is
-    the same data as an ``Instance``, whose Points and Scalars are built on
-    first read; ``row``, where given, is the row as Scalars.
+    The backends and the check read ``vectors`` and ``pairs``.  ``instance``
+    is the same data as an ``Instance``, whose Points and Scalars are built
+    on first read.
     """
 
-    def __init__(self, xs, sample: _Sample, pairs: Tuple[Tuple[int, int], ...],
-                 row: Optional[Tuple[Scalar, ...]]):
-        self.xs, self.pairs = tuple(xs), pairs
-        self._sample, self._row = sample, row
+    def __init__(self, xs, ys: PointSet, pairs: Tuple[Tuple[int, int], ...]):
+        self.xs, self.ys, self.pairs = tuple(xs), ys, pairs
 
     @property
     def vectors(self) -> Tuple[tuple, ...]:
-        return self._sample.vectors
+        return self.ys.vectors
 
     @cached_property
     def instance(self) -> Instance:
-        row = self._row
-        if row is None:
-            row = tuple([Scalar(Fraction(p, q)) for p, q in self.pairs])
-        ys = self._sample.points()
-        return Instance(n=ys.dim, xs=self.xs, ys=ys, values=dict.fromkeys(self.xs, row),
-                        vectors=self.vectors, pairs=dict.fromkeys(self.xs, self.pairs))
+        return Instance(n=self.ys.dim, xs=self.xs, ys=self.ys,
+                        pairs=dict.fromkeys(self.xs, self.pairs))
 
 
 @dataclass(frozen=True)
@@ -129,10 +110,9 @@ def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
     zero keeps its row.
     """
     inst = csi.instance
-    itself = _Sample(inst)
-    zero = (Fraction(0),) * inst.n
-    samples: Dict[tuple, Tuple[int, _Sample]] = {}      # base -> (index, sample)
-    groups: Dict[tuple, tuple] = {}     # (index, pairs) -> (sample, pairs, row, xs)
+    zero = (0,) * inst.n
+    samples: Dict[tuple, Tuple[int, PointSet]] = {}     # base -> (index, sample)
+    groups: Dict[tuple, tuple] = {}     # (index, pairs) -> (sample, pairs, xs)
     for x in inst.xs:
         base = zero if csi.y0 is None else csi.y0[x].raw()
         entry = samples.get(base)
@@ -140,20 +120,20 @@ def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
             j0 = inst.ys.index_of(base)
             if j0 is None:
                 raise ShiftDomainError(f"base point of x={x} is not a sample point")
-            entry = samples[base] = (j0, _Sample(inst, j0) if any(base) else itself)
+            entry = samples[base] = (j0, _translate(inst, j0) if any(base) else inst.ys)
         j0, sample = entry
-        row, pairs = inst.values[x], inst.pairs[x]
+        pairs = inst.pairs[x]
         p0, q0 = pairs[j0]
         if p0:
-            row, shifted = None, []
+            shifted = []
             for p, q in pairs:
                 num, den = p * q0 - p0 * q, q * q0
                 g = gcd(num, den)
                 shifted.append((num // g, den // g))
             pairs = tuple(shifted)
-        groups.setdefault((j0, pairs), (sample, pairs, row, []))[3].append(x)
+        groups.setdefault((j0, pairs), (sample, pairs, []))[2].append(x)
     return ShiftedSections(groups=tuple(
-        ShiftGroup(xs, sample, pairs, row) for sample, pairs, row, xs in groups.values()))
+        ShiftGroup(xs, sample, pairs) for sample, pairs, xs in groups.values()))
 
 
 @dataclass(frozen=True)
@@ -217,11 +197,11 @@ def select_subgradient(csi: ConvexSectionInstance,
     """
     inst = csi.instance
     if not (shift or csi.y0 is not None):
-        j0 = inst.ys.index_of((Fraction(0),) * inst.n)
+        j0 = inst.ys.index_of((0,) * inst.n)
         if j0 is None:
             raise NotNormalizedError("not normalized: origin is not a sample point")
         for x in inst.xs:
-            if inst.values[x][j0].value != 0:
+            if inst.pairs[x][j0][0] != 0:
                 raise NotNormalizedError(f"not normalized: g({x}, 0) != 0")
     sections = shift_to_origin(csi)
 

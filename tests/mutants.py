@@ -42,15 +42,24 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the float keys alone order points whose first coordinates tie as floats
+    # the accumulator of Instance.build and the cone lift (merge_table) orders
+    # points whose first coordinates tie as floats by the float keys alone
     Mutant("build-float-only-sort", "src/affsel/hyperplane.py",
-           "        sort_exact(entries)\n", "        entries.sort(key=itemgetter(0))\n",
+           "    sort_exact(entries)\n", "    entries.sort(key=itemgetter(0))\n",
            ("tests/test_numerics.py::TestCanonicalFormWhereFloatsTie",)),
-    # an equal point keeps the first values seen instead of the pointwise max
+    # the accumulator keeps the first values seen at an equal point instead
+    # of the pointwise max; in the lift, where the origin's copies merge
     Mutant("build-keep-first-merge", "src/affsel/hyperplane.py",
-           "kept[3][:] = map(max, kept[3], vals)", "pass",
+           "values = tuple(map(max_pair, kept[2], values))", "values = kept[2]",
            ("tests/test_numerics.py::TestCanonicalFormWhereFloatsTie",
-            "tests/test_numerics.py::TestDedupInsert")),
+            "tests/test_numerics.py::TestDedupInsert",
+            "tests/test_conelift.py::TestIntegerLift::test_equals_the_reference_lift",
+            "tests/test_conelift.py::TestIntegerLift::test_origin_copies_merge_by_max")),
+    # a point set looks up the coordinates themselves, not their primitive
+    # vector, so no base point of a shift is found
+    Mutant("point-set-index-without-primitive", "src/affsel/numerics.py",
+           "return self._index.get(primitive(coords))", "return self._index.get(coords)",
+           ("tests/test_subgradient.py::TestShiftToOrigin::test_arithmetic_shift",)),
     # the domination check pairs each coefficient with the wrong column
     Mutant("domination-reversed-columns", "src/affsel/oracle.py",
            "for c, col in zip(b, cols):", "for c, col in zip(b, cols[::-1]):",

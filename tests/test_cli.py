@@ -3,13 +3,16 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from affsel import cli
 from affsel.cli import build_parser
+from affsel.hyperplane import Instance
 from affsel.instances import gen_meager_linear, save_instance_file
+from affsel.numerics import PointSet
 from conftest import subprocess_env
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -656,6 +659,25 @@ def test_gen_stops_drawing_once_it_has_every_point(family, n, points, tmp_path, 
     assert draws.count(n) <= 200 * points
 
 
+@pytest.mark.parametrize("family", ["affine", "meager", "convex --k 2"])
+def test_gen_past_a_quarter_of_the_grid_draws_cells(family, tmp_path, monkeypatch):
+    # 100 of the 221 points at n=1: cells drawn without replacement, no point
+    # drawn and dropped; convex keeps the origin
+    from affsel import instances
+    draws = []
+    draw = instances._rand_point
+    monkeypatch.setattr(instances, "_rand_point", lambda rng, n: draws.append(n) or draw(rng, n))
+    path = tmp_path / "f.json"
+    assert cli.run(["gen", *family.split(), "--seed", "3", "--n", "1", "--nx", "2",
+                    "--ny", "100", "-o", str(path)]) == 0
+    ys = [Fraction(y) for (y,) in json.loads(path.read_text())["Y"]]
+    assert len(ys) == 100 and ys == sorted(set(ys))
+    assert set(ys) <= set(instances._VALUES)
+    assert draws == []
+    if family.startswith("convex"):
+        assert 0 in ys
+
+
 def test_recursion_too_deep_exits_1_with_one_line(tmp_path):
     # a valid file: one recursion level per dimension passes Python's limit
     path = tmp_path / "deep.json"
@@ -684,6 +706,29 @@ def test_huge_values_take_the_exact_bridge(tmp_path, capsys, exact_hull_calls):
     assert cli.run(["select", "affine", str(path), "--verify"]) == 0
     assert json.loads(capsys.readouterr().out)["verification"]["passed"] is True
     assert exact_hull_calls
+
+
+@pytest.mark.parametrize("family, pipeline", [
+    ("affine", "affine --trace"), ("meager", "linear"), ("convex --k 3", "subgradient"),
+    ("convex --k 3 --shifted", "subgradient")])
+def test_select_and_verify_build_no_view_of_the_instance(family, pipeline, tmp_path,
+                                                         monkeypatch, capsys):
+    # the instance is its integer form: with every check passing, selection
+    # and verification build none of its Points and none of its Scalars
+    path = tmp_path / "f.json"
+    assert cli.run(["gen", *family.split(), "--seed", "5", "--n", "2", "--nx", "3",
+                    "--ny", "6", "-o", str(path)]) == 0
+    capsys.readouterr()
+
+    def refused(self):
+        raise AssertionError("a view of the instance was built")
+
+    monkeypatch.setattr(PointSet, "points", property(refused))
+    monkeypatch.setattr(Instance, "values", property(refused))
+    assert cli.run(["select", *pipeline.split(), str(path), "--verify"]) == 0
+    verification = json.loads(capsys.readouterr().out)["verification"]
+    assert verification["passed"] is True
+    assert verification.get("closure_passed", True) is True
 
 
 def test_out_of_memory_exits_1_with_one_line(worked_file, monkeypatch, capsys):

@@ -245,7 +245,7 @@ class TestTwoRungLift:
         a, _, exact_map, c = _attempt(_read_rays(extend_domain(inst)), lambda_max,
                                       LinearConfig())
         full = lift_to_cone(inst, power_ladder(lambda_max)).instance
-        report = check_domination("affine", full.xs, full.ys.points,
+        report = check_domination("affine", full.xs,
                                   {x: [v.value.as_integer_ratio() for v in full.values[x]]
                                    for x in full.xs},
                                   {x: c[x].value for x in full.xs},

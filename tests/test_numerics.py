@@ -162,14 +162,16 @@ class TestCanonicalFormWhereFloatsTie:
         for p, a, b in entries:
             kept = best.setdefault(p, (a, b))
             best[p] = (max(a, kept[0]), max(b, kept[1]))
-        raws = [p.raw() for p in inst.ys.points]
-        assert raws == sorted(best)
-        assert [s.value for s in inst.values["x"]] == [best[p][0] for p in raws]
-        assert [s.value for s in inst.values["z"]] == [best[p][1] for p in raws]
+        raws = sorted(best)
         # the integer form every reader takes from the instance
-        assert inst.vectors == tuple(primitive(p.raw()) for p in inst.ys.points)
-        for x in inst.xs:
-            assert inst.pairs[x] == tuple(v.value.as_integer_ratio() for v in inst.values[x])
+        assert inst.vectors == tuple(primitive(p) for p in raws)
+        for i, x in enumerate(inst.xs):
+            assert inst.pairs[x] == tuple(best[p][i].as_integer_ratio() for p in raws)
+        # the views, read afterwards: the Points of the merged coordinates and
+        # the Scalars of the pointwise max
+        assert inst.ys.points == tuple(Point(map(Scalar, p)) for p in raws)
+        for i, x in enumerate(inst.xs):
+            assert inst.values[x] == tuple(Scalar(best[p][i]) for p in raws)
         shuffled = list(reversed(entries))
         if rnd is not None:
             rnd.shuffle(shuffled)

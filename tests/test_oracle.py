@@ -136,6 +136,14 @@ def reference_check_domination(kind, xs, points, rows, const, coeffs, at=None):
                             failures=failures)
 
 
+def by_index(report, points):
+    """A report of ``check_domination``, whose failures name the sample
+    index j, with each index replaced by points[j], as the reference names
+    them."""
+    report.failures = [(x, points[j], s) for x, j, s in report.failures]
+    return report
+
+
 def as_pairs(rows):
     """Fraction rows as the reduced integer pairs ``check_domination`` takes."""
     return {x: [v.as_integer_ratio() for v in row] for x, row in rows.items()}
@@ -194,8 +202,8 @@ class TestIntegerKernel:
     def test_matches_fraction_loop(self, problem):
         xs, points, rows, const, coeffs, at = problem
         vectors = vectors_of(points, at)
-        assert_same_report(check_domination("closure", xs, points, as_pairs(rows), const,
-                                            coeffs, vectors),
+        assert_same_report(by_index(check_domination("closure", xs, as_pairs(rows), const,
+                                                     coeffs, vectors), points),
                            reference_check_domination("closure", xs, points, rows, const,
                                                       coeffs, at))
 
@@ -209,28 +217,28 @@ class TestIntegerKernel:
         for x, row in as_pairs(rows).items():
             ks = data.draw(st.lists(factor, min_size=len(row), max_size=len(row)))
             scaled[x] = [(k * p, k * q) for k, (p, q) in zip(ks, row)]
-        got = check_domination("closure", xs, points, scaled, const, coeffs, vectors)
-        assert_same_report(got, check_domination("closure", xs, points, as_pairs(rows),
-                                                 const, coeffs, vectors))
+        got = by_index(check_domination("closure", xs, scaled, const, coeffs, vectors), points)
+        assert_same_report(got, by_index(check_domination("closure", xs, as_pairs(rows),
+                                                          const, coeffs, vectors), points))
         assert_same_report(got, reference_check_domination("closure", xs, points, rows,
                                                            const, coeffs, at))
         assert all(type(s.value) is Fraction for s in got.min_slack.values() if s is not None)
 
     def test_empty_points_and_dim0(self):
-        rep = check_domination("sample", ["x0"], [], {"x0": []}, {"x0": Fraction(1)},
+        rep = check_domination("sample", ["x0"], {"x0": []}, {"x0": Fraction(1)},
                                {"x0": ()}, [])
         assert rep.passed and rep.min_slack == {"x0": None}
         rows = {"x0": [(5, 2)]}
-        rep = check_domination("closure", ["x0"], [Point.of()], rows, {"x0": Fraction(2)},
+        rep = check_domination("closure", ["x0"], rows, {"x0": Fraction(2)},
                                {"x0": ()}, [(1,)])
-        assert rep.failures == [("x0", Point.of(), exact("-1/2"))]
+        assert rep.failures == [("x0", 0, exact("-1/2"))]
         assert rep.min_slack == {"x0": exact("-1/2")}
 
     def test_least_slack_tie_keeps_reduced_value(self):
         # the first two slacks tie at 1/2, computed as 9/18 and 25/50; the third is 1
         pts = [Point.of("1/3"), Point.of("1/5"), Point.of(0)]
         rows = {"x0": [(1, 3), (1, 5), (-1, 2)]}
-        rep = check_domination("sample", ["x0"], pts, rows, {"x0": Fraction(1, 2)},
+        rep = check_domination("sample", ["x0"], rows, {"x0": Fraction(1, 2)},
                                {"x0": (Fraction(1),)}, vectors_of(pts, None))
         assert rep.min_slack["x0"].serialize() == "1/2"
 
@@ -243,9 +251,9 @@ class TestIntegerKernel:
         rows = {"x0": [(5, 1), (5, 1)]}
         with pytest.raises(AffselError, match=rf"^section x0: {len(b)} coefficients "
                                               r"for points of dimension 1$"):
-            check_domination("sample", ["x0"], pts, rows, {"x0": Fraction(0)}, {"x0": b},
+            check_domination("sample", ["x0"], rows, {"x0": Fraction(0)}, {"x0": b},
                              vectors_of(pts, None))
-        rep = check_domination("sample", ["x0"], pts, rows, {"x0": Fraction(0)},
+        rep = check_domination("sample", ["x0"], rows, {"x0": Fraction(0)},
                                {"x0": (Fraction(0),)}, vectors_of(pts, None))
         assert len(rep.failures) == 2 and rep.min_slack == {"x0": exact(-5)}
 
@@ -254,8 +262,7 @@ class TestIntegerKernel:
         # width, and their last coordinate would pass for their denominator
         at = [(1, 2, 1), (3, 1)]
         with pytest.raises(ValueError):
-            check_domination("feature", ["x0"], [Point.of(0), Point.of(1)],
-                             {"x0": [(0, 1), (0, 1)]}, {"x0": Fraction(0)},
+            check_domination("feature", ["x0"], {"x0": [(0, 1), (0, 1)]}, {"x0": Fraction(0)},
                              {"x0": (Fraction(1), Fraction(1))}, at=at)
 
     @pytest.mark.parametrize("a", [("1/2",), ("1/2", -1, 3)])
@@ -534,7 +541,7 @@ def fm_problems(draw):
     n = draw(st.integers(0, 3))
     homogeneous = draw(st.booleans())
     coords = draw(st.lists(st.tuples(*[SMALL] * n), max_size=8, unique=True))
-    points = PointSet(n, [Point.of(*c) for c in sorted(coords)])
+    points = PointSet(n, [primitive(c) for c in sorted(coords)])
     if draw(st.booleans()):
         # planted below a linear functional: feasible
         a = draw(st.tuples(*[SMALL] * n))
@@ -589,7 +596,7 @@ class TestFmAgainstReference:
             return out, bad
 
         monkeypatch.setattr(oracle, "_eliminate", checked)
-        points = PointSet(3, [Point.of(a, b, c) for a in (-1, 1, 2) for b in (-1, 1, 3)
+        points = PointSet(3, [primitive((a, b, c)) for a in (-1, 1, 2) for b in (-1, 1, 3)
                               for c in (-2, 1)])
         row = [exact(-a.value - 2 * b.value + c.value - 1) for a, b, c in
                (p.coords for p in points.points)]
@@ -614,7 +621,7 @@ def shifted_sections(draw):
     coords = set(draw(st.lists(st.tuples(*[COORDS] * n), max_size=11, unique=True)))
     if draw(st.booleans()):
         coords.add(origin)
-    points = PointSet(n, [Point.of(*c) for c in sorted(coords)])
+    points = PointSet(n, [primitive(c) for c in sorted(coords)])
     kind = draw(st.sampled_from(["convex", "concave", "free"]))
     if kind == "free":
         row = [Fraction(0) if p.raw() == origin else draw(RATIONALS) for p in points]
@@ -675,7 +682,7 @@ class TestIntegerEntry:
 
     def test_concave_at_the_origin_is_infeasible(self):
         # -|y| on {-1, 0, 1}: no p with p.y <= g(y) on both sides
-        points = PointSet(1, [Point.of(-1), Point.of(0), Point.of(1)])
+        points = PointSet(1, [(-1, 1), (0, 1), (1, 1)])
         got = oracle.solve_rows([primitive(p.raw()) for p in points],
                                 [(-1, 1), (0, 1), (-1, 1)], 1, negate=True)
         assert not got.feasible

@@ -202,7 +202,7 @@ class TestIntegerPath:
     def test_the_origin_base_reuses_the_sample_and_row(self):
         (group,) = shift_to_origin(ConvexSectionInstance(instance=ABS)).groups
         assert group.instance.ys is ABS.ys
-        assert group.instance.values["x0"] is ABS.values["x0"]
+        assert group.pairs is ABS.pairs["x0"]
 
 
 class TestSelectSubgradient:
