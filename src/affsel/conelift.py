@@ -258,7 +258,7 @@ def push_through_features(inst: Instance, phi: Mapping[Point, Point]) -> Instanc
     images = [phi[p].raw() for p in inst.ys.points]
     m = len(images[0]) if images else 0
     return Instance.build(m, inst.xs, images,
-                          {x: [s.value for s in row] for x, row in inst.values.items()})
+                          {x: [Fraction(*pair) for pair in row] for x, row in inst.pairs.items()})
 
 
 def feature_select(inst: Instance, phi: Mapping[Point, Point],

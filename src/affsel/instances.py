@@ -2,9 +2,10 @@
 
 Generators are pure functions of (seed, parameters); coefficients are drawn
 from small-denominator rationals so that intersection points and elimination
-steps stay compact at desk scale.  A generator writes its file directly, its
-distinct points in exact lexicographic order, and builds no ``Instance``;
-``InstanceFile.to_instance`` is where a file becomes one.
+steps stay compact at desk scale.  They draw and compute on integers over one
+denominator, _DEN = 840 (values over _DEN ** 2), and make Fractions only as
+they fill the ``InstanceFile``, which lists the distinct points in exact
+lexicographic order.  They build no ``Instance``; ``to_instance`` makes one.
 """
 
 from __future__ import annotations
@@ -246,21 +247,22 @@ def save_instance_file(doc: InstanceFile, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-# coefficients and slacks are drawn as p/q with 1 <= q <= MAX_DENOMINATOR
+# coefficients and slacks are drawn as p/q with 1 <= q <= MAX_DENOMINATOR and
+# held as their numerators over one denominator, _DEN = lcm(1..MAX_DENOMINATOR)
 COEFF_LOW, COEFF_HIGH = -5, 5
 SLACK_HIGH = 5
 MAX_DENOMINATOR = 8
-# the _GRID (221) distinct values _rand_fraction draws, so a sample of
-# dimension n has at most _GRID ** n distinct points
-_VALUES = sorted({Fraction(p, q) for q in range(1, MAX_DENOMINATOR + 1)
+_DEN = lcm(*range(1, MAX_DENOMINATOR + 1))
+# the numerators of the _GRID (221) distinct values _rand_fraction draws, so
+# a sample of dimension n has at most _GRID ** n distinct points
+_VALUES = sorted({p * (_DEN // q) for q in range(1, MAX_DENOMINATOR + 1)
                   for p in range(COEFF_LOW * q, COEFF_HIGH * q + 1)})
 _GRID = len(_VALUES)
 
 
-def _rand_fraction(rng: random.Random, low: int = COEFF_LOW, high: int = COEFF_HIGH) -> Fraction:
+def _rand_fraction(rng: random.Random, low: int = COEFF_LOW, high: int = COEFF_HIGH) -> int:
     q = rng.randint(1, MAX_DENOMINATOR)
-    p = rng.randint(low * q, high * q)
-    return Fraction(p, q)
+    return rng.randint(low * q, high * q) * (_DEN // q)
 
 
 def _rand_point(rng: random.Random, n: int) -> tuple:
@@ -289,25 +291,23 @@ def _distinct_points(rng: random.Random, n: int, count: int,
     while len(points) < count and attempts < count * 200:
         p = _rand_point(rng, n)
         attempts += 1
-        if p in seen:
-            continue
-        seen.add(p)
-        points.append(p)
+        if p not in seen:
+            seen.add(p)
+            points.append(p)
     return points
 
 
 def _sorted_file(n: int, xs: List[str], points: List[tuple], rows: Mapping[str, list],
                  meta: dict, base: Optional[tuple] = None) -> InstanceFile:
     """The file of distinct points and their rows, the points in exact
-    lexicographic order, as ``Instance.build`` orders them: sorted on their
-    coordinates over one common denominator, integers that compare faster
-    than Fractions.  ``base``, where given, is every x's base point."""
-    den = lcm(*[c.denominator for p in points for c in p])
-    order = sorted(range(len(points)), key=lambda j: [c.numerator * (den // c.denominator)
-                                                      for c in points[j]])
-    return InstanceFile(n=n, xs=xs, y_rows=[list(points[j]) for j in order],
-                        f_rows=[[rows[x][j] for j in order] for x in xs],
-                        y0_rows=None if base is None else [list(base) for _ in xs], meta=meta)
+    lexicographic order, as ``Instance.build`` orders them: coordinates are
+    numerators over _DEN, which sort as integers, and values over _DEN ** 2;
+    the file's Fractions are made here.  ``base`` is every x's base point."""
+    order = sorted(range(len(points)), key=points.__getitem__)
+    y0_rows = None if base is None else [[Fraction(c, _DEN) for c in base] for _ in xs]
+    return InstanceFile(n=n, xs=xs, y_rows=[[Fraction(c, _DEN) for c in points[j]] for j in order],
+                        f_rows=[[Fraction(rows[x][j], _DEN ** 2) for j in order] for x in xs],
+                        y0_rows=y0_rows, meta=meta)
 
 
 def _sample(seed: int, n: int, nx: int, ny: int, seed_points: Tuple[tuple, ...] = ()):
@@ -320,7 +320,8 @@ def _sample(seed: int, n: int, nx: int, ny: int, seed_points: Tuple[tuple, ...] 
     return rng, [f"x{i}" for i in range(nx)], _distinct_points(rng, n, ny, seed_points)
 
 
-def _dot(coeffs, p, start: Fraction = Fraction(0)) -> Fraction:
+def _dot(coeffs, p, start: int = 0) -> int:
+    """coeffs . p + start over _DEN ** 2, coeffs and p numerators over _DEN."""
     return sum(map(mul, coeffs, p), start)
 
 
@@ -328,17 +329,15 @@ def gen_affine_dominated(seed: int, n: int, nx: int, ny: int, *,
                          zero_slack: bool = False) -> InstanceFile:
     """Instances with a planted affine dominator: f(x, y) = b.y + c - slack."""
     rng, xs, points = _sample(seed, n, nx, ny)
-    witness_b: Dict[str, List[str]] = {}
-    witness_c: Dict[str, str] = {}
-    rows: Dict[str, List[Fraction]] = {}
+    witness_b, witness_c, rows = {}, {}, {}
     for x in xs:
         b = [_rand_fraction(rng) for _ in range(n)]
         c = _rand_fraction(rng)
-        witness_b[x], witness_c[x] = [str(v) for v in b], str(c)
+        witness_b[x], witness_c[x] = [str(Fraction(v, _DEN)) for v in b], str(Fraction(c, _DEN))
         row = []
         for p in points:
-            slack = Fraction(0) if zero_slack else _rand_fraction(rng, 0, SLACK_HIGH)
-            row.append(_dot(b, p, c - slack))
+            slack = 0 if zero_slack else _rand_fraction(rng, 0, SLACK_HIGH)
+            row.append(_dot(b, p, _DEN * (c - slack)))
         rows[x] = row
     meta = {
         "generator": "affine_dominated",
@@ -357,7 +356,7 @@ def gen_meager_linear(seed: int, n: int, nx: int, ny: int) -> InstanceFile:
     meta = {
         "generator": "meager_linear",
         "seed": seed,
-        "witness": {"alpha": {x: [str(v) for v in alphas[x]] for x in xs}},
+        "witness": {"alpha": {x: [str(Fraction(v, _DEN)) for v in alphas[x]] for x in xs}},
     }
     return _sorted_file(n, xs, points, rows, meta)
 
@@ -373,14 +372,15 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
     """
     if k < 1:
         raise InstanceFileError("sizes must be >= 1")
-    rng, xs, points = _sample(seed, n, nx, ny, ((Fraction(0),) * n,))
+    rng, xs, points = _sample(seed, n, nx, ny, ((0,) * n,))
     slopes = {x: [[_rand_fraction(rng) for _ in range(n)] for _ in range(k)] for x in xs}
     rows = {x: [max(_dot(s, p) for s in slopes[x]) for p in points] for x in xs}
     meta = {
         "generator": "convex_sections",
         "seed": seed,
         "k": k,
-        "witness": {"slopes": {x: [[str(v) for v in s] for s in slopes[x]] for x in xs}},
+        "witness": {"slopes": {x: [[str(Fraction(v, _DEN)) for v in s] for s in slopes[x]]
+                               for x in xs}},
         "shifted": shifted,
     }
     base = None
@@ -388,6 +388,6 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
         base = _rand_point(rng, n)
         offsets = {x: _rand_fraction(rng) for x in xs}
         points = [tuple(map(add, p, base)) for p in points]
-        rows = {x: [v + offsets[x] for v in rows[x]] for x in xs}
-        meta["offsets"] = {x: str(offsets[x]) for x in xs}
+        rows = {x: [v + _DEN * offsets[x] for v in rows[x]] for x in xs}
+        meta["offsets"] = {x: str(Fraction(offsets[x], _DEN)) for x in xs}
     return _sorted_file(n, xs, points, rows, meta, base)

@@ -60,6 +60,15 @@ MUTANTS = (
     Mutant("point-set-index-without-primitive", "src/affsel/numerics.py",
            "return self._index.get(primitive(coords))", "return self._index.get(coords)",
            ("tests/test_subgradient.py::TestShiftToOrigin::test_arithmetic_shift",)),
+    # the shifted convex generator adds each offset, a numerator over 840, to
+    # values over 840 ** 2 without scaling it
+    Mutant("gen-shifted-offset-unscaled", "src/affsel/instances.py",
+           "[v + _DEN * offsets[x] for v in rows[x]]", "[v + offsets[x] for v in rows[x]]",
+           ("tests/test_instances.py::TestGenConvexSections::test_values_match_max_of_slopes",)),
+    # the convex generator takes its max over the first planted slope only
+    Mutant("gen-convex-first-slope-only", "src/affsel/instances.py",
+           "max(_dot(s, p) for s in slopes[x])", "max(_dot(s, p) for s in slopes[x][:1])",
+           ("tests/test_instances.py::TestGenConvexSections::test_values_match_max_of_slopes",)),
     # the domination check pairs each coefficient with the wrong column
     Mutant("domination-reversed-columns", "src/affsel/oracle.py",
            "for c, col in zip(b, cols):", "for c, col in zip(b, cols[::-1]):",

@@ -8,7 +8,7 @@ test_hyperplane.py pins.
 from fractions import Fraction
 
 from affsel.hyperplane import Instance
-from affsel.numerics import Point, Scalar, primitive
+from affsel.numerics import Point, PointSet, Scalar, primitive
 
 
 class SignConditionError(Exception):
@@ -62,7 +62,8 @@ def reference_lift(inst: Instance, lambdas) -> Instance:
     """The instance lifted onto the ladder ``lambdas`` (not checked here):
     every sample point at every rung, with the value lam * |y_first| times the
     largest f / |y_first| over the point's ray (lam * f(x, 0) at the origin),
-    equal points merged by ``Instance.build``."""
+    equal points merged by the max of their Fraction values and sorted as
+    Fraction tuples, sharing no code with the library's accumulator."""
     # per-ray best slope: M(x, ray) = max f(x, y) / s(y) over ray members
     coords = [p.raw() for p in inst.ys.points]
     keys = [_ray_key(c) for c in coords]
@@ -79,18 +80,21 @@ def reference_lift(inst: Instance, lambdas) -> Instance:
             if x not in slot or slot[x] < slope:
                 slot[x] = slope
 
-    points = []
-    rows = {x: [] for x in inst.xs}
+    best = {}       # lifted point -> {x: the largest value lifted onto it}
     for p, key in zip(coords, keys):
         for lam in lambdas:
-            points.append(tuple([lam * c for c in p]))
-            if key is None:
-                # origin: contributions lambda * f(x, 0) collide at 0; max rule
-                for x in inst.xs:
-                    rows[x].append(lam * origin_rows[x])
-            else:
-                direction, scale = key
-                zscale = lam * scale
-                for x in inst.xs:
-                    rows[x].append(zscale * ray_best[direction][x])
-    return Instance.build(inst.n, inst.xs, points, rows)
+            slot = best.setdefault(tuple([lam * c for c in p]), {})
+            for x in inst.xs:
+                if key is None:
+                    # origin: contributions lambda * f(x, 0) collide at 0; max rule
+                    value = lam * origin_rows[x]
+                else:
+                    direction, scale = key
+                    value = lam * scale * ray_best[direction][x]
+                if x not in slot or slot[x] < value:
+                    slot[x] = value
+    points = sorted(best)
+    return Instance(n=inst.n, xs=tuple(inst.xs),
+                    ys=PointSet(inst.n, [primitive(p) for p in points]),
+                    pairs={x: tuple([best[p][x].as_integer_ratio() for p in points])
+                           for x in inst.xs})

@@ -672,7 +672,8 @@ def test_gen_past_a_quarter_of_the_grid_draws_cells(family, tmp_path, monkeypatc
                     "--ny", "100", "-o", str(path)]) == 0
     ys = [Fraction(y) for (y,) in json.loads(path.read_text())["Y"]]
     assert len(ys) == 100 and ys == sorted(set(ys))
-    assert set(ys) <= set(instances._VALUES)
+    # _VALUES holds the grid's numerators over 840 = lcm(1..8)
+    assert set(ys) <= {Fraction(k, 840) for k in instances._VALUES}
     assert draws == []
     if family.startswith("convex"):
         assert 0 in ys
@@ -710,20 +711,22 @@ def test_huge_values_take_the_exact_bridge(tmp_path, capsys, exact_hull_calls):
 
 @pytest.mark.parametrize("family, pipeline", [
     ("affine", "affine --trace"), ("meager", "linear"), ("convex --k 3", "subgradient"),
-    ("convex --k 3 --shifted", "subgradient")])
+    ("convex --k 3 --shifted", "subgradient"), (None, "feature")])
 def test_select_and_verify_build_no_view_of_the_instance(family, pipeline, tmp_path,
                                                          monkeypatch, capsys):
     # the instance is its integer form: with every check passing, selection
-    # and verification build none of its Points and none of its Scalars
-    path = tmp_path / "f.json"
-    assert cli.run(["gen", *family.split(), "--seed", "5", "--n", "2", "--nx", "3",
-                    "--ny", "6", "-o", str(path)]) == 0
-    capsys.readouterr()
-
+    # and verification build none of its Points and none of its Scalars; the
+    # feature path reads the points for its phi lookup, and no Scalar
     def refused(self):
         raise AssertionError("a view of the instance was built")
 
-    monkeypatch.setattr(PointSet, "points", property(refused))
+    path = GOLDEN / "feature.json"
+    if family is not None:
+        path = tmp_path / "f.json"
+        assert cli.run(["gen", *family.split(), "--seed", "5", "--n", "2", "--nx", "3",
+                        "--ny", "6", "-o", str(path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(PointSet, "points", property(refused))
     monkeypatch.setattr(Instance, "values", property(refused))
     assert cli.run(["select", *pipeline.split(), str(path), "--verify"]) == 0
     verification = json.loads(capsys.readouterr().out)["verification"]

@@ -1,5 +1,7 @@
 import json
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import time
 
@@ -57,6 +59,27 @@ DIGIT_FORMS = {
 }
 
 DIGITS = "0123456789"
+
+# the generators' value tests run on these seeds at n = 0..3
+SEEDS_AND_DIMS = [(seed, n) for seed in (1, 2, 3, 19) for n in range(4)]
+# the slacks gen_affine_dominated draws: p/q in [0, 5] with q <= 8
+SLACKS = {Fraction(p, q) for q in range(1, 9) for p in range(5 * q + 1)}
+
+
+def written(doc: InstanceFile) -> InstanceFile:
+    """A generated file as its JSON text reads back."""
+    return InstanceFile.from_json_dict(json.loads(doc.dumps()))
+
+
+def dot(coeffs, point) -> Fraction:
+    return sum(map(mul, map(Fraction, coeffs), point), Fraction(0))
+
+
+def affine_slacks(doc: InstanceFile) -> list:
+    """b.y + c - f(x, y) at every x and y of an affine file, from its witness."""
+    b, c = doc.meta["witness"]["b"], doc.meta["witness"]["c"]
+    return [dot(b[x], y) + Fraction(c[x]) - f
+            for x, row in zip(doc.xs, doc.f_rows) for y, f in zip(doc.y_rows, row)]
 
 
 @st.composite
@@ -206,6 +229,14 @@ class TestGenAffineDominated:
             c = exact(doc.meta["witness"]["c"][x])
             for j, p in enumerate(inst.ys.points):
                 assert inst.values[x][j].value == b.dot(p).value + c.value
+        for seed, n in SEEDS_AND_DIMS:
+            doc = written(gen_affine_dominated(seed, n, 3, 6, zero_slack=True))
+            assert set(affine_slacks(doc)) == {0}
+
+    def test_slacks_are_drawn_grid_values(self):
+        for seed, n in SEEDS_AND_DIMS:
+            slacks = set(affine_slacks(written(gen_affine_dominated(seed, n, 3, 6))))
+            assert slacks <= SLACKS and len(slacks) > 1
 
     def test_planted_witness_feasible(self):
         doc = gen_affine_dominated(11, 2, 2, 6)
@@ -241,6 +272,11 @@ class TestGenMeagerLinear:
             alpha = Point(exact(v) for v in doc.meta["witness"]["alpha"][x])
             for j, p in enumerate(inst.ys.points):
                 assert inst.values[x][j] == alpha.dot(p)
+        for seed, n in SEEDS_AND_DIMS:
+            doc = written(gen_meager_linear(seed, n, 3, 6))
+            alpha = doc.meta["witness"]["alpha"]
+            for x, row in zip(doc.xs, doc.f_rows):
+                assert row == [dot(alpha[x], y) for y in doc.y_rows]
 
     def test_homogeneous_feasible(self):
         doc = gen_meager_linear(29, 1, 2, 6)
@@ -271,6 +307,15 @@ class TestGenConvexSections:
             for j, p in enumerate(inst.ys.points):
                 best = max(s.dot(p).value for s in slopes)
                 assert inst.values[x][j].value == best
+        # shifted: max_k s_k.(y - y0) + offset, from the file's own y0 and offsets
+        for (seed, n), shifted in product(SEEDS_AND_DIMS, (False, True)):
+            doc = written(gen_convex_sections(seed, n, 3, 6, k=3, shifted=shifted))
+            slopes = doc.meta["witness"]["slopes"]
+            for i, (x, row) in enumerate(zip(doc.xs, doc.f_rows)):
+                y0 = doc.y0_rows[i] if shifted else [0] * n
+                offset = Fraction(doc.meta["offsets"][x]) if shifted else 0
+                moved = [[a - b for a, b in zip(y, y0)] for y in doc.y_rows]
+                assert row == [max(dot(s, d) for s in slopes[x]) + offset for d in moved]
 
     def test_k_one_linear(self):
         doc = gen_convex_sections(43, 1, 1, 4, k=1)
