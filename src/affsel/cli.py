@@ -126,8 +126,7 @@ def build_parser() -> _Parser:
         "linear": (_select_linear, [*ladder, verify]),
         "feature": (_select_feature, [*ladder, verify]),
         "subgradient": (_select_subgradient, [
-            ("--backend", {"choices": ["exact", "cone"], "default": "exact"}),
-            ("--shift", store_true), ("--check-convexity", store_true), *ladder, verify]),
+            ("--shift", store_true), ("--check-convexity", store_true), verify]),
     }
     for name, (select, options) in pipelines.items():
         pipe = sel_sub.add_parser(name)
@@ -323,11 +322,10 @@ def _select_feature(args, doc) -> _Selection:
 def _select_subgradient(args, doc) -> _Selection:
     inst = doc.to_instance()
     csi = ConvexSectionInstance(instance=inst, y0=doc.y0_table())
-    config = SubgradientConfig(backend=args.backend, linear=_linear_config(args),
-                               check_convexity=args.check_convexity)
+    config = SubgradientConfig(check_convexity=args.check_convexity)
     selector = select_subgradient(csi, config, shift=args.shift)
     return _Selection(
-        inst, {"backend": args.backend, "shift": args.shift or csi.y0 is not None,
+        inst, {"shift": args.shift or csi.y0 is not None,
                "check_convexity": args.check_convexity, "verify": args.verify},
         selector, selector.serialize(),
         lambda: _verification(verify_subgradient_domination(

@@ -27,10 +27,8 @@ lambda * (b.y - v) + C >= 0, linear in lambda, so holding at both ends it
 holds at every scale between; further rungs would add points, no constraints.
 
 The lift runs in integers, and what does not depend on the ladder is read
-once per selection from the sample's top table (``_read_rays``), which
-``select_linear_table`` takes as it stands: ``select_linear`` makes it from an
-instance, and the cone backend of the subgradient selection from a shifted
-group's integer rows.  The oracle is called only to certify the exact flags.
+once per selection from the instance's top table (``_read_rays``).  The
+oracle is called only to certify the exact flags.
 A sample point y = a / d (``numerics.primitive``) lies at t = gcd(a) / d on
 the ray of the primitive direction a / gcd(a), and its unit-rung value is t
 M(x, ray), M being the largest f / t over the ray's sample points (at the
@@ -224,19 +222,13 @@ def _attempt(rays: _Rays, lambda_max: int, config: LinearConfig):
 
 
 def select_linear(inst: Instance, config: LinearConfig = LinearConfig()) -> LinearSelector:
-    """``select_linear_table`` on the instance's top table."""
-    return select_linear_table(extend_domain(inst), config)
-
-
-def select_linear_table(top: WorkingTable, config: LinearConfig = LinearConfig()) -> LinearSelector:
-    """Certified linear selection from a top working table, as
-    ``extend_domain`` makes it: always returns A and a residual epsilon with
-    f <= A.y + epsilon on the sample; retries with a doubled ladder while
-    any section stays inexact and retries remain."""
+    """Certified linear selection: always returns A and a residual epsilon
+    with f <= A.y + epsilon on the sample; retries with a doubled ladder
+    while any section stays inexact and retries remain."""
     attempts: List[AttemptRecord] = []
     lambda_max = config.lambda_max
     retries = config.doublings
-    rays = _read_rays(top)
+    rays = _read_rays(extend_domain(inst))
     while True:
         a_map, eps_map, exact_map, c_map = _attempt(rays, lambda_max, config)
         attempts.append(AttemptRecord(lambda_max=lambda_max, exact=exact_map))

@@ -15,10 +15,12 @@ back-substitutes a deterministic witness or replays an infeasibility
 certificate.  The elimination runs in integers from its input to its answer.
 Its entry, ``solve_rows``, takes the constraints as integer rows already in
 canonical order: each point as its primitive integer vector and each value as
-an integer pair, negated on request, which is how the subgradient backend
-hands over a shifted group.  ``fm_feasible`` is the adapter in front of it
-for a ``PointSet`` and Scalar rows: it reads the set's vectors and converts
-the values.  Each row of the elimination is a primitive integer inequality,
+an integer pair, negated on request, which is how the subgradient selection
+hands over a shifted group.  Where the group has no subgradient, the
+selection hands over the points (1, y) as the vectors (d, a, d), so that
+epsilon is the first unknown, which is fixed first and at its least value.
+``fm_feasible`` is the adapter in front of it for a ``PointSet`` and Scalar
+rows: it reads the set's vectors and converts the values.  Each row of the elimination is a primitive integer inequality,
 and its combination of the input constraints is held as integer multipliers
 over one integer scale; Fractions are built only for the witness and for a
 certificate.  Chernikov's rule (after t eliminations, a row that combines
@@ -38,13 +40,6 @@ from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .numerics import AffselError, Point, PointSet, Scalar, primitive, rational_coords
-
-
-class InfeasibleSectionsError(AffselError):
-    def __init__(self, infeasible: dict):
-        self.infeasible = infeasible
-        super().__init__(
-            "no linear dominator exists for sections: " + ", ".join(sorted(infeasible)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +311,10 @@ def solve_rows(at: Sequence[tuple], pairs: Sequence[Tuple[int, int]], width: int
     sorted, as a canonical sample with one value per point is.  Fractions are
     built only for the witness and a certificate, which indexes the
     constraints in this order.
+
+    Back-substitution fixes v_1 first, at the midpoint of its bounds or at
+    its one bound: at the largest lower bound when every row's v_1
+    coefficient is positive, which is then the least v_1 of any solution.
     """
     sign = -1 if negate else 1
     rows, seen = [], set()

@@ -9,25 +9,27 @@ group holds its value row as reduced integer pairs and its sample as a
 ``PointSet`` of primitive vectors, one translate shared by the groups of a
 base point, and builds its ``Instance`` only when a caller reads it.
 
-Both backends and the check read each group's integer rows, negated, and
-none builds the group's ``Instance`` or a Point of its sample.  The exact
-backend hands them, negation folded in, to the feasibility oracle for a
-zero-residual answer; the cone backend hands them as a top working table to
-the lift-based linear selection and inherits its certified residual.
+The selection and the check read each group's integer rows, negated, and
+neither builds the group's ``Instance`` or a Point of its sample.  The
+selection hands them, negation folded in, to the feasibility oracle's
+Fourier-Motzkin elimination.  Where a subgradient exists on the sample it
+is the oracle's witness, with epsilon = 0.  Where none exists (a section
+that is not convex at its base point), the oracle solves again for
+(epsilon, -p) and fixes epsilon first, at the least value any p reaches:
+epsilon* = min over p of max over the sample of p.y - g(y).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .numerics import AffselError, Point, PointSet, Scalar, origin_point
-from .hyperplane import Instance, WorkingTable
-from .conelift import LinearConfig, select_linear_table
-from .oracle import InfeasibleSectionsError, solve_rows
+from .hyperplane import Instance
+from .oracle import solve_rows
 
 
 class NotNormalizedError(AffselError):
@@ -75,7 +77,7 @@ class ShiftGroup:
     shared by the groups of one base point, and the one value row they all
     have on it, ``pairs``, as reduced integer pairs (p, q) of p / q.
 
-    The backends and the check read ``vectors`` and ``pairs``.  ``instance``
+    The selection and the check read ``vectors`` and ``pairs``.  ``instance``
     is the same data as an ``Instance``, whose Points and Scalars are built
     on first read.
     """
@@ -138,8 +140,6 @@ def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
 
 @dataclass(frozen=True)
 class SubgradientConfig:
-    backend: str = "exact"        # "exact" | "cone"
-    linear: LinearConfig = LinearConfig()
     check_convexity: bool = False
 
 
@@ -148,8 +148,6 @@ class SubgradientSelector:
     xs: Tuple[str, ...]
     p: Mapping[str, Point]
     epsilon: Mapping[str, Scalar]
-    backend: str
-    exact: Mapping[str, bool] = field(default_factory=dict)
 
     def serialize(self) -> dict:
         return {
@@ -158,7 +156,8 @@ class SubgradientSelector:
             "X": list(self.xs),
             "p": [self.p[x].serialize() for x in self.xs],
             "epsilon": [self.epsilon[x].serialize() for x in self.xs],
-            "backend": self.backend,
+            # schema 1 names the one backend
+            "backend": "exact",
         }
 
 
@@ -187,7 +186,9 @@ def check_midpoint_convexity(inst: Instance) -> List[tuple]:
 def select_subgradient(csi: ConvexSectionInstance,
                        config: SubgradientConfig = SubgradientConfig(),
                        shift: bool = False) -> SubgradientSelector:
-    """Select p(x) with g(x, y) >= p(x).y - epsilon(x) at the (shifted) origin.
+    """Select p(x) with g(x, y) >= p(x).y - epsilon(x) at the (shifted) origin,
+    epsilon(x) the least for which any p(x) exists: 0 where the sample admits
+    a subgradient.
 
     With ``shift``, or whenever the instance carries base points, sections
     are translated to their base points first, which normalizes them by
@@ -216,25 +217,20 @@ def select_subgradient(csi: ConvexSectionInstance,
 
     p_map: Dict[str, Point] = {}
     eps_map: Dict[str, Scalar] = {}
-    exact_map: Dict[str, bool] = {}
     for group in sections.groups:
         # every section of a group has the same data: solve it once, negated
-        if config.backend == "exact":
-            result = solve_rows(group.vectors, group.pairs, inst.n, negate=True)
-            if not result.feasible:
-                raise InfeasibleSectionsError(dict.fromkeys(group.xs, result.certificate))
-            witness = [c.value for c in result.witness]
-            eps, exact = Scalar(Fraction(0)), True
-        elif config.backend == "cone":
-            rep = group.xs[0]
-            top = WorkingTable(dim=inst.n, points=group.vectors,
-                               values={rep: tuple([(-p, q) for p, q in group.pairs])})
-            sel = select_linear_table(top, config.linear)
-            witness, eps, exact = sel.a[rep].raw(), sel.epsilon[rep], sel.exact[rep]
+        result = solve_rows(group.vectors, group.pairs, inst.n, negate=True)
+        if result.feasible:
+            eps, witness = Fraction(0), [c.value for c in result.witness]
         else:
-            raise AffselError(f"unknown backend {config.backend!r}")
+            # no subgradient: solve for (epsilon, -p) on the points (1, y),
+            # whose rows have only lower bounds on epsilon, and back-substitution
+            # fixes epsilon first, at its least value
+            lifted = [(v[-1], *v) for v in group.vectors]
+            result = solve_rows(lifted, group.pairs, inst.n + 1, negate=True)
+            eps, *witness = [c.value for c in result.witness]
         p_rep = Point([Scalar(-c) for c in witness])
+        eps_rep = Scalar(eps)
         for x in group.xs:
-            p_map[x], eps_map[x], exact_map[x] = p_rep, eps, exact
-    return SubgradientSelector(xs=inst.xs, p=p_map, epsilon=eps_map,
-                               backend=config.backend, exact=exact_map)
+            p_map[x], eps_map[x] = p_rep, eps_rep
+    return SubgradientSelector(xs=inst.xs, p=p_map, epsilon=eps_map)

@@ -69,6 +69,21 @@ MUTANTS = (
     Mutant("gen-convex-first-slope-only", "src/affsel/instances.py",
            "max(_dot(s, p) for s in slopes[x])", "max(_dot(s, p) for s in slopes[x][:1])",
            ("tests/test_instances.py::TestGenConvexSections::test_values_match_max_of_slopes",)),
+    # the least-epsilon system puts epsilon last, so that it is fixed last,
+    # given p, and is not the least: on values -1, 0, -1, -3 at -1, 0, 1, 2
+    # it is 3, not 5/3
+    Mutant("least-epsilon-column-last", "src/affsel/subgradient.py",
+           "            lifted = [(v[-1], *v) for v in group.vectors]\n"
+           "            result = solve_rows(lifted, group.pairs, inst.n + 1, negate=True)\n"
+           "            eps, *witness = [c.value for c in result.witness]\n",
+           "            lifted = [(*v, v[-1]) for v in group.vectors]\n"
+           "            result = solve_rows(lifted, group.pairs, inst.n + 1, negate=True)\n"
+           "            *witness, eps = [c.value for c in result.witness]\n",
+           ("tests/test_subgradient.py::TestLeastEpsilon",)),
+    # a group with no subgradient is reported with epsilon 0
+    Mutant("least-epsilon-reported-zero", "src/affsel/subgradient.py",
+           "eps_rep = Scalar(eps)", "eps_rep = Scalar(Fraction(0))",
+           ("tests/test_subgradient.py::TestLeastEpsilon",)),
     # the domination check pairs each coefficient with the wrong column
     Mutant("domination-reversed-columns", "src/affsel/oracle.py",
            "for c, col in zip(b, cols):", "for c, col in zip(b, cols[::-1]):",

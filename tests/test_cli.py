@@ -160,6 +160,8 @@ def meager_file(tmp_path):
     return path
 
 
+# `select subgradient` takes no ladder and no --backend: there the flags
+# themselves are the usage error
 LADDER_PIPELINES = (("linear",), ("feature",), ("subgradient",),
                     ("subgradient", "--backend", "cone"))
 
@@ -173,12 +175,15 @@ class TestLadderBound:
                                                        ("2^14285", "0"), ("1" * 4301, "0")])
     def test_past_the_digit_limit_is_a_usage_error(self, meager_file, capsys, pipeline,
                                                    lambda_max, doublings):
-        code = cli.run(["select", pipeline[0], str(meager_file), *pipeline[1:],
-                        "--lambda-max", lambda_max, "--doublings", doublings])
+        flags = [*pipeline[1:], "--lambda-max", lambda_max, "--doublings", doublings]
+        code = cli.run(["select", pipeline[0], str(meager_file), *flags])
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
-        assert err.startswith("usage error: --lambda-max ")
-        assert "exceeds the limit of 4300 digits" in err
+        if pipeline[0] == "subgradient":
+            assert err.startswith(f"usage error: unrecognized arguments: {' '.join(flags)}; ")
+        else:
+            assert err.startswith("usage error: --lambda-max ")
+            assert "exceeds the limit of 4300 digits" in err
         assert len(err.splitlines()) == 1
 
     def test_largest_rung_within_the_limit_still_selects(self, meager_file, capsys):
@@ -408,7 +413,8 @@ MALFORMED_TEXT = {
                                           f'"B": [[0]], "C": [{LONG_INTEGER}]}}'),
 }
 
-# pipelines whose --doublings must be a non-negative integer in ASCII digits
+# pipelines whose --doublings must be a non-negative integer in ASCII digits,
+# and subgradient, which takes no --doublings
 DOUBLINGS_PIPELINES = ("linear", "feature", "subgradient")
 BAD_DOUBLINGS = {"negative": "-1", "arabic-digit": "\u0661", "superscript-digit": "\u00b2"}
 
@@ -428,6 +434,11 @@ BAD_GEN_INTEGERS = {"gen-seed-arabic-digit": ("--seed", "\u0661"),
 # the removed --depth flag
 DEPTH_COMMANDS = {"depth-select-affine": ("select", "affine"), "depth-sandwich": ("sandwich",)}
 
+# the removed flags of `select subgradient`
+SUBGRADIENT_REMOVED = {"subgradient-backend": ("--backend", "cone"),
+                       "subgradient-lambda-max": ("--lambda-max", "2^20"),
+                       "subgradient-doublings": ("--doublings", "3")}
+
 # what the one stderr line must name
 EXPECTED_MESSAGE = {
     **{f"doublings-{name}-{p}": "--doublings" for name in BAD_DOUBLINGS
@@ -440,6 +451,8 @@ EXPECTED_MESSAGE = {
     **{case: f"argument {flag}: must be an integer in ASCII digits"
        for case, (flag, _) in BAD_GEN_INTEGERS.items()},
     **dict.fromkeys(DEPTH_COMMANDS, "unrecognized arguments: --depth 3"),
+    **{case: f"unrecognized arguments: {flag} {value}"
+       for case, (flag, value) in SUBGRADIENT_REMOVED.items()},
     "y0-dimension": "y0 point of dimension 2, expected 1",
     "phi-ragged": "phi row 1 has 1 entries, the first row has 2",
     **{f"{kind}value-{name}": "not a finite rational" for kind in ("", "function-", "selector-")
@@ -471,7 +484,8 @@ EXPECTED_MESSAGE = {
                                   *(f"doublings-{name}-{p}" for name in BAD_DOUBLINGS
                                     for p in DOUBLINGS_PIPELINES),
                                   *(f"gen-negative-n-{f}" for f in ("affine", "meager", "convex")),
-                                  *BAD_LAMBDAS, *BAD_GEN_INTEGERS, *DEPTH_COMMANDS])
+                                  *BAD_LAMBDAS, *BAD_GEN_INTEGERS, *DEPTH_COMMANDS,
+                                  *SUBGRADIENT_REMOVED])
 def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
     if case in MALFORMED:
         path = tmp_path / "bad.json"
@@ -517,6 +531,8 @@ def test_malformed_input_one_line_exit_1(case, worked_file, tmp_path):
                 "-o", str(tmp_path / "gen.json"))
     elif case in BAD_LAMBDAS:
         args = ("select", "linear", str(worked_file), f"--lambda-max={BAD_LAMBDAS[case]}")
+    elif case in SUBGRADIENT_REMOVED:
+        args = ("select", "subgradient", str(worked_file), *SUBGRADIENT_REMOVED[case])
     else:
         u = tmp_path / "u.json"
         u.write_text(json.dumps({"X": ["a"], "values": ["0"]}))
@@ -551,13 +567,15 @@ def test_select_affine_trace_stdout_matches_recording(name):
 
 
 # `affsel select PIPELINE FILE --verify [flags]`, run in tests/golden and
-# recorded the same way: the cone lift, the feature push, the shift and the
-# convexity check, which the affine recordings do not run
+# recorded the same way: the cone lift, the feature push, the shift, the
+# convexity check and the least epsilon of concave sections, which the affine
+# recordings do not run.  concave_shifted_n2.json is convex_shifted_n2.json
+# with every f value negated and its meta dropped
 SELECT_RUNS = {
     "linear_affine_n2": ("linear", "affine_n2.json"),
     "feature": ("feature", "feature.json"),
     "subgradient_convexity": ("subgradient", "convex_shifted_n2.json", "--check-convexity"),
-    "subgradient_cone": ("subgradient", "convex_shifted_n2.json", "--backend", "cone"),
+    "subgradient_concave": ("subgradient", "concave_shifted_n2.json"),
     "subgradient_shift": ("subgradient", "convex_shifted_n2.json", "--shift"),
 }
 
@@ -621,6 +639,16 @@ def test_convexity_violation_matches_recording(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (GOLDEN / "convexity_violation.stderr").read_text(encoding="utf-8")
+
+
+def test_without_the_check_a_nonconvex_section_gets_its_least_epsilon(monkeypatch, capsys):
+    # x0 has no subgradient at the origin: -1, 0, -4 along the first axis
+    monkeypatch.chdir(GOLDEN)
+    assert cli.run(["select", "subgradient", "convexity_violation.json", "--verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verification"]["passed"] is True
+    eps = [Fraction(e) for e in report["selector"]["epsilon"]]
+    assert eps[0] > 0 and eps[1] == 0
 
 
 # `affsel gen FAMILY ARGS` reproduces each recorded instance file byte for byte
@@ -770,8 +798,8 @@ RECORDED_OPTIONS = {
     "select affine": [["--sandwich"], ["--base"], ["--verify"], ["--trace"], ["-o", "--output"]],
     "select linear": [["--lambda-max"], ["--doublings"], ["--verify"], ["-o", "--output"]],
     "select feature": [["--lambda-max"], ["--doublings"], ["--verify"], ["-o", "--output"]],
-    "select subgradient": [["--backend"], ["--shift"], ["--check-convexity"], ["--lambda-max"],
-                           ["--doublings"], ["--verify"], ["-o", "--output"]],
+    "select subgradient": [["--shift"], ["--check-convexity"], ["--verify"],
+                           ["-o", "--output"]],
     "sandwich": [["--mode"]],
     "verify": [["--kind"]],
 }

@@ -88,7 +88,7 @@ class TestOtherDominationChecks:
         (good,) = shift_to_origin(ConvexSectionInstance(instance=make_instance(
             1, [Point.of(0)], {"x1": [exact(0)]}))).groups
         sel = SubgradientSelector(xs=("x0", "x1"), p={"x0": Point.of(2), "x1": Point.of(5)},
-                                  epsilon={"x0": exact(1), "x1": exact(0)}, backend="exact")
+                                  epsilon={"x0": exact(1), "x1": exact(0)})
         rep = verify_subgradient_domination([bad, good], sel)
         assert not rep.passed
         assert rep.failures == [("x0", Point.of(2), exact(-1))]
@@ -636,7 +636,7 @@ def shifted_sections(draw):
 class TestIntegerEntry:
     """``solve_rows`` on integer vectors and value pairs against the Fraction
     paths: ``fm_feasible`` on the same values (negated, as the subgradient
-    backend asks) and the reference elimination."""
+    selection asks) and the reference elimination."""
 
     @given(shifted_sections(), st.booleans())
     def test_matches_fraction_paths(self, section, negate):

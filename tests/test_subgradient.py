@@ -1,13 +1,14 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, strategies as st
 
 from affsel import subgradient
-from affsel.conelift import LinearConfig, select_linear
 from affsel.hyperplane import Instance
 from affsel.instances import gen_convex_sections
 from affsel.numerics import AffselError, Point, Scalar, primitive
-from affsel.oracle import InfeasibleSectionsError, verify_subgradient_domination
+from affsel.oracle import fm_feasible, verify_subgradient_domination
 from affsel.subgradient import (
     ConvexSectionInstance,
     ShiftGroup,
@@ -28,9 +29,6 @@ def exact(v):
 
 ABS = make_instance(1, [Point.of(-1), Point.of(0), Point.of(1)],
                     {"x0": [exact(1), exact(0), exact(1)]})
-
-CONE_CFG = SubgradientConfig(backend="cone",
-                             linear=LinearConfig(lambda_max=2 ** 6, doublings=1))
 
 
 class TestShiftToOrigin:
@@ -154,8 +152,9 @@ def refuse_instance(monkeypatch):
 
 
 class TestIntegerPath:
-    """Both backends and the check run on each group's integer rows and
-    vectors alone; the Instance view is built only when a caller reads it."""
+    """The selection and the check run on each group's integer rows and
+    vectors alone, convex or not; the Instance view is built only when a
+    caller reads it."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_select_and_verify_never_read_the_view(self, n, monkeypatch):
@@ -174,30 +173,29 @@ class TestIntegerPath:
     def test_a_failure_reads_the_view_to_name_its_point(self):
         csi = ConvexSectionInstance(instance=ABS, y0={"x0": Point.of(1)})
         sel = SubgradientSelector(xs=("x0",), p={"x0": Point.of(-3)},
-                                  epsilon={"x0": exact(0)}, backend="exact")
+                                  epsilon={"x0": exact(0)})
         # shifted to {-2, -1, 0} with values (0, -1, 0): -3 . -2 = 6 > 0
         rep = verify_subgradient_domination(shift_to_origin(csi).groups, sel)
         assert rep.failures == [("x0", Point.of(-2), exact(-6)), ("x0", Point.of(-1), exact(-4))]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
-    def test_the_cone_backend_never_reads_the_view(self, n, monkeypatch):
+    def test_the_least_epsilon_never_reads_the_view(self, n, monkeypatch):
+        # the generated files negated: concave sections, with no subgradient
+        # where the sample surrounds the origin
         for seed in range(3):
-            for shifted in (False, True):
-                doc = gen_convex_sections(seed, n, 4, 7, k=2, shifted=shifted)
-                csi = ConvexSectionInstance(instance=doc.to_instance(), y0=doc.y0_table())
-                with monkeypatch.context() as m:
-                    refuse_instance(m)
-                    sel = select_subgradient(csi, CONE_CFG)
-                # linear selection on each group's negated view gives -p
-                for group in shift_to_origin(csi).groups:
-                    rep, view = group.xs[0], group.instance
-                    negated = make_instance(n, view.ys.points,
-                                            {rep: tuple(-v for v in view.values[rep])})
-                    want = select_linear(negated, CONE_CFG.linear)
-                    for x in group.xs:
-                        assert sel.p[x] == Point(-c for c in want.a[rep].coords)
-                        assert sel.epsilon[x] == want.epsilon[rep]
-                        assert sel.exact[x] == want.exact[rep]
+            doc = gen_convex_sections(seed, n, 4, 12, k=2)
+            inst = doc.to_instance()
+            negated = Instance(n=n, xs=inst.xs, ys=inst.ys, pairs={
+                x: tuple([(-p, q) for p, q in row]) for x, row in inst.pairs.items()})
+            csi = ConvexSectionInstance(instance=negated)
+            want = select_subgradient(csi)
+            with monkeypatch.context() as m:
+                refuse_instance(m)
+                sel = select_subgradient(csi)
+                assert verify_subgradient_domination(shift_to_origin(csi).groups, sel).passed
+            assert sel.serialize() == want.serialize()
+            if n:
+                assert any(e.value > 0 for e in sel.epsilon.values())
 
     def test_the_origin_base_reuses_the_sample_and_row(self):
         (group,) = shift_to_origin(ConvexSectionInstance(instance=ABS)).groups
@@ -252,41 +250,26 @@ class TestSelectSubgradient:
         with pytest.raises(NotNormalizedError):
             select_subgradient(ConvexSectionInstance(instance=inst))
 
-    def test_cone_backend_certificate(self):
-        sel = select_subgradient(ConvexSectionInstance(instance=ABS), CONE_CFG)
-        assert sel.backend == "cone"
-        for j, y in enumerate(ABS.ys.points):
-            lower = sel.p["x0"].dot(y) - sel.epsilon["x0"]
-            assert lower.value <= ABS.values["x0"][j].value
-
-    def test_backends_agree_on_validity(self):
-        # seeded convex files at n = 1..3, with and without base points: both
-        # backends dominate on the same shifted groups, and a section the cone
-        # backend reports exact carries no residual
+    def test_generated_files_dominate_with_zero_epsilon(self):
+        # seeded convex files at n = 1..3, with and without base points: the
+        # selection dominates on the shifted groups and, unshifted, on the
+        # file's own sample, with no residual
         files = [(21, 1, 2, 5, 2, False)] + [
             (seed, n, 3, ny, 3, shifted)
             for n, ny in ((1, 6), (2, 10), (3, 10)) for seed in (1, 2, 3)
             for shifted in (False, True)]
-        exact_seen = 0
         for seed, n, nx, ny, k, shifted in files:
             doc = gen_convex_sections(seed, n, nx, ny, k, shifted=shifted)
             inst = doc.to_instance()
             csi = ConvexSectionInstance(instance=inst, y0=doc.y0_table())
-            groups = shift_to_origin(csi).groups
-            for cfg in (SubgradientConfig(), CONE_CFG):
-                sel = select_subgradient(csi, cfg)
-                case = (seed, n, shifted, cfg.backend)
-                assert verify_subgradient_domination(groups, sel).passed, case
-                for x in inst.xs:
-                    if sel.exact[x]:
-                        assert sel.epsilon[x].value == 0, (case, x)
-                    if not shifted:
-                        for j, y in enumerate(inst.ys.points):
-                            lower = sel.p[x].dot(y) - sel.epsilon[x]
-                            assert lower.value <= inst.values[x][j].value, (case, x)
-                if cfg.backend == "cone":
-                    exact_seen += sum(sel.exact.values())
-        assert exact_seen
+            sel = select_subgradient(csi)
+            case = (seed, n, shifted)
+            assert verify_subgradient_domination(shift_to_origin(csi).groups, sel).passed, case
+            for x in inst.xs:
+                assert sel.epsilon[x].value == 0, (case, x)
+                if not shifted:
+                    for j, y in enumerate(inst.ys.points):
+                        assert sel.p[x].dot(y).value <= inst.values[x][j].value, (case, x)
 
     def test_functoriality(self):
         row = [exact(1), exact(0), exact(1)]
@@ -316,15 +299,87 @@ class TestSelectSubgradient:
         # x0 and x2 form one group: one call, for one section, per group
         assert calls == [("x0",), ("x1",)]
 
-    def test_infeasible_group_names_every_section(self):
-        # concave at the origin: no p has p.y <= g(y) on both sides
+    def test_concave_group_shares_its_least_epsilon(self):
+        # concave at the origin: no p has p.y <= g(y) on both sides, and
+        # p = 0 with epsilon = 1 is the least residual
         row = [exact(-1), exact(0), exact(-1)]
         inst = make_instance(1, [Point.of(-1), Point.of(0), Point.of(1)],
                              {"x0": row, "x1": [exact(1), exact(0), exact(1)], "x2": row})
-        with pytest.raises(InfeasibleSectionsError, match="sections: x0, x2$") as err:
-            select_subgradient(ConvexSectionInstance(instance=inst))
-        assert sorted(err.value.infeasible) == ["x0", "x2"]
-        assert all(c.replays_to_contradiction() for c in err.value.infeasible.values())
+        sel = select_subgradient(ConvexSectionInstance(instance=inst))
+        assert sel.p["x0"] == sel.p["x2"] == Point.of(0)
+        assert sel.epsilon["x0"] == sel.epsilon["x2"] == exact(1)
+        assert sel.epsilon["x1"] == exact(0)
+
+
+COORD = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def normalized_sections(draw):
+    """One to three sections at n = 0..3 on one sample holding the origin,
+    each zero there: the max of a few drawn slopes (convex) or drawn values,
+    mostly negative, so that many sections have no subgradient."""
+    n = draw(st.integers(0, 3))
+    points = draw(st.lists(st.tuples(*[COORD] * n), max_size=10, unique=True))
+    points = sorted(set(points) | {(Fraction(0),) * n})
+    xs = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    rows = {}
+    for x in xs:
+        if draw(st.booleans()):
+            slopes = draw(st.lists(st.tuples(*[COORD] * n), min_size=1, max_size=3))
+            rows[x] = [max(sum(map(mul, s, y)) for s in slopes) for y in points]
+        else:
+            rows[x] = [draw(st.builds(Fraction, st.integers(-9, 3), st.sampled_from([1, 2, 4])))
+                       if any(y) else Fraction(0) for y in points]
+    return Instance.build(n, xs, points, rows)
+
+
+def excess(p, inst, x):
+    """max over the sample of p.y - g(x, y): the least epsilon p admits."""
+    return max(sum(map(mul, p, y.raw())) - v.value
+               for y, v in zip(inst.ys.points, inst.values[x]))
+
+
+class TestLeastEpsilon:
+    """Where a section has no subgradient on the sample, epsilon is the least
+    any p reaches, min over p of max over y of p.y - g(y); where it has one,
+    epsilon is 0 and p the oracle's witness."""
+
+    @given(normalized_sections(), st.data())
+    def test_least_epsilon(self, inst, data):
+        csi = ConvexSectionInstance(instance=inst)
+        sel = select_subgradient(csi)
+        assert verify_subgradient_domination(shift_to_origin(csi).groups, sel).passed
+        plain = fm_feasible(inst.ys, {x: [-v for v in row] for x, row in inst.values.items()},
+                            homogeneous=True)
+        for x in inst.xs:
+            eps, p = sel.epsilon[x].value, sel.p[x].raw()
+            if plain[x].feasible:
+                assert eps == 0
+                assert p == tuple(-c.value for c in plain[x].witness)
+            else:
+                assert eps > 0
+            # p reaches its epsilon, and no drawn p does better
+            assert excess(p, inst, x) == eps
+            other = data.draw(st.tuples(*[COORD] * inst.n))
+            assert excess(other, inst, x) >= eps
+            if inst.n == 1:
+                # the excess is convex and piecewise linear in p: its least
+                # value is at a crossing of two of its lines, or 0 at p = 0
+                ys = [y.raw()[0] for y in inst.ys.points]
+                gs = [v.value for v in inst.values[x]]
+                crossings = [(gi - gj) / (yi - yj) for yi, gi in zip(ys, gs)
+                             for yj, gj in zip(ys, gs) if yi != yj]
+                assert eps == min(excess((c,), inst, x) for c in [Fraction(0), *crossings])
+
+    def test_concave_at_the_origin(self):
+        # values -1, 0, -1, -3 at -1, 0, 1, 2: the excess max(-p + 1, 0, p + 1,
+        # 2p + 3) is least where -p + 1 = 2p + 3
+        inst = make_instance(1, [Point.of(-1), Point.of(0), Point.of(1), Point.of(2)],
+                             {"x0": [exact(-1), exact(0), exact(-1), exact(-3)]})
+        sel = select_subgradient(ConvexSectionInstance(instance=inst))
+        assert sel.p["x0"] == Point.of(Fraction(-2, 3))
+        assert sel.epsilon["x0"] == exact(Fraction(5, 3))
 
 
 class TestConvexityCheck:
