@@ -20,14 +20,16 @@ hands over a shifted group.  Where the group has no subgradient, the
 selection hands over the points (1, y) as the vectors (d, a, d), so that
 epsilon is the first unknown, which is fixed first and at its least value.
 ``fm_feasible`` is the adapter in front of it for a ``PointSet`` and Scalar
-rows: it reads the set's vectors and converts the values.  Each row of the elimination is a primitive integer inequality,
-and its combination of the input constraints is held as integer multipliers
-over one integer scale; Fractions are built only for the witness and for a
-certificate.  Chernikov's rule (after t eliminations, a row that combines
-more than t + 1 input constraints is implied by the others) keeps the rows
-from multiplying.  The oracle imports only ``numerics`` and shares no code
-path with the recursive selector, so agreement between the two is
-meaningful evidence.
+rows: it reads the set's vectors and converts the values.  Each row of the
+elimination is a primitive integer inequality that points to the two rows it
+was built from; only a certificate walks those pointers back to the input
+constraints, and Fractions are built only for the witness and a certificate.
+Back-substitution fixes the first unknown first and finds there whether the
+system is empty, so that unknown is eliminated only to build a certificate.
+Chernikov's rule (after t eliminations, a row that combines more than t + 1
+input constraints is implied by the others) keeps the rows from multiplying.
+The oracle imports only ``numerics`` and shares no code path with the
+recursive selector, so agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -230,11 +232,11 @@ class FeasibilityResult:
     certificate: Optional[InfeasibilityCertificate] = None
 
 
-# A row of the elimination is a tuple (coeffs, rhs, support, combo, scale):
-# the primitive integer inequality coeffs . v >= rhs, the bit set of the
-# original constraints it combines, and its combination, int multipliers over
-# one positive int scale: the row equals the sum over (i, m) in combo of
-# m / scale times constraint i.  Combination and scale share no common factor.
+# A row of the elimination is a tuple (coeffs, rhs, support, parents): the
+# primitive integer inequality coeffs . v >= rhs, the bit set of the original
+# constraints it combines, and its parents: (i, m, g) for an input row, which
+# is m / g times constraint i, and (p_row, q_row, mp, mq, g) for a derived
+# row, which is (mp P + mq Q) / g.
 
 
 def _eliminate(rows: list, var: int, t: int) -> Tuple[list, Optional[tuple]]:
@@ -255,45 +257,47 @@ def _eliminate(rows: list, var: int, t: int) -> Tuple[list, Optional[tuple]]:
     for k, row in enumerate(out):
         seen.setdefault(row[:2], []).append(k)
     limit = t + 1
-    for p_coeffs, p_rhs, p_support, p_combo, p_scale in lower:
+    for p in lower:
+        p_coeffs, p_rhs, p_support, _ = p
         ap = p_coeffs[var]
-        for q_coeffs, q_rhs, q_support, q_combo, q_scale in upper:
+        for q in upper:
+            q_coeffs, q_rhs, q_support, _ = q
             support = p_support | q_support
             if support.bit_count() > limit:
                 continue
             aq = -q_coeffs[var]
             h = gcd(ap, aq)
             mp, mq = aq // h, ap // h      # both positive
-            coeffs = tuple(mp * a + mq * b for a, b in zip(p_coeffs, q_coeffs))
+            coeffs = tuple([mp * a + mq * b for a, b in zip(p_coeffs, q_coeffs)])
             rhs = mp * p_rhs + mq * q_rhs
             g = gcd(*coeffs, rhs)
             if g > 1:
-                coeffs = tuple(c // g for c in coeffs)
+                coeffs = tuple([c // g for c in coeffs])
                 rhs //= g
-            constant = not any(coeffs)
-            if constant and rhs <= 0:
-                continue                   # 0 >= 0 or 0 >= negative
-            wp, wq = mp * q_scale, mq * p_scale
-            combo = {i: wp * m for i, m in p_combo}
-            for i, m in q_combo:
-                combo[i] = combo.get(i, 0) + wq * m
-            scale = p_scale * q_scale * g
-            r = gcd(scale, *combo.values())
-            row = (coeffs, rhs, support,
-                   tuple((i, m // r) for i, m in sorted(combo.items())), scale // r)
-            if constant:
-                return out, row
+            if not any(coeffs):
+                if rhs <= 0:
+                    continue               # 0 >= 0 or 0 >= negative
+                return out, (coeffs, rhs, support, (p, q, mp, mq, g))
             places = seen.setdefault((coeffs, rhs), [])
             if any(out[k][2] & support == out[k][2] for k in places):
                 continue
             places.append(len(out))
-            out.append(row)
+            out.append((coeffs, rhs, support, (p, q, mp, mq, g)))
     return out, None
 
 
 def _certificate(row: tuple, at, pairs, sign: int) -> FeasibilityResult:
-    _, _, _, combo, scale = row
-    multipliers = {i: Fraction(m, scale) for i, m in combo}
+    combination: Dict[int, Fraction] = {}
+    walk = [(row[3], Fraction(1))]
+    while walk:
+        parents, weight = walk.pop()
+        if len(parents) == 3:
+            i, m, g = parents
+            combination[i] = combination.get(i, 0) + weight * m / g
+        else:
+            p_row, q_row, mp, mq, g = parents
+            walk += (p_row[3], weight * mp / g), (q_row[3], weight * mq / g)
+    multipliers = {i: combination[i] for i in sorted(combination)}
     constraints = [(rational_coords(v), Fraction(sign * p, q))
                    for v, (p, q) in zip(at, pairs)]
     return FeasibilityResult(feasible=False,
@@ -312,9 +316,11 @@ def solve_rows(at: Sequence[tuple], pairs: Sequence[Tuple[int, int]], width: int
     built only for the witness and a certificate, which indexes the
     constraints in this order.
 
-    Back-substitution fixes v_1 first, at the midpoint of its bounds or at
-    its one bound: at the largest lower bound when every row's v_1
-    coefficient is positive, which is then the least v_1 of any solution.
+    Variables width .. 2 are eliminated.  Back-substitution fixes v_1 first,
+    at the midpoint of its bounds or at its one bound: at the largest lower
+    bound when every row's v_1 coefficient is positive, which is then the
+    least v_1 of any solution.  Where its bounds cross the system is empty,
+    and only then is v_1 eliminated, to build the certificate's contradiction.
     """
     sign = -1 if negate else 1
     rows, seen = [], set()
@@ -331,8 +337,7 @@ def solve_rows(at: Sequence[tuple], pairs: Sequence[Tuple[int, int]], width: int
         g = gcd(*coeffs, rhs)
         if g > 1:
             coeffs, rhs = tuple([c // g for c in coeffs]), rhs // g
-        h = gcd(m, g)
-        row = (coeffs, rhs, 1 << i, ((i, m // h),), g // h)
+        row = (coeffs, rhs, 1 << i, (i, m, g))
         if not any(coeffs):
             return _certificate(row, at, pairs, sign)
         if (coeffs, rhs) not in seen:
@@ -340,7 +345,7 @@ def solve_rows(at: Sequence[tuple], pairs: Sequence[Tuple[int, int]], width: int
             rows.append(row)
 
     stages = [rows]                      # stages[j] has vars 0..width-1-j live
-    for t, var in enumerate(range(width - 1, -1, -1), start=1):
+    for t, var in enumerate(range(width - 1, 0, -1), start=1):
         rows, bad = _eliminate(rows, var, t)
         if bad is not None:
             return _certificate(bad, at, pairs, sign)
@@ -364,6 +369,8 @@ def solve_rows(at: Sequence[tuple], pairs: Sequence[Tuple[int, int]], width: int
                 hi = (-rest, -s)
         # the value num / v_den, reduced
         if lo is not None and hi is not None:
+            if not var and lo[0] * hi[1] > hi[0] * lo[1]:      # lo > hi: empty
+                return _certificate(_eliminate(stages[-1], 0, width)[1], at, pairs, sign)
             num, v_den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1] * den
         elif lo is not None or hi is not None:
             num, v_den = lo or hi

@@ -44,8 +44,10 @@ class ShiftDomainError(AffselError):
 class ConvexSectionInstance:
     """Value table g with per-parameter base points y0 (default: the origin).
 
-    Convexity of the sections is a promise of the generator, not re-verified
-    here; ``check_midpoint_convexity`` exists for spot checks.
+    Convexity of the sections is a promise of the generator.  The selection
+    checks it on request (``SubgradientConfig.check_convexity``) at sample
+    midpoints first, then by the subgradient at each base point, which
+    exists on any sample of a convex section.
     """
 
     instance: Instance
@@ -222,6 +224,10 @@ def select_subgradient(csi: ConvexSectionInstance,
         result = solve_rows(group.vectors, group.pairs, inst.n, negate=True)
         if result.feasible:
             eps, witness = Fraction(0), [c.value for c in result.witness]
+        elif config.check_convexity:
+            # a convex section has a subgradient at its base point on any sample
+            raise AffselError(f"convexity fails for x={group.xs[0]}: no subgradient "
+                              f"at the base point on the sample")
         else:
             # no subgradient: solve for (epsilon, -p) on the points (1, y),
             # whose rows have only lower bounds on epsilon, and back-substitution

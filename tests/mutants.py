@@ -92,6 +92,33 @@ MUTANTS = (
     Mutant("domination-first-three-coordinates", "src/affsel/oracle.py",
            "for c, col in zip(b, cols):", "for c, col in zip(b[:3], cols[:3]):",
            ("tests/test_oracle.py::TestIntegerKernel",)),
+    # back-substitution never compares the bounds of the first unknown, so an
+    # empty system gets a witness between crossed bounds
+    Mutant("fm-crossed-bounds-ignored", "src/affsel/oracle.py",
+           "if not var and lo[0] * hi[1] > hi[0] * lo[1]:", "if False:",
+           ("tests/test_oracle.py::TestLastElimination::test_contradiction_at_the_first_unknown",
+            "tests/test_oracle.py::TestIntegerEntry::test_concave_at_the_origin_is_infeasible")),
+    # the certificate walk gives each parent row the other one's multiplier
+    Mutant("certificate-walk-swapped-multipliers", "src/affsel/oracle.py",
+           "walk += (p_row[3], weight * mp / g), (q_row[3], weight * mq / g)",
+           "walk += (p_row[3], weight * mq / g), (q_row[3], weight * mp / g)",
+           ("tests/test_oracle.py::TestLastElimination"
+            "::test_contradiction_at_an_intermediate_elimination",
+            "tests/test_oracle.py::TestLastElimination::test_contradiction_at_the_first_unknown")),
+    # solve_rows ignores ``negate``: the subgradient system is solved on g,
+    # not on -g
+    Mutant("solve-rows-negation-dropped", "src/affsel/oracle.py",
+           "sign = -1 if negate else 1", "sign = 1",
+           ("tests/test_oracle.py::TestIntegerEntry::test_concave_at_the_origin_is_infeasible",)),
+    # a row's coefficients are not scaled by lcm(d, q) / d with its value
+    Mutant("solve-rows-lcm-scaling-dropped", "src/affsel/oracle.py",
+           "coeffs = vec[:-1] if u == 1 else tuple([a * u for a in vec[:-1]])",
+           "coeffs = vec[:-1]",
+           ("tests/test_oracle.py::TestFmAgainstReference::test_pruning_runs_before_dedup",)),
+    # a certificate lists the constraints with their values un-negated
+    Mutant("certificate-sign-dropped", "src/affsel/oracle.py",
+           "Fraction(sign * p, q))", "Fraction(p, q))",
+           ("tests/test_oracle.py::TestIntegerEntry::test_concave_at_the_origin_is_infeasible",)),
 )
 
 

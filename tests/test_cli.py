@@ -641,6 +641,18 @@ def test_convexity_violation_matches_recording(monkeypatch, capsys):
     assert err == (GOLDEN / "convexity_violation.stderr").read_text(encoding="utf-8")
 
 
+def test_check_convexity_rejects_a_section_without_a_subgradient(monkeypatch, capsys):
+    # no sample point of concave_shifted_n2.json is the midpoint of two
+    # others, so only the subgradient at the base point shows it is not convex
+    monkeypatch.chdir(GOLDEN)
+    assert cli.run(["select", "subgradient", "concave_shifted_n2.json",
+                    "--check-convexity"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: convexity fails for x=x0: no subgradient at the base point "
+                   "on the sample\n")
+
+
 def test_without_the_check_a_nonconvex_section_gets_its_least_epsilon(monkeypatch, capsys):
     # x0 has no subgradient at the origin: -1, 0, -4 along the first axis
     monkeypatch.chdir(GOLDEN)

@@ -587,12 +587,14 @@ class TestFmAgainstReference:
         assert cert.multipliers == {0: Fraction(1, 3), 1: Fraction(1, 3)}
 
     def test_rows_obey_chernikovs_bound(self, monkeypatch):
-        # after t eliminations no row combines more than t + 1 originals
-        real, seen = oracle._eliminate, []
+        # after t eliminations no row combines more than t + 1 originals; a
+        # feasible system of width 3 runs eliminations 1 and 2 only
+        real, seen, ts = oracle._eliminate, [], []
 
         def checked(rows, var, t):
             out, bad = real(rows, var, t)
             seen.extend(row[2].bit_count() - (t + 1) for row in out)
+            ts.append(t)
             return out, bad
 
         monkeypatch.setattr(oracle, "_eliminate", checked)
@@ -601,6 +603,7 @@ class TestFmAgainstReference:
         row = [exact(-a.value - 2 * b.value + c.value - 1) for a, b, c in
                (p.coords for p in points.points)]
         assert fm_feasible(points, {"x0": row}, homogeneous=True)["x0"].feasible
+        assert ts == [1, 2]
         # some rows sit on the bound
         assert max(seen) == 0
 
@@ -666,8 +669,10 @@ class TestIntegerEntry:
             assert tuple(s.value for s in got.witness) == witness
 
     def test_proportional_constraints_enter_the_elimination_once(self, monkeypatch):
-        # y = 1, 2, 3 with values 2, 4, 6 (negated) are one constraint a >= -2
-        # once each row is divided by its gcd; -1 with value 5 is a second
+        # y = (0, 1), (0, 2), (0, 3) with values 2, 4, 6 (negated) are one
+        # constraint b >= -2 once each row is divided by its gcd; (0, -1) with
+        # value 5 is a second.  The second unknown is the one eliminated: a
+        # feasible system never eliminates the first
         real, seen = oracle._eliminate, []
 
         def recorded(rows, var, t):
@@ -675,10 +680,10 @@ class TestIntegerEntry:
             return real(rows, var, t)
 
         monkeypatch.setattr(oracle, "_eliminate", recorded)
-        got = oracle.solve_rows([(-1, 1), (1, 1), (2, 1), (3, 1)],
-                                [(5, 1), (2, 1), (4, 1), (6, 1)], 1, negate=True)
-        assert seen == [[((-1,), -5), ((1,), -2)]]
-        assert got.witness == (exact(Fraction(3, 2)),)
+        got = oracle.solve_rows([(0, -1, 1), (0, 1, 1), (0, 2, 1), (0, 3, 1)],
+                                [(5, 1), (2, 1), (4, 1), (6, 1)], 2, negate=True)
+        assert seen == [[((0, -1), -5), ((0, 1), -2)]]
+        assert got.witness == (exact(0), exact(Fraction(3, 2)))
 
     def test_concave_at_the_origin_is_infeasible(self):
         # -|y| on {-1, 0, 1}: no p with p.y <= g(y) on both sides
@@ -691,3 +696,72 @@ class TestIntegerEntry:
                                                ((Fraction(0),), Fraction(0)),
                                                ((Fraction(1),), Fraction(1))]
         assert got.certificate.replays_to_contradiction()
+
+
+def solve_and_record(coords, values, width, negate=False):
+    """``solve_rows`` on the points ``coords`` with ``values``, put in
+    canonical order, and the (var, t) of each elimination it runs."""
+    points = sorted((tuple(map(Fraction, c)), Fraction(v)) for c, v in zip(coords, values))
+    calls, real = [], oracle._eliminate
+
+    def recorded(rows, var, t):
+        calls.append((var, t))
+        return real(rows, var, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_eliminate", recorded)
+        got = oracle.solve_rows([primitive(c) for c, _ in points],
+                                [v.as_integer_ratio() for _, v in points], width, negate=negate)
+    sign = -1 if negate else 1
+    return got, calls, [(c, sign * v) for c, v in points]
+
+
+class TestLastElimination:
+    """The elimination stops before the first unknown, and eliminates it only
+    to build the contradiction of an empty system."""
+
+    @given(shifted_sections(), st.booleans())
+    def test_a_feasible_system_never_eliminates_the_first_unknown(self, section, negate):
+        points, row = section
+        got, calls, _ = solve_and_record([p.raw() for p in points], [v.value for v in row],
+                                         points.dim, negate)
+        every = [(var, t) for t, var in enumerate(range(points.dim - 1, -1, -1), start=1)]
+        if got.feasible:
+            assert calls == every[:-1]
+        else:
+            # stopped where the contradiction was found
+            assert calls == every[:len(calls)]
+            assert got.certificate.replays_to_contradiction()
+
+    def assert_certificate_is_the_references(self, got, constraints, width):
+        feasible, _, multipliers = reference_solve_system(constraints, width)
+        assert not got.feasible and not feasible
+        assert got.certificate.multipliers == multipliers
+        assert list(got.certificate.multipliers) == sorted(multipliers)
+        assert got.certificate.replays_to_contradiction()
+
+    def test_contradiction_on_input(self):
+        # 0 >= 3/2 at the origin: the row 0 >= 1 is 2/3 times it
+        got, calls, constraints = solve_and_record([(1, 0), (0, 0), (-1, 2)], [0, "3/2", 1], 2)
+        assert calls == []
+        assert got.certificate.multipliers == {1: Fraction(2, 3)}
+        self.assert_certificate_is_the_references(got, constraints, 2)
+
+    def test_contradiction_at_an_intermediate_elimination(self):
+        # -c >= 1 and 2c >= 1 meet when the third unknown c is eliminated,
+        # the second of three eliminations: 2 (-c) + 1 (2c) >= 3, divided by 3
+        got, calls, constraints = solve_and_record(
+            [(0, 2, 0), (0, -1, 0), (1, 0, 1), (1, 0, -1)], [1, 1, 0, 0], 3)
+        assert calls == [(2, 1), (1, 2)]
+        assert got.certificate.multipliers == {0: Fraction(2, 3), 1: Fraction(1, 3)}
+        self.assert_certificate_is_the_references(got, constraints, 3)
+
+    def test_contradiction_at_the_first_unknown(self):
+        # the bounds on the first unknown cross only after the second is
+        # eliminated; the certificate walks the derived rows back to the input
+        got, calls, constraints = solve_and_record(
+            [(-2, 0), (1, -2), (2, 1), (2, 2)], [1, 0, 1, 1], 2)
+        assert calls == [(1, 1), (0, 2)]
+        assert got.certificate.multipliers == {0: Fraction(5, 9), 1: Fraction(2, 9),
+                                               2: Fraction(4, 9)}
+        self.assert_certificate_is_the_references(got, constraints, 2)

@@ -404,6 +404,17 @@ class TestConvexityCheck:
             select_subgradient(ConvexSectionInstance(instance=inst),
                                SubgradientConfig(check_convexity=True))
 
+    def test_no_subgradient_raises_with_flag(self):
+        # concave at the origin, and no sample point is the midpoint of two
+        # others; without the flag it gets its least epsilon
+        inst = make_instance(1, [Point.of(-1), Point.of(0), Point.of(2)],
+                             {"x0": [exact(-1), exact(0), exact(-1)]})
+        assert check_midpoint_convexity(inst) == []
+        with pytest.raises(AffselError, match="^convexity fails for x=x0: no subgradient"):
+            select_subgradient(ConvexSectionInstance(instance=inst),
+                               SubgradientConfig(check_convexity=True))
+        assert select_subgradient(ConvexSectionInstance(instance=inst)).epsilon["x0"].value > 0
+
 
 def test_auto_shift_when_base_points_are_the_origin():
     # a shifted file whose base point is the origin: offsets leave g(x, 0)
