@@ -319,7 +319,21 @@ def _select_feature(args, doc) -> _Selection:
         input={"feature_dim": selector.n})
 
 
+def _single_valued(doc) -> None:
+    """Where Y repeats a point, every f row repeats its value there: the
+    instance keeps the larger of two values, and g >= p.y - epsilon binds at
+    the smaller."""
+    first: dict = {}
+    for j, y in enumerate(map(tuple, doc.y_rows)):
+        k = first.setdefault(y, j)
+        for x, row in zip(doc.xs, doc.f_rows):
+            if row[k] != row[j]:
+                raise InstanceFileError(f"Y repeats the point {[str(c) for c in y]} "
+                                        f"with different f values for x={x}")
+
+
 def _select_subgradient(args, doc) -> _Selection:
+    _single_valued(doc)
     inst = doc.to_instance()
     csi = ConvexSectionInstance(instance=inst, y0=doc.y0_table())
     config = SubgradientConfig(check_convexity=args.check_convexity)

@@ -27,8 +27,8 @@ lambda * (b.y - v) + C >= 0, linear in lambda, so holding at both ends it
 holds at every scale between; further rungs would add points, no constraints.
 
 The lift runs in integers, and what does not depend on the ladder is read
-once per selection from the instance's top table (``_read_rays``).  The
-oracle is called only to certify the exact flags.
+once per selection from the instance's vectors and value pairs
+(``_read_rays``).  The oracle is called only to certify the exact flags.
 A sample point y = a / d (``numerics.primitive``) lies at t = gcd(a) / d on
 the ray of the primitive direction a / gcd(a), and its unit-rung value is t
 M(x, ray), M being the largest f / t over the ray's sample points (at the
@@ -49,8 +49,8 @@ from math import gcd
 from typing import ClassVar, Dict, List, Mapping, NamedTuple, Tuple
 
 from .numerics import AffselError, Point, PointSet, Scalar
-from .hyperplane import (Instance, SelectConfig, WorkingTable, extend_domain, float_key,
-                         max_pair, merge_table, select_table)
+from .hyperplane import (Instance, SelectConfig, WorkingTable, float_key, max_pair,
+                         merge_table, select_table)
 from .oracle import check_domination
 
 
@@ -92,16 +92,16 @@ class ConeInstance:
 
 class _Rays(NamedTuple):
     """What the lift and the exactness check read of a sample, whatever the
-    ladder: its top table's dimension, values and points, and each point's
-    copy at rung 1 as (vector, ``float_key`` of it, unit-rung values per x)."""
+    ladder: its dimension, value pairs and vectors, and each point's copy at
+    rung 1 as (vector, ``float_key`` of it, unit-rung values per x)."""
     dim: int
     rows: Mapping[str, Tuple[Tuple[int, int], ...]]
     vecs: List[tuple]
     copies: List[tuple]
 
 
-def _read_rays(top: WorkingTable) -> _Rays:
-    rows, vecs = top.values, top.points
+def _read_rays(inst: Instance) -> _Rays:
+    rows, vecs = inst.pairs, inst.vectors
     cols = list(rows.values())
     rays = []                   # per point (g, ray): t = g / d, g = 0 at the origin
     best: Dict[tuple, list] = {}    # ray -> per x, the largest f / t on it
@@ -120,7 +120,7 @@ def _read_rays(top: WorkingTable) -> _Rays:
             values = tuple([(g * m // h, v[-1] * w // h) for m, w in best[ray]
                             for h in [gcd(g * m, v[-1] * w)]])
         copies.append((v, float_key(v), values))
-    return _Rays(top.dim, rows, vecs, copies)
+    return _Rays(inst.n, rows, vecs, copies)
 
 
 def _check_ladder(lambdas: tuple) -> None:
@@ -160,7 +160,7 @@ def _lift(rays: _Rays, lambdas) -> WorkingTable:
 def lift_to_cone(inst: Instance, lambdas) -> ConeInstance:
     """The instance lifted onto any valid ladder (1, ..): the table ``_lift``
     builds, as an instance."""
-    table = _lift(_read_rays(extend_domain(inst)), lambdas)
+    table = _lift(_read_rays(inst), lambdas)
     return ConeInstance(instance=Instance(n=inst.n, xs=inst.xs, ys=PointSet(inst.n, table.points),
                                           pairs=table.values))
 
@@ -228,7 +228,7 @@ def select_linear(inst: Instance, config: LinearConfig = LinearConfig()) -> Line
     attempts: List[AttemptRecord] = []
     lambda_max = config.lambda_max
     retries = config.doublings
-    rays = _read_rays(extend_domain(inst))
+    rays = _read_rays(inst)
     while True:
         a_map, eps_map, exact_map, c_map = _attempt(rays, lambda_max, config)
         attempts.append(AttemptRecord(lambda_max=lambda_max, exact=exact_map))

@@ -9,14 +9,14 @@ group holds its value row as reduced integer pairs and its sample as a
 ``PointSet`` of primitive vectors, one translate shared by the groups of a
 base point, and builds its ``Instance`` only when a caller reads it.
 
-The selection and the check read each group's integer rows, negated, and
-neither builds the group's ``Instance`` or a Point of its sample.  The
-selection hands them, negation folded in, to the feasibility oracle's
-Fourier-Motzkin elimination.  Where a subgradient exists on the sample it
-is the oracle's witness, with epsilon = 0.  Where none exists (a section
-that is not convex at its base point), the oracle solves again for
-(epsilon, -p) and fixes epsilon first, at the least value any p reaches:
-epsilon* = min over p of max over the sample of p.y - g(y).
+The selection hands each group's integer rows, negation folded in, to the
+feasibility oracle's Fourier-Motzkin elimination.  Where a subgradient exists
+on the sample it is the oracle's witness, with epsilon = 0.  Where none
+exists (a section that is not convex at its base point), the oracle solves
+again for (epsilon, -p) and fixes epsilon first, at the least value any p
+reaches: epsilon* = min over p of max over the sample of p.y - g(y).  The
+convexity check makes the same solve at every sample point, and names the
+points that break convexity from an infeasible one's certificate.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .numerics import AffselError, Point, PointSet, Scalar, origin_point
+from .numerics import AffselError, Point, PointSet, Scalar, origin_point, rational_coords
 from .hyperplane import Instance
 from .oracle import solve_rows
 
@@ -44,10 +44,9 @@ class ShiftDomainError(AffselError):
 class ConvexSectionInstance:
     """Value table g with per-parameter base points y0 (default: the origin).
 
-    Convexity of the sections is a promise of the generator.  The selection
-    checks it on request (``SubgradientConfig.check_convexity``) at sample
-    midpoints first, then by the subgradient at each base point, which
-    exists on any sample of a convex section.
+    Convexity of the sections is a promise of the generator; the selection
+    decides it on the sample on request (``SubgradientConfig.check_convexity``,
+    ``convexity_violation``).
     """
 
     instance: Instance
@@ -59,19 +58,31 @@ class ConvexSectionInstance:
         return self.y0[x]
 
 
-def _translate(inst: Instance, j0: int) -> PointSet:
-    """The instance's sample translated so that its point j0 is the origin,
-    in integers from its vectors.  Translation keeps the lexicographic order
-    and merges no points, so the translate is canonical as it stands."""
-    *c, e = inst.vectors[j0]
+def _translate(vectors: Sequence[tuple], j0: int) -> List[tuple]:
+    """The primitive vectors translated so that vectors[j0] is the origin, in
+    the same order: translation keeps a canonical sample canonical."""
+    *c, e = vectors[j0]
     out = []
-    for *a, d in inst.vectors:
+    for *a, d in vectors:
         # a / d - c / e = (a e - c d) / (d e), made primitive
         v = [ai * e - ci * d for ai, ci in zip(a, c)]
         v.append(d * e)
         g = gcd(*v)
         out.append(tuple([t // g for t in v]) if g > 1 else tuple(v))
-    return PointSet(inst.n, out)
+    return out
+
+
+def _lower(pairs: Tuple[Tuple[int, int], ...], j0: int) -> Tuple[Tuple[int, int], ...]:
+    """The reduced value pairs minus the value at j0, so that it is zero."""
+    p0, q0 = pairs[j0]
+    if not p0:
+        return pairs
+    shifted = []
+    for p, q in pairs:
+        num, den = p * q0 - p0 * q, q * q0
+        g = gcd(num, den)
+        shifted.append((num // g, den // g))
+    return tuple(shifted)
 
 
 class ShiftGroup:
@@ -79,9 +90,8 @@ class ShiftGroup:
     shared by the groups of one base point, and the one value row they all
     have on it, ``pairs``, as reduced integer pairs (p, q) of p / q.
 
-    The selection and the check read ``vectors`` and ``pairs``.  ``instance``
-    is the same data as an ``Instance``, whose Points and Scalars are built
-    on first read.
+    The selection reads ``vectors`` and ``pairs``.  ``instance`` is the same
+    data as an ``Instance``, whose Points and Scalars are built on first read.
     """
 
     def __init__(self, xs, ys: PointSet, pairs: Tuple[Tuple[int, int], ...]):
@@ -106,12 +116,11 @@ def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
     """Translate each section so its base point is the origin and its value
     there is zero.  Sections with identical shifted data share one group.
 
-    The sample is shifted once per distinct base point, in integers from the
-    instance's vectors.  Translates of one finite set are equal only under
-    equal bases, so sections are grouped by (base, shifted values); the
-    values are shifted from the instance's reduced integer pairs.  A section
-    whose base is the origin keeps the sample, and one whose value there is
-    zero keeps its row.
+    The sample is translated once per distinct base point (``_translate``)
+    and each row lowered by its value there (``_lower``), in integers.
+    Translates of one finite set are equal only under equal bases, so
+    sections are grouped by (base, shifted values).  A section whose base is
+    the origin keeps the sample, and one whose value there is zero keeps its row.
     """
     inst = csi.instance
     zero = (0,) * inst.n
@@ -124,17 +133,10 @@ def shift_to_origin(csi: ConvexSectionInstance) -> ShiftedSections:
             j0 = inst.ys.index_of(base)
             if j0 is None:
                 raise ShiftDomainError(f"base point of x={x} is not a sample point")
-            entry = samples[base] = (j0, _translate(inst, j0) if any(base) else inst.ys)
+            entry = samples[base] = (j0, PointSet(inst.n, _translate(inst.vectors, j0))
+                                     if any(base) else inst.ys)
         j0, sample = entry
-        pairs = inst.pairs[x]
-        p0, q0 = pairs[j0]
-        if p0:
-            shifted = []
-            for p, q in pairs:
-                num, den = p * q0 - p0 * q, q * q0
-                g = gcd(num, den)
-                shifted.append((num // g, den // g))
-            pairs = tuple(shifted)
+        pairs = _lower(inst.pairs[x], j0)
         groups.setdefault((j0, pairs), (sample, pairs, []))[2].append(x)
     return ShiftedSections(groups=tuple(
         ShiftGroup(xs, sample, pairs) for sample, pairs, xs in groups.values()))
@@ -163,26 +165,29 @@ class SubgradientSelector:
         }
 
 
-def check_midpoint_convexity(inst: Instance) -> List[tuple]:
-    """Midpoint convexity on sample triples: whenever the midpoint of two
-    sample points is itself a sample point, its value may not exceed the
-    average.  Returns the violations found, each as (x, one point, the
-    midpoint, the other point, the value at the midpoint, the average), the
-    two values as Fractions."""
-    violations = []
-    pts = inst.ys.points
-    coords = [p.raw() for p in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            k = inst.ys.index_of(tuple([(a + b) / 2 for a, b in zip(coords[i], coords[j])]))
-            if k is None:
-                continue
-            for x in inst.xs:
-                row = inst.values[x]
-                avg = (row[i].value + row[j].value) / 2
-                if row[k].value > avg:
-                    violations.append((x, pts[i], pts[k], pts[j], row[k].value, avg))
-    return violations
+def convexity_violation(inst: Instance, xs: Sequence[str]) -> Optional[tuple]:
+    """The first sample point, in canonical order, where a section x in ``xs``
+    has no subgradient on the sample, or None: g is the restriction of a
+    convex function exactly when there is none.  The result is (x, the point,
+    g there, terms), the terms being the infeasible solve's certificate
+    normalized, (weight, point, g there) in sample order: positive weights
+    summing to 1 whose points average to the point, their values to less."""
+    for j in range(len(inst.vectors)):
+        at = _translate(inst.vectors, j)
+        for x in xs:
+            result = solve_rows(at, _lower(inst.pairs[x], j), inst.n, negate=True)
+            if not result.feasible:
+                weights = result.certificate.multipliers
+                total = sum(weights.values())
+                row = inst.pairs[x]
+                return (x, rational_coords(inst.vectors[j]), Fraction(*row[j]),
+                        [(w / total, rational_coords(inst.vectors[i]), Fraction(*row[i]))
+                         for i, w in weights.items()])
+    return None
+
+
+def _shown(point: tuple) -> str:
+    return "(" + ", ".join(map(str, point)) + ")"
 
 
 def select_subgradient(csi: ConvexSectionInstance,
@@ -209,13 +214,12 @@ def select_subgradient(csi: ConvexSectionInstance,
     sections = shift_to_origin(csi)
 
     if config.check_convexity:
-        for group in sections.groups:
-            bad = check_midpoint_convexity(group.instance)
-            if bad:
-                x, a, m, b, got, avg = bad[0]
-                raise AffselError(
-                    f"midpoint convexity fails for x={x}: value {got} at "
-                    f"{m!r} exceeds average {avg}")
+        bad = convexity_violation(inst, [group.xs[0] for group in sections.groups])
+        if bad:
+            x, y, value, terms = bad
+            raise AffselError(f"convexity fails for x={x}: value {value} at {_shown(y)} exceeds "
+                              f"{sum(w * v for w, _, v in terms)}, the average of "
+                              + ", ".join(f"{w} at {_shown(p)}" for w, p, _ in terms))
 
     p_map: Dict[str, Point] = {}
     eps_map: Dict[str, Scalar] = {}
@@ -224,10 +228,6 @@ def select_subgradient(csi: ConvexSectionInstance,
         result = solve_rows(group.vectors, group.pairs, inst.n, negate=True)
         if result.feasible:
             eps, witness = Fraction(0), [c.value for c in result.witness]
-        elif config.check_convexity:
-            # a convex section has a subgradient at its base point on any sample
-            raise AffselError(f"convexity fails for x={group.xs[0]}: no subgradient "
-                              f"at the base point on the sample")
         else:
             # no subgradient: solve for (epsilon, -p) on the points (1, y),
             # whose rows have only lower bounds on epsilon, and back-substitution

@@ -80,6 +80,17 @@ MUTANTS = (
            "            result = solve_rows(lifted, group.pairs, inst.n + 1, negate=True)\n"
            "            *witness, eps = [c.value for c in result.witness]\n",
            ("tests/test_subgradient.py::TestLeastEpsilon",)),
+    # the convexity check looks for a subgradient at the first sample point
+    # only, a vertex of the sample's hull, where one always exists
+    Mutant("convexity-one-point-only", "src/affsel/subgradient.py",
+           "    for j in range(len(inst.vectors)):\n", "    for j in range(len(inst.vectors))[:1]:\n",
+           ("tests/test_subgradient.py::TestConvexityCheck"
+            "::test_agrees_with_nondecreasing_slopes_at_n1",)),
+    # the convexity check names the certificate's multipliers as they come,
+    # not divided by their sum
+    Mutant("convexity-weights-unnormalized", "src/affsel/subgradient.py",
+           "total = sum(weights.values())", "total = 1",
+           ("tests/test_subgradient.py::TestConvexityCheck::test_certificate_replays",)),
     # a group with no subgradient is reported with epsilon 0
     Mutant("least-epsilon-reported-zero", "src/affsel/subgradient.py",
            "eps_rep = Scalar(eps)", "eps_rep = Scalar(Fraction(0))",

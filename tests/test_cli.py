@@ -643,14 +643,52 @@ def test_convexity_violation_matches_recording(monkeypatch, capsys):
 
 def test_check_convexity_rejects_a_section_without_a_subgradient(monkeypatch, capsys):
     # no sample point of concave_shifted_n2.json is the midpoint of two
-    # others, so only the subgradient at the base point shows it is not convex
+    # others; its base point, the first point with no subgradient, is a
+    # weighted average of three sample points of higher values
     monkeypatch.chdir(GOLDEN)
     assert cli.run(["select", "subgradient", "concave_shifted_n2.json",
                     "--check-convexity"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("error: convexity fails for x=x0: no subgradient at the base point "
-                   "on the sample\n")
+    assert err == ("error: convexity fails for x=x0: value -3 at (-4/3, 7/5) exceeds "
+                   "-254859/14395, the average of 797/2879 at (-35/6, -8/5), "
+                   "462/2879 at (-7/12, -46/35), 1620/2879 at (2/3, 73/20)\n")
+
+
+def test_check_convexity_rejects_a_point_off_the_base(monkeypatch, capsys):
+    # the only midpoint in the sample is 0, the base point, and 0 has a
+    # subgradient; 1 has none, being 3/5 (-1) + 2/5 (4) with 3/5 g(-1) +
+    # 2/5 g(4) = 4/5 < g(1)
+    monkeypatch.chdir(GOLDEN)
+    assert cli.run(["select", "subgradient", "convexity_probe_n1.json",
+                    "--check-convexity"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: convexity fails for x=x0: value 1 at (1) exceeds 4/5, "
+                   "the average of 3/5 at (-1), 2/5 at (4)\n")
+
+
+def test_subgradient_refuses_a_point_repeated_with_different_values(tmp_path, capsys):
+    # the instance keeps the larger of two values at one point, but
+    # g >= p.y - epsilon binds at the smaller: p = 0, epsilon = 0 would pass
+    # --verify on the merged instance, although 0 > -1/2 at y = 1
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"n": 1, "X": ["x0"], "Y": [["-1"], ["0"], ["1"], ["1"]],
+                                "f": [["1", "0", "1", "-1/2"]]}))
+    assert cli.run(["select", "subgradient", str(path), "--verify"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: Y repeats the point ['1'] with different f values for x=x0\n"
+
+
+def test_subgradient_merges_a_point_repeated_with_equal_values(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"n": 1, "X": ["x0", "x1"], "Y": [["-1"], ["1"], ["0"], ["1.0"]],
+                                "f": [["1", "2", "0", "2"], ["0", "-1", "0", "-1"]]}))
+    assert cli.run(["select", "subgradient", str(path), "--verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["input"]["points"] == 3
+    assert report["verification"]["passed"] is True
 
 
 def test_without_the_check_a_nonconvex_section_gets_its_least_epsilon(monkeypatch, capsys):
@@ -751,7 +789,8 @@ def test_huge_values_take_the_exact_bridge(tmp_path, capsys, exact_hull_calls):
 
 @pytest.mark.parametrize("family, pipeline", [
     ("affine", "affine --trace"), ("meager", "linear"), ("convex --k 3", "subgradient"),
-    ("convex --k 3 --shifted", "subgradient"), (None, "feature")])
+    ("convex --k 3 --shifted", "subgradient"), ("convex --k 3", "subgradient --check-convexity"),
+    ("convex --k 3 --shifted", "subgradient --check-convexity"), (None, "feature")])
 def test_select_and_verify_build_no_view_of_the_instance(family, pipeline, tmp_path,
                                                          monkeypatch, capsys):
     # the instance is its integer form: with every check passing, selection

@@ -203,14 +203,14 @@ class TestIntegerLift:
     def test_equals_the_reference_lift(self, case):
         inst, ladder = case
         ref = reference_lift(inst, ladder)
-        table, top = _lift(_read_rays(extend_domain(inst)), ladder), extend_domain(ref)
+        table, top = _lift(_read_rays(inst), ladder), extend_domain(ref)
         assert (table.dim, tuple(table.points), table.values) == (top.dim, top.points, top.values)
         assert lift_to_cone(inst, ladder).instance == ref
 
     def test_origin_copies_merge_by_max(self):
         inst = make_instance(1, [Point.of(0), Point.of(1)],
                              {"x0": [exact(3), exact(1)], "x1": [exact(-3), exact(1)]})
-        table = _lift(_read_rays(extend_domain(inst)), (1, 4))
+        table = _lift(_read_rays(inst), (1, 4))
         assert table.points == [(0, 1), (1, 1), (4, 1)]
         assert table.values == {"x0": ((12, 1), (1, 1), (4, 1)),
                                 "x1": ((-3, 1), (1, 1), (4, 1))}
@@ -225,9 +225,9 @@ class TestIntegerLift:
         calls = []
         read = conelift._read_rays
 
-        def counted(top):
+        def counted(inst):
             calls.append(None)
-            return read(top)
+            return read(inst)
 
         monkeypatch.setattr(conelift, "_read_rays", counted)
         inst = make_instance(1, [Point.of(0), Point.of(1)], {"x0": [exact(1), exact(0)]})
@@ -242,8 +242,7 @@ class TestTwoRungLift:
     def test_dominates_every_rung_of_the_power_ladder(self, inst, lambda_max):
         # domination at lambda * y is linear in lambda, so the ends {1, lambda_max}
         # carry every constraint of the rungs between them
-        a, _, exact_map, c = _attempt(_read_rays(extend_domain(inst)), lambda_max,
-                                      LinearConfig())
+        a, _, exact_map, c = _attempt(_read_rays(inst), lambda_max, LinearConfig())
         full = lift_to_cone(inst, power_ladder(lambda_max)).instance
         report = check_domination("affine", full.xs,
                                   {x: [v.value.as_integer_ratio() for v in full.values[x]]
@@ -258,7 +257,7 @@ class TestTwoRungLift:
     def test_top_level_holds_at_most_two_copies_of_the_sample(self):
         inst = make_instance(2, [Point.of(1, 0), Point.of(-1, 2), Point.of(0, -3)],
                              {"x0": [exact(1), exact(-2), exact(3)]})
-        table = _lift(_read_rays(extend_domain(inst)), (1, 2 ** 6))
+        table = _lift(_read_rays(inst), (1, 2 ** 6))
         assert table.dim == 2
         assert len(table.points) <= 2 * len(inst.ys)
 

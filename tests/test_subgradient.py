@@ -16,7 +16,7 @@ from affsel.subgradient import (
     ShiftDomainError,
     SubgradientConfig,
     SubgradientSelector,
-    check_midpoint_convexity,
+    convexity_violation,
     select_subgradient,
     shift_to_origin,
 )
@@ -382,38 +382,100 @@ class TestLeastEpsilon:
         assert sel.epsilon["x0"] == exact(Fraction(5, 3))
 
 
+def one_dim(values, coords=(-1, 0, 1)):
+    return make_instance(1, [Point.of(c) for c in coords], {"x0": [exact(v) for v in values]})
+
+
+def replays(inst, violation):
+    """The certificate of a convexity violation, checked in Fractions: positive
+    weights summing to 1 whose points average to the point and whose values
+    to less than the value there, each point and value read from the
+    instance."""
+    x, y, value, terms = violation
+    table = {p.raw(): v.value for p, v in zip(inst.ys.points, inst.values[x])}
+    assert table[y] == value
+    assert all(w > 0 and table[p] == v for w, p, v in terms)
+    assert sum(w for w, _, _ in terms) == 1
+    assert tuple(sum(w * p[i] for w, p, _ in terms) for i in range(inst.n)) == y
+    assert sum(w * v for w, _, v in terms) < value
+
+
+def slopes_never_decrease(coords, values):
+    pts = sorted(zip(coords, values))
+    slopes = [(g1 - g0) / (y1 - y0) for (y0, g0), (y1, g1) in zip(pts, pts[1:])]
+    return all(a <= b for a, b in zip(slopes, slopes[1:]))
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
 class TestConvexityCheck:
     def test_planted_instances_pass(self):
         doc = gen_convex_sections(4, 1, 2, 7, k=3)
         inst = doc.to_instance()
-        assert check_midpoint_convexity(inst) == []
+        assert convexity_violation(inst, inst.xs) is None
         sel = select_subgradient(ConvexSectionInstance(instance=inst),
                                  SubgradientConfig(check_convexity=True))
         assert sel.epsilon["x0"] == exact(0)
 
     def test_violation_detected(self):
-        inst = make_instance(1, [Point.of(-1), Point.of(0), Point.of(1)],
-                             {"x0": [exact(0), exact(5), exact(0)]})
-        bad = check_midpoint_convexity(inst)
-        assert bad and bad[0][0] == "x0"
+        inst = one_dim([0, 5, 0])
+        assert convexity_violation(inst, inst.xs) == (
+            "x0", (0,), 5, [(Fraction(1, 2), (-1,), 0), (Fraction(1, 2), (1,), 0)])
 
     def test_violation_raises_with_flag(self):
-        inst = make_instance(1, [Point.of(-1), Point.of(0), Point.of(1)],
-                             {"x0": [exact(0), exact(0), exact(-5)]})
-        with pytest.raises(AffselError, match="midpoint convexity"):
-            select_subgradient(ConvexSectionInstance(instance=inst),
+        with pytest.raises(AffselError, match=r"^convexity fails for x=x0: value 0 at \(0\) "
+                           r"exceeds -5/2, the average of 1/2 at \(-1\), 1/2 at \(1\)$"):
+            select_subgradient(ConvexSectionInstance(instance=one_dim([0, 0, -5])),
                                SubgradientConfig(check_convexity=True))
 
     def test_no_subgradient_raises_with_flag(self):
-        # concave at the origin, and no sample point is the midpoint of two
-        # others; without the flag it gets its least epsilon
-        inst = make_instance(1, [Point.of(-1), Point.of(0), Point.of(2)],
-                             {"x0": [exact(-1), exact(0), exact(-1)]})
-        assert check_midpoint_convexity(inst) == []
-        with pytest.raises(AffselError, match="^convexity fails for x=x0: no subgradient"):
+        # concave at the origin, which is no midpoint of two sample points;
+        # without the flag it gets its least epsilon
+        inst = one_dim([-1, 0, -1], coords=(-1, 0, 2))
+        with pytest.raises(AffselError, match=r"^convexity fails for x=x0: value 0 at \(0\) "
+                           r"exceeds -1, the average of 2/3 at \(-1\), 1/3 at \(2\)$"):
             select_subgradient(ConvexSectionInstance(instance=inst),
                                SubgradientConfig(check_convexity=True))
         assert select_subgradient(ConvexSectionInstance(instance=inst)).epsilon["x0"].value > 0
+
+    def test_a_point_off_the_base_without_a_subgradient(self):
+        # no midpoint in the sample but 0, which has a subgradient; 1 has none:
+        # 1 = 3/5 (-1) + 2/5 (4), and 3/5 g(-1) + 2/5 g(4) = 4/5 < g(1)
+        inst = one_dim([1, 0, 1, Fraction(1, 2)], coords=(-1, 0, 1, 4))
+        violation = convexity_violation(inst, inst.xs)
+        assert violation == ("x0", (1,), 1, [(Fraction(3, 5), (-1,), 1),
+                                             (Fraction(2, 5), (4,), Fraction(1, 2))])
+        replays(inst, violation)
+
+    @given(st.lists(small, min_size=1, max_size=7, unique=True), st.data())
+    def test_agrees_with_nondecreasing_slopes_at_n1(self, coords, data):
+        values = data.draw(st.lists(small, min_size=len(coords), max_size=len(coords)))
+        inst = one_dim(values, coords)
+        violation = convexity_violation(inst, inst.xs)
+        assert (violation is None) == slopes_never_decrease(coords, values)
+        if violation is not None:
+            replays(inst, violation)
+
+    @given(st.integers(1, 3), st.data())
+    def test_certificate_replays(self, n, data):
+        coords = st.tuples(*[st.integers(-2, 2)] * n)
+        points = data.draw(st.lists(coords, min_size=1, max_size=7, unique=True))
+        xs = ("x0", "x1")
+        inst = Instance.build(n, xs, points, {x: data.draw(st.lists(
+            small, min_size=len(points), max_size=len(points))) for x in xs})
+        violation = convexity_violation(inst, inst.xs)
+        if violation is not None:
+            replays(inst, violation)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generated_files_pass_with_the_same_selectors(self, n):
+        for seed in range(1, 5):
+            for shifted in (False, True):
+                doc = gen_convex_sections(seed, n, 3, 8, k=3, shifted=shifted)
+                csi = ConvexSectionInstance(instance=doc.to_instance(), y0=doc.y0_table())
+                assert (select_subgradient(csi, SubgradientConfig(check_convexity=True))
+                        .serialize() == select_subgradient(csi).serialize())
 
 
 def test_auto_shift_when_base_points_are_the_origin():
