@@ -37,6 +37,7 @@ from .instances import (
     gen_convex_sections,
     gen_meager_linear,
     load_instance_file,
+    pair_text,
     parse_dimension,
     parse_ids,
     parse_rational,
@@ -322,13 +323,13 @@ def _select_feature(args, doc) -> _Selection:
 def _single_valued(doc) -> None:
     """Where Y repeats a point, every f row repeats its value there: the
     instance keeps the larger of two values, and g >= p.y - epsilon binds at
-    the smaller."""
+    the smaller.  The rows hold reduced pairs, equal exactly where the values are."""
     first: dict = {}
     for j, y in enumerate(map(tuple, doc.y_rows)):
         k = first.setdefault(y, j)
         for x, row in zip(doc.xs, doc.f_rows):
             if row[k] != row[j]:
-                raise InstanceFileError(f"Y repeats the point {[str(c) for c in y]} "
+                raise InstanceFileError(f"Y repeats the point {list(map(pair_text, y))} "
                                         f"with different f values for x={x}")
 
 

@@ -35,7 +35,7 @@ M(x, ray), M being the largest f / t over the ray's sample points (at the
 origin, f(x, 0)), held as a reduced integer pair.  An attempt only scales: at
 rung lambda the copy of y is the vector (lambda a, d) / gcd(lambda, d) and its
 value the pair (lambda p, q) / gcd(lambda, q), both still reduced.  The copies
-are merged and sorted by ``merge_table``, the accumulator ``Instance.build``
+are merged and sorted by ``merge_table``, the accumulator ``Instance.from_pairs``
 uses, straight into the top ``WorkingTable`` of the affine recursion; no
 Fraction, ``Scalar`` or ``Point`` is built for them.  ``lift_to_cone`` wraps
 that table as an instance, whose views are built only when read.
@@ -138,7 +138,7 @@ def _check_ladder(lambdas: tuple) -> None:
 def _lift(rays: _Rays, lambdas) -> WorkingTable:
     """The top working table of the lift onto the ladder ``lambdas``, which is
     checked first: the copy of every sample point at every rung, merged and
-    sorted by ``merge_table``, as ``Instance.build`` merges and sorts.  Off
+    sorted by ``merge_table``, as ``Instance.from_pairs`` merges and sorts.  Off
     the origin, equal copies carry equal values, since the value at a lifted
     point z is t(z) M(x, ray)."""
     lambdas = tuple(lambdas)
@@ -247,10 +247,9 @@ def push_through_features(inst: Instance, phi: Mapping[Point, Point]) -> Instanc
     missing = [p for p in inst.ys.points if p not in phi]
     if missing:
         raise FeatureMapError(f"feature map not total: missing {missing[0]!r}")
-    images = [phi[p].raw() for p in inst.ys.points]
+    images = [[c.as_integer_ratio() for c in phi[p].raw()] for p in inst.ys.points]
     m = len(images[0]) if images else 0
-    return Instance.build(m, inst.xs, images,
-                          {x: [Fraction(*pair) for pair in row] for x, row in inst.pairs.items()})
+    return Instance.from_pairs(m, inst.xs, images, inst.pairs)
 
 
 def feature_select(inst: Instance, phi: Mapping[Point, Point],

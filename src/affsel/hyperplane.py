@@ -27,8 +27,10 @@ chain runs on Fractions.
 The hull serves both the bridge (the largest chord over zero) and the
 bracket, which only hull vertices can attain.
 Integers decide every result, and no float is stored in a table or reaches a
-selector.  An ``Instance`` is stored in the same integers: ``Instance.build``
-and the cone lift make their top tables with one accumulator,
+selector.  An ``Instance`` is stored in the same integers:
+``Instance.from_pairs``, which reads an instance file's integer pairs as
+they are and to which ``Instance.build`` hands its rationals as pairs, and
+the cone lift make their top tables with one accumulator,
 ``merge_table``, which merges equal vectors by the pointwise max and sorts
 them with ``sort_exact``.  ``select_table`` runs the recursion from a top
 table, which ``select_affine`` takes from the instance as it is stored
@@ -44,8 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
-from math import gcd, inf
+from itertools import compress, repeat
+from math import gcd, inf, lcm
 from operator import eq, itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -73,22 +75,32 @@ class Instance:
 
     @classmethod
     def build(cls, n: int, xs, points, rows: Mapping) -> "Instance":
-        """The one place an instance is made from rationals: ``points`` are
-        tuples of rationals and ``rows[x][j]`` is the rational at
-        ``points[j]``.  Checks that every point has dimension n, and makes
-        each point's primitive vector and each value's reduced pair, which
-        ``merge_table`` merges and sorts into the canonical table."""
+        """An instance from rationals: ``points`` are tuples of rationals and
+        ``rows[x][j]`` is the rational at ``points[j]``; ``from_pairs`` on
+        their reduced integer pairs."""
         xs = tuple(xs)
-        points = list(points)
+        return cls.from_pairs(n, xs, [[c.as_integer_ratio() for c in p] for p in points],
+                              {x: [v.as_integer_ratio() for v in rows[x]] for x in xs})
+
+    @classmethod
+    def from_pairs(cls, n: int, xs, points, rows: Mapping) -> "Instance":
+        """The one place an instance is made: ``points[j]`` holds the reduced
+        integer pairs (p, q) of a point's coordinates and ``rows[x][j]`` the
+        reduced pair of the value at it, as an instance file is read.
+        Checks that every point has dimension n, and makes each point's
+        primitive vector with one lcm; ``merge_table`` merges and sorts the
+        vectors, with the value pairs as they are, into the canonical table."""
+        xs = tuple(xs)
         cols = [rows[x] for x in xs]
         if any(len(col) != len(points) for col in cols):
             raise NumericsError(f"every row must hold one value for each of {len(points)} points")
         entries = []
-        for j, p in enumerate(points):
+        for p, values in zip(points, zip(*cols) if cols else repeat((), len(points))):
             if len(p) != n:
                 raise NumericsError(f"dimension mismatch: point dim {len(p)}, table dim {n}")
-            v = primitive(p)
-            entries.append((v, float_key(v), tuple([col[j].as_integer_ratio() for col in cols])))
+            d = lcm(*[q for _, q in p])
+            v = (*[a * (d // q) for a, q in p], d)
+            entries.append((v, float_key(v), values))
         vectors, pairs = merge_table(xs, entries)
         return cls(n=n, xs=xs, ys=PointSet(n, vectors), pairs=pairs)
 
@@ -113,8 +125,8 @@ def max_pair(a: tuple, b: tuple) -> tuple:
 
 
 def merge_table(xs: Sequence[str], entries) -> Tuple[list, Dict[str, tuple]]:
-    """The one accumulator of a point table, for ``Instance.build`` and the
-    cone lift: ``entries`` are (primitive vector, its ``float_key``, one
+    """The one accumulator of a point table, for ``Instance.from_pairs`` and
+    the cone lift: ``entries`` are (primitive vector, its ``float_key``, one
     reduced value pair per x in ``xs``).  Equal vectors merge by the
     pointwise max of their pairs (the supremum, so the order of the entries
     does not matter), and the merged table is sorted into exact

@@ -3,9 +3,13 @@
 Generators are pure functions of (seed, parameters); coefficients are drawn
 from small-denominator rationals so that intersection points and elimination
 steps stay compact at desk scale.  They draw and compute on integers over one
-denominator, _DEN = 840 (values over _DEN ** 2), and make Fractions only as
-they fill the ``InstanceFile``, which lists the distinct points in exact
-lexicographic order.  They build no ``Instance``; ``to_instance`` makes one.
+denominator, _DEN = 840 (values over _DEN ** 2), and reduce each to its
+integer pair as they fill the ``InstanceFile``, which lists the distinct
+points in exact lexicographic order.  They build no ``Instance``;
+``to_instance`` makes one.  A file's coordinates and values are read
+(``parse_pair``) into and written from reduced integer pairs, the form
+``Instance.pairs`` holds, so no Fraction stands between the JSON text and
+the kernel.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -23,6 +27,9 @@ from .numerics import EXACT, AffselError, Point, Scalar, check_mode
 from .hyperplane import Instance
 
 SCHEMA_VERSION = 1
+
+# a rational as its integer pair (p, q): q > 0 and the value is p / q
+Pair = Tuple[int, int]
 
 # the most digits a run of digits in a file, a numerator or a denominator
 # may have: Python's default int-to-str limit, so every value read can be written
@@ -42,13 +49,40 @@ class InstanceFileError(AffselError):
     pass
 
 
-def parse_rational(value) -> Fraction:
-    """The one reader of rationals in files: a JSON number, or a string
-    holding "p/q" or a decimal such as "-1.5e3".  Each run of digits, and
-    the numerator and the denominator in lowest terms, may have at most
-    MAX_DIGITS digits; sizes are checked before any large integer is built."""
+def _lowest(p: int, q: int) -> Pair:
+    """p / q (q > 0) in lowest terms."""
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def pair_text(pair: Pair) -> str:
+    """A reduced pair (p, q) as files hold it: "p/q", or bare "p" for q = 1."""
+    p, q = pair
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def parse_pair(value) -> Pair:
+    """The one reader of rationals in files, as the reduced integer pair
+    (p, q), q > 0: a JSON number, or a string holding "p/q" or a decimal
+    such as "-1.5e3".  Each run of digits, and the numerator and the
+    denominator in lowest terms, may have at most MAX_DIGITS digits; sizes
+    are checked before any large integer is built.
+
+    Plain ASCII "p", "-p" and "p/q" of at most MAX_DIGITS characters, all
+    that ``gen`` writes, are read without the regex: ASCII text is digits
+    exactly where ``str.isdigit`` says so.  Every other form, and every
+    error, goes through the regex."""
     if type(value) is int:      # read_json bounds the size of JSON integers
-        return Fraction(value)
+        return value, 1
+    if type(value) is str and value.isascii() and len(value) <= MAX_DIGITS:
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit():
+            if not slash:
+                return int(num), 1
+            if den.isdigit() and (q := int(den)):
+                p = int(num)
+                g = gcd(p, q)
+                return p // g, q // g
     text = (value if isinstance(value, str) else str(value) if type(value) is float else "").strip()
     m = _RATIONAL.fullmatch(text)
     if m is None:
@@ -56,7 +90,7 @@ def parse_rational(value) -> Fraction:
     sign, num, den, whole, frac, exp = m.groups("")
     if num:     # "p/q" or an integer: runs within the limit keep lowest terms within it
         if len(num) <= MAX_DIGITS and len(den) <= MAX_DIGITS:
-            return Fraction(int(sign + num), int(den or 1))
+            return _lowest(int(sign + num), int(den or 1))
     elif max(len(whole), len(frac), len(exp)) <= MAX_DIGITS:
         # whole.frac * 10^exp; zero at any exponent
         num = int(whole or "0") * 10 ** len(frac) + int(frac or "0")
@@ -64,11 +98,16 @@ def parse_rational(value) -> Fraction:
         # past 3 * MAX_DIGITS no reduction brings the value back under the limit
         if abs(shift) <= 3 * MAX_DIGITS:
             num = -num if sign == "-" else num
-            out = Fraction(num * 10 ** max(shift, 0), 10 ** max(-shift, 0))
-            if abs(out.numerator) < _LIMIT and out.denominator < _LIMIT:
-                return out
+            p, q = _lowest(num * 10 ** max(shift, 0), 10 ** max(-shift, 0))
+            if abs(p) < _LIMIT and q < _LIMIT:
+                return p, q
     shown = text if len(text) <= 40 else text[:20] + "..."
     raise InstanceFileError(f"{shown!r} exceeds the limit of {MAX_DIGITS} digits")
+
+
+def parse_rational(value) -> Fraction:
+    """``parse_pair`` as a Fraction, for function and selector files."""
+    return Fraction(*parse_pair(value))
 
 
 def _json_int(text: str) -> int:
@@ -106,21 +145,26 @@ def read_json(path):
 
 
 def _text_rows(rows) -> List[List[str]]:
-    return [[str(v) for v in row] for row in rows]
+    return [list(map(pair_text, row)) for row in rows]
+
+
+def _point(row) -> Point:
+    return Point([Scalar(Fraction(p, q)) for p, q in row])
 
 
 @dataclass
 class InstanceFile:
-    """On-disk instance: values as Fractions, one value row per parameter,
-    aligned with the point order; written as "p/q" strings (bare "p" for
-    integers)."""
+    """On-disk instance: every coordinate and value as its reduced integer
+    pair (p, q), q > 0, one value row per parameter, aligned with the point
+    order; read into pairs by ``parse_pair`` and written from them as "p/q"
+    strings (bare "p" for integers)."""
 
     n: int
     xs: List[str]
-    y_rows: List[List[Fraction]]
-    f_rows: List[List[Fraction]]
-    phi_rows: Optional[List[List[Fraction]]] = None
-    y0_rows: Optional[List[List[Fraction]]] = None
+    y_rows: List[List[Pair]]
+    f_rows: List[List[Pair]]
+    phi_rows: Optional[List[List[Pair]]] = None
+    y0_rows: Optional[List[List[Pair]]] = None
     meta: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
@@ -150,10 +194,10 @@ class InstanceFile:
         try:
             n = parse_dimension(data["n"])
             xs = parse_ids(data["X"], "instance file")
-            y_rows = _rational_rows(data, "Y")
-            f_rows = _rational_rows(data, "f")
-            phi = _rational_rows(data, "phi") if data.get("phi") is not None else None
-            y0 = _rational_rows(data, "y0") if data.get("y0") is not None else None
+            y_rows = _pair_rows(data, "Y")
+            f_rows = _pair_rows(data, "f")
+            phi = _pair_rows(data, "phi") if data.get("phi") is not None else None
+            y0 = _pair_rows(data, "y0") if data.get("y0") is not None else None
         except KeyError as exc:
             raise InstanceFileError(f"missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -184,16 +228,15 @@ class InstanceFile:
 
     def to_instance(self, mode: str = EXACT) -> Instance:
         check_mode(mode)
-        return Instance.build(self.n, self.xs, map(tuple, self.y_rows),
-                              dict(zip(self.xs, self.f_rows)))
+        return Instance.from_pairs(self.n, self.xs, self.y_rows, dict(zip(self.xs, self.f_rows)))
 
     def phi_table(self) -> Optional[Dict[Point, Point]]:
         if self.phi_rows is None:
             return None
         table = {}
         for yrow, zrow in zip(self.y_rows, self.phi_rows):
-            y = Point(map(Scalar, yrow))
-            z = Point(map(Scalar, zrow))
+            y = _point(yrow)
+            z = _point(zrow)
             if table.setdefault(y, z) != z:
                 raise InstanceFileError(
                     f"Y repeats the point {y.serialize()} with different phi rows")
@@ -203,14 +246,14 @@ class InstanceFile:
         check_mode(mode)
         if self.y0_rows is None:
             return None
-        return {x: Point(map(Scalar, row)) for x, row in zip(self.xs, self.y0_rows)}
+        return {x: _point(row) for x, row in zip(self.xs, self.y0_rows)}
 
 
-def _rational_rows(data: dict, field: str) -> List[List[Fraction]]:
+def _pair_rows(data: dict, field: str) -> List[List[Pair]]:
     rows = data[field]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InstanceFileError(f"{field} must be a list of rows")
-    return [[parse_rational(c) for c in row] for row in rows]
+    return [list(map(parse_pair, row)) for row in rows]
 
 
 def check_schema_version(data: dict, source: str) -> None:
@@ -300,14 +343,20 @@ def _distinct_points(rng: random.Random, n: int, count: int,
 def _sorted_file(n: int, xs: List[str], points: List[tuple], rows: Mapping[str, list],
                  meta: dict, base: Optional[tuple] = None) -> InstanceFile:
     """The file of distinct points and their rows, the points in exact
-    lexicographic order, as ``Instance.build`` orders them: coordinates are
-    numerators over _DEN, which sort as integers, and values over _DEN ** 2;
-    the file's Fractions are made here.  ``base`` is every x's base point."""
+    lexicographic order, as ``Instance.from_pairs`` orders them: coordinates
+    are numerators over _DEN, which sort as integers, and values over
+    _DEN ** 2; each is reduced to the file's pair here.  ``base`` is every
+    x's base point."""
     order = sorted(range(len(points)), key=points.__getitem__)
-    y0_rows = None if base is None else [[Fraction(c, _DEN) for c in base] for _ in xs]
-    return InstanceFile(n=n, xs=xs, y_rows=[[Fraction(c, _DEN) for c in points[j]] for j in order],
-                        f_rows=[[Fraction(rows[x][j], _DEN ** 2) for j in order] for x in xs],
+    y0_rows = None if base is None else [[_lowest(c, _DEN) for c in base] for _ in xs]
+    return InstanceFile(n=n, xs=xs, y_rows=[[_lowest(c, _DEN) for c in points[j]] for j in order],
+                        f_rows=[[_lowest(rows[x][j], _DEN ** 2) for j in order] for x in xs],
                         y0_rows=y0_rows, meta=meta)
+
+
+def _text(v: int) -> str:
+    """A numerator over _DEN as the text of its value, for a generator's meta."""
+    return pair_text(_lowest(v, _DEN))
 
 
 def _sample(seed: int, n: int, nx: int, ny: int, seed_points: Tuple[tuple, ...] = ()):
@@ -333,7 +382,7 @@ def gen_affine_dominated(seed: int, n: int, nx: int, ny: int, *,
     for x in xs:
         b = [_rand_fraction(rng) for _ in range(n)]
         c = _rand_fraction(rng)
-        witness_b[x], witness_c[x] = [str(Fraction(v, _DEN)) for v in b], str(Fraction(c, _DEN))
+        witness_b[x], witness_c[x] = list(map(_text, b)), _text(c)
         row = []
         for p in points:
             slack = 0 if zero_slack else _rand_fraction(rng, 0, SLACK_HIGH)
@@ -356,7 +405,7 @@ def gen_meager_linear(seed: int, n: int, nx: int, ny: int) -> InstanceFile:
     meta = {
         "generator": "meager_linear",
         "seed": seed,
-        "witness": {"alpha": {x: [str(Fraction(v, _DEN)) for v in alphas[x]] for x in xs}},
+        "witness": {"alpha": {x: list(map(_text, alphas[x])) for x in xs}},
     }
     return _sorted_file(n, xs, points, rows, meta)
 
@@ -379,8 +428,7 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
         "generator": "convex_sections",
         "seed": seed,
         "k": k,
-        "witness": {"slopes": {x: [[str(Fraction(v, _DEN)) for v in s] for s in slopes[x]]
-                               for x in xs}},
+        "witness": {"slopes": {x: [list(map(_text, s)) for s in slopes[x]] for x in xs}},
         "shifted": shifted,
     }
     base = None
@@ -389,5 +437,5 @@ def gen_convex_sections(seed: int, n: int, nx: int, ny: int, k: int,
         offsets = {x: _rand_fraction(rng) for x in xs}
         points = [tuple(map(add, p, base)) for p in points]
         rows = {x: [v + _DEN * offsets[x] for v in rows[x]] for x in xs}
-        meta["offsets"] = {x: str(Fraction(offsets[x], _DEN)) for x in xs}
+        meta["offsets"] = {x: _text(offsets[x]) for x in xs}
     return _sorted_file(n, xs, points, rows, meta, base)

@@ -3,7 +3,7 @@ of a rational point.
 
 An instance is stored once, in its integer form: each point as its
 ``primitive`` vector and each value as its reduced integer pair, which
-``Instance.build`` makes and the recursion, the checks and the shift read.
+``Instance.from_pairs`` makes and the recursion, the checks and the shift read.
 ``Scalar`` and ``Point`` are what selectors and reports hold; an instance's
 own Points and Scalars are views, built from the integer form on first read
 (``PointSet.points``, ``Instance.values``).  Values are arbitrary-precision
@@ -149,7 +149,7 @@ def origin_point(dim: int) -> Point:
 class PointSet:
     """Duplicate-free points of one dimension in canonical (lexicographic)
     order, held as their primitive vectors.  The constructor wraps vectors
-    that are already so; ``Instance.build`` is what puts a table of points
+    that are already so; ``Instance.from_pairs`` is what puts a table of points
     in that form.  Length, equality and ``index_of`` read the vectors; the
     ``Point``s are built on first read of ``points`` or on iteration."""
 

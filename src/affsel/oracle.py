@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
@@ -51,10 +52,18 @@ from .numerics import AffselError, Point, PointSet, Scalar, primitive, rational_
 
 @dataclass
 class DominationReport:
+    """``slacks[x]`` is the least slack of section x as the integer pair
+    (p, q), q > 0, that the check computes, not always reduced, or None where
+    it saw no point; ``min_slack`` is its view in Scalars, built on first
+    read, so a caller that reads only ``passed`` or ``failures`` builds none."""
     kind: str
     passed: bool
-    min_slack: Dict[str, Optional[Scalar]]
+    slacks: Dict[str, Optional[Tuple[int, int]]]
     failures: List[tuple] = field(default_factory=list)   # (x, point, slack)
+
+    @cached_property
+    def min_slack(self) -> Dict[str, Optional[Scalar]]:
+        return {x: None if s is None else Scalar(Fraction(*s)) for x, s in self.slacks.items()}
 
     def serialize(self) -> dict:
         return {
@@ -87,13 +96,13 @@ def check_domination(kind: str, xs: Sequence[str],
     then d.  With the section's (const, coeffs) = (c0, b) / d_x, its affine
     parts c0 d + b . a come from maps over those columns, and one loop over
     the points takes the slack ((c0 d + b . a) q - p d_x d) / (d_x d q)
-    over a positive denominator.  A Fraction is built only for the least
-    slack and for failures; being reduced, it equals the plain Fraction
-    difference.  Vectors of different lengths, or a row of another length
+    over a positive denominator.  The least slack is kept as that integer
+    pair, and a Fraction is built only for failures and where ``min_slack``
+    is read; being reduced, it equals the plain Fraction difference.  Vectors of different lengths, or a row of another length
     than the vectors', raise ValueError.
     """
     *cols, ds = zip(*at, strict=True) if at else ((),)
-    min_slack: Dict[str, Optional[Scalar]] = {}
+    slacks: Dict[str, Optional[Tuple[int, int]]] = {}
     failures: List[tuple] = []
     for x in xs:
         c0, *b, d_x = primitive((const[x], *coeffs[x]))
@@ -112,9 +121,8 @@ def check_domination(kind: str, xs: Sequence[str],
                 worst_num, worst_den = num, den
             if num < 0:
                 failures.append((x, j, Scalar(Fraction(num, den))))
-        min_slack[x] = Scalar(Fraction(worst_num, worst_den)) if worst_den else None
-    return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
-                            failures=failures)
+        slacks[x] = (worst_num, worst_den) if worst_den else None
+    return DominationReport(kind=kind, passed=not failures, slacks=slacks, failures=failures)
 
 
 def _named(report: DominationReport, at: Sequence[tuple]) -> DominationReport:
@@ -128,15 +136,15 @@ def _named(report: DominationReport, at: Sequence[tuple]) -> DominationReport:
 def _merged(kind: str, xs: Sequence[str], reports) -> DominationReport:
     """One report for several checks: failures in check order, the least
     slack per section."""
-    min_slack: Dict[str, Optional[Scalar]] = {x: None for x in xs}
+    slacks: Dict[str, Optional[Tuple[int, int]]] = dict.fromkeys(xs)
     failures: List[tuple] = []
     for rep in reports:
         failures.extend(rep.failures)
-        for x, s in rep.min_slack.items():
-            if s is not None and (min_slack[x] is None or s.value < min_slack[x].value):
-                min_slack[x] = s
-    return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
-                            failures=failures)
+        for x, s in rep.slacks.items():
+            least = slacks[x]
+            if s is not None and (least is None or s[0] * least[1] < least[0] * s[1]):
+                slacks[x] = s
+    return DominationReport(kind=kind, passed=not failures, slacks=slacks, failures=failures)
 
 
 def verify_domination(inst, selector, kind: str = "affine") -> DominationReport:
@@ -190,7 +198,7 @@ def verify_subgradient_domination(groups, selector) -> DominationReport:
         {x: selector.epsilon[x].value for x in g.xs},
         {x: [-c for c in selector.p[x].raw()] for x in g.xs}, at=g.vectors), g.vectors)
         for g in groups]
-    return _merged("subgradient", [x for r in reports for x in r.min_slack], reports)
+    return _merged("subgradient", [x for r in reports for x in r.slacks], reports)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,18 @@ MUTANTS = (
     Mutant("point-set-index-without-primitive", "src/affsel/numerics.py",
            "return self._index.get(primitive(coords))", "return self._index.get(coords)",
            ("tests/test_subgradient.py::TestShiftToOrigin::test_arithmetic_shift",)),
+    # the reader's fast path takes any Unicode digits that str.isdigit and
+    # int() accept, so Arabic-Indic digits read as a number
+    Mutant("parse-pair-fast-path-non-ascii", "src/affsel/instances.py",
+           "type(value) is str and value.isascii() and len(value) <= MAX_DIGITS",
+           "type(value) is str and len(value) <= MAX_DIGITS",
+           ("tests/test_instances.py::TestParseRational::test_not_a_rational",)),
+    # the reader's fast path returns "p/q" as written, not in lowest terms
+    Mutant("parse-pair-unreduced", "src/affsel/instances.py",
+           "                g = gcd(p, q)\n                return p // g, q // g\n",
+           "                return p, q\n",
+           ("tests/test_instances.py::TestParsePair::test_a_file_reads_into_reduced_pairs",
+            "tests/test_instances.py::TestInstanceFile::test_rationals_normalized")),
     # the shifted convex generator adds each offset, a numerator over 840, to
     # values over 840 ** 2 without scaling it
     Mutant("gen-shifted-offset-unscaled", "src/affsel/instances.py",

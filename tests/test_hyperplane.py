@@ -238,8 +238,8 @@ class TestBracketCheck:
     def test_cli_exits_1_with_one_line(self, inverted_bracket, tmp_path, capsys):
         path = tmp_path / "worked.json"
         # the file of WORKED
-        path.write_text(InstanceFile(n=1, xs=["x0"], y_rows=[[Fraction(-1)], [Fraction(2)]],
-                                     f_rows=[[Fraction(0), Fraction(1)]]).dumps())
+        path.write_text(InstanceFile(n=1, xs=["x0"], y_rows=[[(-1, 1)], [(2, 1)]],
+                                     f_rows=[[(0, 1), (1, 1)]]).dumps())
         assert cli.run(["select", "affine", str(path), "--verify"]) == 1
         out, err = capsys.readouterr()
         assert out == ""

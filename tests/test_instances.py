@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from operator import mul
 
 import time
@@ -8,7 +9,8 @@ import time
 import pytest
 from hypothesis import example, given, strategies as st
 
-from affsel.hyperplane import select_affine
+from affsel import cli
+from affsel.hyperplane import Instance, select_affine
 from affsel.instances import (
     MAX_DIGITS,
     InstanceFile,
@@ -16,6 +18,8 @@ from affsel.instances import (
     gen_affine_dominated,
     gen_convex_sections,
     gen_meager_linear,
+    load_instance_file,
+    parse_pair,
     parse_rational,
     read_json,
 )
@@ -60,6 +64,15 @@ DIGIT_FORMS = {
 
 DIGITS = "0123456789"
 
+# small rationals, so that points and values repeat
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+# `gen` arguments of every family and option
+GEN_ARGS = [
+    [*family, "--seed", "3", "--n", "2", "--nx", "3", "--ny", "9", *flags]
+    for family, flags in ((["affine"], []), (["affine"], ["--zero-slack"]), (["meager"], []),
+                          (["convex", "--k", "3"], []), (["convex", "--k", "3"], ["--shifted"]))]
+
 # the generators' value tests run on these seeds at n = 0..3
 SEEDS_AND_DIMS = [(seed, n) for seed in (1, 2, 3, 19) for n in range(4)]
 # the slacks gen_affine_dominated draws: p/q in [0, 5] with q <= 8
@@ -75,10 +88,15 @@ def dot(coeffs, point) -> Fraction:
     return sum(map(mul, map(Fraction, coeffs), point), Fraction(0))
 
 
+def rationals(row) -> list:
+    """A file's row of reduced integer pairs as Fractions."""
+    return [Fraction(*pair) for pair in row]
+
+
 def affine_slacks(doc: InstanceFile) -> list:
     """b.y + c - f(x, y) at every x and y of an affine file, from its witness."""
     b, c = doc.meta["witness"]["b"], doc.meta["witness"]["c"]
-    return [dot(b[x], y) + Fraction(c[x]) - f
+    return [dot(b[x], rationals(y)) + Fraction(c[x]) - Fraction(*f)
             for x, row in zip(doc.xs, doc.f_rows) for y, f in zip(doc.y_rows, row)]
 
 
@@ -105,23 +123,27 @@ def grammar_strings(draw):
     return draw(space) + draw(st.sampled_from(["", "-", "+"])) + body + draw(space)
 
 
+GRAMMAR = [
+    ("3/4", "3/4"), ("-6/8", "-3/4"), ("+3/4", "3/4"), (" 7\n", "7"), ("\u20027", "7"),
+    ("007", "7"),
+    ("0.5", "1/2"), (".5", "1/2"), ("1.", "1"), ("-1.5e+2", "-150"), ("1E-3", "1/1000"),
+    ("-0", "0"), (12, "12"), (0.1, "1/10"), (1e16, "10000000000000000"), (-2.5e-3, "-1/400"),
+    # zero at any exponent, read without building 10^999999999
+    ("0e999999999", "0"), ("0.000e-999999999", "0"),
+]
+NOT_RATIONAL = [
+    "", ".", "e5", "1e", "1/2e3", "1/-2", "1/0", "0/0", "1_000", "3 / 4", "\u0661\u0662",
+    "\u22121", "1 2", "0x10", "inf", "nan", "Infinity", float("inf"), float("nan"),
+    True, None, [1], {"1": 1},
+]
+
+
 class TestParseRational:
-    @pytest.mark.parametrize("value, expected", [
-        ("3/4", "3/4"), ("-6/8", "-3/4"), ("+3/4", "3/4"), (" 7\n", "7"), ("\u20027", "7"),
-        ("007", "7"),
-        ("0.5", "1/2"), (".5", "1/2"), ("1.", "1"), ("-1.5e+2", "-150"), ("1E-3", "1/1000"),
-        ("-0", "0"), (12, "12"), (0.1, "1/10"), (1e16, "10000000000000000"), (-2.5e-3, "-1/400"),
-        # zero at any exponent, read without building 10^999999999
-        ("0e999999999", "0"), ("0.000e-999999999", "0"),
-    ])
+    @pytest.mark.parametrize("value, expected", GRAMMAR)
     def test_grammar(self, value, expected):
         assert parse_rational(value) == Fraction(expected)
 
-    @pytest.mark.parametrize("value", [
-        "", ".", "e5", "1e", "1/2e3", "1/-2", "1/0", "0/0", "1_000", "3 / 4", "\u0661\u0662",
-        "\u22121", "1 2", "0x10", "inf", "nan", "Infinity", float("inf"), float("nan"),
-        True, None, [1], {"1": 1},
-    ])
+    @pytest.mark.parametrize("value", NOT_RATIONAL)
     def test_not_a_rational(self, value):
         with pytest.raises(InstanceFileError, match="not a finite rational"):
             parse_rational(value)
@@ -170,6 +192,59 @@ class TestParseRational:
         assert time.perf_counter() - started < 1
 
 
+# every value TestParseRational reads or refuses
+PARSE_CASES = ([value for value, _ in GRAMMAR] + NOT_RATIONAL
+               + [sign + DIGIT_FORMS[form](k) for sign in "-+" for form in DIGIT_FORMS
+                  for k in (MAX_DIGITS, MAX_DIGITS + 1)]
+               + list(LARGEST.values()) + list(TOO_LARGE.values()))
+
+
+def outcome(read, value):
+    """What ``read`` returns for value, or the message of its InstanceFileError."""
+    try:
+        return read(value)
+    except InstanceFileError as exc:
+        return f"error: {exc}"
+
+
+class TestParsePair:
+    @staticmethod
+    def assert_reduced_pair_of_parse_rational(value):
+        pair, want = outcome(parse_pair, value), outcome(parse_rational, value)
+        if isinstance(want, str):
+            assert pair == want
+        else:
+            assert pair == want.as_integer_ratio()
+            assert pair[1] > 0 and gcd(*pair) == 1
+
+    @pytest.mark.parametrize("value", PARSE_CASES, ids=range(len(PARSE_CASES)))
+    def test_every_parse_rational_case(self, value):
+        self.assert_reduced_pair_of_parse_rational(value)
+
+    @given(grammar_strings())
+    def test_grammar_strings(self, text):
+        self.assert_reduced_pair_of_parse_rational(text)
+        assert parse_pair(text) == Fraction(text).as_integer_ratio()
+
+    @example("-0")
+    @example("0/7")
+    @example("-12/8")
+    @example("0012/0004")
+    @given(grammar_strings())
+    def test_the_plain_forms_read_as_the_regex_reads_them(self, text):
+        # a trailing space sends the same text through the regex
+        text = text.strip()
+        assert outcome(parse_pair, text) == outcome(parse_pair, text + " ")
+
+    def test_a_file_reads_into_reduced_pairs(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"n": 1, "X": ["x0"], "Y": [["2/4"], ["-0/5"], ["+3"]],
+                                    "f": [["1", "-6/4", 5]]}))
+        doc = load_instance_file(path)
+        assert doc.y_rows == [[(1, 2)], [(0, 1)], [(3, 1)]]
+        assert doc.f_rows == [[(1, 1), (-3, 2), (5, 1)]]
+
+
 def test_read_json_bounds_integers(tmp_path):
     path = tmp_path / "f.json"
     path.write_text(f"[{'9' * MAX_DIGITS}, -{'9' * MAX_DIGITS}]")
@@ -216,6 +291,47 @@ class TestInstanceFile:
         assert len(inst.ys) == 1
         assert inst.values["x0"] == (exact(7),)
 
+    @given(st.data())
+    def test_to_instance_equals_build_on_the_same_rationals(self, data):
+        # points repeat and come unsorted; text is written unreduced, so the
+        # reader reduces what Instance.build gets reduced
+        n = data.draw(st.integers(0, 3))
+        pool = data.draw(st.lists(st.tuples(*[SMALL] * n), min_size=1, max_size=4))
+        points = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+        xs = [f"x{i}" for i in range(data.draw(st.integers(0, 3)))]
+        rows = {x: data.draw(st.lists(SMALL, min_size=len(points), max_size=len(points)))
+                for x in xs}
+        scale = data.draw(st.integers(1, 6))
+
+        def text(v):
+            return f"{v.numerator * scale}/{v.denominator * scale}"
+
+        raw = {"n": n, "X": xs, "Y": [list(map(text, p)) for p in points],
+               "f": [list(map(text, rows[x])) for x in xs]}
+        got = InstanceFile.from_json_dict(raw).to_instance()
+        want = Instance.build(n, xs, points, rows)
+        assert got.vectors == want.vectors
+        assert got.pairs == want.pairs
+
+    @pytest.mark.parametrize("args", GEN_ARGS, ids=" ".join)
+    def test_gen_files_write_back_byte_for_byte(self, args, tmp_path):
+        path = tmp_path / "f.json"
+        assert cli.run(["gen", *args, "-o", str(path)]) == 0
+        assert load_instance_file(path).dumps() == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("args", GEN_ARGS, ids=" ".join)
+    def test_reading_a_gen_file_builds_no_fraction(self, args, tmp_path, monkeypatch):
+        path = tmp_path / "f.json"
+        assert cli.run(["gen", *args, "-o", str(path)]) == 0
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        inst = load_instance_file(path).to_instance()
+        monkeypatch.undo()
+        assert len(inst.ys) > 1 and inst.pairs
+
 
 class TestGenAffineDominated:
     def test_deterministic(self):
@@ -254,7 +370,7 @@ class TestGenAffineDominated:
         doc = gen_affine_dominated(13, 3, 2, 8)
         for row in doc.y_rows:
             for cell in row:
-                assert Fraction(cell).denominator <= 8
+                assert Fraction(*cell).denominator <= 8
 
     def test_n_zero(self):
         doc = gen_affine_dominated(17, 0, 3, 5)
@@ -276,7 +392,7 @@ class TestGenMeagerLinear:
             doc = written(gen_meager_linear(seed, n, 3, 6))
             alpha = doc.meta["witness"]["alpha"]
             for x, row in zip(doc.xs, doc.f_rows):
-                assert row == [dot(alpha[x], y) for y in doc.y_rows]
+                assert rationals(row) == [dot(alpha[x], rationals(y)) for y in doc.y_rows]
 
     def test_homogeneous_feasible(self):
         doc = gen_meager_linear(29, 1, 2, 6)
@@ -312,10 +428,11 @@ class TestGenConvexSections:
             doc = written(gen_convex_sections(seed, n, 3, 6, k=3, shifted=shifted))
             slopes = doc.meta["witness"]["slopes"]
             for i, (x, row) in enumerate(zip(doc.xs, doc.f_rows)):
-                y0 = doc.y0_rows[i] if shifted else [0] * n
+                y0 = rationals(doc.y0_rows[i]) if shifted else [0] * n
                 offset = Fraction(doc.meta["offsets"][x]) if shifted else 0
-                moved = [[a - b for a, b in zip(y, y0)] for y in doc.y_rows]
-                assert row == [max(dot(s, d) for s in slopes[x]) + offset for d in moved]
+                moved = [[a - b for a, b in zip(rationals(y), y0)] for y in doc.y_rows]
+                assert rationals(row) == [max(dot(s, d) for s in slopes[x]) + offset
+                                          for d in moved]
 
     def test_k_one_linear(self):
         doc = gen_convex_sections(43, 1, 1, 4, k=1)

@@ -131,8 +131,8 @@ def reference_check_domination(kind, xs, points, rows, const, coeffs, at=None):
                 worst = slack
             if slack < 0:
                 failures.append((x, points[j], Scalar(slack)))
-        min_slack[x] = None if worst is None else Scalar(worst)
-    return DominationReport(kind=kind, passed=not failures, min_slack=min_slack,
+        min_slack[x] = None if worst is None else worst.as_integer_ratio()
+    return DominationReport(kind=kind, passed=not failures, slacks=min_slack,
                             failures=failures)
 
 
@@ -241,6 +241,32 @@ class TestIntegerKernel:
         rep = check_domination("sample", ["x0"], rows, {"x0": Fraction(1, 2)},
                                {"x0": (Fraction(1),)}, vectors_of(pts, None))
         assert rep.min_slack["x0"].serialize() == "1/2"
+
+    def test_a_passing_check_builds_no_fraction(self, monkeypatch):
+        # the least slack stays the integer pair the loop computed until
+        # min_slack is read; the failing section x1 builds its failure's slack
+        pts = [Point.of("1/3"), Point.of("1/5"), Point.of(0)]
+        rows = {"x0": [(1, 3), (1, 5), (-1, 2)], "x1": [(1, 1), (0, 1), (0, 1)]}
+        const, coeffs = {"x0": Fraction(1, 2), "x1": Fraction(0)}, {"x0": (Fraction(1),),
+                                                                   "x1": (Fraction(0),)}
+        at = vectors_of(pts, None)
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        rep = check_domination("sample", ["x0"], rows, const, coeffs, at)
+        assert built == []
+        failing = check_domination("sample", ["x0", "x1"], rows, const, coeffs, at)
+        assert len(built) == 1
+        monkeypatch.undo()
+        assert rep.passed and Fraction(*rep.slacks["x0"]) == Fraction(1, 2)
+        assert rep.min_slack == {"x0": exact("1/2")}
+        assert failing.failures == [("x1", 0, exact(-1))]
+        assert failing.min_slack == {"x0": exact("1/2"), "x1": exact(-1)}
 
     @pytest.mark.parametrize("b", [(0, 10), ()])
     def test_coefficients_of_the_wrong_width_are_refused(self, b):
